@@ -11,7 +11,7 @@ producer experiences as a request timeout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..observability.trace import EventKind
@@ -25,9 +25,10 @@ __all__ = ["ProduceRequest", "ProduceResponse", "Broker"]
 _request_ids = itertools.count()
 
 
-@dataclass
 class ProduceRequest:
     """A batch of records bound for one partition.
+
+    A plain ``__slots__`` class: the producer builds one per send attempt.
 
     Attributes
     ----------
@@ -43,22 +44,43 @@ class ProduceRequest:
         Total request size on the wire (payloads + protocol overhead).
     attempt:
         Application-level retry attempt (0 = first send).
+    request_id:
+        Process-wide unique id the response refers back to.
     """
 
-    records: List[ProducerRecord]
-    partition: Partition
-    require_acks: bool
-    wire_bytes: int
-    producer_id: Optional[int] = None
-    base_sequence: Optional[int] = None
-    attempt: int = 0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    __slots__ = (
+        "records",
+        "partition",
+        "require_acks",
+        "wire_bytes",
+        "producer_id",
+        "base_sequence",
+        "attempt",
+        "request_id",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.records:
+    def __init__(
+        self,
+        records: List[ProducerRecord],
+        partition: Partition,
+        require_acks: bool,
+        wire_bytes: int,
+        producer_id: Optional[int] = None,
+        base_sequence: Optional[int] = None,
+        attempt: int = 0,
+    ) -> None:
+        if not records:
             raise ValueError("a produce request needs at least one record")
-        if self.wire_bytes <= 0:
+        if wire_bytes <= 0:
             raise ValueError("wire_bytes must be positive")
+        self.records = records
+        self.partition = partition
+        self.require_acks = require_acks
+        self.wire_bytes = wire_bytes
+        self.producer_id = producer_id
+        self.base_sequence = base_sequence
+        self.attempt = attempt
+        self.request_id = next(_request_ids)
 
     @property
     def payload_bytes(self) -> int:
@@ -151,20 +173,16 @@ class Broker:
             self._record_drop(request, phase="processing")
             return
         self.requests_handled += 1
+        now = self._sim.now
+        partition = request.partition
+        producer_id = request.producer_id
+        base_sequence = request.base_sequence
         base_offset: Optional[int] = None
         appended = 0
         for position, record in enumerate(request.records):
-            sequence = (
-                request.base_sequence + position
-                if request.base_sequence is not None
-                else None
-            )
-            offset = request.partition.append(
-                key=record.key,
-                payload_bytes=record.payload_bytes,
-                timestamp=self._sim.now,
-                producer_id=request.producer_id,
-                sequence=sequence,
+            sequence = base_sequence + position if base_sequence is not None else None
+            offset = partition.append(
+                record.key, record.payload_bytes, now, producer_id, sequence
             )
             if offset is None:
                 continue  # idempotence fencing discarded a duplicate
@@ -174,7 +192,7 @@ class Broker:
             if self._tracer is not None:
                 self._tracer.emit(
                     EventKind.APPEND,
-                    self._sim.now,
+                    now,
                     key=record.key,
                     broker=self.broker_id,
                     offset=offset,
@@ -182,15 +200,11 @@ class Broker:
             if self._metrics is not None:
                 self._metrics.counter("broker.appends").inc()
             for listener in self._append_listeners:
-                listener(record, request.partition, offset)
+                listener(record, partition, offset)
         if on_done is not None:
             on_done(
                 ProduceResponse(
-                    request_id=request.request_id,
-                    partition_name=request.partition.name,
-                    base_offset=base_offset,
-                    timestamp=self._sim.now,
-                    appended=appended,
+                    request.request_id, partition.name, base_offset, now, appended
                 )
             )
 

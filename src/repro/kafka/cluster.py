@@ -109,7 +109,7 @@ class KafkaCluster:
         on_done: Optional[Callable[[ProduceResponse], None]] = None,
     ) -> None:
         """Route a produce request to its partition leader."""
-        self.leader_for(request.partition).handle_produce(request, on_done)
+        self.brokers[request.partition.leader_broker_id].handle_produce(request, on_done)
 
     # ------------------------------------------------------ fault handling
 

@@ -9,15 +9,13 @@ duplicate failures materialise in the topic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 __all__ = ["LogEntry", "LogSegment", "PartitionLog"]
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    """One persisted record."""
+class LogEntry(NamedTuple):
+    """One persisted record (immutable; a tuple, cheap to build per append)."""
 
     offset: int
     key: int
@@ -108,20 +106,15 @@ class PartitionLog:
                 return None
             self._producer_sequences[producer_id] = sequence
         segment = self._segments[-1]
-        if len(segment.entries) >= self._segment_max_entries:
+        entries = segment.entries
+        if len(entries) >= self._segment_max_entries:
             segment = LogSegment(segment.next_offset)
             self._segments.append(segment)
-        offset = segment.next_offset
-        segment.append(
-            LogEntry(
-                offset=offset,
-                key=key,
-                payload_bytes=payload_bytes,
-                timestamp=timestamp,
-                producer_id=producer_id,
-                sequence=sequence,
-            )
-        )
+            entries = segment.entries
+        # The offset follows the active segment by construction, so the
+        # contiguity check of ``LogSegment.append`` cannot fail here.
+        offset = segment.base_offset + len(entries)
+        entries.append(LogEntry(offset, key, payload_bytes, timestamp, producer_id, sequence))
         return offset
 
     def read(self, start_offset: int = 0, max_entries: Optional[int] = None) -> List[LogEntry]:

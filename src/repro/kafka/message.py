@@ -9,7 +9,7 @@ and timestamps the simulation needs, never actual payload bytes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["ProducerRecord", "RecordMetadata", "reset_key_counter"]
@@ -23,14 +23,18 @@ def reset_key_counter() -> None:
     _key_counter = itertools.count()
 
 
-@dataclass
 class ProducerRecord:
     """A message handed to the producer by an upstream application.
+
+    A plain ``__slots__`` class: one is built per source message, and its
+    fields are read on every hop of the producer's batch path.  Records are
+    compared by identity (the unique ``key`` names a message).
 
     Attributes
     ----------
     key:
-        Incremental unique key used for loss/duplicate reconciliation.
+        Incremental unique key used for loss/duplicate reconciliation;
+        drawn from the process-wide key sequence when not given.
     payload_bytes:
         Message size ``M`` in bytes (the payload string length).
     topic:
@@ -45,18 +49,33 @@ class ProducerRecord:
         after ``ingest_time`` is stale.  ``None`` disables staleness.
     """
 
-    payload_bytes: int
-    topic: str = "events"
-    key: int = field(default_factory=lambda: next(_key_counter))
-    source_time: float = 0.0
-    ingest_time: Optional[float] = None
-    timeliness_s: Optional[float] = None
+    __slots__ = ("payload_bytes", "topic", "key", "source_time", "ingest_time", "timeliness_s")
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes <= 0:
+    def __init__(
+        self,
+        payload_bytes: int,
+        topic: str = "events",
+        key: Optional[int] = None,
+        source_time: float = 0.0,
+        ingest_time: Optional[float] = None,
+        timeliness_s: Optional[float] = None,
+    ) -> None:
+        if payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
-        if self.timeliness_s is not None and self.timeliness_s <= 0:
+        if timeliness_s is not None and timeliness_s <= 0:
             raise ValueError("timeliness_s must be positive when given")
+        self.payload_bytes = payload_bytes
+        self.topic = topic
+        self.key: int = next(_key_counter) if key is None else key
+        self.source_time = source_time
+        self.ingest_time = ingest_time
+        self.timeliness_s = timeliness_s
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"ProducerRecord(key={self.key}, payload_bytes={self.payload_bytes}, "
+            f"topic={self.topic!r}, ingest_time={self.ingest_time})"
+        )
 
     def deadline(self, timeout_s: float) -> float:
         """Absolute expiry time given the message-timeout configuration."""

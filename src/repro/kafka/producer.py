@@ -167,6 +167,11 @@ class KafkaProducer:
         else:
             self._ack_rtt = None
         self.stats = ProducerStats()
+        # Read for every record on the batch path.  Every record the producer
+        # holds was stamped by ``offer``, so its delivery deadline is simply
+        # ``record.ingest_time + self._message_timeout_s``.
+        self._message_timeout_s = self.config.message_timeout_s
+        self._batch_size = self.config.batch_size
         self.producer_id = next(_producer_ids)
         self._sequence = itertools.count()
         self._queue: Deque[ProducerRecord] = deque()
@@ -245,9 +250,6 @@ class KafkaProducer:
 
     # --------------------------------------------------------- batch flow
 
-    def _record_deadline(self, record: ProducerRecord) -> float:
-        return record.deadline(self.config.message_timeout_s)
-
     def _expire_from_queue_head(self, lookahead_s: float = 0.0) -> None:
         """Drop queue-head records at (or within ``lookahead_s`` of) expiry.
 
@@ -256,9 +258,11 @@ class KafkaProducer:
         delivery timeout while the batch is being serialised is dead on
         arrival and only wastes the batch slot.
         """
+        queue = self._queue
         horizon = self._sim.now + lookahead_s
-        while self._queue and horizon >= self._record_deadline(self._queue[0]):
-            record = self._queue.popleft()
+        timeout = self._message_timeout_s
+        while queue and horizon >= queue[0].ingest_time + timeout:
+            record = queue.popleft()
             self.stats.expired_in_queue += 1
             self.listener.on_expired(record, after_send=False)
             if self._tracer is not None:
@@ -284,45 +288,40 @@ class KafkaProducer:
     def _maybe_form_batch(self) -> None:
         if self._serializing or self._closed:
             return
-        lookahead = self.hardware.serialization_time_s(
-            self.config.batch_size
-            * (self._queue[0].payload_bytes if self._queue else 0),
-            self.config.batch_size,
-        )
-        self._expire_from_queue_head(lookahead)
-        if not self._queue:
+        queue = self._queue
+        batch_size = self._batch_size
+        if queue:
+            lookahead = self.hardware.serialization_time_s(
+                batch_size * queue[0].payload_bytes, batch_size
+            )
+            self._expire_from_queue_head(lookahead)
+        if not queue:
             self._check_done()
             return
-        if self._tokens.available == 0:
+        tokens = self._tokens
+        if tokens.available == 0:
             return  # back-pressure: wait for an in-flight/socket slot
         if (
             self._in_flight_bytes >= self.hardware.socket_buffer_bytes
-            and self._tokens.in_use > 0
+            and tokens.in_use > 0
         ):
             return  # socket send buffer full; a completion will re-trigger
-        batch_size = self.config.batch_size
-        now = self._sim.now
-        oldest_ingest = self._queue[0].ingest_time
-        oldest_wait = now - (oldest_ingest if oldest_ingest is not None else now)
-        if len(self._queue) < batch_size:
+        oldest_wait = self._sim.now - queue[0].ingest_time
+        if len(queue) < batch_size:
             ready = self._input_finished or oldest_wait >= self.config.linger_s
             if not ready:
                 self._arm_linger(self.config.linger_s - oldest_wait)
                 return
-        records = [
-            self._queue.popleft()
-            for _ in range(min(batch_size, len(self._queue)))
-        ]
+        records = [queue.popleft() for _ in range(min(batch_size, len(queue)))]
         if self._linger_timer is not None:
             self._sim.cancel(self._linger_timer)
             self._linger_timer = None
         # Availability was checked above; acquire resolves immediately.
-        self._tokens.acquire()
-        token_held = True
+        tokens.acquire()
         self._serializing = True
-        total_bytes = sum(record.payload_bytes for record in records)
+        total_bytes = sum([record.payload_bytes for record in records])
         ser_time = self.hardware.serialization_time_s(total_bytes, len(records))
-        self._sim.schedule(ser_time, self._dispatch, records, token_held)
+        self._sim.schedule(ser_time, self._dispatch, records)
 
     def _arm_linger(self, delay: float) -> None:
         if self._linger_timer is not None:
@@ -332,12 +331,13 @@ class KafkaProducer:
             self._maybe_form_batch()
         self._linger_timer = self._sim.schedule(max(1e-6, delay), fire)
 
-    def _dispatch(self, records: List[ProducerRecord], token_held: bool) -> None:
+    def _dispatch(self, records: List[ProducerRecord]) -> None:
         self._serializing = False
         now = self._sim.now
+        timeout = self._message_timeout_s
         live: List[ProducerRecord] = []
         for record in records:
-            if now >= self._record_deadline(record):
+            if now >= record.ingest_time + timeout:
                 self.stats.expired_in_queue += 1
                 self.listener.on_expired(record, after_send=False)
                 if self._tracer is not None:
@@ -348,19 +348,17 @@ class KafkaProducer:
             else:
                 live.append(record)
         if not live:
-            if token_held:
-                self._tokens.release()
+            self._tokens.release()
             self._sim.schedule(0.0, self._maybe_form_batch)
             return
-        batch = _Batch(live)
-        self._send_batch(batch, token_held)
+        self._send_batch(_Batch(live))
         self._sim.schedule(0.0, self._maybe_form_batch)
 
     def _wire_bytes(self, records: List[ProducerRecord]) -> int:
-        payload = sum(record.payload_bytes for record in records)
+        payload = sum([record.payload_bytes for record in records])
         return payload + self.hardware.request_overhead_bytes
 
-    def _send_batch(self, batch: _Batch, token_held: bool) -> None:
+    def _send_batch(self, batch: _Batch) -> None:
         semantics = self.config.semantics
         partition = self._topic.partition_for(batch.records[0].key)
         base_sequence = None
@@ -374,25 +372,27 @@ class KafkaProducer:
                 batch.base_sequence = base_sequence
             else:
                 base_sequence = batch.base_sequence
+        attempt = batch.attempt
         request = ProduceRequest(
-            records=list(batch.records),
-            partition=partition,
-            require_acks=semantics.waits_for_ack,
-            wire_bytes=self._wire_bytes(batch.records),
-            producer_id=producer_id,
-            base_sequence=base_sequence,
-            attempt=batch.attempt,
+            list(batch.records),
+            partition,
+            semantics.waits_for_ack,
+            self._wire_bytes(batch.records),
+            producer_id,
+            base_sequence,
+            attempt,
         )
-        self.stats.requests_sent += 1
-        if batch.attempt > 0:
-            self.stats.request_retries += 1
-        self.stats.bytes_sent += request.wire_bytes
+        stats = self.stats
+        stats.requests_sent += 1
+        if attempt > 0:
+            stats.request_retries += 1
+        stats.bytes_sent += request.wire_bytes
+        listener = self.listener
+        tracer = self._tracer
         for record in batch.records:
-            self.listener.on_send_attempt(record, batch.attempt)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    EventKind.SEND, self._sim.now, key=record.key, attempt=batch.attempt
-                )
+            listener.on_send_attempt(record, attempt)
+            if tracer is not None:
+                tracer.emit(EventKind.SEND, self._sim.now, key=record.key, attempt=attempt)
         if semantics.waits_for_ack:
             if batch.attempt == 0:
                 batch.byte_charge = request.wire_bytes
@@ -410,12 +410,8 @@ class KafkaProducer:
                 request.wire_bytes,
                 payload=request,
                 deadline=self._sim.now + 2.0 * self.config.request_timeout_s,
-                on_delivered=lambda payload, rtt: self._arm_response_timer(
-                    batch, token_held
-                ),
-                on_failed=lambda payload, reason: self._on_transport_failed(
-                    batch, token_held
-                ),
+                on_delivered=lambda payload, rtt: self._arm_response_timer(batch),
+                on_failed=lambda payload, reason: self._on_transport_failed(batch),
             )
         else:
             # Fire and forget: the producer's bookkeeping ends here; the
@@ -434,29 +430,28 @@ class KafkaProducer:
                 on_delivered=lambda payload, rtt: self._on_amo_settled(request),
                 on_failed=lambda payload, reason: self._on_amo_failed(request),
             )
-            for _record in batch.records:
-                self.stats.fire_and_forget += 1
-                self._resolve()
+            self.stats.fire_and_forget += len(batch.records)
+            self._resolve(len(batch.records))
 
     # ------------------------------------------------- at-least-once path
 
-    def _arm_response_timer(self, batch: _Batch, token_held: bool) -> None:
+    def _arm_response_timer(self, batch: _Batch) -> None:
         """The request reached the broker; now wait for its response."""
         if batch.completed or not batch.waiting or batch.timer is not None:
             return
         batch.timer = self._sim.schedule(
-            self.config.request_timeout_s, self._on_request_timeout, batch, token_held
+            self.config.request_timeout_s, self._on_request_timeout, batch
         )
 
-    def _on_transport_failed(self, batch: _Batch, token_held: bool) -> None:
+    def _on_transport_failed(self, batch: _Batch) -> None:
         # The transport gave up before the request timeout fired; handle it
         # exactly like a timeout so retry policy lives in one place.
-        self._handle_request_failure(batch, token_held)
+        self._handle_request_failure(batch)
 
-    def _on_request_timeout(self, batch: _Batch, token_held: bool) -> None:
-        self._handle_request_failure(batch, token_held)
+    def _on_request_timeout(self, batch: _Batch) -> None:
+        self._handle_request_failure(batch)
 
-    def _handle_request_failure(self, batch: _Batch, token_held: bool) -> None:
+    def _handle_request_failure(self, batch: _Batch) -> None:
         if batch.completed or not batch.waiting:
             return
         batch.waiting = False
@@ -466,9 +461,10 @@ class KafkaProducer:
         now = self._sim.now
         for record in batch.records:
             self.listener.on_attempt_failed(record, batch.attempt)
+        timeout = self._message_timeout_s
         survivors: List[ProducerRecord] = []
         for record in batch.records:
-            if now >= self._record_deadline(record):
+            if now >= record.ingest_time + timeout:
                 self.stats.expired_after_send += 1
                 self.listener.on_expired(record, after_send=True)
                 if self._tracer is not None:
@@ -490,7 +486,7 @@ class KafkaProducer:
                     records=len(survivors),
                 )
             self._sim.schedule(
-                self.config.retry_backoff_s, self._retry_batch, batch, token_held
+                self.config.retry_backoff_s, self._retry_batch, batch
             )
             return
         for record in survivors:
@@ -501,20 +497,21 @@ class KafkaProducer:
             self._resolve()
         batch.completed = True
         self._in_flight_bytes -= batch.byte_charge
-        if token_held:
-            self._tokens.release()
+        self._tokens.release()
         self._sim.schedule(0.0, self._maybe_form_batch)
 
-    def _retry_batch(self, batch: _Batch, token_held: bool) -> None:
+    def _retry_batch(self, batch: _Batch) -> None:
         if batch.completed:
             return
         now = self._sim.now
-        survivors = [
-            record
-            for record in batch.records
-            if now < self._record_deadline(record)
-        ]
-        expired = [r for r in batch.records if r not in survivors]
+        timeout = self._message_timeout_s
+        survivors: List[ProducerRecord] = []
+        expired: List[ProducerRecord] = []
+        for record in batch.records:
+            if now < record.ingest_time + timeout:
+                survivors.append(record)
+            else:
+                expired.append(record)
         for record in expired:
             self.stats.expired_after_send += 1
             self.listener.on_expired(record, after_send=True)
@@ -527,11 +524,10 @@ class KafkaProducer:
         if not survivors:
             batch.completed = True
             self._in_flight_bytes -= batch.byte_charge
-            if token_held:
-                self._tokens.release()
+            self._tokens.release()
             self._sim.schedule(0.0, self._maybe_form_batch)
             return
-        self._send_batch(batch, token_held)
+        self._send_batch(batch)
 
     def _producer_receive(self, payload, size_bytes: int) -> None:
         """A message arrived on the REVERSE direction (a broker response)."""
@@ -547,17 +543,18 @@ class KafkaProducer:
             self._sim.cancel(batch.timer)
             batch.timer = None
         now = self._sim.now
-        for record in batch.records:
-            self.stats.acknowledged += 1
-            ingest = record.ingest_time if record.ingest_time is not None else now
-            self.listener.on_acknowledged(record, now - ingest)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    EventKind.ACK, now, key=record.key, rtt_s=now - ingest
-                )
+        records = batch.records
+        self.stats.acknowledged += len(records)
+        listener = self.listener
+        tracer = self._tracer
+        for record in records:
+            rtt = now - record.ingest_time
+            listener.on_acknowledged(record, rtt)
+            if tracer is not None:
+                tracer.emit(EventKind.ACK, now, key=record.key, rtt_s=rtt)
             if self._ack_rtt is not None:
-                self._ack_rtt.observe(now - ingest)
-            self._resolve()
+                self._ack_rtt.observe(rtt)
+        self._resolve(len(records))
         self._tokens.release()
         self._sim.schedule(0.0, self._maybe_form_batch)
 
@@ -601,8 +598,9 @@ class KafkaProducer:
 
     # ------------------------------------------------------------- close
 
-    def _resolve(self) -> None:
-        self._outstanding -= 1
+    def _resolve(self, count: int = 1) -> None:
+        """Mark ``count`` records as finished with."""
+        self._outstanding -= count
         if self._outstanding < 0:
             raise RuntimeError("producer resolved more records than ingested")
         self._check_done()

@@ -129,21 +129,25 @@ class LinkDirection:
         be lost on the wire); False if it was tail-dropped for backlog.
         ``on_arrival`` runs at the receiver when and if the packet arrives.
         """
-        now = self._sim.now
-        if self._shared.busy_until - now > self.max_queue_delay_s:
-            self.stats.dropped_queue += 1
+        sim = self._sim
+        now = sim.now
+        shared = self._shared
+        busy_until = shared.busy_until
+        stats = self.stats
+        if busy_until - now > self.max_queue_delay_s:
+            stats.dropped_queue += 1
             return False
-        tx_time = packet.size_bytes / self.capacity_bps
-        depart = max(now, self._shared.busy_until) + tx_time
-        self._shared.busy_until = depart
-        self.stats.sent += 1
-        self.stats.bytes_sent += packet.size_bytes
-        if self.loss.is_lost(self._rng):
-            self.stats.dropped_loss += 1
+        size = packet.size_bytes
+        depart = (busy_until if busy_until > now else now) + size / self.capacity_bps
+        shared.busy_until = depart
+        stats.sent += 1
+        stats.bytes_sent += size
+        rng = self._rng
+        if self.loss.is_lost(rng):
+            stats.dropped_loss += 1
             return True
-        delay = self.latency.sample(self._rng)
-        self.stats.delivered += 1
-        self._sim.schedule_at(depart + delay, on_arrival, packet)
+        stats.delivered += 1
+        sim.schedule_at(depart + self.latency.sample(rng), on_arrival, packet)
         return True
 
 
@@ -180,17 +184,21 @@ class Link:
         self.reverse = LinkDirection(
             sim, rng, capacity_bps, latency, loss, max_queue_delay_s, shared=shared
         )
+        self._directions = {FORWARD: self.forward, REVERSE: self.reverse}
 
     def direction(self, name: str) -> LinkDirection:
         """Return the direction object for ``FORWARD`` or ``REVERSE``."""
-        if name == FORWARD:
-            return self.forward
-        if name == REVERSE:
-            return self.reverse
-        raise ValueError(f"unknown direction {name!r}")
+        try:
+            return self._directions[name]
+        except KeyError:
+            raise ValueError(f"unknown direction {name!r}") from None
 
     def send(
         self, packet: Packet, direction: str, on_arrival: Callable[[Packet], None]
     ) -> bool:
         """Send ``packet`` in ``direction``; see :meth:`LinkDirection.send`."""
-        return self.direction(direction).send(packet, on_arrival)
+        try:
+            link_direction = self._directions[direction]
+        except KeyError:
+            raise ValueError(f"unknown direction {direction!r}") from None
+        return link_direction.send(packet, on_arrival)

@@ -50,7 +50,7 @@ class BernoulliLoss(LossModel):
     def is_lost(self, rng: np.random.Generator) -> bool:
         if self.rate == 0.0:
             return False
-        return bool(rng.random() < self.rate)
+        return rng.random() < self.rate
 
     def expected_loss_rate(self) -> float:
         return self.rate

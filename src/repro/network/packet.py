@@ -7,8 +7,6 @@ Ethernet + IP + TCP header stack of the paper's Docker bridge network.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -23,8 +21,6 @@ ACK_PACKET_BYTES = WIRE_HEADER_BYTES
 #: Standard Ethernet MTU: maximum payload bytes per packet.
 DEFAULT_MTU = 1500
 
-_packet_ids = itertools.count()
-
 
 class PacketKind(Enum):
     """What a packet carries."""
@@ -33,9 +29,11 @@ class PacketKind(Enum):
     ACK = "ack"
 
 
-@dataclass
 class Packet:
     """A single simulated packet.
+
+    A plain ``__slots__`` class: the transport builds one per segment and
+    one per acknowledgement, so construction sits on the per-message path.
 
     Attributes
     ----------
@@ -49,23 +47,35 @@ class Packet:
         Index of this segment within its message.
     payload:
         Opaque application object carried by the final segment of a message.
-    packet_id:
-        Globally unique id (for tracing and deduplication).
     attempt:
         Retransmission attempt number for this segment (0 = first try).
     """
 
-    kind: PacketKind
-    size_bytes: int
-    message_id: int
-    segment_index: int = 0
-    payload: Any = None
-    attempt: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    __slots__ = ("kind", "size_bytes", "message_id", "segment_index", "payload", "attempt")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
+    def __init__(
+        self,
+        kind: PacketKind,
+        size_bytes: int,
+        message_id: int,
+        segment_index: int = 0,
+        payload: Any = None,
+        attempt: int = 0,
+    ) -> None:
+        if size_bytes <= 0:
             raise ValueError("packet size must be positive")
+        self.kind = kind
+        self.size_bytes = size_bytes
+        self.message_id = message_id
+        self.segment_index = segment_index
+        self.payload = payload
+        self.attempt = attempt
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Packet({self.kind.value}, {self.size_bytes} B, message {self.message_id}, "
+            f"segment {self.segment_index}, attempt {self.attempt})"
+        )
 
     def is_ack(self) -> bool:
         """True when this packet is a transport acknowledgement."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Set
 
 from ..observability.metrics import DEFAULT_LATENCY_BUCKETS
@@ -115,11 +116,10 @@ class _OutstandingMessage:
     __slots__ = (
         "message_id",
         "payload",
-        "size_bytes",
         "total_segments",
+        "segment_payload",
         "acked",
         "timers",
-        "attempts",
         "deadline_event",
         "on_delivered",
         "on_failed",
@@ -140,11 +140,11 @@ class _OutstandingMessage:
     ) -> None:
         self.message_id = message_id
         self.payload = payload
-        self.size_bytes = size_bytes
         self.total_segments = total_segments
+        # What every data segment of this message carries; built once.
+        self.segment_payload = (payload, total_segments, size_bytes)
         self.acked: Set[int] = set()
         self.timers: Dict[int, Event] = {}
-        self.attempts: Dict[int, int] = {}
         self.deadline_event: Optional[Event] = None
         self.on_delivered = on_delivered
         self.on_failed = on_failed
@@ -154,26 +154,47 @@ class _OutstandingMessage:
 
 
 class _DirectionEndpoint:
-    """Sender state, receiver state and stats for one channel direction."""
+    """Sender state, receiver state and stats for one channel direction.
+
+    ``on_data``/``on_ack`` are the link arrival callbacks for this
+    direction's data segments and their acknowledgements, built once per
+    channel rather than once per segment; ``reverse`` names the direction
+    the acknowledgements travel.  ``rto`` is the clamped first-attempt
+    retransmission timeout, recomputed whenever the RTT estimate moves.
+    """
 
     __slots__ = (
+        "reverse",
+        "on_data",
+        "on_ack",
         "outstanding",
         "received",
         "completed",
         "receiver",
         "srtt",
         "rttvar",
+        "rto",
         "min_rtt",
         "stats",
     )
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        reverse: str,
+        on_data: Callable[[Packet], None],
+        on_ack: Callable[[Packet], None],
+    ) -> None:
+        self.reverse = reverse
+        self.on_data = on_data
+        self.on_ack = on_ack
         self.outstanding: Dict[int, _OutstandingMessage] = {}
+        # Segments seen so far of incomplete multi-segment messages.
         self.received: Dict[int, Set[int]] = {}
         self.completed: Set[int] = set()
         self.receiver: Optional[Callable[[Any, int], None]] = None
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
+        self.rto = 0.0
         self.min_rtt: Optional[float] = None
         self.stats = TransportStats()
 
@@ -200,9 +221,15 @@ class ReliableChannel:
         self._link = link
         self.config = config if config is not None else TransportConfig()
         self._endpoints: Dict[str, _DirectionEndpoint] = {
-            FORWARD: _DirectionEndpoint(),
-            REVERSE: _DirectionEndpoint(),
+            direction: _DirectionEndpoint(
+                reverse,
+                partial(self._on_data, direction),
+                partial(self._on_ack, direction),
+            )
+            for direction, reverse in ((FORWARD, REVERSE), (REVERSE, FORWARD))
         }
+        for endpoint in self._endpoints.values():
+            endpoint.rto = self._base_rto(endpoint)
         self._tracer = telemetry.tracer if telemetry is not None else None
         if telemetry is not None:
             self._rtt_hist = telemetry.metrics.histogram(
@@ -265,27 +292,29 @@ class ReliableChannel:
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
         endpoint = self._endpoint(direction)
+        sim = self._sim
+        now = sim.now
         message_id = next(_message_ids)
         payload_per_segment = self.config.mtu - WIRE_HEADER_BYTES
         total_segments = max(1, -(-size_bytes // payload_per_segment))
         message = _OutstandingMessage(
-            message_id, payload, size_bytes, total_segments, on_delivered, on_failed, self._sim.now
+            message_id, payload, size_bytes, total_segments, on_delivered, on_failed, now
         )
         endpoint.outstanding[message_id] = message
         endpoint.stats.messages_sent += 1
         if deadline is not None:
-            if deadline <= self._sim.now:
+            if deadline <= now:
                 # Already expired: fail on the next event tick for causality.
-                self._sim.schedule(0.0, self._fail, direction, message, SendFailure.DEADLINE)
+                sim.schedule(0.0, self._fail, direction, message, SendFailure.DEADLINE)
                 return message_id
-            message.deadline_event = self._sim.schedule_at(
+            message.deadline_event = sim.schedule_at(
                 deadline, self._fail, direction, message, SendFailure.DEADLINE
             )
         remaining = size_bytes
         for index in range(total_segments):
             seg_payload = min(payload_per_segment, remaining)
             remaining -= seg_payload
-            self._transmit_segment(direction, message, index, seg_payload + WIRE_HEADER_BYTES, attempt=0)
+            self._transmit_segment(direction, message, index, seg_payload + WIRE_HEADER_BYTES, 0)
         return message_id
 
     def abort(self, direction: str, message_id: int) -> None:
@@ -303,13 +332,12 @@ class ReliableChannel:
         except KeyError:
             raise ValueError(f"unknown direction {direction!r}") from None
 
-    def _rto(self, endpoint: _DirectionEndpoint, attempt: int) -> float:
-        if endpoint.srtt is None:
-            base = self.config.initial_rto_s
-        else:
-            base = endpoint.srtt + 4.0 * endpoint.rttvar
-        base = min(max(base, self.config.min_rto_s), self.config.max_rto_s)
-        return min(base * (self.config.rto_backoff**attempt), self.config.max_rto_s * 4)
+    def _base_rto(self, endpoint: _DirectionEndpoint) -> float:
+        """Jacobson RTO: SRTT + 4·RTTVAR (initial RTO before any sample), clamped."""
+        config = self.config
+        srtt = endpoint.srtt
+        base = config.initial_rto_s if srtt is None else srtt + 4.0 * endpoint.rttvar
+        return min(max(base, config.min_rto_s), config.max_rto_s)
 
     def _transmit_segment(
         self,
@@ -321,10 +349,11 @@ class ReliableChannel:
     ) -> None:
         if message.failed or message.delivered or index in message.acked:
             return
-        endpoint = self._endpoint(direction)
-        endpoint.stats.segments_sent += 1
+        endpoint = self._endpoints[direction]
+        stats = endpoint.stats
+        stats.segments_sent += 1
         if attempt > 0:
-            endpoint.stats.retransmissions += 1
+            stats.retransmissions += 1
             if self._tracer is not None:
                 self._tracer.emit(
                     EventKind.RETRANSMIT,
@@ -334,17 +363,20 @@ class ReliableChannel:
                     segment=index,
                     attempt=attempt,
                 )
-        message.attempts[index] = attempt
         packet = Packet(
-            kind=PacketKind.DATA,
-            size_bytes=wire_bytes,
-            message_id=message.message_id,
-            segment_index=index,
-            payload=(message.payload, message.total_segments, message.size_bytes),
-            attempt=attempt,
+            PacketKind.DATA,
+            wire_bytes,
+            message.message_id,
+            index,
+            message.segment_payload,
+            attempt,
         )
-        self._link.send(packet, direction, lambda pkt: self._on_data(direction, pkt))
-        rto = self._rto(endpoint, attempt)
+        self._link.send(packet, direction, endpoint.on_data)
+        # Exponential backoff per retransmission (Karn).
+        rto = endpoint.rto
+        if attempt > 0:
+            config = self.config
+            rto = min(rto * (config.rto_backoff**attempt), config.max_rto_s * 4)
         message.timers[index] = self._sim.schedule(
             rto, self._on_rto, direction, message, index, wire_bytes, attempt
         )
@@ -366,46 +398,58 @@ class ReliableChannel:
 
     def _on_data(self, direction: str, packet: Packet) -> None:
         """A data segment arrived at the receiver of ``direction``."""
-        endpoint = self._endpoint(direction)
+        endpoint = self._endpoints[direction]
         payload, total_segments, size_bytes = packet.payload
-        seen = endpoint.received.setdefault(packet.message_id, set())
-        already_complete = packet.message_id in endpoint.completed
-        if packet.segment_index in seen or already_complete:
+        message_id = packet.message_id
+        if message_id in endpoint.completed:
             endpoint.stats.duplicate_segments += 1
+            complete = False
+        elif total_segments == 1:
+            # The common case needs no per-message set of seen segments.
+            complete = True
         else:
-            seen.add(packet.segment_index)
+            seen = endpoint.received.setdefault(message_id, set())
+            if packet.segment_index in seen:
+                endpoint.stats.duplicate_segments += 1
+            else:
+                seen.add(packet.segment_index)
+            complete = len(seen) == total_segments
         # Always acknowledge, even duplicates (the earlier ACK may be lost).
         ack = Packet(
-            kind=PacketKind.ACK,
-            size_bytes=ACK_PACKET_BYTES,
-            message_id=packet.message_id,
-            segment_index=packet.segment_index,
-            attempt=packet.attempt,
+            PacketKind.ACK,
+            ACK_PACKET_BYTES,
+            message_id,
+            packet.segment_index,
+            None,
+            packet.attempt,
         )
-        reverse = REVERSE if direction == FORWARD else FORWARD
-        self._link.send(ack, reverse, lambda pkt: self._on_ack(direction, pkt))
-        if not already_complete and len(seen) == total_segments:
-            endpoint.completed.add(packet.message_id)
-            del endpoint.received[packet.message_id]
+        self._link.send(ack, endpoint.reverse, endpoint.on_ack)
+        if complete:
+            endpoint.completed.add(message_id)
+            if total_segments > 1:
+                del endpoint.received[message_id]
             if endpoint.receiver is not None:
                 endpoint.receiver(payload, size_bytes)
 
     def _on_ack(self, direction: str, packet: Packet) -> None:
         """An ACK for a segment sent in ``direction`` returned to the sender."""
-        endpoint = self._endpoint(direction)
+        endpoint = self._endpoints[direction]
         message = endpoint.outstanding.get(packet.message_id)
         if message is None or message.failed or message.delivered:
             return
         endpoint.stats.acks_received += 1
-        if packet.segment_index in message.acked:
+        index = packet.segment_index
+        acked = message.acked
+        if index in acked:
             return
-        message.acked.add(packet.segment_index)
-        timer = message.timers.pop(packet.segment_index, None)
+        acked.add(index)
+        sim = self._sim
+        timer = message.timers.pop(index, None)
         if timer is not None:
-            self._sim.cancel(timer)
+            sim.cancel(timer)
         # Karn's rule: only sample RTT from first-attempt segments.
         if packet.attempt == 0:
-            sample = self._sim.now - message.start_time
+            sample = sim.now - message.start_time
             if self._rtt_hist is not None:
                 self._rtt_hist.observe(sample)
             if endpoint.min_rtt is None or sample < endpoint.min_rtt:
@@ -416,11 +460,12 @@ class ReliableChannel:
             else:
                 endpoint.rttvar = 0.75 * endpoint.rttvar + 0.25 * abs(endpoint.srtt - sample)
                 endpoint.srtt = 0.875 * endpoint.srtt + 0.125 * sample
-        if len(message.acked) == message.total_segments:
+            endpoint.rto = self._base_rto(endpoint)
+        if len(acked) == message.total_segments:
             self._complete(direction, message)
 
     def _complete(self, direction: str, message: _OutstandingMessage) -> None:
-        endpoint = self._endpoint(direction)
+        endpoint = self._endpoints[direction]
         message.delivered = True
         self._clear_timers(message)
         endpoint.outstanding.pop(message.message_id, None)
@@ -431,7 +476,7 @@ class ReliableChannel:
     def _fail(self, direction: str, message: _OutstandingMessage, reason: str) -> None:
         if message.failed or message.delivered:
             return
-        endpoint = self._endpoint(direction)
+        endpoint = self._endpoints[direction]
         message.failed = True
         self._clear_timers(message)
         endpoint.outstanding.pop(message.message_id, None)

@@ -18,7 +18,7 @@ this the hottest comparison site of the whole testbed.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 __all__ = ["Event", "EventQueue", "NORMAL_PRIORITY", "HIGH_PRIORITY", "LOW_PRIORITY"]
 
@@ -129,10 +129,10 @@ class EventQueue:
     def _prune_head(self) -> None:
         """Drop dead (cancelled) entries from the heap top.
 
-        The one compaction path: :meth:`pop`, :meth:`pop_entry` and
-        :meth:`peek_time` all perform this prune (inlined in the first
-        two), so the heap head is always a live entry afterwards and
-        ``len(self)`` never drifts from the live count.
+        The one compaction path: :meth:`pop` and :meth:`peek_time` both
+        perform this prune (inlined in the first), so the heap head is
+        always a live entry afterwards and ``len(self)`` never drifts from
+        the live count.
         """
         heap = self._heap
         while heap and heap[0][3].cancelled:
@@ -149,28 +149,6 @@ class EventQueue:
             return None
         self._live -= 1
         return heapq.heappop(heap)[3]
-
-    def pop_entry(self) -> Optional[Tuple[float, Event]]:
-        """Like :meth:`pop` but returns ``(time, event)`` without touching
-        the event's attributes (the simulator's hot loop)."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:  # inline _prune_head
-            heapq.heappop(heap)
-            self._dead -= 1
-        if not heap:
-            return None
-        self._live -= 1
-        entry = heapq.heappop(heap)
-        return entry[0], entry[3]
-
-    def unpop(self, event: Event) -> None:
-        """Reinsert an event obtained from :meth:`pop`.
-
-        The original ``seq`` is preserved, so ordering relative to every
-        other entry is exactly what it was before the pop.
-        """
-        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
-        self._live += 1
 
     def peek_time(self) -> Optional[float]:
         """Return the fire time of the next live event without popping it."""

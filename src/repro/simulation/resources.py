@@ -102,6 +102,11 @@ class TokenBucket:
         self._available = tokens
         self._total = tokens
         self._waiters: Deque[Signal] = deque()
+        # Every immediate grant returns this one already-triggered signal:
+        # a triggered signal carries no per-acquire state, and most callers
+        # (the producer) never wait on it.
+        self._granted = Signal(sim, name="bucket.acquire")
+        self._granted.trigger(None)
 
     @property
     def available(self) -> int:
@@ -115,12 +120,11 @@ class TokenBucket:
 
     def acquire(self) -> Signal:
         """Return a signal triggered when a token has been granted."""
-        signal = Signal(self._sim, name="bucket.acquire")
         if self._available > 0:
             self._available -= 1
-            signal.trigger(None)
-        else:
-            self._waiters.append(signal)
+            return self._granted
+        signal = Signal(self._sim, name="bucket.acquire")
+        self._waiters.append(signal)
         return signal
 
     def release(self) -> None:

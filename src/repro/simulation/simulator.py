@@ -9,7 +9,8 @@ events, so a run is exactly reproducible given the same seed and schedule.
 
 from __future__ import annotations
 
-from heapq import heappop
+import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from .events import Event, EventQueue, NORMAL_PRIORITY
@@ -40,16 +41,14 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current virtual time in seconds.  A plain attribute rather than a
+        #: property because components read it on nearly every event; only
+        #: the kernel writes it.
+        self.now = float(start_time)
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -66,7 +65,15 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        return self._queue.push(self._now + delay, callback, *args, priority=priority)
+        # EventQueue.push inlined: this is the kernel's hottest call site.
+        time = self.now + delay
+        queue = self._queue
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        event = Event(time, priority, seq, callback, args)
+        heappush(queue._heap, (time, priority, seq, event))
+        queue._live += 1
+        return event
 
     def schedule_at(
         self,
@@ -76,11 +83,17 @@ class Simulator:
         priority: int = NORMAL_PRIORITY,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
-        return self._queue.push(time, callback, *args, priority=priority)
+        queue = self._queue
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        event = Event(time, priority, seq, callback, args)
+        heappush(queue._heap, (time, priority, seq, event))
+        queue._live += 1
+        return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event."""
@@ -127,9 +140,9 @@ class Simulator:
         event = self._queue.pop()
         if event is None:
             return False
-        if event.time < self._now:
+        if event.time < self.now:
             raise SimulationError("event queue returned an event in the past")
-        self._now = event.time
+        self.now = event.time
         # The event is off the heap; flag it so a later cancel() (e.g. a
         # component clearing a timer that already fired) is a no-op instead
         # of corrupting the queue's live/dead accounting.
@@ -154,37 +167,35 @@ class Simulator:
         int
             The number of events processed.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"until={until} is before now={self._now}")
+        if until is not None and until < self.now:
+            raise SimulationError(f"until={until} is before now={self.now}")
+        horizon = until if until is not None else math.inf
+        limit = max_events if max_events is not None else math.inf
         self._stopped = False
         self._running = True
         processed = 0
         # Hot loop: operates on the queue's heap directly so each event
-        # costs one C-level heappop instead of a peek-then-pop pair of
-        # method calls.  EventQueue guarantees the list identity survives
-        # cancel/compact/clear (all mutate in place), so the local binding
-        # stays valid across callbacks.
+        # costs one C-level heappop and no method call.  EventQueue
+        # guarantees the list identity survives cancel/compact/clear (all
+        # mutate in place), so the local binding stays valid across
+        # callbacks.  Entries are unique by ``seq``, so popping an entry
+        # beyond ``until`` and pushing it back leaves the event order as it
+        # was.  Scheduling rejects past times, so the clock never runs back.
         queue = self._queue
         heap = queue._heap
         try:
-            while not self._stopped:
-                if max_events is not None and processed >= max_events:
-                    break
-                while heap and heap[0][3].cancelled:
-                    heappop(heap)
+            while heap and not self._stopped and processed < limit:
+                entry = heappop(heap)
+                event = entry[3]
+                if event.cancelled:
                     queue._dead -= 1
-                if not heap:
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    heappush(heap, entry)
                     break
-                time = heap[0][0]
-                if until is not None and time > until:
-                    break
-                event = heappop(heap)[3]
                 queue._live -= 1
-                if time < self._now:
-                    raise SimulationError(
-                        "event queue returned an event in the past"
-                    )
-                self._now = time
+                self.now = time
                 # Off the heap: a late cancel() of this event must be a
                 # no-op, not a live/dead counter update (see step()).
                 event.cancelled = True
@@ -195,8 +206,8 @@ class Simulator:
             # Lifetime counter maintained outside the hot loop: one add per
             # run() call, so telemetry costs nothing per event.
             self.events_processed += processed
-        if until is not None and not self._stopped and self._now < until:
-            self._now = until
+        if until is not None and not self._stopped and self.now < until:
+            self.now = until
         return processed
 
     def stop(self) -> None:
@@ -216,6 +227,6 @@ class Simulator:
     def reset(self, start_time: float = 0.0) -> None:
         """Drop all pending events and rewind the clock."""
         self._queue.clear()
-        self._now = float(start_time)
+        self.now = float(start_time)
         self._stopped = False
         self.events_processed = 0

@@ -105,9 +105,11 @@ class DeliveryTracker(ProducerListener):
     # ------------------------------------------------- producer-side view
 
     def on_ingest(self, record: ProducerRecord) -> None:
-        self._machine(record)
+        key = record.key
+        if key not in self.machines:
+            self.machines[key] = MessageStateMachine()
         if record.ingest_time is not None:
-            self.ingest_times[record.key] = record.ingest_time
+            self.ingest_times[key] = record.ingest_time
 
     def on_queue_drop(self, record: ProducerRecord) -> None:
         machine = self._machine(record)
