@@ -132,7 +132,7 @@ class KafkaCluster:
                     continue
                 candidates = [
                     replica
-                    for replica in partition.replica_logs
+                    for replica in partition.follower_broker_ids
                     if self.brokers.get(replica, broker).available
                 ]
                 if candidates:

@@ -163,5 +163,5 @@ class ConsumerGroup:
         lag = 0
         for partition in self.topic.partitions:
             committed = self._offsets.get(partition.index, 0)
-            lag += max(0, partition.leader_log.next_offset - committed)
+            lag += max(0, partition.log.next_offset - committed)
         return lag

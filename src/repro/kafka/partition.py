@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .log import LogEntry, PartitionLog
 
@@ -12,9 +12,13 @@ __all__ = ["Partition"]
 class Partition:
     """One partition of a topic, with a leader replica and followers.
 
-    The leader broker serves produce requests; follower replicas apply the
-    leader's appends (our replication is leader-push with a configurable
-    lag, applied by the broker layer).  Reconciliation reads the leader log.
+    The leader broker serves produce requests.  Replication is synchronous
+    leader-push: every follower applies a leader append before the append
+    returns (the broker layer adds the acks=all latency cost), so every
+    replica holds exactly the leader's entries, offsets and idempotence
+    state.  The partition therefore keeps one :class:`PartitionLog`, read
+    and written through the current leader, and its followers as broker
+    ids; a failover moves leadership, not data.
     """
 
     def __init__(
@@ -30,13 +34,13 @@ class Partition:
         self.topic = topic
         self.index = index
         self.leader_broker_id = leader_broker_id
-        self.replica_broker_ids = list(replica_broker_ids or [])
-        self.leader_log = PartitionLog(segment_max_entries)
-        self.replica_logs: Dict[str, PartitionLog] = {
-            broker_id: PartitionLog(segment_max_entries)
-            for broker_id in self.replica_broker_ids
+        #: Follower broker ids, in failover preference order.
+        self.follower_broker_ids: List[str] = [
+            broker_id
+            for broker_id in replica_broker_ids or []
             if broker_id != leader_broker_id
-        }
+        ]
+        self.log = PartitionLog(segment_max_entries)
 
     @property
     def name(self) -> str:
@@ -45,13 +49,9 @@ class Partition:
 
     @property
     def high_watermark(self) -> int:
-        """Highest offset replicated to every follower."""
-        if not self.replica_logs:
-            return self.leader_log.next_offset
-        return min(
-            [self.leader_log.next_offset]
-            + [log.next_offset for log in self.replica_logs.values()]
-        )
+        """Highest offset replicated to every follower: with synchronous
+        replication, the log end offset."""
+        return self.log.next_offset
 
     def append(
         self,
@@ -61,35 +61,23 @@ class Partition:
         producer_id: Optional[int] = None,
         sequence: Optional[int] = None,
     ) -> Optional[int]:
-        """Append to the leader log (and replicate); returns the offset."""
-        offset = self.leader_log.append(
-            key, payload_bytes, timestamp, producer_id, sequence
-        )
-        if offset is None:
-            return None
-        # Leader-push replication: followers apply synchronously in the
-        # simulation; the broker layer adds the acks=all latency cost.
-        for log in self.replica_logs.values():
-            log.append(key, payload_bytes, timestamp, producer_id, sequence)
-        return offset
+        """Append through the leader (replicated on return); returns the offset."""
+        return self.log.append(key, payload_bytes, timestamp, producer_id, sequence)
 
     def read(self, start_offset: int = 0, max_entries: Optional[int] = None) -> List[LogEntry]:
-        """Read committed entries from the leader log."""
-        return self.leader_log.read(start_offset, max_entries)
+        """Read committed entries."""
+        return self.log.read(start_offset, max_entries)
 
     def elect_new_leader(self, broker_id: str) -> None:
         """Fail the current leader over to ``broker_id`` (a follower).
 
-        The follower's log becomes the leader log; entries beyond its high
-        watermark on the old leader are lost — the broker-failure loss mode
-        the paper leaves to future work.
+        The follower already holds every committed entry, so the new leader
+        serves the same log; the old leader becomes the last follower.
         """
         if broker_id == self.leader_broker_id:
             return
-        if broker_id not in self.replica_logs:
+        if broker_id not in self.follower_broker_ids:
             raise ValueError(f"{broker_id} is not a follower of {self.name}")
-        old_leader = self.leader_broker_id
-        new_leader_log = self.replica_logs.pop(broker_id)
-        self.replica_logs[old_leader] = self.leader_log
-        self.leader_log = new_leader_log
+        self.follower_broker_ids.remove(broker_id)
+        self.follower_broker_ids.append(self.leader_broker_id)
         self.leader_broker_id = broker_id

@@ -169,9 +169,12 @@ class KafkaProducer:
         self.stats = ProducerStats()
         # Read for every record on the batch path.  Every record the producer
         # holds was stamped by ``offer``, so its delivery deadline is simply
-        # ``record.ingest_time + self._message_timeout_s``.
+        # ``record.ingest_time + self._message_timeout_s``.  The semantics
+        # flags are enum properties, read once here.
         self._message_timeout_s = self.config.message_timeout_s
         self._batch_size = self.config.batch_size
+        self._waits_for_ack = self.config.semantics.waits_for_ack
+        self._idempotent = self.config.semantics.idempotent
         self.producer_id = next(_producer_ids)
         self._sequence = itertools.count()
         self._queue: Deque[ProducerRecord] = deque()
@@ -182,14 +185,13 @@ class KafkaProducer:
         self._batches: Dict[int, _Batch] = {}
         self._outstanding = 0  # records ingested but not yet resolved
         self._done_signal = Signal(sim, name="producer.done")
-        semantics = self.config.semantics
         # At-least-once: the in-flight request window (max.in.flight).
         # At-most-once: TCP flow control — a bounded number of requests may
         # sit unacknowledged in the socket; beyond that the accumulator
         # backs up, exactly like a blocked socket write.
         window = (
             self.config.max_in_flight
-            if semantics.waits_for_ack
+            if self._waits_for_ack
             else self.hardware.socket_window_requests
         )
         self._tokens = TokenBucket(sim, window)
@@ -359,11 +361,11 @@ class KafkaProducer:
         return payload + self.hardware.request_overhead_bytes
 
     def _send_batch(self, batch: _Batch) -> None:
-        semantics = self.config.semantics
+        waits_for_ack = self._waits_for_ack
         partition = self._topic.partition_for(batch.records[0].key)
         base_sequence = None
         producer_id = None
-        if semantics.idempotent:
+        if self._idempotent:
             producer_id = self.producer_id
             if batch.base_sequence is None:
                 base_sequence = next(self._sequence)
@@ -376,7 +378,7 @@ class KafkaProducer:
         request = ProduceRequest(
             list(batch.records),
             partition,
-            semantics.waits_for_ack,
+            waits_for_ack,
             self._wire_bytes(batch.records),
             producer_id,
             base_sequence,
@@ -393,7 +395,7 @@ class KafkaProducer:
             listener.on_send_attempt(record, attempt)
             if tracer is not None:
                 tracer.emit(EventKind.SEND, self._sim.now, key=record.key, attempt=attempt)
-        if semantics.waits_for_ack:
+        if waits_for_ack:
             if batch.attempt == 0:
                 batch.byte_charge = request.wire_bytes
                 self._in_flight_bytes += batch.byte_charge
@@ -410,8 +412,8 @@ class KafkaProducer:
                 request.wire_bytes,
                 payload=request,
                 deadline=self._sim.now + 2.0 * self.config.request_timeout_s,
-                on_delivered=lambda payload, rtt: self._arm_response_timer(batch),
-                on_failed=lambda payload, reason: self._on_transport_failed(batch),
+                on_delivered=self._on_request_delivered,
+                on_failed=self._on_transport_failed,
             )
         else:
             # Fire and forget: the producer's bookkeeping ends here; the
@@ -427,26 +429,34 @@ class KafkaProducer:
                 request.wire_bytes,
                 payload=request,
                 deadline=deadline,
-                on_delivered=lambda payload, rtt: self._on_amo_settled(request),
-                on_failed=lambda payload, reason: self._on_amo_failed(request),
+                on_delivered=self._on_amo_settled,
+                on_failed=self._on_amo_failed,
             )
             self.stats.fire_and_forget += len(batch.records)
             self._resolve(len(batch.records))
 
     # ------------------------------------------------- at-least-once path
 
-    def _arm_response_timer(self, batch: _Batch) -> None:
+    # The transport callbacks find a request's batch in ``_batches``, which
+    # maps every request id sent to its batch until the response arrives;
+    # a batch whose response arrived is completed, so a late callback for
+    # its request changes nothing either way.
+
+    def _on_request_delivered(self, request: ProduceRequest, rtt_s: float) -> None:
         """The request reached the broker; now wait for its response."""
-        if batch.completed or not batch.waiting or batch.timer is not None:
+        batch = self._batches.get(request.request_id)
+        if batch is None or batch.completed or not batch.waiting or batch.timer is not None:
             return
         batch.timer = self._sim.schedule(
             self.config.request_timeout_s, self._on_request_timeout, batch
         )
 
-    def _on_transport_failed(self, batch: _Batch) -> None:
+    def _on_transport_failed(self, request: ProduceRequest, reason: str) -> None:
         # The transport gave up before the request timeout fired; handle it
         # exactly like a timeout so retry policy lives in one place.
-        self._handle_request_failure(batch)
+        batch = self._batches.get(request.request_id)
+        if batch is not None:
+            self._handle_request_failure(batch)
 
     def _on_request_timeout(self, batch: _Batch) -> None:
         self._handle_request_failure(batch)
@@ -560,13 +570,13 @@ class KafkaProducer:
 
     # ------------------------------------------------- at-most-once path
 
-    def _on_amo_settled(self, request: ProduceRequest) -> None:
+    def _on_amo_settled(self, request: ProduceRequest, rtt_s: float) -> None:
         # Every segment was TCP-acknowledged: free the socket slot.
         self._in_flight_bytes -= request.wire_bytes
         self._tokens.release()
         self._sim.schedule(0.0, self._maybe_form_batch)
 
-    def _on_amo_failed(self, request: ProduceRequest) -> None:
+    def _on_amo_failed(self, request: ProduceRequest, reason: str) -> None:
         # Ground truth only: the fire-and-forget producer never notices the
         # loss, but the socket slot is freed when the connection abandons
         # the data.

@@ -64,7 +64,7 @@ class Topic:
 
     def total_messages(self) -> int:
         """Entries across all partitions (duplicates included)."""
-        return sum(len(p.leader_log) for p in self.partitions)
+        return sum(len(p.log) for p in self.partitions)
 
     def read_all(self) -> List[LogEntry]:
         """All committed entries across partitions, by partition order."""
@@ -77,6 +77,6 @@ class Topic:
         """Merge per-partition key counts (the reconciliation input)."""
         counts: Dict[int, int] = {}
         for partition in self.partitions:
-            for key, count in partition.leader_log.key_counts().items():
+            for key, count in partition.log.key_counts().items():
                 counts[key] = counts.get(key, 0) + count
         return counts

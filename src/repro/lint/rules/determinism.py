@@ -16,6 +16,7 @@ from .base import DETERMINISTIC_PACKAGES, LintContext, Rule, register
 __all__ = [
     "BuiltinHashRule",
     "FsOrderRule",
+    "RawGeneratorRule",
     "SetIterationRule",
     "UnseededRandomRule",
     "UnsortedJsonRule",
@@ -304,4 +305,78 @@ class FsOrderRule(Rule):
             node, ctx,
             f"{described} yields entries in filesystem order; wrap the "
             f"listing in sorted(...) before consuming it",
+        )
+
+
+#: numpy constructors of a random stream: ``Generator``, its bit
+#: generators and the ``default_rng`` shortcut (``RandomState`` is REPRO101's
+#: legacy API and equally bypasses the registry).
+_RNG_CONSTRUCTORS = {
+    "default_rng", "Generator", "RandomState",
+    "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
+}
+
+
+def _imported_from_numpy_random(tree: ast.Module, name: str) -> bool:
+    """Whether ``name`` is bound by ``from numpy.random import ...``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            if any((alias.asname or alias.name) == name for alias in node.names):
+                return True
+    return False
+
+
+@register
+class RawGeneratorRule(Rule):
+    """REPRO107: a numpy random stream built outside ``simulation/random.py``.
+
+    Simulated components draw from :meth:`RngRegistry.stream`, which seeds
+    every named stream from the run's master seed and serves ``random()``
+    from a block-drawn :class:`~repro.simulation.random.RandomStream`.  A
+    component that builds its own ``Generator``/``default_rng``/bit
+    generator bypasses both: its draws escape the registry's seeding and
+    pay the scalar-call cost the block stream exists to avoid.  Only
+    ``repro.simulation.random`` may construct one.  A seedless
+    ``default_rng()`` is left to REPRO101, which already flags it.
+    """
+
+    id = "REPRO107"
+    name = "raw-generator"
+    description = (
+        "numpy Generator/default_rng/bit generator built in the simulated "
+        "layers; draw from an RngRegistry stream"
+    )
+    default_scope = (
+        "repro.simulation",
+        "repro.network",
+        "repro.kafka",
+        "repro.workloads",
+    )
+    node_types = (ast.Call,)
+
+    #: The one module that builds the registry's streams.
+    _OWNER = "repro.simulation.random"
+
+    def check(self, node: ast.Call, ctx: LintContext) -> Iterator[Finding]:
+        if ctx.module == self._OWNER:
+            return
+        dotted = _dotted(node.func)
+        if dotted is None:
+            return
+        parts = dotted.split(".")
+        name = parts[-1]
+        if name not in _RNG_CONSTRUCTORS:
+            return
+        if len(parts) > 1:
+            if parts[-2] != "random":
+                return
+        elif not _imported_from_numpy_random(ctx.tree, name):
+            return
+        if name == "default_rng" and not node.args and not node.keywords:
+            return  # REPRO101's finding
+        yield self.finding(
+            node, ctx,
+            f"'{dotted}(...)' builds a random stream outside "
+            f"repro.simulation.random; take a stream from the run's "
+            f"RngRegistry instead",
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
+from ..simulation.random import Rng
 
 __all__ = [
     "LatencyModel",
@@ -23,7 +23,7 @@ __all__ = [
 class LatencyModel:
     """Base class for one-way propagation delay models."""
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Rng) -> float:
         """Draw a one-way delay in seconds."""
         raise NotImplementedError
 
@@ -40,7 +40,7 @@ class ConstantLatency(LatencyModel):
             raise ValueError("delay must be non-negative")
         self.delay_s = float(delay_s)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Rng) -> float:
         return self.delay_s
 
     def mean(self) -> float:
@@ -61,7 +61,7 @@ class UniformLatency(LatencyModel):
         self.base_s = float(base_s)
         self.jitter_s = float(jitter_s)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Rng) -> float:
         return self.base_s + rng.uniform(-self.jitter_s, self.jitter_s)
 
     def mean(self) -> float:
@@ -80,7 +80,7 @@ class NormalLatency(LatencyModel):
         self.mean_s = float(mean_s)
         self.stddev_s = float(stddev_s)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Rng) -> float:
         return max(0.0, rng.normal(self.mean_s, self.stddev_s))
 
     def mean(self) -> float:
@@ -110,7 +110,7 @@ class ParetoLatency(LatencyModel):
         self.shape = float(shape)
         self.cap_s = cap_s
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Rng) -> float:
         value = self.scale_s * (1.0 + rng.pareto(self.shape))
         if self.cap_s is not None:
             value = min(value, self.cap_s)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
+from ..simulation.random import Rng
 from ..simulation.simulator import Simulator
 from .latency import ConstantLatency, LatencyModel
 from .loss import LossModel, NoLoss
@@ -70,7 +69,9 @@ class LinkStats:
 
 
 class LinkDirection:
-    """One direction of a duplex link.
+    """One direction of a duplex link: its treatment, backlog and counters.
+
+    :meth:`Link.send` moves packets through it.
 
     Parameters
     ----------
@@ -93,7 +94,7 @@ class LinkDirection:
     def __init__(
         self,
         sim: Simulator,
-        rng: np.random.Generator,
+        rng: Rng,
         capacity_bps: float = DEFAULT_CAPACITY_BPS,
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
@@ -114,6 +115,17 @@ class LinkDirection:
         self.stats = LinkStats()
 
     @property
+    def loss(self) -> LossModel:
+        """Per-packet loss model; assigning one installs a new treatment."""
+        return self._loss
+
+    @loss.setter
+    def loss(self, model: LossModel) -> None:
+        self._loss = model
+        # A memoryless model's draw is made inline by ``Link.send``.
+        self._loss_rate = model.independent_rate()
+
+    @property
     def backlog_s(self) -> float:
         """Current queueing delay a newly offered packet would see."""
         return max(0.0, self._shared.busy_until - self._sim.now)
@@ -121,34 +133,6 @@ class LinkDirection:
     def utilisation_hint(self) -> float:
         """Backlog as a fraction of the tail-drop bound (1.0 = saturated)."""
         return min(1.0, self.backlog_s / self.max_queue_delay_s)
-
-    def send(self, packet: Packet, on_arrival: Callable[[Packet], None]) -> bool:
-        """Offer ``packet`` to this direction.
-
-        Returns True if the packet was accepted onto the queue (it may still
-        be lost on the wire); False if it was tail-dropped for backlog.
-        ``on_arrival`` runs at the receiver when and if the packet arrives.
-        """
-        sim = self._sim
-        now = sim.now
-        shared = self._shared
-        busy_until = shared.busy_until
-        stats = self.stats
-        if busy_until - now > self.max_queue_delay_s:
-            stats.dropped_queue += 1
-            return False
-        size = packet.size_bytes
-        depart = (busy_until if busy_until > now else now) + size / self.capacity_bps
-        shared.busy_until = depart
-        stats.sent += 1
-        stats.bytes_sent += size
-        rng = self._rng
-        if self.loss.is_lost(rng):
-            stats.dropped_loss += 1
-            return True
-        stats.delivered += 1
-        sim.schedule_at(depart + self.latency.sample(rng), on_arrival, packet)
-        return True
 
 
 class Link:
@@ -165,7 +149,7 @@ class Link:
     def __init__(
         self,
         sim: Simulator,
-        rng: np.random.Generator,
+        rng: Rng,
         capacity_bps: float = DEFAULT_CAPACITY_BPS,
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
@@ -196,9 +180,39 @@ class Link:
     def send(
         self, packet: Packet, direction: str, on_arrival: Callable[[Packet], None]
     ) -> bool:
-        """Send ``packet`` in ``direction``; see :meth:`LinkDirection.send`."""
+        """Offer ``packet`` to ``direction``.
+
+        Returns True if the packet was accepted onto the queue (it may still
+        be lost on the wire); False if it was tail-dropped for backlog.
+        ``on_arrival`` runs at the receiver when and if the packet arrives.
+        """
         try:
-            link_direction = self._directions[direction]
+            lane = self._directions[direction]
         except KeyError:
             raise ValueError(f"unknown direction {direction!r}") from None
-        return link_direction.send(packet, on_arrival)
+        sim = self._sim
+        now = sim.now
+        shared = lane._shared
+        busy_until = shared.busy_until
+        stats = lane.stats
+        if busy_until - now > lane.max_queue_delay_s:
+            stats.dropped_queue += 1
+            return False
+        size = packet.size_bytes
+        depart = (busy_until if busy_until > now else now) + size / lane.capacity_bps
+        shared.busy_until = depart
+        stats.sent += 1
+        stats.bytes_sent += size
+        rng = lane._rng
+        rate = lane._loss_rate
+        if rate is None:
+            lost = lane._loss.is_lost(rng)
+        else:
+            # Exactly the draws of BernoulliLoss/NoLoss.is_lost.
+            lost = rate != 0.0 and rng.random() < rate
+        if lost:
+            stats.dropped_loss += 1
+            return True
+        stats.delivered += 1
+        sim.schedule_at(depart + lane.latency.sample(rng), on_arrival, packet)
+        return True

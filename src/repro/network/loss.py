@@ -9,7 +9,9 @@ experiment.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Optional
+
+from ..simulation.random import Rng
 
 __all__ = ["LossModel", "NoLoss", "BernoulliLoss", "GilbertElliottLoss"]
 
@@ -17,7 +19,7 @@ __all__ = ["LossModel", "NoLoss", "BernoulliLoss", "GilbertElliottLoss"]
 class LossModel:
     """Base class: decides, per packet, whether the packet is lost."""
 
-    def is_lost(self, rng: np.random.Generator) -> bool:
+    def is_lost(self, rng: Rng) -> bool:
         """Sample the fate of one packet; True means the packet is dropped."""
         raise NotImplementedError
 
@@ -25,14 +27,28 @@ class LossModel:
         """Long-run fraction of packets lost (for analytic checks)."""
         raise NotImplementedError
 
+    def independent_rate(self) -> Optional[float]:
+        """The fixed per-packet loss probability of a memoryless model.
+
+        A model whose every packet is lost independently with one fixed
+        probability returns it (and draws exactly one ``rng.random()`` per
+        packet when it is non-zero, none when it is zero), which lets the
+        link draw it inline; stateful models return None and are asked
+        through :meth:`is_lost`.
+        """
+        return None
+
 
 class NoLoss(LossModel):
     """A perfect link."""
 
-    def is_lost(self, rng: np.random.Generator) -> bool:
+    def is_lost(self, rng: Rng) -> bool:
         return False
 
     def expected_loss_rate(self) -> float:
+        return 0.0
+
+    def independent_rate(self) -> Optional[float]:
         return 0.0
 
     def __repr__(self) -> str:
@@ -40,19 +56,31 @@ class NoLoss(LossModel):
 
 
 class BernoulliLoss(LossModel):
-    """Independent per-packet loss at a fixed rate, NetEm's ``loss <p>%``."""
+    """Independent per-packet loss at a fixed rate, NetEm's ``loss <p>%``.
+
+    The rate is fixed at construction (links cache it); a fault installs a
+    new model instead of changing the rate of a live one.
+    """
 
     def __init__(self, rate: float) -> None:
         if not 0.0 <= rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
-        self.rate = float(rate)
+        self._rate = float(rate)
 
-    def is_lost(self, rng: np.random.Generator) -> bool:
-        if self.rate == 0.0:
+    @property
+    def rate(self) -> float:
+        """Per-packet loss probability."""
+        return self._rate
+
+    def is_lost(self, rng: Rng) -> bool:
+        if self._rate == 0.0:
             return False
-        return rng.random() < self.rate
+        return rng.random() < self._rate
 
     def expected_loss_rate(self) -> float:
+        return self.rate
+
+    def independent_rate(self) -> Optional[float]:
         return self.rate
 
     def __repr__(self) -> str:
@@ -109,7 +137,7 @@ class GilbertElliottLoss(LossModel):
         self.loss_bad = float(loss_bad)
         self.state = self.BAD if start_in_bad else self.GOOD
 
-    def step(self, rng: np.random.Generator) -> int:
+    def step(self, rng: Rng) -> int:
         """Advance the Markov chain one packet and return the new state."""
         if self.state == self.GOOD:
             if rng.random() < self.p_good_to_bad:
@@ -119,7 +147,7 @@ class GilbertElliottLoss(LossModel):
                 self.state = self.GOOD
         return self.state
 
-    def is_lost(self, rng: np.random.Generator) -> bool:
+    def is_lost(self, rng: Rng) -> bool:
         self.step(rng)
         loss_p = self.loss_bad if self.state == self.BAD else self.loss_good
         if loss_p == 0.0:

@@ -16,6 +16,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
+from ..simulation.random import Rng
 from .faults import FaultInjector, NetworkFault
 from .latency import ParetoLatency
 from .loss import GilbertElliottLoss
@@ -113,7 +114,7 @@ class GilbertElliottRateProcess:
         self.bad_rate = float(bad_rate)
         self.rate_jitter = float(rate_jitter)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: Rng) -> float:
         """Advance one interval and return its loss rate."""
         state = self._chain.step(rng)
         base = self.bad_rate if state == GilbertElliottLoss.BAD else self.good_rate
@@ -122,7 +123,7 @@ class GilbertElliottRateProcess:
 
 
 def generate_paper_trace(
-    rng: np.random.Generator,
+    rng: Rng,
     duration_s: float = 600.0,
     interval_s: float = 10.0,
     delay_scale_s: float = 0.020,

@@ -10,7 +10,7 @@ set of components scheduled on one shared :class:`Simulator`.
 
 from .events import Event, EventQueue, HIGH_PRIORITY, LOW_PRIORITY, NORMAL_PRIORITY
 from .process import Process, Signal, spawn
-from .random import RngRegistry
+from .random import RandomStream, RngRegistry
 from .resources import FifoStore, StoreFull, TokenBucket
 from .simulator import SimulationError, Simulator
 
@@ -23,6 +23,7 @@ __all__ = [
     "Process",
     "Signal",
     "spawn",
+    "RandomStream",
     "RngRegistry",
     "FifoStore",
     "StoreFull",

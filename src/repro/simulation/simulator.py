@@ -13,7 +13,7 @@ import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from .events import Event, EventQueue, NORMAL_PRIORITY
+from .events import ARGS, CALLBACK, NORMAL_PRIORITY, TIME, Event, EventQueue
 
 __all__ = ["Simulator", "SimulationError"]
 
@@ -70,10 +70,10 @@ class Simulator:
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        event = Event(time, priority, seq, callback, args)
-        heappush(queue._heap, (time, priority, seq, event))
+        entry = [time, priority, seq, callback, args]
+        heappush(queue._heap, entry)
         queue._live += 1
-        return event
+        return entry
 
     def schedule_at(
         self,
@@ -90,13 +90,13 @@ class Simulator:
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        event = Event(time, priority, seq, callback, args)
-        heappush(queue._heap, (time, priority, seq, event))
+        entry = [time, priority, seq, callback, args]
+        heappush(queue._heap, entry)
         queue._live += 1
-        return event
+        return entry
 
     def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event."""
+        """Cancel a scheduled event (no-op once it was cancelled or fired)."""
         self._queue.cancel(event)
 
     def every(
@@ -137,17 +137,18 @@ class Simulator:
 
         Returns False when the queue is empty (nothing fired).
         """
-        event = self._queue.pop()
-        if event is None:
+        entry = self._queue.pop()
+        if entry is None:
             return False
-        if event.time < self.now:
+        if entry[TIME] < self.now:
             raise SimulationError("event queue returned an event in the past")
-        self.now = event.time
-        # The event is off the heap; flag it so a later cancel() (e.g. a
-        # component clearing a timer that already fired) is a no-op instead
-        # of corrupting the queue's live/dead accounting.
-        event.cancelled = True
-        event.fire()
+        self.now = entry[TIME]
+        # The entry is off the heap; clear its callback so a later cancel()
+        # (e.g. a component clearing a timer that already fired) is a no-op
+        # instead of corrupting the queue's live/dead accounting.
+        callback = entry[CALLBACK]
+        entry[CALLBACK] = None
+        callback(*entry[ARGS])
         self.events_processed += 1
         return True
 
@@ -181,13 +182,15 @@ class Simulator:
         # callbacks.  Entries are unique by ``seq``, so popping an entry
         # beyond ``until`` and pushing it back leaves the event order as it
         # was.  Scheduling rejects past times, so the clock never runs back.
+        # Slots are indexed literally (0 = TIME, 3 = CALLBACK, 4 = ARGS) to
+        # spare a global lookup per event.
         queue = self._queue
         heap = queue._heap
         try:
             while heap and not self._stopped and processed < limit:
                 entry = heappop(heap)
-                event = entry[3]
-                if event.cancelled:
+                callback = entry[3]
+                if callback is None:
                     queue._dead -= 1
                     continue
                 time = entry[0]
@@ -198,8 +201,8 @@ class Simulator:
                 self.now = time
                 # Off the heap: a late cancel() of this event must be a
                 # no-op, not a live/dead counter update (see step()).
-                event.cancelled = True
-                event.callback(*event.args)
+                entry[3] = None
+                callback(*entry[4])
                 processed += 1
         finally:
             self._running = False

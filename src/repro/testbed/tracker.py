@@ -25,6 +25,22 @@ from ..observability.trace import EventKind
 
 __all__ = ["DeliveryTracker", "CaseCensus"]
 
+# The callbacks below run for every simulated message; an enum member
+# lookup (``MessageState.READY``) costs about ten module-global reads on
+# Python 3.11, so they read these bindings.
+_READY = MessageState.READY
+_DELIVERED = MessageState.DELIVERED
+_LOST = MessageState.LOST
+_DUPLICATED = MessageState.DUPLICATED
+_I, _II, _III, _IV, _V, _VI = (
+    Transition.I,
+    Transition.II,
+    Transition.III,
+    Transition.IV,
+    Transition.V,
+    Transition.VI,
+)
+
 
 @dataclass
 class CaseCensus:
@@ -113,25 +129,25 @@ class DeliveryTracker(ProducerListener):
 
     def on_queue_drop(self, record: ProducerRecord) -> None:
         machine = self._machine(record)
-        if machine.state is MessageState.READY:
-            self._apply(record.key, machine, Transition.II)
+        if machine.state is _READY:
+            self._apply(record.key, machine, _II)
 
     def on_expired(self, record: ProducerRecord, after_send: bool) -> None:
         machine = self._machine(record)
-        if machine.state is MessageState.READY:
-            self._apply(record.key, machine, Transition.II)
-        elif machine.state is MessageState.DELIVERED and self.retries_allowed:
+        if machine.state is _READY:
+            self._apply(record.key, machine, _II)
+        elif machine.state is _DELIVERED and self.retries_allowed:
             # Persisted, but the producer gives up for lack of an ack.
-            self._apply(record.key, machine, Transition.V)
+            self._apply(record.key, machine, _V)
 
     def on_attempt_failed(self, record: ProducerRecord, attempt: int) -> None:
         machine = self._machine(record)
-        if machine.state is MessageState.READY:
-            self._apply(record.key, machine, Transition.II)
-        elif machine.state is MessageState.LOST:
-            self._apply(record.key, machine, Transition.III)
-        elif machine.state is MessageState.DELIVERED and self.retries_allowed:
-            self._apply(record.key, machine, Transition.V)
+        if machine.state is _READY:
+            self._apply(record.key, machine, _II)
+        elif machine.state is _LOST:
+            self._apply(record.key, machine, _III)
+        elif machine.state is _DELIVERED and self.retries_allowed:
+            self._apply(record.key, machine, _V)
         # DUPLICATED is terminal; later failures change nothing.
 
     def on_acknowledged(self, record: ProducerRecord, rtt_s: float) -> None:
@@ -139,28 +155,29 @@ class DeliveryTracker(ProducerListener):
 
     def on_perceived_lost(self, record: ProducerRecord) -> None:
         machine = self._machine(record)
-        if machine.state is MessageState.READY:
-            self._apply(record.key, machine, Transition.II)
+        if machine.state is _READY:
+            self._apply(record.key, machine, _II)
 
     # --------------------------------------------------- cluster's truth
 
     def on_append(self, record: ProducerRecord, partition: Partition, offset: int) -> None:
         """Cluster append listener: a copy of ``record`` was persisted."""
         machine = self._machine(record)
-        if machine.state is MessageState.READY:
-            self._apply(record.key, machine, Transition.I)
-        elif machine.state is MessageState.LOST:
+        state = machine.state
+        if state is _READY:
+            self._apply(record.key, machine, _I)
+        elif state is _LOST:
             if machine.persisted:
-                self._apply(record.key, machine, Transition.VI)
+                self._apply(record.key, machine, _VI)
             else:
-                self._apply(record.key, machine, Transition.IV)
-        elif machine.state is MessageState.DELIVERED:
+                self._apply(record.key, machine, _IV)
+        elif state is _DELIVERED:
             # A retransmitted request persisted again before the producer
             # noticed anything wrong: ack-loss race, Fig. 2's V then VI.
-            self._apply(record.key, machine, Transition.V)
-            self._apply(record.key, machine, Transition.VI)
-        elif machine.state is MessageState.DUPLICATED:
-            self._apply(record.key, machine, Transition.VI)
+            self._apply(record.key, machine, _V)
+            self._apply(record.key, machine, _VI)
+        elif state is _DUPLICATED:
+            self._apply(record.key, machine, _VI)
 
     # ------------------------------------------------------------ census
 
@@ -168,7 +185,7 @@ class DeliveryTracker(ProducerListener):
         """Classify every tracked message into its Table I case."""
         census = CaseCensus()
         for machine in self.machines.values():
-            if machine.state is MessageState.READY:
+            if machine.state is _READY:
                 census.unresolved += 1
                 continue
             case = machine.classify_case()
@@ -184,5 +201,5 @@ class DeliveryTracker(ProducerListener):
         return sum(
             1
             for machine in self.machines.values()
-            if machine.state is MessageState.LOST and machine.persisted
+            if machine.state is _LOST and machine.persisted
         )

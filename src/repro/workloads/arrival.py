@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
 from ..kafka.config import HardwareProfile
 from ..kafka.message import ProducerRecord
 from ..kafka.producer import KafkaProducer
+from ..simulation.random import Rng
 from ..simulation.simulator import Simulator
 
 __all__ = ["SourceDriver", "FullLoadSource", "PolledSource", "ConstantRateSource", "PoissonSource"]
@@ -42,10 +41,10 @@ class SourceDriver:
         producer: KafkaProducer,
         count: int,
         payload_bytes: int,
-        rng: np.random.Generator,
+        rng: Rng,
         topic: str = "events",
         timeliness_s: Optional[float] = None,
-        payload_sampler: Optional[Callable[[np.random.Generator], int]] = None,
+        payload_sampler: Optional[Callable[[Rng], int]] = None,
     ) -> None:
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -111,7 +110,7 @@ class FullLoadSource(SourceDriver):
         producer: KafkaProducer,
         count: int,
         payload_bytes: int,
-        rng: np.random.Generator,
+        rng: Rng,
         hardware: HardwareProfile,
         waits_for_ack: bool,
         **kwargs,
@@ -161,7 +160,7 @@ class PolledSource(SourceDriver):
         producer: KafkaProducer,
         count: int,
         payload_bytes: int,
-        rng: np.random.Generator,
+        rng: Rng,
         polling_interval_s: float,
         hardware: Optional[HardwareProfile] = None,
         **kwargs,
@@ -242,7 +241,7 @@ class ConstantRateSource(SourceDriver):
         producer: KafkaProducer,
         count: int,
         payload_bytes: int,
-        rng: np.random.Generator,
+        rng: Rng,
         rate: float,
         **kwargs,
     ) -> None:
@@ -264,7 +263,7 @@ class PoissonSource(SourceDriver):
         producer: KafkaProducer,
         count: int,
         payload_bytes: int,
-        rng: np.random.Generator,
+        rng: Rng,
         rate: float,
         **kwargs,
     ) -> None:

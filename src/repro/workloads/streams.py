@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-import numpy as np
+from ..simulation.random import Rng
 
 __all__ = ["StreamProfile", "SOCIAL_MEDIA", "WEB_ACCESS_LOGS", "GAME_TRAFFIC", "PAPER_STREAMS"]
 
@@ -66,12 +66,12 @@ class StreamProfile:
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
 
-    def payload_sampler(self) -> Callable[[np.random.Generator], int]:
+    def payload_sampler(self) -> Callable[[Rng], int]:
         """Sampler of per-message payload sizes."""
         mean = self.mean_payload_bytes
         jitter = self.payload_jitter
 
-        def sample(rng: np.random.Generator) -> int:
+        def sample(rng: Rng) -> int:
             low = mean * (1.0 - jitter)
             high = mean * (1.0 + jitter)
             return max(1, int(round(rng.uniform(low, high))))

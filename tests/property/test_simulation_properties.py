@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import EventQueue, RngRegistry, Simulator
+from repro.simulation.events import TIME
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
@@ -13,7 +14,7 @@ def test_event_queue_pops_in_nondecreasing_time_order(times):
         queue.push(time, lambda: None)
     popped = []
     while queue:
-        popped.append(queue.pop().time)
+        popped.append(queue.pop()[TIME])
     assert popped == sorted(popped)
     assert len(popped) == len(times)
 
@@ -30,10 +31,10 @@ def test_cancelling_any_subset_preserves_order_of_rest(times, cancel_stride):
         if cancel_stride and index % (cancel_stride + 1) == 0:
             queue.cancel(event)
         else:
-            kept.append(event.time)
+            kept.append(event[TIME])
     popped = []
     while queue:
-        popped.append(queue.pop().time)
+        popped.append(queue.pop()[TIME])
     assert popped == sorted(kept)
 
 

@@ -38,7 +38,7 @@ class TestBroker:
         responses = []
         broker.handle_produce(make_request(partition), responses.append)
         sim.run()
-        assert len(partition.leader_log) == 1
+        assert len(partition.log) == 1
         assert len(responses) == 1
         assert responses[0].base_offset == 0
         assert responses[0].appended == 1
@@ -78,7 +78,7 @@ class TestBroker:
         sim.run()
         assert responses == []
         assert broker.requests_dropped == 1
-        assert len(partition.leader_log) == 0
+        assert len(partition.log) == 0
 
     def test_crash_during_processing_drops(self, sim, partition):
         broker = Broker(sim, "broker-0", BrokerConfig(processing_time_s=1.0))
@@ -115,7 +115,7 @@ class TestCluster:
         cluster = KafkaCluster(sim, broker_count=2)
         topic = cluster.create_topic("t", partitions=1)
         partition = topic.partitions[0]
-        assert len(partition.replica_logs) == 1  # leader + one follower
+        assert partition.follower_broker_ids == ["broker-1"]  # leader + one follower
 
     def test_duplicate_topic_rejected(self, sim):
         cluster = KafkaCluster(sim)
@@ -146,6 +146,29 @@ class TestCluster:
         cluster.set_broker_availability("broker-0", False)
         for partition in victims:
             assert partition.leader_broker_id != "broker-0"
+
+    def test_failover_serves_every_entry_with_its_offset(self, sim):
+        cluster = KafkaCluster(sim, broker_count=3)
+        partition = cluster.create_topic("t", partitions=1).partitions[0]
+        assert partition.leader_broker_id == "broker-0"
+        count = 12
+        for _ in range(count):
+            cluster.handle_produce(make_request(partition))
+        sim.run()
+        before = partition.read()
+        assert [entry.offset for entry in before] == list(range(count))
+        assert partition.high_watermark == count
+        cluster.set_broker_availability("broker-0", False)
+        assert partition.leader_broker_id == "broker-1"
+        assert partition.read() == before
+        assert partition.high_watermark == count
+        # The new leader appends after the entries it inherited.
+        responses = []
+        cluster.handle_produce(make_request(partition), responses.append)
+        sim.run()
+        assert cluster.leader_for(partition).broker_id == "broker-1"
+        assert responses[0].base_offset == count
+        assert partition.high_watermark == count + 1
 
     def test_restore_brings_broker_back(self, sim):
         cluster = KafkaCluster(sim)

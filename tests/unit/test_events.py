@@ -1,7 +1,24 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the event queue and its single-list event entries."""
 
 
-from repro.simulation.events import Event, EventQueue, HIGH_PRIORITY, LOW_PRIORITY
+from repro.simulation import Simulator
+from repro.simulation.events import (
+    ARGS,
+    CALLBACK,
+    HIGH_PRIORITY,
+    LOW_PRIORITY,
+    PRIORITY,
+    SEQ,
+    TIME,
+    EventQueue,
+)
+
+
+def fire(entry):
+    """Fire a popped entry the way ``Simulator.step`` does."""
+    callback = entry[CALLBACK]
+    entry[CALLBACK] = None
+    callback(*entry[ARGS])
 
 
 def test_push_pop_single_event():
@@ -9,7 +26,7 @@ def test_push_pop_single_event():
     fired = []
     queue.push(1.0, fired.append, "a")
     event = queue.pop()
-    event.fire()
+    fire(event)
     assert fired == ["a"]
 
 
@@ -18,7 +35,7 @@ def test_pop_returns_events_in_time_order():
     queue.push(3.0, lambda: None)
     queue.push(1.0, lambda: None)
     queue.push(2.0, lambda: None)
-    times = [queue.pop().time for _ in range(3)]
+    times = [queue.pop()[TIME] for _ in range(3)]
     assert times == [1.0, 2.0, 3.0]
 
 
@@ -30,7 +47,7 @@ def test_same_time_orders_by_priority_then_insertion():
     queue.push(1.0, order.append, "low", priority=LOW_PRIORITY)
     queue.push(1.0, order.append, "normal-second")
     while queue:
-        queue.pop().fire()
+        fire(queue.pop())
     assert order == ["high", "normal-first", "normal-second", "low"]
 
 
@@ -48,7 +65,7 @@ def test_cancelled_event_is_skipped_on_pop():
     first = queue.push(1.0, lambda: None)
     queue.push(2.0, lambda: None)
     queue.cancel(first)
-    assert queue.pop().time == 2.0
+    assert queue.pop()[TIME] == 2.0
     assert queue.pop() is None
 
 
@@ -84,9 +101,18 @@ def test_clear_drops_everything():
 
 def test_event_fire_passes_args():
     received = []
-    event = Event(0.0, 0, 0, lambda a, b: received.append((a, b)), (1, 2))
-    event.fire()
+    event = EventQueue().push(0.0, lambda a, b: received.append((a, b)), 1, 2)
+    fire(event)
     assert received == [(1, 2)]
+
+
+def test_entry_is_the_heap_list():
+    queue = EventQueue()
+    callback = print
+    entry = queue.push(2.5, callback, "x", priority=HIGH_PRIORITY)
+    assert entry == [2.5, HIGH_PRIORITY, 0, callback, ("x",)]
+    assert (entry[TIME], entry[PRIORITY], entry[SEQ]) == (2.5, HIGH_PRIORITY, 0)
+    assert queue._heap[0] is entry
 
 
 def test_bool_reflects_liveness():
@@ -116,7 +142,7 @@ def test_len_consistent_under_interleaved_push_cancel_peek_pop():
             assert len(queue) == len(live)
         if index % 5 == 0 and live:
             popped = queue.pop()
-            assert not popped.cancelled
+            assert popped[CALLBACK] is not None
             live.remove(popped)
         assert len(queue) == len(live)
     drained = 0
@@ -138,12 +164,12 @@ def test_compaction_preserves_order_and_len():
         queue.cancel(event)
     for event in events[1::4]:
         queue.cancel(event)
-    expected = sorted(e.time for e in events if not e.cancelled)
+    expected = sorted(e[TIME] for e in events if e[CALLBACK] is not None)
     assert len(queue) == len(expected)
     assert queue._dead < EventQueue.COMPACT_MIN_DEAD or queue._dead <= queue._live
     popped = []
     while queue:
-        popped.append(queue.pop().time)
+        popped.append(queue.pop()[TIME])
     assert popped == expected
 
 
@@ -161,3 +187,83 @@ def test_cancel_during_pop_interleaving_keeps_peek_consistent():
     assert queue.peek_time() is None
     assert queue.pop() is None
     assert len(queue) == 0
+
+
+# --------------------------------------------------------------------------
+# The entry as cancel handle, through the simulator.
+
+
+def test_cancel_after_fire_is_a_noop():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b")
+    sim.run(until=1.5)
+    assert fired == ["a"]
+    sim.cancel(event)
+    assert sim.pending_events == 1
+    assert sim.heap_integrity()["ok"]
+    sim.run()
+    assert fired == ["a", "b"]
+    assert sim.heap_integrity()["ok"]
+
+
+def test_cancel_after_step_is_a_noop():
+    sim = Simulator()
+    event = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    assert sim.step()
+    sim.cancel(event)
+    assert sim.pending_events == 1
+    assert sim.heap_integrity()["ok"]
+
+
+def test_double_cancel_keeps_integrity():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, fired.append, "cancelled")
+    sim.schedule(2.0, fired.append, "kept")
+    sim.cancel(event)
+    sim.cancel(event)
+    assert sim.pending_events == 1
+    integrity = sim.heap_integrity()
+    assert integrity["ok"]
+    assert (integrity["live"], integrity["dead"]) == (1, 1)
+    sim.run()
+    assert fired == ["kept"]
+    assert sim.heap_integrity()["ok"]
+
+
+def test_cancel_while_compaction_is_pending():
+    """Cancels up to the compaction trigger, a compaction, then late cancels
+    of entries that were compacted away or already fired."""
+    sim = Simulator()
+    fired = []
+    floor = EventQueue.COMPACT_MIN_DEAD
+    count = 2 * floor
+    events = [sim.schedule(float(i), fired.append, i) for i in range(count)]
+    # Dead entries reach the floor but do not yet outnumber the live ones.
+    for event in events[:floor]:
+        sim.cancel(event)
+    integrity = sim.heap_integrity()
+    assert integrity["ok"]
+    assert (integrity["live"], integrity["dead"]) == (floor, floor)
+    # This cancel makes dead outnumber live: the heap is compacted.
+    sim.cancel(events[-1])
+    integrity = sim.heap_integrity()
+    assert integrity["ok"]
+    assert (integrity["live"], integrity["dead"]) == (floor - 1, 0)
+    # Cancelling compacted-away entries again changes nothing.
+    for event in events[:floor] + [events[-1]]:
+        sim.cancel(event)
+    assert sim.heap_integrity()["ok"]
+    assert sim.pending_events == floor - 1
+    sim.run(until=float(floor + 2))
+    # Cancelling a fired entry after compaction is a no-op as well.
+    sim.cancel(events[floor])
+    assert sim.heap_integrity()["ok"]
+    sim.run()
+    assert fired == list(range(floor, count - 1))
+    assert sim.heap_integrity() == {
+        "ok": True, "live": 0, "dead": 0, "scanned_live": 0, "scanned_dead": 0
+    }

@@ -24,6 +24,7 @@ RULE_FIXTURES = {
     "REPRO104": ("builtin_hash", "repro.simulation.fake", 1),
     "REPRO105": ("unsorted_json", "repro.chaos.fake", 3),
     "REPRO106": ("fs_order", "repro.testbed.fake", 2),
+    "REPRO107": ("raw_generator", "repro.network.fake", 5),
     "REPRO201": ("float_equality", "repro.kpi.fake", 3),
     "REPRO202": ("mutable_default", "repro.models.fake", 3),
     "REPRO203": ("spawn_closure", "repro.testbed.fake", 2),
@@ -116,6 +117,48 @@ class TestRulePrecision:
     def test_seeded_default_rng_is_allowed_in_scope(self):
         source = "import numpy as np\nrng = np.random.default_rng(7)\n"
         result = lint_source(source, module="repro.network.fake")
+        assert [f for f in result.findings if f.rule == "REPRO101"] == []
+        # A seeded private stream still bypasses the registry (REPRO107).
+        assert [f.rule for f in result.findings] == ["REPRO107"]
+
+    def test_registry_module_may_build_generators(self):
+        source = (
+            "import numpy as np\n"
+            "def stream(seq):\n"
+            "    return np.random.Generator(np.random.PCG64(seq))\n"
+        )
+        result = lint_source(source, module="repro.simulation.random")
+        assert result.findings == []
+        result = lint_source(source, module="repro.simulation.fake")
+        assert [f.rule for f in result.findings] == ["REPRO107", "REPRO107"]
+
+    def test_raw_generator_scope_is_the_simulated_layers(self):
+        source = "import numpy as np\nrng = np.random.default_rng(7)\n"
+        for module in ("repro.testbed.collection", "repro.models.training", "repro.chaos.fake"):
+            result = lint_source(source, module=module)
+            assert result.findings == [], module
+        for module in (
+            "repro.simulation.fake",
+            "repro.network.fake",
+            "repro.kafka.fake",
+            "repro.workloads.fake",
+        ):
+            result = lint_source(source, module=module)
+            assert [f.rule for f in result.findings] == ["REPRO107"], module
+
+    def test_unseeded_default_rng_is_reported_once(self):
+        source = "import numpy as np\nrng = np.random.default_rng()\n"
+        result = lint_source(source, module="repro.network.fake")
+        assert [f.rule for f in result.findings] == ["REPRO101"]
+
+    def test_other_generator_classes_do_not_fire(self):
+        source = (
+            "import typing\n"
+            "from .codegen import Generator\n"
+            "def build(factory):\n"
+            "    return factory.Generator(), Generator(), typing.Generator\n"
+        )
+        result = lint_source(source, module="repro.kafka.fake")
         assert result.findings == []
 
     def test_generator_annotations_do_not_fire(self):

@@ -65,14 +65,14 @@ class TestPartition:
     def test_append_replicates_to_followers(self):
         partition = self.make()
         partition.append(1, 10, 0.0)
+        # Synchronous replication: every replica serves the one log.
         assert partition.high_watermark == 1
-        for log in partition.replica_logs.values():
-            assert len(log) == 1
+        assert len(partition.log) == 1
 
     def test_leader_is_not_its_own_follower(self):
         partition = self.make()
-        assert "broker-0" not in partition.replica_logs
-        assert set(partition.replica_logs) == {"broker-1", "broker-2"}
+        assert "broker-0" not in partition.follower_broker_ids
+        assert partition.follower_broker_ids == ["broker-1", "broker-2"]
 
     def test_name(self):
         assert self.make().name == "t-0"
@@ -82,8 +82,32 @@ class TestPartition:
         partition.append(1, 10, 0.0)
         partition.elect_new_leader("broker-1")
         assert partition.leader_broker_id == "broker-1"
-        assert len(partition.leader_log) == 1
-        assert "broker-0" in partition.replica_logs
+        assert len(partition.log) == 1
+        assert "broker-0" in partition.follower_broker_ids
+        assert partition.follower_broker_ids == ["broker-2", "broker-0"]
+
+    def test_failover_keeps_every_entry_offset_and_high_watermark(self):
+        partition = self.make()
+        count = 25
+        for key in range(count):
+            offset = partition.append(key, 10 + key, 0.1 * key, producer_id=7, sequence=key)
+            assert offset == key
+        before = partition.read()
+        assert partition.high_watermark == count
+        partition.elect_new_leader("broker-2")
+        assert partition.leader_broker_id == "broker-2"
+        after = partition.read()
+        assert after == before
+        assert [entry.offset for entry in after] == list(range(count))
+        assert partition.high_watermark == count
+        # The idempotence state moved with the data: a replayed sequence is
+        # still fenced and the next one takes the next offset.
+        assert partition.append(3, 13, 9.0, producer_id=7, sequence=3) is None
+        assert partition.append(count, 10, 9.0, producer_id=7, sequence=count) == count
+        # Failing back to the old leader serves the same log again.
+        partition.elect_new_leader("broker-0")
+        assert partition.read() == before + [partition.read()[-1]]
+        assert partition.high_watermark == count + 1
 
     def test_failover_to_non_follower_rejected(self):
         with pytest.raises(ValueError):
