@@ -48,7 +48,8 @@ def predicted_vs_measured_curve(paper_model):
             ),
         )
         measured.append(run_experiment(scenario).p_loss)
-        predicted.append(paper_model.predict_scenario(scenario).p_loss)
+        vector = FeatureVector.from_scenario(scenario)
+        predicted.append(paper_model.predict_vectors([vector])[0].p_loss)
     return sizes, measured, predicted
 
 

@@ -86,7 +86,7 @@ def main() -> None:
         vector = FeatureVector.from_scenario(scenario)
         if vector.submodel_key not in report.predictor.submodels:
             continue
-        estimate = report.predictor.predict_scenario(scenario)
+        estimate = report.predictor.predict_vectors([vector])[0]
         candidate_rows.append(
             [label, f"{estimate.p_loss:.3f}", f"{estimate.p_duplicate:.4f}"]
         )

@@ -28,11 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
-from ..kpi.dynamic import (
-    DegradedModeController,
-    IntervalObservation,
-    _FallbackPredictorView,
-)
+from ..kpi.dynamic import DegradedModeController, IntervalObservation
 from ..kpi.selection import SelectionContext, evaluate_configs
 from ..kpi.weighted import KpiWeights, kpi_from_estimates
 from ..models.predictor import ReliabilityEstimate, ReliabilityPredictor
@@ -319,13 +315,11 @@ def run_campaign(
             loss_rate=loss,
         )
         if policy == "static" and predictor is not None:
-            view = _FallbackPredictorView(predictor)
-            # evaluate_configs routes through the view's batched fallback
-            # path, so phases repeating the same conditions hit the
-            # predictor's quantised-feature memo instead of re-running the
-            # forward pass (bit-identical either way).
-            predicted = evaluate_configs([config], context, view, model, weights)[0]
-            source = view.worst_source
+            # Phases repeating the same conditions hit the predictor's
+            # quantised-feature memo instead of re-running the forward pass.
+            predicted, source = evaluate_configs(
+                [config], context, predictor, model, weights
+            )[0]
         gamma_measured = kpi_from_estimates(
             model.predict(config, stream.mean_payload_bytes, network_delay_s=delay),
             ReliabilityEstimate(

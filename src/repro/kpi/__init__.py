@@ -30,7 +30,7 @@ from .selection import (
     ParameterSteps,
     SelectionContext,
     SelectionResult,
-    evaluate_config,
+    evaluate_configs,
     scale_producers,
     select_configuration,
 )
@@ -54,7 +54,7 @@ __all__ = [
     "ParameterSteps",
     "SelectionContext",
     "SelectionResult",
-    "evaluate_config",
+    "evaluate_configs",
     "scale_producers",
     "select_configuration",
     "NetworkStateEstimate",

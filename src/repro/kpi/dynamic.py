@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
 from ..kafka.semantics import DeliverySemantics
-from ..models.features import FeatureVector
-from ..models.predictor import ReliabilityEstimate, ReliabilityPredictor
+from ..models.predictor import ReliabilityPredictor
 from ..network.trace import NetworkTrace
 from ..observability.telemetry import RunTelemetry
 from ..observability.trace import EventKind
@@ -97,12 +96,8 @@ class ConfigurationPlan:
                     "producers": entry.producers,
                     "predicted_gamma": entry.predicted_gamma,
                     "config": {
+                        **asdict(entry.config),
                         "semantics": entry.config.semantics.value,
-                        "batch_size": entry.config.batch_size,
-                        "polling_interval_s": entry.config.polling_interval_s,
-                        "message_timeout_s": entry.config.message_timeout_s,
-                        "request_timeout_s": entry.config.request_timeout_s,
-                        "max_retries": entry.config.max_retries,
                     },
                 }
                 for entry in self.entries
@@ -112,7 +107,11 @@ class ConfigurationPlan:
 
     @classmethod
     def load(cls, path: "str | Path") -> "ConfigurationPlan":
-        """Read a plan saved with :meth:`save`."""
+        """Read a plan saved with :meth:`save`.
+
+        ``ProducerConfig`` fields missing from the file (older plans
+        stored only some of them) take their defaults.
+        """
         payload = json.loads(Path(path).read_text())
         plan = cls(interval_s=payload["interval_s"])
         for entry in payload["entries"]:
@@ -388,47 +387,6 @@ class DegradedDecision:
     reason: str
 
 
-class _FallbackPredictorView:
-    """Adapter exposing the predictor API through the fallback chain.
-
-    The stepwise search knows ``predict_vector`` (and uses the batched
-    ``predict_vectors`` when present); this view answers both via
-    :meth:`ReliabilityPredictor.predict_with_fallback`, so the search
-    never dies on an uncovered submodel, and records the worst fallback
-    tier it had to reach.
-
-    Note on ``worst_source``: the batched search may score candidates the
-    scalar walk would never probe, so the recorded worst tier can be
-    *worse* (never better) than under the scalar walk — any guard keyed
-    on it becomes strictly more conservative, never less.
-    """
-
-    _TIER_ORDER = {"ann": 0, "neighbour": 1, "conservative": 2}
-
-    def __init__(self, predictor: ReliabilityPredictor) -> None:
-        self._predictor = predictor
-        self.worst_source = "ann"
-
-    def _record(self, source: str) -> None:
-        if self._TIER_ORDER[source] > self._TIER_ORDER[self.worst_source]:
-            self.worst_source = source
-
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
-        fallback = self._predictor.predict_with_fallback(vector)
-        self._record(fallback.source)
-        return fallback.estimate
-
-    def predict_vectors(
-        self, vectors: Sequence[FeatureVector], missing: str = "raise"
-    ) -> List[ReliabilityEstimate]:
-        # ``missing`` is accepted for API parity but irrelevant: the
-        # fallback chain covers every vector, so no slot is ever None.
-        fallbacks = self._predictor.predict_with_fallback_batch(vectors)
-        for fallback in fallbacks:
-            self._record(fallback.source)
-        return [fallback.estimate for fallback in fallbacks]
-
-
 class DegradedModeController:
     """Closed-loop controller that survives estimator and predictor faults.
 
@@ -525,14 +483,12 @@ class DegradedModeController:
 
     def _gamma_of(
         self, config: ProducerConfig, context: SelectionContext
-    ) -> "tuple[float, str]":
-        view = _FallbackPredictorView(self.predictor)
-        # Batched entry point (batch of one): repeated control ticks under
-        # unchanged conditions serve from the predictor's memo.
-        gamma = evaluate_configs(
-            [config], context, view, self.performance_model, self.weights
+    ) -> Tuple[float, str]:
+        # A batch of one: repeated control ticks under unchanged
+        # conditions serve from the predictor's memo.
+        return evaluate_configs(
+            [config], context, self.predictor, self.performance_model, self.weights
         )[0]
-        return gamma, view.worst_source
 
     def decide(
         self, stream: StreamProfile, current: ProducerConfig
@@ -578,10 +534,9 @@ class DegradedModeController:
                 changed=False,
                 reason="held",
             )
-        view = _FallbackPredictorView(self.predictor)
         selection = select_configuration(
             context,
-            view,
+            self.predictor,
             self.performance_model,
             weights=self.weights,
             gamma_requirement=self.gamma_requirement,
@@ -595,7 +550,7 @@ class DegradedModeController:
         # blind.  With healthy ANN coverage the trade-off is the model's
         # call and the guard stays out of the way.
         blind_switch = (
-            view.worst_source != "ann"
+            selection.prediction_source != "ann"
             and not selection.config.semantics.waits_for_ack
             and current.semantics.waits_for_ack
         )

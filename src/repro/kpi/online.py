@@ -35,7 +35,7 @@ from .dynamic import DynamicRunReport, required_producers
 from .selection import (
     ParameterSteps,
     SelectionContext,
-    evaluate_config,
+    evaluate_configs,
     select_configuration,
 )
 from .weighted import DEFAULT_WEIGHTS, KpiWeights
@@ -218,12 +218,9 @@ class OnlineDynamicController:
             return current
         # Hysteresis against the *current* configuration evaluated under
         # the same estimate: a restart must buy a real γ improvement.
-        try:
-            current_gamma = evaluate_config(
-                current, context, self.predictor, self.performance_model, self.weights
-            )
-        except KeyError:
-            current_gamma = float("-inf")
+        current_gamma, _ = evaluate_configs(
+            [current], context, self.predictor, self.performance_model, self.weights
+        )[0]
         if selection.gamma < current_gamma + self.hysteresis:
             return current
         return selection.config

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..kafka.config import ProducerConfig
 from ..kafka.semantics import DeliverySemantics
 from ..models.features import FeatureVector
-from ..models.predictor import ReliabilityPredictor
+from ..models.predictor import TIERS, FallbackEstimate, ReliabilityPredictor
 from ..performance.queueing import ProducerPerformanceModel
 from .weighted import DEFAULT_WEIGHTS, KpiWeights, kpi_from_estimates
 
@@ -28,7 +28,6 @@ __all__ = [
     "SelectionContext",
     "ParameterSteps",
     "SelectionResult",
-    "evaluate_config",
     "evaluate_configs",
     "select_configuration",
     "scale_producers",
@@ -73,51 +72,20 @@ class ParameterSteps:
 
 @dataclass
 class SelectionResult:
-    """Outcome of a stepwise search."""
+    """Outcome of a stepwise search.
+
+    ``prediction_source`` is the worst fallback tier (see
+    :data:`~repro.models.predictor.TIERS`) among every estimate the search
+    read, so a guard can tell a decision built on the ANN from one built
+    on a degraded tier.
+    """
 
     config: ProducerConfig
     gamma: float
     met_requirement: bool
     steps_taken: int
     trace: List[Tuple[str, float]] = field(default_factory=list)
-
-
-def evaluate_config(
-    config: ProducerConfig,
-    context: SelectionContext,
-    predictor: ReliabilityPredictor,
-    performance_model: ProducerPerformanceModel,
-    weights: KpiWeights = DEFAULT_WEIGHTS,
-) -> float:
-    """Predicted γ of one configuration in one environment."""
-    reliability = predictor.predict_vector(context.feature_vector(config))
-    performance = performance_model.predict(
-        config, context.message_bytes, context.network_delay_s
-    )
-    return kpi_from_estimates(performance, reliability, weights)
-
-
-def _predict_reliability_many(
-    predictor: ReliabilityPredictor, vectors: Sequence[FeatureVector]
-) -> List[Optional["object"]]:
-    """Reliability estimates for many vectors, ``None`` where uncovered.
-
-    Duck-typed: predictors exposing ``predict_vectors`` (the batched fast
-    path) serve the whole list with one forward pass per submodel group;
-    anything else — stubs, adapters wrapping only ``predict_vector`` —
-    falls back to the scalar loop with the same ``KeyError`` → ``None``
-    convention, so both shapes plug into the same callers.
-    """
-    batched = getattr(predictor, "predict_vectors", None)
-    if batched is not None:
-        return batched(vectors, missing="none")
-    estimates: List[Optional[object]] = []
-    for vector in vectors:
-        try:
-            estimates.append(predictor.predict_vector(vector))
-        except KeyError:
-            estimates.append(None)
-    return estimates
+    prediction_source: str = "ann"
 
 
 def evaluate_configs(
@@ -126,34 +94,30 @@ def evaluate_configs(
     predictor: ReliabilityPredictor,
     performance_model: ProducerPerformanceModel,
     weights: KpiWeights = DEFAULT_WEIGHTS,
-) -> List[Optional[float]]:
-    """Predicted γ for many configurations at once.
+) -> List[Tuple[float, str]]:
+    """Predicted γ of many configurations, each with its prediction tier.
 
-    Entry ``i`` is bitwise-identical to
-    ``evaluate_config(configs[i], ...)``, or ``None`` where that call
-    would raise ``KeyError`` (no submodel covers the candidate).  When the
-    predictor exposes ``predict_vectors`` the reliability estimates come
-    from one vectorised forward pass per submodel group; predictors that
-    only implement ``predict_vector`` (stubs, adapters) fall back to the
-    scalar loop, so the call never changes behaviour — only cost.
-
-    The performance model side is closed-form per candidate and memoised
-    inside :meth:`ProducerPerformanceModel.predict`, so the repeated
-    re-scoring a hill-climb does costs one dict hit per revisit.
+    The reliability estimates come from one
+    :meth:`~ReliabilityPredictor.predict_with_fallback_batch` call, so
+    every candidate is scored: an uncovered one from the neighbour or
+    conservative tier.  The performance model side is closed-form per
+    candidate and memoised inside :meth:`ProducerPerformanceModel.predict`,
+    so the repeated re-scoring a hill-climb does costs one dict hit per
+    revisit.
     """
     configs = list(configs)
-    vectors = [context.feature_vector(config) for config in configs]
-    estimates = _predict_reliability_many(predictor, vectors)
-    gammas: List[Optional[float]] = []
-    for config, reliability in zip(configs, estimates):
-        if reliability is None:
-            gammas.append(None)
-            continue
+    estimates = predictor.predict_with_fallback_batch(
+        [context.feature_vector(config) for config in configs]
+    )
+    scored: List[Tuple[float, str]] = []
+    for config, tiered in zip(configs, estimates):
         performance = performance_model.predict(
             config, context.message_bytes, context.network_delay_s
         )
-        gammas.append(kpi_from_estimates(performance, reliability, weights))
-    return gammas
+        scored.append(
+            (kpi_from_estimates(performance, tiered.estimate, weights), tiered.source)
+        )
+    return scored
 
 
 def select_configuration(
@@ -165,7 +129,6 @@ def select_configuration(
     start: Optional[ProducerConfig] = None,
     steps: Optional[ParameterSteps] = None,
     max_rounds: int = 8,
-    batched: bool = True,
 ) -> SelectionResult:
     """Stepwise coordinate search until γ meets the requirement.
 
@@ -175,26 +138,19 @@ def select_configuration(
     coordinate.  The search exits as soon as the requirement is met (the
     paper's criterion) or when a full round makes no move.
 
-    With ``batched=True`` (the default) every coordinate scores its whole
-    candidate axis in one :func:`evaluate_configs` call and the walk then
-    *replays* the scalar decision sequence against the precomputed γ
-    values.  Because each γ is bitwise-identical to the scalar
-    ``evaluate_config`` result and the comparison sequence (direction
-    order, strict ``> γ + 1e-9`` improvement threshold, first-improvement
-    tie-breaking, early exit on the requirement) is untouched, the
-    returned configuration, γ, ``steps_taken`` and trace are all
-    bit-identical to ``batched=False`` — only the prediction cost drops
-    from one MLP forward pass per probe to one per (coordinate, round).
+    Each coordinate fetches its candidate axis lazily in at most two
+    :meth:`~ReliabilityPredictor.predict_with_fallback_batch` calls (see
+    ``reliability_at``), so the prediction cost is at most two grouped
+    forward passes per (coordinate, round) rather than one per probe.
     """
     steps = steps if steps is not None else ParameterSteps()
     config = start if start is not None else ProducerConfig()
-    start_gamma = evaluate_configs(
+    gamma, source = evaluate_configs(
         [config], context, predictor, performance_model, weights
     )[0]
-    # None ⇔ no submodel covers the starting configuration; force the
-    # search to look for one that is covered.
-    gamma = start_gamma if start_gamma is not None else float("-inf")
-    result = SelectionResult(config, gamma, gamma >= gamma_requirement, 0)
+    result = SelectionResult(
+        config, gamma, gamma >= gamma_requirement, 0, prediction_source=source
+    )
     result.trace.append(("start", gamma))
     if result.met_requirement:
         return result
@@ -221,17 +177,17 @@ def select_configuration(
             # coordinate, and with_() overwrites that field, so the axis
             # built from the entry config stays valid for the whole walk.
             axis_configs = [with_value(config, parameter, value) for value in values]
-            axis_estimates: Dict[int, Optional[object]] = {}
+            axis_estimates: Dict[int, FallbackEstimate] = {}
 
-            def reliability_at(position: int) -> Optional[object]:
+            def reliability_at(position: int) -> FallbackEstimate:
                 # Two-stage batched fetch.  The first request covers just
                 # the entry value's immediate neighbours — the only probes
                 # a non-moving coordinate ever makes, so a stuck walk pays
-                # for two candidates like the scalar path (in one call).
-                # The moment the walk wants anything more, the rest of the
-                # axis is fetched in a single grouped forward pass: a
-                # moving walk re-probes values step by step, and the batch
-                # amortises all of them at once.
+                # for two candidates (in one call).  The moment the walk
+                # wants anything more, the rest of the axis is fetched in
+                # a single grouped forward pass: a moving walk re-probes
+                # values step by step, and the batch amortises all of
+                # them at once.
                 if position in axis_estimates:
                     return axis_estimates[position]
                 if not axis_estimates:
@@ -246,34 +202,24 @@ def select_configuration(
                     ]
                 if position not in wanted:
                     wanted.append(position)
-                fetched = _predict_reliability_many(
-                    predictor,
-                    [context.feature_vector(axis_configs[p]) for p in wanted],
+                fetched = predictor.predict_with_fallback_batch(
+                    [context.feature_vector(axis_configs[p]) for p in wanted]
+                )
+                result.prediction_source = max(
+                    [result.prediction_source] + [tiered.source for tiered in fetched],
+                    key=TIERS.index,
                 )
                 axis_estimates.update(zip(wanted, fetched))
                 return axis_estimates[position]
 
-            def gamma_at(position: int) -> Optional[float]:
-                if batched:
-                    reliability = reliability_at(position)
-                    if reliability is None:
-                        return None  # no submodel for that semantics/region
-                    performance = performance_model.predict(
-                        axis_configs[position],
-                        context.message_bytes,
-                        context.network_delay_s,
-                    )
-                    return kpi_from_estimates(performance, reliability, weights)
-                try:
-                    return evaluate_config(
-                        axis_configs[position],
-                        context,
-                        predictor,
-                        performance_model,
-                        weights,
-                    )
-                except KeyError:
-                    return None  # no submodel for that semantics/region
+            def gamma_at(position: int) -> float:
+                reliability = reliability_at(position).estimate
+                performance = performance_model.predict(
+                    axis_configs[position],
+                    context.message_bytes,
+                    context.network_delay_s,
+                )
+                return kpi_from_estimates(performance, reliability, weights)
 
             improved = True
             while improved:
@@ -283,8 +229,6 @@ def select_configuration(
                     if not 0 <= neighbour < len(values):
                         continue
                     candidate_gamma = gamma_at(neighbour)
-                    if candidate_gamma is None:
-                        continue
                     result.steps_taken += 1
                     if candidate_gamma > gamma + 1e-9:
                         config, gamma, index = (
@@ -302,7 +246,7 @@ def select_configuration(
                     return result
         if not moved:
             break
-    result.config, result.gamma = config, max(gamma, 0.0)
+    result.config, result.gamma = config, gamma
     result.met_requirement = gamma >= gamma_requirement
     return result
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from ..ann.optimizers import SGD
 from ..ann.scaling import StandardScaler
 from ..kafka.semantics import DeliverySemantics
 from ..testbed.results import ExperimentResult
-from ..testbed.scenario import Scenario
 from .features import FeatureSchema, FeatureVector
 
 __all__ = [
@@ -30,6 +29,7 @@ __all__ = [
     "SubModel",
     "ReliabilityPredictor",
     "CONSERVATIVE_ESTIMATE",
+    "TIERS",
 ]
 
 
@@ -80,6 +80,9 @@ class ReliabilityEstimate:
 #: safest configurations rather than optimistic, brittle ones.
 CONSERVATIVE_ESTIMATE = ReliabilityEstimate(p_loss=0.5, p_duplicate=0.05)
 
+#: The fallback chain's tiers, best first (``FallbackEstimate.source``).
+TIERS = ("ann", "neighbour", "conservative")
+
 #: Sentinel distinguishing "index not built yet" from "built, but empty"
 #: (``None``) in the neighbour-index cache.
 _UNBUILT = object()
@@ -123,17 +126,12 @@ class SubModel:
         self.outputs = self.schema.output_columns(semantics)
 
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Predict clipped outputs for pre-encoded feature rows."""
-        scaled = self.scaler.transform(rows)
-        return np.clip(self.network.predict(scaled), 0.0, 1.0)
+        """One vectorised forward pass over pre-encoded rows, clipped to [0, 1].
 
-    def predict_rows_batched(self, rows: np.ndarray) -> np.ndarray:
-        """One vectorised forward pass over many pre-encoded rows.
-
-        Row ``i`` of the result is bitwise-identical to
-        ``predict_rows(rows[i:i+1])[0]``: the scaler and the clip are
-        elementwise, and :meth:`Sequential.predict_rowwise` preserves
-        per-row GEMV accumulation order inside the network.
+        Row ``i`` of the result does not depend on the other rows: the
+        scaler and the clip are elementwise, and
+        :meth:`Sequential.predict_rowwise` keeps per-row GEMV accumulation
+        order inside the network, so a batch of one equals any batch.
         """
         scaled = self.scaler.transform(rows)
         return np.clip(self.network.predict_rowwise(scaled), 0.0, 1.0)
@@ -232,8 +230,9 @@ class ReliabilityPredictor:
 
         Returns the number of training rows per submodel.  Regions or
         semantics with fewer than 8 rows are skipped (too little data to
-        even overfit meaningfully); prediction for a missing submodel
-        raises ``KeyError``.
+        even overfit meaningfully); queries routed to a missing submodel
+        raise ``KeyError`` from :meth:`predict_vectors` and fall through
+        to the degraded tiers of :meth:`predict_with_fallback_batch`.
         """
         if not results:
             raise ValueError("no training data")
@@ -299,33 +298,6 @@ class ReliabilityPredictor:
             region, semantics, network, scaler, settings.physics_features
         )
 
-    # ---------------------------------------------------------- prediction
-
-    def submodel_for(self, vector: FeatureVector) -> SubModel:
-        """Look up the submodel responsible for ``vector``."""
-        key = vector.submodel_key
-        submodel = self.submodels.get(key)
-        if submodel is None:
-            raise KeyError(
-                f"no submodel trained for region={key[0]!r}, semantics={key[1]!r}"
-            )
-        return submodel
-
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
-        """Predict the reliability metrics for one feature vector."""
-        submodel = self.submodel_for(vector)
-        row = submodel.schema.encode(vector)[None, :]
-        outputs = submodel.predict_rows(row)[0]
-        named = dict(zip(submodel.outputs, outputs))
-        return ReliabilityEstimate(
-            p_loss=float(named.get("p_loss", 0.0)),
-            p_duplicate=float(named.get("p_duplicate", 0.0)),
-        )
-
-    def predict_scenario(self, scenario: Scenario) -> ReliabilityEstimate:
-        """Predict for a testbed scenario (Eq. 1 with scenario inputs)."""
-        return self.predict_vector(FeatureVector.from_scenario(scenario))
-
     # ------------------------------------------------------------ fallback
 
     def remember(self, results: Sequence[ExperimentResult]) -> int:
@@ -346,15 +318,6 @@ class ReliabilityPredictor:
         """Number of measured rows available to the neighbour fallback."""
         return len(self._memory)
 
-    def _neighbour_distance(
-        self, vector: FeatureVector, candidate: FeatureVector
-    ) -> float:
-        total = 0.0
-        for name, scale in self._NEIGHBOUR_SCALES.items():
-            delta = (getattr(vector, name) - getattr(candidate, name)) / scale
-            total += delta * delta
-        return total
-
     def _neighbour_index(
         self, semantics: DeliverySemantics
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -362,8 +325,9 @@ class ReliabilityPredictor:
 
         Returns ``(features, p_loss, p_duplicate)`` where ``features`` has
         one column per :data:`_NEIGHBOUR_SCALES` entry and rows keep the
-        memory (insertion) order — the tie-breaking order of the scalar
-        scan.  Rebuilt lazily after every :meth:`invalidate_caches`.
+        memory (insertion) order — the tie-breaking order of
+        :meth:`_nearest_neighbour`.  Rebuilt lazily after every
+        :meth:`invalidate_caches`.
         """
         cached = self._neighbour_index_cache.get(semantics.value, _UNBUILT)
         if cached is not _UNBUILT:
@@ -399,8 +363,8 @@ class ReliabilityPredictor:
         Ties resolve to the earliest remembered row, so the tier is
         deterministic for a fixed memory.  The distances are computed over
         the whole memory at once with numpy, column by column in
-        :data:`_NEIGHBOUR_SCALES` order so every per-row sum reproduces the
-        sequential scalar accumulation bit for bit (``np.sum`` would not:
+        :data:`_NEIGHBOUR_SCALES` order so every per-row sum reproduces a
+        sequential Python accumulation bit for bit (``np.sum`` would not:
         it uses pairwise summation).
         """
         index = self._neighbour_index(vector.semantics)
@@ -418,114 +382,76 @@ class ReliabilityPredictor:
             p_duplicate=min(1.0, max(0.0, float(p_duplicate[pick]))),
         )
 
-    def predict_with_fallback(self, vector: FeatureVector) -> FallbackEstimate:
-        """Predict through the degradation chain, never raising ``KeyError``.
-
-        Tier 1 is the trained ANN submodel (the normal path).  When no
-        submodel covers the query, tier 2 answers with the measured result
-        nearest in feature space under the same semantics.  With no usable
-        memory either, tier 3 returns :data:`CONSERVATIVE_ESTIMATE` — a
-        pessimistic constant that steers any downstream configuration
-        search toward the safest settings.
-        """
-        try:
-            return FallbackEstimate(self.predict_vector(vector), "ann")
-        except KeyError:
-            pass
-        neighbour = self._nearest_neighbour(vector)
-        if neighbour is not None:
-            return FallbackEstimate(neighbour, "neighbour")
-        return FallbackEstimate(CONSERVATIVE_ESTIMATE, "conservative")
-
-    # ------------------------------------------------------- batched paths
-
-    def predict_vectors(
-        self,
-        vectors: Sequence[FeatureVector],
-        missing: str = "raise",
-    ) -> List[Optional[ReliabilityEstimate]]:
-        """Predict many feature vectors with one forward pass per submodel.
-
-        Vectors are grouped by submodel key (region × semantics) and each
-        group runs through :meth:`SubModel.predict_rows_batched`, so the
-        Python-level network overhead is paid once per group instead of
-        once per vector.  Entry ``i`` of the result is bitwise-identical
-        to ``predict_vector(vectors[i])``.
-
-        ``missing`` controls uncovered vectors: ``"raise"`` (default)
-        raises the same ``KeyError`` as the scalar path; ``"none"`` leaves
-        ``None`` in that slot so callers can chain into the fallback tiers.
-        """
-        if missing not in ("raise", "none"):
-            raise ValueError(f"unknown missing policy {missing!r}")
-        vectors = list(vectors)
-        out: List[Optional[ReliabilityEstimate]] = [None] * len(vectors)
-        keys: List[Optional[Tuple]] = [None] * len(vectors)
-        pending: Dict[Tuple[str, str], List[int]] = {}
-        for i, vector in enumerate(vectors):
-            # The first two key elements ARE the submodel key, so one
-            # quantised_key() call covers both routing and the memo probe.
-            quantised = vector.quantised_key()
-            keys[i] = quantised
-            cached = self._memo_get(quantised)
-            if cached is not None and cached.source == "ann":
-                # An "ann" memo entry implies the submodel existed when it
-                # was stored, and fit() invalidates the memo — so the
-                # coverage check can be skipped on a hit.
-                out[i] = cached.estimate
-                continue
-            key = quantised[:2]
-            if key not in self.submodels:
-                if missing == "raise":
-                    raise KeyError(
-                        f"no submodel trained for region={key[0]!r}, "
-                        f"semantics={key[1]!r}"
-                    )
-                continue
-            pending.setdefault(key, []).append(i)
-        for key, indices in pending.items():
-            submodel = self.submodels[key]
-            rows = submodel.schema.encode_many([vectors[i] for i in indices])
-            outputs = submodel.predict_rows_batched(rows)
-            for slot, i in enumerate(indices):
-                estimate = submodel.estimate_from_outputs(outputs[slot])
-                out[i] = estimate
-                self._memo_put(keys[i], FallbackEstimate(estimate, "ann"))
-        return out
+    # ---------------------------------------------------------- prediction
 
     def predict_with_fallback_batch(
         self, vectors: Sequence[FeatureVector]
     ) -> List[FallbackEstimate]:
-        """Batched :meth:`predict_with_fallback`: never raises ``KeyError``.
+        """Eq. 1 through the degradation chain, one tiered estimate per vector.
 
-        Entry ``i`` is bitwise-identical to
-        ``predict_with_fallback(vectors[i])`` — covered vectors share one
-        vectorised forward pass per submodel, uncovered ones take the
-        numpy nearest-neighbour tier, and everything lands in the
-        quantised-feature memo so repeated queries (hill-climb search
-        revisiting the same candidates round after round) are O(1).
+        The one prediction entry point of the configuration search and
+        every controller; it never raises ``KeyError``.  Tier 1 is the
+        trained ANN submodel (the normal path).  When no submodel covers
+        a query, tier 2 answers with the measured result nearest in
+        feature space under the same semantics.  With no usable memory
+        either, tier 3 returns :data:`CONSERVATIVE_ESTIMATE` — a
+        pessimistic constant that steers any downstream configuration
+        search toward the safest settings.  A single query is a batch of
+        one.
+        """
+        return self._predict(vectors, fallback=True)
+
+    def predict_vectors(
+        self, vectors: Sequence[FeatureVector]
+    ) -> List[ReliabilityEstimate]:
+        """The ANN tier alone: raises ``KeyError`` for an uncovered vector.
+
+        :meth:`evaluate` uses it to report the paper's MAE for the network
+        itself rather than for the fallback chain.
+        """
+        return [tiered.estimate for tiered in self._predict(vectors, fallback=False)]
+
+    def _predict(
+        self, vectors: Sequence[FeatureVector], fallback: bool
+    ) -> List[FallbackEstimate]:
+        """Shared core: quantised-feature memo, then one forward pass per
+        submodel group, then (with ``fallback``) the degraded tiers.
+
+        Every answer lands in the memo, so repeated queries (hill-climb
+        search revisiting the same candidates round after round) are
+        O(1).  Without ``fallback`` only ``"ann"`` memo entries are served
+        and the first uncovered vector raises ``KeyError``.
         """
         vectors = list(vectors)
         out: List[Optional[FallbackEstimate]] = [None] * len(vectors)
-        keys: List[Optional[Tuple]] = [None] * len(vectors)
+        keys: List[Tuple] = []
         pending: Dict[Tuple[str, str], List[int]] = {}
         uncovered: List[int] = []
         for i, vector in enumerate(vectors):
+            # The first two key elements ARE the submodel key, so one
+            # quantised_key() call covers both routing and the memo probe.
             quantised = vector.quantised_key()
-            keys[i] = quantised
+            keys.append(quantised)
             cached = self._memo_get(quantised)
-            if cached is not None:
+            if cached is not None and (fallback or cached.source == "ann"):
+                # fit() and remember() invalidate the memo, so an entry
+                # still answers from the tier it was stored under and the
+                # coverage check can be skipped on a hit.
                 out[i] = cached
                 continue
             key = quantised[:2]
             if key in self.submodels:
                 pending.setdefault(key, []).append(i)
-            else:
+            elif fallback:
                 uncovered.append(i)
+            else:
+                raise KeyError(
+                    f"no submodel trained for region={key[0]!r}, semantics={key[1]!r}"
+                )
         for key, indices in pending.items():
             submodel = self.submodels[key]
             rows = submodel.schema.encode_many([vectors[i] for i in indices])
-            outputs = submodel.predict_rows_batched(rows)
+            outputs = submodel.predict_rows(rows)
             for slot, i in enumerate(indices):
                 result = FallbackEstimate(
                     submodel.estimate_from_outputs(outputs[slot]), "ann"
@@ -540,7 +466,7 @@ class ReliabilityPredictor:
                 result = FallbackEstimate(CONSERVATIVE_ESTIMATE, "conservative")
             out[i] = result
             self._memo_put(keys[i], result)
-        return out
+        return cast(List[FallbackEstimate], out)
 
     # ---------------------------------------------------------- evaluation
 
@@ -553,9 +479,9 @@ class ReliabilityPredictor:
         reports as "below 0.02".
         """
         errors: Dict[str, List[float]] = {"p_loss": [], "p_duplicate": []}
-        for result in results:
-            vector = FeatureVector.from_result(result)
-            estimate = self.predict_vector(vector)
+        vectors = [FeatureVector.from_result(result) for result in results]
+        estimates = self.predict_vectors(vectors)
+        for result, vector, estimate in zip(results, vectors, estimates):
             errors["p_loss"].append(abs(estimate.p_loss - result.p_loss))
             if vector.semantics is not DeliverySemantics.AT_MOST_ONCE:
                 errors["p_duplicate"].append(

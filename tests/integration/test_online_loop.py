@@ -9,7 +9,7 @@ from repro.kpi import (
     run_online_experiment,
     run_traced_experiment,
 )
-from repro.models import FeatureVector, ReliabilityEstimate
+from repro.models import FallbackEstimate, FeatureVector, ReliabilityEstimate
 from repro.network import NetworkTrace, TracePoint
 from repro.performance import ProducerPerformanceModel
 from repro.workloads import WEB_ACCESS_LOGS
@@ -19,7 +19,10 @@ class AnalyticPredictor:
     """Loss grows with loss rate, shrinks with batching — enough structure
     for the controller to make sensible moves without ANN training."""
 
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
+    def predict_with_fallback_batch(self, vectors):
+        return [FallbackEstimate(self.estimate(vector), "ann") for vector in vectors]
+
+    def estimate(self, vector: FeatureVector) -> ReliabilityEstimate:
         loss = min(1.0, (vector.loss_rate * 2.5 + vector.network_delay_s) / vector.batch_size)
         dup = 0.01 if vector.semantics.waits_for_ack else 0.0
         return ReliabilityEstimate(p_loss=loss, p_duplicate=dup)

@@ -45,7 +45,7 @@ def test_predictions_available_for_measured_rows(trained_report):
     for row in trained_report.test_results[:5]:
         vector = FeatureVector.from_result(row)
         if vector.submodel_key in trained_report.predictor.submodels:
-            estimate = trained_report.predictor.predict_vector(vector)
+            estimate = trained_report.predictor.predict_vectors([vector])[0]
             assert 0.0 <= estimate.p_loss <= 1.0
 
 
@@ -57,8 +57,8 @@ def test_registry_round_trip(trained_report, tmp_path):
     row = trained_report.train_results[0]
     vector = FeatureVector.from_result(row)
     if vector.submodel_key in trained_report.predictor.submodels:
-        original = trained_report.predictor.predict_vector(vector)
-        restored = loaded.predict_vector(vector)
+        original = trained_report.predictor.predict_vectors([vector])[0]
+        restored = loaded.predict_vectors([vector])[0]
         assert restored.p_loss == pytest.approx(original.p_loss)
     registry.delete("pipeline-model")
     assert registry.list_models() == []

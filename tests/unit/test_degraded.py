@@ -99,7 +99,7 @@ class TestIntervalObservation:
 
 class TestFallbackChain:
     def test_untrained_predictor_is_conservative(self):
-        fallback = ReliabilityPredictor().predict_with_fallback(make_vector())
+        [fallback] = ReliabilityPredictor().predict_with_fallback_batch([make_vector()])
         assert fallback.source == "conservative"
         assert fallback.degraded
         assert fallback.estimate == CONSERVATIVE_ESTIMATE
@@ -108,7 +108,7 @@ class TestFallbackChain:
         predictor = ReliabilityPredictor()
         result = run_experiment(Scenario(message_count=60, seed=3))
         predictor.remember([result])
-        fallback = predictor.predict_with_fallback(make_vector())
+        [fallback] = predictor.predict_with_fallback_batch([make_vector()])
         assert fallback.source == "neighbour"
         assert fallback.degraded
         assert fallback.estimate.p_loss == pytest.approx(
@@ -119,8 +119,8 @@ class TestFallbackChain:
         predictor = ReliabilityPredictor()
         result = run_experiment(Scenario(message_count=60, seed=3))
         predictor.remember([result])
-        fallback = predictor.predict_with_fallback(
-            make_vector(semantics=DeliverySemantics.EXACTLY_ONCE)
+        [fallback] = predictor.predict_with_fallback_batch(
+            [make_vector(semantics=DeliverySemantics.EXACTLY_ONCE)]
         )
         assert fallback.source == "conservative"
 

@@ -142,12 +142,12 @@ class TestPredictorTraining:
             rows,
             TrainingSettings(hidden=(32, 16), epochs=300, learning_rate=0.3, patience=None),
         )
-        low = predictor.predict_vector(
+        low = predictor.predict_vectors([
             FeatureVector.from_result(make_result(loss_rate=0.05, network_delay_s=0.1, batch_size=8))
-        )
-        high = predictor.predict_vector(
+        ])[0]
+        high = predictor.predict_vectors([
             FeatureVector.from_result(make_result(loss_rate=0.25, network_delay_s=0.1, batch_size=1))
-        )
+        ])[0]
         assert high.p_loss > low.p_loss + 0.2
 
     def test_fit_requires_data(self):
@@ -168,7 +168,7 @@ class TestPredictorTraining:
             synthetic_results(), TrainingSettings(hidden=(8,), epochs=5, patience=None)
         )
         with pytest.raises(KeyError):
-            predictor.predict_vector(FeatureVector.from_result(make_result()))
+            predictor.predict_vectors([FeatureVector.from_result(make_result())])
 
     def test_evaluate_reports_mae(self):
         rows = synthetic_results()
@@ -184,7 +184,7 @@ class TestPredictorTraining:
         rows = synthetic_results()
         predictor = ReliabilityPredictor()
         predictor.fit(rows, TrainingSettings(hidden=(8,), epochs=10, patience=None))
-        estimate = predictor.predict_vector(FeatureVector.from_result(rows[0]))
+        estimate = predictor.predict_vectors([FeatureVector.from_result(rows[0])])[0]
         assert 0.0 <= estimate.p_loss <= 1.0
         assert 0.0 <= estimate.p_duplicate <= 1.0
 

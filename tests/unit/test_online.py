@@ -9,13 +9,16 @@ from repro.kpi import (
     OnlineDynamicController,
 )
 from repro.kpi.online import NetworkStateEstimate
-from repro.models import FeatureVector, ReliabilityEstimate
+from repro.models import FallbackEstimate, FeatureVector, ReliabilityEstimate
 from repro.performance import ProducerPerformanceModel
 from repro.workloads import WEB_ACCESS_LOGS
 
 
 class StubPredictor:
-    def predict_vector(self, vector: FeatureVector) -> ReliabilityEstimate:
+    def predict_with_fallback_batch(self, vectors):
+        return [FallbackEstimate(self.estimate(vector), "ann") for vector in vectors]
+
+    def estimate(self, vector: FeatureVector) -> ReliabilityEstimate:
         loss = min(1.0, vector.loss_rate * 3.0 / vector.batch_size)
         return ReliabilityEstimate(p_loss=loss, p_duplicate=0.0)
 

@@ -1,11 +1,12 @@
-"""Batched prediction fast path: bitwise identity and memo hygiene.
+"""The one prediction core: row independence, tiers and memo hygiene.
 
-The batched APIs (`predict_vectors`, `predict_with_fallback_batch`) are a
-pure performance feature — every estimate they return must be *bitwise*
-identical to the scalar calls, across both Fig. 3 regions, all three
-delivery semantics and every tier of the degraded fallback chain.  The
-quantised-key memo must never serve a stale entry after `fit()` or
-`remember()` changes what the predictor knows.
+`predict_vectors` (the ANN tier alone) and `predict_with_fallback_batch`
+(the full degradation chain) share one grouping, memo and forward core.
+Every estimate must equal an in-test single-row reference, whatever else
+rides in the batch, across both Fig. 3 regions, all three delivery
+semantics and every tier of the fallback chain.  The quantised-key memo
+must never serve a stale entry after `fit()` or `remember()` changes what
+the predictor knows.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 
 from repro.kafka import DeliverySemantics
 from repro.models import (
+    CONSERVATIVE_ESTIMATE,
     FeatureVector,
     ReliabilityPredictor,
     TrainingSettings,
@@ -126,14 +128,23 @@ def partial_predictor():
     return predictor
 
 
+def single_row_reference(predictor, vector):
+    """One vector through its submodel alone: scaler, network, clip."""
+    submodel = predictor.submodels[vector.submodel_key]
+    row = submodel.schema.encode(vector)[None, :]
+    outputs = np.clip(submodel.network.predict(submodel.scaler.transform(row)), 0, 1)[0]
+    return submodel.estimate_from_outputs(outputs)
+
+
 class TestBatchedIdentity:
     def test_predict_vectors_bitwise_equals_scalar(self, full_predictor):
+        full_predictor.invalidate_caches()
         vectors = query_grid()
         batched = full_predictor.predict_vectors(vectors)
         for vector, estimate in zip(vectors, batched):
-            scalar = full_predictor.predict_vector(vector)
-            assert estimate.p_loss == scalar.p_loss, vector
-            assert estimate.p_duplicate == scalar.p_duplicate, vector
+            reference = single_row_reference(full_predictor, vector)
+            assert estimate.p_loss == reference.p_loss, vector
+            assert estimate.p_duplicate == reference.p_duplicate, vector
 
     def test_second_pass_serves_from_memo_identically(self, full_predictor):
         vectors = query_grid(seed=11, count=40)
@@ -157,11 +168,13 @@ class TestBatchedIdentity:
         )
         with pytest.raises(KeyError):
             partial_predictor.predict_vectors([uncovered])
-        assert partial_predictor.predict_vectors([uncovered], missing="none") == [None]
-
-    def test_missing_mode_validated(self, full_predictor):
-        with pytest.raises(ValueError):
-            full_predictor.predict_vectors([], missing="quietly")
+        [tiered] = partial_predictor.predict_with_fallback_batch([uncovered])
+        assert tiered.source == "conservative"
+        assert tiered.estimate == CONSERVATIVE_ESTIMATE
+        # The fallback answer is memoised, but the ANN-only view must
+        # still refuse it.
+        with pytest.raises(KeyError):
+            partial_predictor.predict_vectors([uncovered])
 
 
 class TestFallbackChainIdentity:
@@ -170,13 +183,28 @@ class TestFallbackChainIdentity:
         batched = partial_predictor.predict_with_fallback_batch(vectors)
         sources = set()
         for vector, fallback in zip(vectors, batched):
-            scalar = partial_predictor.predict_with_fallback(vector)
-            assert fallback.source == scalar.source, vector
-            assert fallback.estimate.p_loss == scalar.estimate.p_loss
-            assert fallback.estimate.p_duplicate == scalar.estimate.p_duplicate
+            partial_predictor.invalidate_caches()
+            [alone] = partial_predictor.predict_with_fallback_batch([vector])
+            assert fallback == alone, vector
+            if fallback.source == "ann":
+                assert fallback.estimate == single_row_reference(
+                    partial_predictor, vector
+                )
             sources.add(fallback.source)
         # The grid must actually have exercised the whole degraded chain.
         assert sources == {"ann", "neighbour", "conservative"}
+
+    def test_memo_hit_equals_fresh_computation(self, partial_predictor):
+        vectors = query_grid(seed=37, count=60)
+        partial_predictor.predict_with_fallback_batch(vectors)
+        hits_before, _ = partial_predictor.memo_stats
+        memoised = partial_predictor.predict_with_fallback_batch(vectors)
+        hits_after, _ = partial_predictor.memo_stats
+        assert hits_after == hits_before + len(vectors)
+        partial_predictor.invalidate_caches()
+        fresh = partial_predictor.predict_with_fallback_batch(vectors)
+        assert memoised == fresh
+        assert {tiered.source for tiered in fresh} == {"ann", "neighbour", "conservative"}
 
     def test_vectorised_neighbour_matches_python_scan(self, partial_predictor):
         scales = ReliabilityPredictor._NEIGHBOUR_SCALES
@@ -226,8 +254,6 @@ class TestMemoInvalidation:
         )
         [after] = predictor.predict_with_fallback_batch([query])
         assert after.estimate.p_loss == 0.05
-        scalar = predictor.predict_with_fallback(query)
-        assert after.estimate.p_loss == scalar.estimate.p_loss
 
     def test_fit_invalidates_memo(self):
         rows_a = training_rows(DeliverySemantics.AT_LEAST_ONCE, "abnormal", seed=1)
@@ -242,7 +268,8 @@ class TestMemoInvalidation:
         assert covered
         predictor.predict_vectors(covered)
         # Refit with a shifted target function; predictions must all track
-        # the new model — bitwise equal to the (unmemoised) scalar path.
+        # the new model — bitwise equal to the unmemoised single-row
+        # reference.
         rows_b = [
             dataclasses.replace(r, p_loss=min(1.0, r.p_loss + 0.3))
             for r in rows_a
@@ -250,9 +277,7 @@ class TestMemoInvalidation:
         predictor.fit(rows_b, FAST)
         batched = predictor.predict_vectors(covered)
         for vector, estimate in zip(covered, batched):
-            scalar = predictor.predict_vector(vector)
-            assert estimate.p_loss == scalar.p_loss
-            assert estimate.p_duplicate == scalar.p_duplicate
+            assert estimate == single_row_reference(predictor, vector)
 
     def test_invalidate_caches_empties_memo(self, full_predictor):
         full_predictor.predict_vectors(query_grid(seed=23, count=10))
