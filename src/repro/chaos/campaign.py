@@ -6,10 +6,16 @@ policies:
 
 * ``static`` — one fixed producer configuration for every phase (the
   control group);
-* ``degraded`` — the :class:`~repro.kpi.dynamic.DegradedModeController`
-  closed loop: each phase's producer-observable signals feed the EWMA
-  network estimator and the circuit breaker, and the *next* phase runs
-  whatever configuration the controller decided.
+* ``degraded`` — the :class:`~repro.kpi.control.Controller` closed loop
+  with its breaker, hysteresis and min-hold guards: each phase's
+  producer-observable signals feed the EWMA network estimator and the
+  circuit breaker, and the *next* phase runs whatever configuration the
+  controller decided.
+
+Phases run through the one interval-replay loop,
+:func:`~repro.kpi.control.replay`; a phase interval starts on a clean
+link, schedules the phase's fault actions, runs traced with invariant
+checks, and is never throttled by the polling rate.
 
 Each phase report records the measured degradation (``P_l``, ``P_d``,
 measured γ against the stream's KPI weights), the controller's predicted
@@ -25,10 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
-from ..kpi.dynamic import DegradedModeController, IntervalObservation
+from ..kpi.control import CircuitBreaker, Controller, Decision, Interval, replay
 from ..kpi.selection import SelectionContext, evaluate_configs
 from ..kpi.weighted import KpiWeights, kpi_from_estimates
 from ..models.predictor import ReliabilityEstimate, ReliabilityPredictor
@@ -36,7 +43,6 @@ from ..observability.telemetry import TelemetryConfig
 from ..observability.trace import EventKind
 from ..performance.queueing import ProducerPerformanceModel
 from ..testbed.experiment import Experiment
-from ..testbed.scenario import Scenario
 from ..workloads.streams import StreamProfile, WEB_ACCESS_LOGS
 from .schedule import ChaosPhase, ChaosSchedule
 
@@ -233,7 +239,7 @@ def run_campaign(
     start_config: ProducerConfig = DEFAULT_PRODUCER_CONFIG,
     predictor: Optional[ReliabilityPredictor] = None,
     performance_model: Optional[ProducerPerformanceModel] = None,
-    controller: Optional[DegradedModeController] = None,
+    controller: Optional[Controller] = None,
     messages_cap_per_phase: Optional[int] = None,
 ) -> CampaignReport:
     """Replay a chaos schedule under one policy and report per phase.
@@ -247,7 +253,8 @@ def run_campaign(
         this stream's weights.
     policy:
         ``"static"`` (fixed ``start_config``) or ``"degraded"`` (the
-        closed-loop :class:`DegradedModeController`).
+        closed-loop controller with breaker, hysteresis and min-hold
+        guards).
     seed:
         Campaign seed; every phase derives its experiment seed from it via
         :func:`phase_seed`, so the whole campaign is one deterministic
@@ -259,23 +266,52 @@ def run_campaign(
         and the report records which tier it had to use.
     controller:
         Optional pre-built controller (tests tune breaker/hysteresis);
-        built from ``predictor`` when omitted.  ``degraded`` policy only.
+        built from ``predictor`` when omitted.  ``degraded`` policy only,
+        and it brings its own predictor.
     messages_cap_per_phase:
         Optional ceiling on messages per phase for quick smoke runs.
     """
     if policy not in ("static", "degraded"):
         raise ValueError('policy must be "static" or "degraded"')
+    if controller is not None and policy == "static":
+        raise ValueError('controller= only applies to policy="degraded"')
+    if (
+        controller is not None
+        and predictor is not None
+        and predictor is not controller.predictor
+    ):
+        raise ValueError("give predictor= or controller=, not both")
     model = (
         performance_model
         if performance_model is not None
         else ProducerPerformanceModel()
     )
-    if policy == "degraded":
-        if controller is None:
-            if predictor is None:
-                predictor = ReliabilityPredictor()
-            controller = DegradedModeController(predictor, performance_model=model)
-        predictor = controller.predictor
+    if policy == "degraded" and controller is None:
+        controller = Controller(
+            predictor if predictor is not None else ReliabilityPredictor(),
+            performance_model=model,
+            hysteresis=0.02,
+            min_hold_intervals=2,
+            breaker=CircuitBreaker(),
+        )
+    telemetry = TelemetryConfig(trace=True, check_invariants=True)
+    cap = messages_cap_per_phase
+    intervals = [
+        Interval(
+            phase.duration_s,
+            phase_seed(seed, index, phase.name),
+            *_phase_conditions(phase),
+            # The floor of 10 messages applies before the cap.
+            min_messages=10 if cap is None else min(10, cap),
+            max_messages=cap,
+            throttled=False,
+            telemetry=telemetry,
+            ack_accounting=True,
+            install_faults=partial(_schedule_actions, phase=phase),
+        )
+        for index, phase in enumerate(schedule.phases)
+    ]
+    records = replay(intervals, stream, Decision(start_config, "start"), controller)
     weights = KpiWeights.of(stream.kpi_weights)
     report = CampaignReport(
         schedule_name=schedule.name,
@@ -283,40 +319,20 @@ def run_campaign(
         seed=seed,
         stream_name=stream.name,
     )
-    config = start_config
-    breaker_state: Optional[str] = None
-    decision_reason: Optional[str] = "start"
-    predicted: Optional[float] = None
-    source: Optional[str] = None
-    for index, phase in enumerate(schedule.phases):
-        run_seed = phase_seed(seed, index, phase.name)
-        count = max(10, int(round(stream.arrival_rate * phase.duration_s)))
-        if messages_cap_per_phase is not None:
-            count = min(count, messages_cap_per_phase)
-        scenario = Scenario(
-            message_bytes=stream.mean_payload_bytes,
-            timeliness_s=stream.timeliness_s,
-            config=config,
-            message_count=count,
-            seed=run_seed,
-            arrival_rate=stream.arrival_rate,
-        )
-        experiment = Experiment(
-            scenario, telemetry=TelemetryConfig(trace=True, check_invariants=True)
-        )
-        _schedule_actions(experiment, phase)
-        result = experiment.run()
-        records = experiment.telemetry.tracer.records()
-        delay, loss = _phase_conditions(phase)
-        context = SelectionContext(
-            message_bytes=stream.mean_payload_bytes,
-            timeliness_s=stream.timeliness_s,
-            network_delay_s=delay,
-            loss_rate=loss,
-        )
-        if policy == "static" and predictor is not None:
+    for index, (phase, record) in enumerate(zip(schedule.phases, records)):
+        decision, result = record.decision, record.result
+        config = decision.config
+        delay, loss = record.interval.delay_s, record.interval.loss_rate
+        predicted, source = decision.predicted_gamma, decision.prediction_source
+        if controller is None and predictor is not None:
             # Phases repeating the same conditions hit the predictor's
             # quantised-feature memo instead of re-running the forward pass.
+            context = SelectionContext(
+                message_bytes=stream.mean_payload_bytes,
+                timeliness_s=stream.timeliness_s,
+                network_delay_s=delay,
+                loss_rate=loss,
+            )
             predicted, source = evaluate_configs(
                 [config], context, predictor, model, weights
             )[0]
@@ -333,7 +349,7 @@ def run_campaign(
                 name=phase.name,
                 index=index,
                 duration_s=phase.duration_s,
-                seed=run_seed,
+                seed=record.interval.seed,
                 semantics=config.semantics.value,
                 batch_size=config.batch_size,
                 polling_interval_s=config.polling_interval_s,
@@ -345,9 +361,11 @@ def run_campaign(
                 gamma_measured=gamma_measured,
                 gamma_predicted=predicted,
                 prediction_source=source,
-                breaker_state=breaker_state,
-                decision_reason=decision_reason,
-                time_to_recover_s=_time_to_recover(records, phase.last_recovery_s),
+                breaker_state=decision.breaker_state,
+                decision_reason=decision.reason,
+                time_to_recover_s=_time_to_recover(
+                    record.trace or [], phase.last_recovery_s
+                ),
                 faults_injected=sum(
                     1 for action in phase.actions if action.kind == "inject_fault"
                 ),
@@ -362,27 +380,4 @@ def run_campaign(
                 else 0,
             )
         )
-        if policy == "degraded":
-            stats = experiment.producer.stats
-            forward = experiment.channel.stats("forward")
-            controller.observe(
-                IntervalObservation(
-                    requests_sent=stats.requests_sent,
-                    acknowledged=stats.acknowledged,
-                    request_retries=stats.request_retries,
-                    perceived_lost=stats.perceived_lost,
-                    segments_sent=forward.segments_sent,
-                    retransmissions=forward.retransmissions,
-                    min_rtt_s=experiment.channel.minimum_rtt("forward"),
-                    waits_for_ack=config.semantics.waits_for_ack,
-                ),
-                message_bytes=stream.mean_payload_bytes,
-                batch_size=config.batch_size,
-            )
-            decision = controller.decide(stream, config)
-            config = decision.config
-            breaker_state = decision.breaker_state
-            decision_reason = decision.reason
-            predicted = decision.predicted_gamma
-            source = decision.prediction_source
     return report

@@ -1,31 +1,36 @@
 """Weighted KPI (Eq. 2), configuration selection and dynamic configuration.
 
 ``weighted_kpi`` evaluates Eq. 2; ``select_configuration`` performs the
-paper's stepwise search; ``DynamicConfigurationController`` generates the
-offline configuration file and ``run_traced_experiment`` replays it over
-a network trace, aggregating Eq. 3 into the Table II rates.
+paper's stepwise search; ``Controller`` is the one per-interval controller
+and ``replay`` the one interval-replay loop.  The presets on top:
+``DynamicConfigurationController`` generates the offline configuration
+file and ``run_traced_experiment`` replays it over a network trace,
+aggregating Eq. 3 into the Table II rates; ``OnlineDynamicController`` and
+``run_online_experiment`` close the loop over an estimated network state.
 """
 
 from .aggregate import IntervalMeasurement, OverallRates, aggregate_rates
-from .online import (
-    NetworkStateEstimate,
-    NetworkStateEstimator,
-    OnlineDynamicController,
-    run_online_experiment,
-)
-from .dynamic import (
+from .control import (
     PARKED_CONFIG,
     CircuitBreaker,
+    Controller,
+    Decision,
+    Interval,
+    IntervalObservation,
+    IntervalRecord,
+    NetworkStateEstimate,
+    NetworkStateEstimator,
+    replay,
+    required_producers,
+)
+from .dynamic import (
     ConfigPlanEntry,
     ConfigurationPlan,
-    DegradedDecision,
-    DegradedModeController,
     DynamicConfigurationController,
     DynamicRunReport,
-    IntervalObservation,
-    required_producers,
     run_traced_experiment,
 )
+from .online import OnlineDynamicController, run_online_experiment
 from .selection import (
     ParameterSteps,
     SelectionContext,
@@ -44,10 +49,13 @@ __all__ = [
     "ConfigurationPlan",
     "DynamicConfigurationController",
     "DynamicRunReport",
+    "Controller",
+    "Decision",
+    "Interval",
+    "IntervalRecord",
+    "replay",
     "IntervalObservation",
     "CircuitBreaker",
-    "DegradedDecision",
-    "DegradedModeController",
     "PARKED_CONFIG",
     "required_producers",
     "run_traced_experiment",

@@ -77,7 +77,8 @@ class SelectionResult:
     ``prediction_source`` is the worst fallback tier (see
     :data:`~repro.models.predictor.TIERS`) among every estimate the search
     read, so a guard can tell a decision built on the ANN from one built
-    on a degraded tier.
+    on a degraded tier; ``config_source`` is the tier of the estimate
+    behind ``gamma`` itself.
     """
 
     config: ProducerConfig
@@ -86,6 +87,7 @@ class SelectionResult:
     steps_taken: int
     trace: List[Tuple[str, float]] = field(default_factory=list)
     prediction_source: str = "ann"
+    config_source: str = "ann"
 
 
 def evaluate_configs(
@@ -149,7 +151,12 @@ def select_configuration(
         [config], context, predictor, performance_model, weights
     )[0]
     result = SelectionResult(
-        config, gamma, gamma >= gamma_requirement, 0, prediction_source=source
+        config,
+        gamma,
+        gamma >= gamma_requirement,
+        0,
+        prediction_source=source,
+        config_source=source,
     )
     result.trace.append(("start", gamma))
     if result.met_requirement:
@@ -236,6 +243,7 @@ def select_configuration(
                             candidate_gamma,
                             neighbour,
                         )
+                        result.config_source = axis_estimates[neighbour].source
                         result.trace.append((f"{parameter}={values[neighbour]}", gamma))
                         moved = True
                         improved = True

@@ -12,7 +12,7 @@ configuration controller as the "known network status" the paper assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +52,13 @@ class NetworkTrace:
         index = int(time_s // self.interval_s)
         index = min(max(index, 0), len(self.points) - 1)
         return self.points[index]
+
+    def sample(self, step_s: float) -> Iterator[Tuple[float, TracePoint]]:
+        """``(time, conditions)`` every ``step_s`` seconds over the trace."""
+        time_s = 0.0
+        while time_s < self.duration_s:
+            yield time_s, self.at(time_s)
+            time_s += step_s
 
     def __iter__(self) -> Iterator[TracePoint]:
         return iter(self.points)

@@ -3,7 +3,7 @@
 A trace is an ordered stream of flat JSON records, one per observable
 event of a run — producer sends and acknowledgements, application and
 transport retries, Fig. 2 state-machine transitions, fault-injector
-actions, Gilbert–Elliott channel flips and controller decisions.  Every
+actions and Gilbert–Elliott channel flips.  Every
 record carries the simulated time it happened at, so a trace is a
 complete, replayable account of *which* transitions fired and *when*.
 
@@ -55,7 +55,6 @@ class EventKind:
     TRANSPORT_FAIL = "transport_fail"  #: a transport send gave up
     FAULT = "fault"  #: fault injector applied or cleared a treatment
     CHANNEL_STATE = "channel_state"  #: Gilbert–Elliott chain changed state
-    CONTROLLER = "controller"  #: dynamic-configuration decision
 
 
 def encode_record(record: Dict[str, Any]) -> str:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.kafka import DEFAULT_PRODUCER_CONFIG, ProducerConfig
 from repro.kpi import (
+    ConfigurationPlan,
+    DynamicConfigurationController,
     KpiWeights,
     OnlineDynamicController,
     run_online_experiment,
@@ -64,9 +66,9 @@ def test_online_adapts_during_loss_episode(trace):
     decisions = []
     original = controller.decide
 
-    def spy(estimate, stream, current):
-        decided = original(estimate, stream, current)
-        decisions.append(decided.batch_size)
+    def spy(stream, current, known=None):
+        decided = original(stream, current, known)
+        decisions.append(decided.config.batch_size)
         return decided
 
     controller.decide = spy
@@ -97,3 +99,67 @@ def test_online_respects_start_config(trace):
         messages_cap_per_interval=60, seed=9,
     )
     assert len(report.intervals) == 4
+
+
+def make_plan(trace):
+    return DynamicConfigurationController(
+        AnalyticPredictor(), ProducerPerformanceModel(),
+        weights=KpiWeights.of(WEB_ACCESS_LOGS.kpi_weights),
+        gamma_requirement=0.97, reconfig_interval_s=60.0,
+    ).generate_plan(trace, WEB_ACCESS_LOGS)
+
+
+def test_loaded_plan_replays_like_the_original(trace, tmp_path):
+    plan = make_plan(trace)
+    plan.save(tmp_path / "plan.json")
+    loaded = ConfigurationPlan.load(tmp_path / "plan.json")
+    original, replayed = (
+        run_traced_experiment(
+            trace, WEB_ACCESS_LOGS, plan=p, messages_cap_per_interval=30, seed=3
+        )
+        for p in (plan, loaded)
+    )
+    assert replayed.rates == original.rates
+    assert {d.reason for d in replayed.decisions} == {"planned"}
+    assert [d.config for d in replayed.decisions] == [d.config for d in original.decisions]
+
+
+def test_every_report_carries_one_decision_per_interval(trace):
+    """Plan, static and online reports record the decision behind each
+    interval: the state it acted on and the interval's true state."""
+    plan = make_plan(trace)
+    planned = run_traced_experiment(
+        trace, WEB_ACCESS_LOGS, plan=plan, messages_cap_per_interval=30, seed=3,
+    )
+    static = run_traced_experiment(
+        trace, WEB_ACCESS_LOGS, static_config=DEFAULT_PRODUCER_CONFIG,
+        messages_cap_per_interval=30, seed=3,
+    )
+    online = run_online_experiment(
+        trace, WEB_ACCESS_LOGS, make_controller(),
+        reconfig_interval_s=30.0, messages_cap_per_interval=30, seed=3,
+    )
+    for report in (planned, static, online):
+        assert len(report.decisions) == len(report.intervals) == 4
+        assert [(d.true_delay_s, d.true_loss_rate) for d in report.decisions] == [
+            (p.delay_s, p.loss_rate) for p in trace
+        ]
+    # The plan decides at 0 s and 60 s from the oracle's state then.
+    assert [d.estimated_loss_rate for d in planned.decisions] == [0.0, 0.0, 0.18, 0.18]
+    assert [d.config for d in planned.decisions] == [
+        plan.at(p.time_s).config for p in trace
+    ]
+    assert all(d.prediction_source == "ann" for d in planned.decisions)
+    assert all(
+        d.predicted_gamma == plan.at(p.time_s).predicted_gamma
+        for d, p in zip(planned.decisions, trace)
+    )
+    assert {d.reason for d in static.decisions} == {"static"}
+    assert all(d.predicted_gamma is None for d in static.decisions)
+    # Online: the start, then the estimator's belief after each interval.
+    assert online.decisions[0].reason == "start"
+    assert all(
+        d.reason in ("held", "reconfigured", "insufficient_signal")
+        for d in online.decisions[1:]
+    )
+    assert all(d.estimated_loss_rate is not None for d in online.decisions[1:])

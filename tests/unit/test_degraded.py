@@ -1,4 +1,5 @@
-"""Unit tests for graceful degradation: breaker, fallback chain, controller."""
+"""Unit tests for graceful degradation: breaker, fallback chain, and the
+controller's breaker, min-hold and fire-and-forget guards."""
 
 import pytest
 
@@ -7,7 +8,7 @@ from repro.kafka.semantics import DeliverySemantics
 from repro.kpi import (
     PARKED_CONFIG,
     CircuitBreaker,
-    DegradedModeController,
+    Controller,
     IntervalObservation,
 )
 from repro.models.predictor import (
@@ -84,17 +85,10 @@ class TestIntervalObservation:
     def test_no_signal_yields_none(self):
         nothing_sent = IntervalObservation(requests_sent=0, acknowledged=0)
         assert nothing_sent.ack_ratio is None
-        assert not nothing_sent.broker_silent
         fire_and_forget = IntervalObservation(
             requests_sent=50, acknowledged=0, waits_for_ack=False
         )
         assert fire_and_forget.ack_ratio is None
-        assert not fire_and_forget.broker_silent
-
-    def test_broker_silent_is_strict_zero(self):
-        dead = IntervalObservation(requests_sent=50, acknowledged=0)
-        assert dead.broker_silent
-        assert not SILENT.broker_silent
 
 
 class TestFallbackChain:
@@ -126,8 +120,11 @@ class TestFallbackChain:
 
 
 class TestDegradedModeController:
+    """The controller with the chaos campaign's degraded-mode guards."""
+
     def controller(self, **kwargs):
-        return DegradedModeController(ReliabilityPredictor(), **kwargs)
+        guards = dict(hysteresis=0.02, min_hold_intervals=2, breaker=CircuitBreaker())
+        return Controller(ReliabilityPredictor(), **{**guards, **kwargs})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from repro.kpi import (
     select_configuration,
 )
 from repro.kpi.dynamic import ConfigPlanEntry
-from repro.kpi.online import NetworkStateEstimate
 from repro.models import (
     FallbackEstimate,
     FeatureVector,
@@ -33,6 +32,7 @@ from repro.network import NetworkTrace, TracePoint
 from repro.performance import ProducerPerformanceModel
 from repro.workloads import GAME_TRAFFIC, WEB_ACCESS_LOGS
 
+from .test_online import feed
 from .test_predictor_batch import FAST, make_result, training_rows
 
 
@@ -121,6 +121,15 @@ class TestSelectConfiguration:
         )
         gammas = [gamma for _, gamma in result.trace]
         assert gammas == sorted(gammas)
+
+    def test_config_source_is_the_tier_behind_gamma(self, context, performance_model):
+        result = select_configuration(
+            context, StubPredictor(), performance_model, gamma_requirement=0.99
+        )
+        [(gamma, source)] = evaluate_configs(
+            [result.config], context, StubPredictor(), performance_model
+        )
+        assert (result.gamma, result.config_source) == (gamma, source)
 
     def test_custom_steps_respected(self, context, performance_model):
         steps = ParameterSteps(batch_size=(1, 2))
@@ -232,6 +241,8 @@ class TestConfigurationPlan:
 
 
 class TestController:
+    """The controller on its trace-oracle source: the offline plan."""
+
     def test_generate_plan_one_entry_per_interval(self, performance_model):
         trace = NetworkTrace(interval_s=10, points=[
             TracePoint(t * 10.0, 0.05, 0.1) for t in range(12)
@@ -322,10 +333,7 @@ class TestTierPolicy:
             weights=KpiWeights.of(WEB_ACCESS_LOGS.kpi_weights),
             gamma_requirement=0.99,
         )
-        decided = controller.decide(
-            NetworkStateEstimate(delay_s=0.3, loss_rate=0.1, samples=10),
-            WEB_ACCESS_LOGS,
-            ProducerConfig(),
-        )
+        feed(controller, delay_s=0.3, loss_rate=0.1)
+        decided = controller.decide(WEB_ACCESS_LOGS, ProducerConfig())
         assert (DeliverySemantics.AT_MOST_ONCE, "neighbour") in predictor.answers
-        assert decided.semantics is DeliverySemantics.AT_MOST_ONCE
+        assert decided.config.semantics is DeliverySemantics.AT_MOST_ONCE
