@@ -61,16 +61,28 @@ def _collect_replicated():
 
     from repro.testbed import collect_training_data
 
-    replicate_rows = []
+    replications = []
     for replication in range(COLLECTION_REPLICATIONS):
         base = Scenario(
             message_count=COLLECTION_MESSAGES, seed=1 + 2000 * replication
         )
-        plans = [
-            normal_case_plan(base=base, max_rows=200),
-            abnormal_case_plan(base=base, max_rows=360),
-        ]
-        replicate_rows.append(collect_training_data(plans))
+        replications.append(
+            [
+                normal_case_plan(base=base, max_rows=200),
+                abnormal_case_plan(base=base, max_rows=360),
+            ]
+        )
+    # One call for every replication, so no replication's tail leaves a
+    # CPU idle; the rows come back in plan order and split by size.
+    collected = collect_training_data(
+        [plan for plans in replications for plan in plans]
+    )
+    replicate_rows = []
+    start = 0
+    for plans in replications:
+        size = sum(len(plan.scenarios()) for plan in plans)
+        replicate_rows.append(collected[start : start + size])
+        start += size
     averaged = []
     for rows in zip(*replicate_rows):
         first = rows[0]

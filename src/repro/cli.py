@@ -88,8 +88,6 @@ def _execution_line(info: dict) -> str:
         parts.append(f"workers={info['workers']}")
     if info.get("reason"):
         parts.append(f"reason={info['reason']}")
-    if info.get("chunksize"):
-        parts.append(f"chunksize={info['chunksize']}")
     return " ".join(parts)
 
 
@@ -105,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--workers", type=_workers_argument, default="auto",
             metavar="N|auto",
-            help="experiment pool size; 'auto' (default) sizes to the "
-                 "machine ($REPRO_WORKERS, else cpu_count - 1) and falls "
-                 "back to serial when a pool cannot win",
+            help="experiment pool size, capped at the usable CPUs; 'auto' "
+                 "(default) means $REPRO_WORKERS, else every usable CPU; "
+                 "falls back to serial when a pool cannot win",
         )
         command.add_argument(
             "--cache-dir", metavar="DIR", default=None,

@@ -1,6 +1,6 @@
 """Codec rule: scenario/config dataclass fields must round-trip.
 
-The parallel engine ships scenarios to spawn workers as *field-diff*
+The parallel engine ships scenarios to pool workers as *field-diff*
 payloads (:func:`repro.testbed.runner._encode_scenario`): only fields
 differing from the defaults cross the process boundary, nested configs
 are diffed recursively, and enums travel as their ``.value``.  That

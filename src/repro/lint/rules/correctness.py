@@ -129,19 +129,19 @@ class MutableDefaultRule(Rule):
 
 @register
 class SpawnClosureRule(Rule):
-    """REPRO203: closures handed to the spawn pool.
+    """REPRO203: closures handed to a process pool.
 
-    The experiment engine uses the ``spawn`` start method, so every
-    callable crossing into a worker must pickle — lambdas and functions
-    defined inside another function do not.  ``runner.py`` learned this
-    the hard way: keep pool entry points at module top level.
+    A pool pickles the callable of every task it dispatches, even when
+    its workers are forked, so every callable crossing into a worker must
+    pickle — lambdas and functions defined inside another function do
+    not.  Keep pool entry points at module top level.
     """
 
     id = "REPRO203"
     name = "spawn-closure"
     description = (
         "lambda or nested function submitted to a multiprocessing pool "
-        "(unpicklable under spawn)"
+        "(unpicklable as a pool task)"
     )
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -197,8 +197,8 @@ class SpawnClosureRule(Rule):
                     yield self.finding(
                         candidate, ctx,
                         f"lambda passed to pool.{func.attr}() cannot "
-                        f"pickle under the spawn start method; use a "
-                        f"module-level function",
+                        f"pickle as a pool task; use a module-level "
+                        f"function",
                     )
                 elif (
                     isinstance(candidate, ast.Name)
@@ -207,6 +207,6 @@ class SpawnClosureRule(Rule):
                     yield self.finding(
                         candidate, ctx,
                         f"'{candidate.id}' is defined inside "
-                        f"'{node.name}' and cannot pickle into a spawn "
-                        f"pool worker; move it to module level",
+                        f"'{node.name}' and cannot pickle into a pool "
+                        f"worker; move it to module level",
                     )

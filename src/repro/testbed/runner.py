@@ -3,26 +3,31 @@
 Every experiment is a pure function of its :class:`Scenario` (the seed
 fixes all random streams and unique keys restart per run), so a grid of
 scenarios is embarrassingly parallel: :func:`run_many` fans the work out
-over a spawn-based :mod:`multiprocessing` pool and returns results in the
+over a fork-based :mod:`multiprocessing` pool and returns results in the
 input order, bit-identical to running the same scenarios serially.
 
 Worker count resolution (:func:`resolve_workers`):
 
 1. an explicit ``workers=`` argument wins (``"auto"`` defers to 2–3),
 2. else the ``REPRO_WORKERS`` environment variable,
-3. else ``os.cpu_count() - 1`` (at least 1).
+3. else the number of CPUs this process may run on
+   (``os.sched_getaffinity``, else ``os.cpu_count()``).
 
-Engine overhead control: the pool path reuses one persistent
-spawn-context pool across :func:`run_many` calls (workers pre-import the
-experiment stack at pool creation, so repeated sweeps never re-pay
-process start-up), scenarios cross the process boundary as lean
-field-diff payloads rehydrated in the worker, and chunks are sized
-adaptively (~4 per worker, clamped to 32).  When a pool cannot win —
-``workers <= 1``, a single-CPU host, or a grid that fits in one chunk —
-:func:`run_many` automatically falls back to the in-process serial loop
-and records why (``execution_info`` out-param and an optional
-``runner.auto_serial.*`` metrics counter), so the engine never loses to
-serial execution on dispatch overhead.  A
+:func:`run_many` caps the resolved count at those usable CPUs and at the
+number of pending scenarios.
+
+Engine overhead control: each :func:`run_many` call forks its own pool
+and tears it down before returning.  A forked worker starts with the
+experiment stack already imported, so the pool costs tens of
+milliseconds and no state outlives the call.  Scenarios cross the
+process boundary as lean field-diff payloads rehydrated in the worker,
+one scenario per dispatch, so results stream back as each experiment
+finishes.  When a pool cannot win — ``workers <= 1``, a single usable
+CPU, or one pending scenario — or the platform cannot fork,
+:func:`run_many` runs the in-process serial loop instead and records why
+(``execution_info`` out-param and an optional ``runner.auto_serial.*``
+metrics counter), so the engine never loses to serial execution on
+dispatch overhead.  A
 :class:`~repro.testbed.cache.ResultCache` can be threaded through so
 already-measured rows are reused instead of re-run; fresh measurements
 are written back to the cache as they complete.
@@ -46,16 +51,16 @@ sweep.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import multiprocessing
 import os
 import time
 import traceback
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..kafka.config import BrokerConfig, HardwareProfile, ProducerConfig
 from ..observability.metrics import MetricsRegistry
@@ -193,13 +198,22 @@ class ExperimentFailed(RuntimeError):
 
 
 def resolve_workers(workers: Optional[Union[int, str]] = None) -> int:
-    """Resolve the effective worker count (argument > env > cpu_count-1).
+    """Resolve the requested worker count (argument > env > usable CPUs).
 
     ``"auto"`` — the CLI default — behaves exactly like ``None``: consult
     ``REPRO_WORKERS`` (which may itself say ``auto``), else size to the
-    machine (``cpu_count - 1``, at least 1).  Numeric strings are accepted
-    so shell-sourced values need no pre-parsing.
+    CPUs this process may run on (see :func:`_cpu_count`).  Numeric
+    strings are accepted so shell-sourced values need no pre-parsing.
+    :func:`run_many` caps the result at the usable CPUs.
     """
+    requested = _requested_workers(workers)
+    # The parent only blocks on results, so every usable CPU can run a
+    # worker.
+    return requested if requested is not None else _cpu_count()
+
+
+def _requested_workers(workers: Optional[Union[int, str]]) -> Optional[int]:
+    """The caller's or ``REPRO_WORKERS``' count; ``None`` means "size to the CPUs"."""
     if isinstance(workers, str):
         text = workers.strip().lower()
         if text in ("", "auto"):
@@ -213,81 +227,53 @@ def resolve_workers(workers: Optional[Union[int, str]] = None) -> int:
                 ) from None
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if env and env.lower() != "auto":
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-        else:
-            workers = max(1, (os.cpu_count() or 2) - 1)
+        if not env or env.lower() == "auto":
+            return None
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
 
 
 def _cpu_count() -> int:
-    """Host CPU count (indirection point so tests can pin the topology)."""
-    return os.cpu_count() or 1
+    """CPUs this process may run on (its affinity mask, e.g. ``taskset``).
+
+    Falls back to ``os.cpu_count()`` where affinity is unavailable.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
-#: Upper bound on the adaptive chunk size: past this, tail latency (one
-#: worker stuck with a huge final chunk) costs more than the saved IPC.
-_MAX_CHUNKSIZE = 32
+def _fork_context() -> Optional[Any]:
+    """The ``fork`` multiprocessing context, or ``None`` where it is missing."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
 
 #: Counter-name slugs for the auto-serial reasons.
 _REASON_SLUGS = {
     "workers<=1": "workers_le_1",
     "cpu_count==1": "cpu_count_eq_1",
-    "single_chunk": "single_chunk",
+    "single_scenario": "single_scenario",
+    "no_fork": "no_fork",
 }
-
-_WARM_POOL: Optional[Any] = None
-_WARM_POOL_WORKERS = 0
-
-
-def _pool_initializer() -> None:
-    """Warm a fresh worker at pool creation.
-
-    Importing the experiment stack (DES core, broker model, numpy) is the
-    dominant cost of a cold spawn worker; doing it in the initializer
-    moves that bill to pool creation — paid once per process lifetime —
-    instead of the first dispatched chunk of every sweep.
-    """
-    import repro.testbed.experiment  # noqa: F401
-
-
-def _warm_pool(workers: int):
-    """The persistent spawn pool, (re)created when the size changes."""
-    global _WARM_POOL, _WARM_POOL_WORKERS
-    if _WARM_POOL is not None and _WARM_POOL_WORKERS != workers:
-        shutdown_pool()
-    if _WARM_POOL is None:
-        context = multiprocessing.get_context("spawn")
-        _WARM_POOL = context.Pool(
-            processes=workers, initializer=_pool_initializer
-        )
-        _WARM_POOL_WORKERS = workers
-    return _WARM_POOL
 
 
 def shutdown_pool() -> None:
-    """Tear down the persistent worker pool (idempotent).
+    """Release pooled workers: a no-op, kept for callers that ask.
 
-    Registered with :mod:`atexit`; call it explicitly to release the
-    worker processes early (e.g. between benchmark phases) or after a
-    dispatch error left the pool in an unknown state.
+    Every :func:`run_many` call forks its own pool and reaps it before
+    returning, so no pool outlives a call.
     """
-    global _WARM_POOL, _WARM_POOL_WORKERS
-    if _WARM_POOL is not None:
-        _WARM_POOL.terminate()
-        _WARM_POOL.join()
-        _WARM_POOL = None
-        _WARM_POOL_WORKERS = 0
-
-
-atexit.register(shutdown_pool)
 
 
 _SCENARIO_DEFAULTS = Scenario()
@@ -348,7 +334,7 @@ def _decode_scenario(payload: Dict[str, Any]) -> Scenario:
 def _run_one(job: Tuple[Scenario, Optional[TelemetryConfig]]) -> Tuple[bool, object]:
     """Pool worker: run one scenario, capturing any exception.
 
-    Top-level so it is picklable under the spawn start method.  The job is
+    Top-level so a pool task can pickle it by reference.  The job is
     ``(scenario, telemetry_config_or_None)`` — :class:`TelemetryConfig` is
     a frozen dataclass, so it pickles into the worker unchanged.  Returns
     ``(True, result)`` or ``(False, (error_repr, traceback_text))``.
@@ -382,7 +368,6 @@ def run_many(
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressFn] = None,
     on_error: str = "raise",
-    chunksize: Optional[int] = None,
     telemetry: Optional[TelemetryConfig] = None,
     retry: Optional[RetryPolicy] = None,
     quarantine: Optional[Quarantine] = None,
@@ -398,11 +383,11 @@ def run_many(
         The grid to measure (any iterable of :class:`Scenario`).
     workers:
         Pool size (``int`` or ``"auto"``); see :func:`resolve_workers`
-        for defaulting.  The pool is capped at the number of scenarios
-        actually needing a run, and the call falls back to the serial
-        in-process loop outright whenever a pool cannot win — resolved
-        ``workers <= 1``, a single-CPU host, or a grid that fits inside
-        one dispatch chunk.
+        for defaulting.  The pool is capped at the usable CPUs and at the
+        number of scenarios actually needing a run, and the call falls
+        back to the serial in-process loop outright whenever a pool cannot
+        win — resolved ``workers <= 1``, a single usable CPU, or one
+        pending scenario — or the platform has no ``fork`` start method.
     cache:
         Optional result cache; hits skip the run, fresh results are
         written back *as each scenario completes*, so an interrupted
@@ -414,11 +399,6 @@ def run_many(
         ``"raise"`` (default) raises :class:`ExperimentFailed` after the
         grid drains; ``"collect"`` leaves a :class:`RunFailure` in the
         failed slot instead.
-    chunksize:
-        Scenarios handed to a worker per dispatch; defaults to an
-        adaptive value giving each worker ~4 chunks for even load with
-        low IPC, clamped to ``32`` so huge grids keep a bounded tail.
-        Only used on the no-retry pool path (retries dispatch singly).
     telemetry:
         Optional :class:`~repro.observability.telemetry.TelemetryConfig`
         applied to every fresh run (cache hits keep whatever manifest they
@@ -450,7 +430,7 @@ def run_many(
         Optional dict filled in place with how the grid actually ran:
         ``mode`` (``"serial"`` / ``"pool"`` / ``"cache"``), ``workers``,
         ``reason`` (the auto-serial trigger, else ``None``),
-        ``chunksize``, ``pending`` and ``total``.  Callers print it into
+        ``pending`` and ``total``.  Callers print it into
         run manifests.
 
     Returns
@@ -547,35 +527,30 @@ def run_many(
         "mode": "cache",
         "workers": 0,
         "reason": None,
-        "chunksize": None,
         "pending": len(pending),
         "total": total,
     }
     if pending:
-        requested = resolve_workers(workers)
-        effective = min(requested, len(pending))
-        chunk = (
-            chunksize
-            if chunksize is not None
-            else min(
-                _MAX_CHUNKSIZE,
-                max(1, -(-len(pending) // (effective * 4))),
-            )
-        )
+        requested = _requested_workers(workers)
+        cpus = _cpu_count()
+        effective = min(requested or cpus, cpus, len(pending))
+        context = _fork_context()
         # A pool cannot beat the serial loop when there is no parallelism
-        # to buy (one worker, one CPU) or nothing to spread (the whole
-        # grid fits in a single dispatch chunk); fall back automatically
-        # and record why.  A per-attempt timeout still forces the pool:
-        # abandoning a hung attempt needs a worker process to abandon.
-        force_pool = retry is not None and retry.timeout_s is not None
+        # to buy (one worker, one CPU) or nothing to spread (one pending
+        # scenario); fall back automatically and record why.  A
+        # per-attempt timeout still forces the pool: abandoning a hung
+        # attempt needs a worker process to abandon.
         serial_reason: Optional[str] = None
-        if requested <= 1:
-            serial_reason = "workers<=1"
-        elif _cpu_count() <= 1:
-            serial_reason = "cpu_count==1"
-        elif len(pending) <= chunk:
-            serial_reason = "single_chunk"
-        if serial_reason is not None and not force_pool:
+        if retry is None or retry.timeout_s is None:
+            if requested is not None and requested <= 1:
+                serial_reason = "workers<=1"
+            elif cpus <= 1:
+                serial_reason = "cpu_count==1"
+            elif len(pending) == 1:
+                serial_reason = "single_scenario"
+        if serial_reason is None and context is None:
+            serial_reason = "no_fork"
+        if serial_reason is not None:
             info.update(mode="serial", workers=1, reason=serial_reason)
             if metrics is not None:
                 metrics.counter(
@@ -594,13 +569,12 @@ def run_many(
                         error, trace = payload
                         record_failure(index, error, trace, attempts=attempt)
         elif retry is None:
-            info.update(mode="pool", workers=effective, chunksize=chunk)
-            pool = _warm_pool(effective)
-            try:
+            info.update(mode="pool", workers=effective)
+            with _forked_pool(context, effective) as pool:
                 outcomes = pool.imap(
                     _run_encoded,
                     [encoded_job_for(index) for index in pending],
-                    chunksize=chunk,
+                    chunksize=1,
                 )
                 for index, (ok, payload) in zip(pending, outcomes):
                     if ok:
@@ -608,23 +582,19 @@ def run_many(
                     else:
                         error, trace = payload
                         record_failure(index, error, trace, attempts=1)
-            except Exception:
-                # The pool may hold half-dispatched state; don't let the
-                # next sweep inherit it.
-                shutdown_pool()
-                raise
         else:
             info.update(mode="pool", workers=effective)
-            _drain_pool_with_retry(
-                pending,
-                job_for,
-                fingerprint,
-                retry,
-                effective,
-                record_success,
-                record_failure,
-                sleep,
-            )
+            with _forked_pool(context, effective) as pool:
+                _drain_pool_with_retry(
+                    pool,
+                    pending,
+                    job_for,
+                    fingerprint,
+                    retry,
+                    record_success,
+                    record_failure,
+                    sleep,
+                )
 
     if execution_info is not None:
         execution_info.update(info)
@@ -633,12 +603,27 @@ def run_many(
     return results  # type: ignore[return-value]  # every slot is filled
 
 
+@contextmanager
+def _forked_pool(context: Any, workers: int) -> Iterator[Any]:
+    """A pool forked for one :func:`run_many` call, reaped on exit.
+
+    Terminating also abandons an attempt still running past its timeout;
+    joining reaps every worker, so no child process outlives the call.
+    """
+    pool = context.Pool(processes=workers)
+    try:
+        yield pool
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def _drain_pool_with_retry(
+    pool: Any,
     pending: Sequence[int],
     job_for: Callable[[int], Tuple[Scenario, Optional[TelemetryConfig]]],
     fingerprint: Callable[[int], str],
     retry: RetryPolicy,
-    workers: int,
     record_success: Callable[[int, ExperimentResult], None],
     record_failure: Callable[[int, str, str, int], None],
     sleep: Callable[[float], None],
@@ -652,41 +637,36 @@ def _drain_pool_with_retry(
     order, so slots, failure order and the backoff schedule are all
     deterministic regardless of which worker finishes first.
     """
-    # Deliberately ephemeral (not the warm pool): a timed-out attempt
-    # leaves its worker wedged mid-experiment, and the only safe cleanup
-    # is tearing the whole pool down on exit.
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=workers, initializer=_pool_initializer) as pool:
-        active: Dict[int, Tuple[object, int]] = {
-            index: (pool.apply_async(_run_one, (job_for(index),)), 1)
-            for index in pending
-        }
-        order = deque(pending)
-        while order:
-            index = order.popleft()
-            task, attempt = active.pop(index)
-            try:
-                ok, payload = task.get(timeout=retry.timeout_s)
-            except multiprocessing.TimeoutError:
-                ok = False
-                payload = (
-                    f"TimeoutError('attempt {attempt} exceeded "
-                    f"{retry.timeout_s} s wall clock')",
-                    "(attempt abandoned after wall-clock timeout)",
-                )
-            except Exception as exc:  # noqa: BLE001 - pool/IPC layer failure
-                ok = False
-                payload = (repr(exc), traceback.format_exc())
-            if ok:
-                record_success(index, payload)
-                continue
-            if attempt < retry.max_attempts:
-                sleep(retry.delay_s(fingerprint(index), attempt))
-                active[index] = (
-                    pool.apply_async(_run_one, (job_for(index),)),
-                    attempt + 1,
-                )
-                order.append(index)
-            else:
-                error, trace = payload
-                record_failure(index, error, trace, attempt)
+    active: Dict[int, Tuple[Any, int]] = {
+        index: (pool.apply_async(_run_one, (job_for(index),)), 1)
+        for index in pending
+    }
+    order = deque(pending)
+    while order:
+        index = order.popleft()
+        task, attempt = active.pop(index)
+        try:
+            ok, payload = task.get(timeout=retry.timeout_s)
+        except multiprocessing.TimeoutError:
+            ok = False
+            payload = (
+                f"TimeoutError('attempt {attempt} exceeded "
+                f"{retry.timeout_s} s wall clock')",
+                "(attempt abandoned after wall-clock timeout)",
+            )
+        except Exception as exc:  # noqa: BLE001 - pool/IPC layer failure
+            ok = False
+            payload = (repr(exc), traceback.format_exc())
+        if ok:
+            record_success(index, payload)
+            continue
+        if attempt < retry.max_attempts:
+            sleep(retry.delay_s(fingerprint(index), attempt))
+            active[index] = (
+                pool.apply_async(_run_one, (job_for(index),)),
+                attempt + 1,
+            )
+            order.append(index)
+        else:
+            error, trace = payload
+            record_failure(index, error, trace, attempt)

@@ -110,8 +110,8 @@ def sweep(
         Optional callback invoked with each scenario as it completes.
     workers:
         Process-pool size; ``None`` resolves via the ``REPRO_WORKERS``
-        environment variable, defaulting to ``os.cpu_count() - 1`` (see
-        :func:`~repro.testbed.runner.resolve_workers`).
+        environment variable, defaulting to every CPU the process may run
+        on (see :func:`~repro.testbed.runner.resolve_workers`).
     cache:
         Optional :class:`~repro.testbed.cache.ResultCache` for reusing
         previously measured rows.
