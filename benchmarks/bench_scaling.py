@@ -11,7 +11,7 @@ aggregate throughput.
 
 from repro.analysis import FigureSeries, comparison_table, ascii_plot
 from repro.kafka import DeliverySemantics, ProducerConfig
-from repro.testbed import Scenario, run_scaled_experiment
+from repro.testbed import Scenario, run_experiment
 
 from paper_targets import Criterion
 from conftest import write_report
@@ -32,7 +32,7 @@ def run_scaling():
     )
     losses, throughputs = [], []
     for fleet in FLEET_SIZES:
-        result = run_scaled_experiment(scenario, producers=fleet)
+        result = run_experiment(scenario, producers=fleet)
         losses.append(result.p_loss)
         throughputs.append(result.throughput_msgs_per_s or 0.0)
     return losses, throughputs

@@ -4,12 +4,13 @@
 Builds the paper's motivating topology inside one simulation:
 
     upstream source → producer A → topic "raw"
-        → stream processor B (consumer group) → producer B → topic "derived"
+        → stream processor B (consumer) → producer B → topic "derived"
 
-Processor B consumes ``raw`` via a two-member consumer group, applies a
-filter (drops ~30 % of records, e.g. bot traffic), and republishes the
-survivors — acting as a producer itself, exactly the role the paper
-highlights ("in these cases it also publishes messages as a producer").
+Processor B consumes ``raw`` with one consumer, drops the redelivered
+copies by key, applies a filter (drops ~30 % of records, e.g. bot
+traffic), and republishes the survivors — acting as a producer itself,
+exactly the role the paper highlights ("in these cases it also publishes
+messages as a producer").
 A network fault hits producer A's uplink mid-run; the end-to-end loss of
 the pipeline is then reconciled stage by stage.
 
@@ -20,9 +21,9 @@ Run with::
 
 from repro.analysis import render_table
 from repro.kafka import (
-    ConsumerGroup,
     DeliverySemantics,
     KafkaCluster,
+    KafkaConsumer,
     KafkaProducer,
     ProducerConfig,
     ProducerRecord,
@@ -65,36 +66,33 @@ def main() -> None:
             producer_a.finish_input()
             return
         record = ProducerRecord(payload_bytes=220, topic="raw")
-        source_keys.add(record.key)
         producer_a.offer(record)
+        source_keys.add(record.key)
         sim.schedule(1.0 / SOURCE_RATE, feed, index + 1)
 
     sim.schedule(0.0, feed)
 
-    # Stage 2: processor B — a consumer group feeding its own producer.
+    # Stage 2: processor B — a consumer feeding its own producer.
     link_b, channel_b = make_uplink("uplink-b")
     producer_b = KafkaProducer(
         sim, cluster, channel_b, derived,
         config=ProducerConfig(semantics=DeliverySemantics.EXACTLY_ONCE,
                               batch_size=2, message_timeout_s=3.0),
     )
-    group = ConsumerGroup(cluster, raw, group_id="processor-b")
-    workers = [group.join(f"worker-{i}") for i in range(2)]
+    consumer = KafkaConsumer(raw, max_poll_records=100)
     kept_keys = set()
     processed = set()
     filter_rng = rng.stream("filter")
 
     def process_tick():
-        for worker in workers:
-            for entry in worker.poll(max_records=50):
-                if entry.key in processed:
-                    continue  # at-least-once consumption: dedup by key
-                processed.add(entry.key)
-                if filter_rng.random() < FILTER_KEEP:
-                    derived_record = ProducerRecord(payload_bytes=180, topic="derived")
-                    kept_keys.add(derived_record.key)
-                    producer_b.offer(derived_record)
-            worker.commit()
+        for entry in consumer.poll():
+            if entry.key in processed:
+                continue  # at-least-once consumption: dedup by key
+            processed.add(entry.key)
+            if filter_rng.random() < FILTER_KEEP:
+                derived_record = ProducerRecord(payload_bytes=180, topic="derived")
+                producer_b.offer(derived_record)
+                kept_keys.add(derived_record.key)
 
     stop_processing = sim.every(0.5, process_tick)
 

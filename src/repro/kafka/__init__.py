@@ -15,9 +15,8 @@ from .config import (
     ProducerConfig,
 )
 from .consumer import KafkaConsumer, ReconciliationReport, reconcile
-from .group import ConsumerGroup, GroupMember
 from .log import LogEntry, LogSegment, PartitionLog
-from .message import ProducerRecord, RecordMetadata, reset_key_counter
+from .message import ProducerRecord, RecordMetadata
 from .partition import Partition
 from .producer import KafkaProducer, ProducerListener, ProducerStats
 from .semantics import DeliverySemantics
@@ -40,8 +39,6 @@ __all__ = [
     "HardwareProfile",
     "ProducerConfig",
     "KafkaConsumer",
-    "ConsumerGroup",
-    "GroupMember",
     "ReconciliationReport",
     "reconcile",
     "LogEntry",
@@ -49,7 +46,6 @@ __all__ = [
     "PartitionLog",
     "ProducerRecord",
     "RecordMetadata",
-    "reset_key_counter",
     "Partition",
     "KafkaProducer",
     "ProducerListener",

@@ -10,7 +10,6 @@ producer experiences as a request timeout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -22,8 +21,6 @@ from .partition import Partition
 
 __all__ = ["ProduceRequest", "ProduceResponse", "Broker"]
 
-_request_ids = itertools.count()
-
 
 class ProduceRequest:
     """A batch of records bound for one partition.
@@ -32,6 +29,8 @@ class ProduceRequest:
 
     Attributes
     ----------
+    request_id:
+        Id, unique per producer, that the response refers back to.
     records:
         The batched producer records, in send order.
     partition:
@@ -44,8 +43,6 @@ class ProduceRequest:
         Total request size on the wire (payloads + protocol overhead).
     attempt:
         Application-level retry attempt (0 = first send).
-    request_id:
-        Process-wide unique id the response refers back to.
     """
 
     __slots__ = (
@@ -61,6 +58,7 @@ class ProduceRequest:
 
     def __init__(
         self,
+        request_id: int,
         records: List[ProducerRecord],
         partition: Partition,
         require_acks: bool,
@@ -80,7 +78,7 @@ class ProduceRequest:
         self.producer_id = producer_id
         self.base_sequence = base_sequence
         self.attempt = attempt
-        self.request_id = next(_request_ids)
+        self.request_id = request_id
 
     @property
     def payload_bytes(self) -> int:

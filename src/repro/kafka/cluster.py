@@ -10,6 +10,7 @@ broker-failure scenario the paper marks as future work.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional
 
 from ..simulation.simulator import Simulator
@@ -51,6 +52,11 @@ class KafkaCluster:
         }
         self.topics: Dict[str, Topic] = {}
         self._append_listeners: List[Callable[[ProducerRecord, Partition, int], None]] = []
+        self._producer_ids = itertools.count(1)
+
+    def init_producer_id(self) -> int:
+        """Assign a producer id, unique within this cluster (from 1)."""
+        return next(self._producer_ids)
 
     @property
     def broker_ids(self) -> List[str]:

@@ -8,19 +8,10 @@ and timestamps the simulation needs, never actual payload bytes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ProducerRecord", "RecordMetadata", "reset_key_counter"]
-
-_key_counter = itertools.count()
-
-
-def reset_key_counter() -> None:
-    """Restart the global unique-key sequence (used between experiments)."""
-    global _key_counter
-    _key_counter = itertools.count()
+__all__ = ["ProducerRecord", "RecordMetadata"]
 
 
 class ProducerRecord:
@@ -34,7 +25,8 @@ class ProducerRecord:
     ----------
     key:
         Incremental unique key used for loss/duplicate reconciliation;
-        drawn from the process-wide key sequence when not given.
+        when not given, :meth:`KafkaProducer.offer` stamps the next key of
+        its simulation's sequence.
     payload_bytes:
         Message size ``M`` in bytes (the payload string length).
     topic:
@@ -66,7 +58,8 @@ class ProducerRecord:
             raise ValueError("timeliness_s must be positive when given")
         self.payload_bytes = payload_bytes
         self.topic = topic
-        self.key: int = next(_key_counter) if key is None else key
+        # None only until a producer stamps the record at ``offer``.
+        self.key: int = key  # type: ignore[assignment]
         self.source_time = source_time
         self.ingest_time = ingest_time
         self.timeliness_s = timeliness_s

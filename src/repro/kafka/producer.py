@@ -31,8 +31,6 @@ from ..network.link import FORWARD, REVERSE
 from ..network.transport import ReliableChannel
 from ..observability.metrics import DEFAULT_LATENCY_BUCKETS
 from ..observability.trace import EventKind
-from ..simulation.process import Signal
-from ..simulation.resources import TokenBucket
 from ..simulation.simulator import Simulator
 from .broker import ProduceRequest, ProduceResponse
 from .cluster import KafkaCluster
@@ -41,8 +39,6 @@ from .message import ProducerRecord
 from .topic import Topic
 
 __all__ = ["ProducerListener", "ProducerStats", "KafkaProducer"]
-
-_producer_ids = itertools.count(1)
 
 
 class ProducerListener:
@@ -175,7 +171,7 @@ class KafkaProducer:
         self._batch_size = self.config.batch_size
         self._waits_for_ack = self.config.semantics.waits_for_ack
         self._idempotent = self.config.semantics.idempotent
-        self.producer_id = next(_producer_ids)
+        self.producer_id = cluster.init_producer_id()
         self._sequence = itertools.count()
         self._queue: Deque[ProducerRecord] = deque()
         self._serializing = False
@@ -184,17 +180,19 @@ class KafkaProducer:
         self._closed = False
         self._batches: Dict[int, _Batch] = {}
         self._outstanding = 0  # records ingested but not yet resolved
-        self._done_signal = Signal(sim, name="producer.done")
         # At-least-once: the in-flight request window (max.in.flight).
         # At-most-once: TCP flow control — a bounded number of requests may
         # sit unacknowledged in the socket; beyond that the accumulator
-        # backs up, exactly like a blocked socket write.
-        window = (
+        # backs up, exactly like a blocked socket write.  A batch takes a
+        # slot only when one is free, so nothing ever waits on the window.
+        self._window = (
             self.config.max_in_flight
             if self._waits_for_ack
             else self.hardware.socket_window_requests
         )
-        self._tokens = TokenBucket(sim, window)
+        if self._window < 1:
+            raise ValueError("the in-flight window must be >= 1")
+        self._in_flight = 0
         self._in_flight_bytes = 0
         channel.set_receiver(FORWARD, self._cluster_receive)
         channel.set_receiver(REVERSE, self._producer_receive)
@@ -206,9 +204,9 @@ class KafkaProducer:
     # ------------------------------------------------------------- intake
 
     @property
-    def done(self) -> Signal:
-        """Triggered once input is finished and every record is resolved."""
-        return self._done_signal
+    def done(self) -> bool:
+        """Whether input is finished and every record is resolved."""
+        return self._input_finished and self._outstanding == 0 and not self._queue
 
     @property
     def outstanding(self) -> int:
@@ -223,11 +221,14 @@ class KafkaProducer:
     def offer(self, record: ProducerRecord) -> bool:
         """Ingest one record from the upstream source.
 
-        Returns False when the accumulator is bounded and full (the record
-        is dropped and reported through the listener).
+        A record without a key gets the next key of the simulation's
+        sequence.  Returns False when the accumulator is bounded and full
+        (the record is dropped and reported through the listener).
         """
         if self._closed:
             raise RuntimeError("producer is closed")
+        if record.key is None:
+            record.key = next(self._sim.record_keys)
         capacity = self.config.queue_capacity
         if capacity is not None and len(self._queue) >= capacity:
             self.stats.queue_dropped += 1
@@ -300,12 +301,11 @@ class KafkaProducer:
         if not queue:
             self._check_done()
             return
-        tokens = self._tokens
-        if tokens.available == 0:
+        if self._in_flight >= self._window:
             return  # back-pressure: wait for an in-flight/socket slot
         if (
             self._in_flight_bytes >= self.hardware.socket_buffer_bytes
-            and tokens.in_use > 0
+            and self._in_flight > 0
         ):
             return  # socket send buffer full; a completion will re-trigger
         oldest_wait = self._sim.now - queue[0].ingest_time
@@ -318,8 +318,7 @@ class KafkaProducer:
         if self._linger_timer is not None:
             self._sim.cancel(self._linger_timer)
             self._linger_timer = None
-        # Availability was checked above; acquire resolves immediately.
-        tokens.acquire()
+        self._in_flight += 1
         self._serializing = True
         total_bytes = sum([record.payload_bytes for record in records])
         ser_time = self.hardware.serialization_time_s(total_bytes, len(records))
@@ -332,6 +331,13 @@ class KafkaProducer:
             self._linger_timer = None
             self._maybe_form_batch()
         self._linger_timer = self._sim.schedule(max(1e-6, delay), fire)
+
+    def _release_slot(self) -> None:
+        """Return an in-flight slot and try to form the next batch."""
+        if self._in_flight == 0:
+            raise RuntimeError("release without matching acquire")
+        self._in_flight -= 1
+        self._sim.schedule(0.0, self._maybe_form_batch)
 
     def _dispatch(self, records: List[ProducerRecord]) -> None:
         self._serializing = False
@@ -350,8 +356,7 @@ class KafkaProducer:
             else:
                 live.append(record)
         if not live:
-            self._tokens.release()
-            self._sim.schedule(0.0, self._maybe_form_batch)
+            self._release_slot()
             return
         self._send_batch(_Batch(live))
         self._sim.schedule(0.0, self._maybe_form_batch)
@@ -375,7 +380,10 @@ class KafkaProducer:
             else:
                 base_sequence = batch.base_sequence
         attempt = batch.attempt
+        stats = self.stats
+        # Request ids number the producer's requests in send order.
         request = ProduceRequest(
+            stats.requests_sent,
             list(batch.records),
             partition,
             waits_for_ack,
@@ -384,7 +392,6 @@ class KafkaProducer:
             base_sequence,
             attempt,
         )
-        stats = self.stats
         stats.requests_sent += 1
         if attempt > 0:
             stats.request_retries += 1
@@ -507,8 +514,7 @@ class KafkaProducer:
             self._resolve()
         batch.completed = True
         self._in_flight_bytes -= batch.byte_charge
-        self._tokens.release()
-        self._sim.schedule(0.0, self._maybe_form_batch)
+        self._release_slot()
 
     def _retry_batch(self, batch: _Batch) -> None:
         if batch.completed:
@@ -534,8 +540,7 @@ class KafkaProducer:
         if not survivors:
             batch.completed = True
             self._in_flight_bytes -= batch.byte_charge
-            self._tokens.release()
-            self._sim.schedule(0.0, self._maybe_form_batch)
+            self._release_slot()
             return
         self._send_batch(batch)
 
@@ -565,16 +570,14 @@ class KafkaProducer:
             if self._ack_rtt is not None:
                 self._ack_rtt.observe(rtt)
         self._resolve(len(records))
-        self._tokens.release()
-        self._sim.schedule(0.0, self._maybe_form_batch)
+        self._release_slot()
 
     # ------------------------------------------------- at-most-once path
 
     def _on_amo_settled(self, request: ProduceRequest, rtt_s: float) -> None:
         # Every segment was TCP-acknowledged: free the socket slot.
         self._in_flight_bytes -= request.wire_bytes
-        self._tokens.release()
-        self._sim.schedule(0.0, self._maybe_form_batch)
+        self._release_slot()
 
     def _on_amo_failed(self, request: ProduceRequest, reason: str) -> None:
         # Ground truth only: the fire-and-forget producer never notices the
@@ -583,8 +586,7 @@ class KafkaProducer:
         for record in request.records:
             self.listener.on_attempt_failed(record, request.attempt)
         self._in_flight_bytes -= request.wire_bytes
-        self._tokens.release()
-        self._sim.schedule(0.0, self._maybe_form_batch)
+        self._release_slot()
 
     # ---------------------------------------------------- cluster wiring
 
@@ -616,16 +618,16 @@ class KafkaProducer:
         self._check_done()
 
     def _check_done(self) -> None:
+        # Once done the producer never re-arms the sweep (``_arm_sweep``
+        # needs pending work), so this cancels it at most once.
         if (
             self._input_finished
             and self._outstanding == 0
             and not self._queue
-            and not self._done_signal.triggered
+            and self._sweep_event is not None
         ):
-            if self._sweep_event is not None:
-                self._sim.cancel(self._sweep_event)
-                self._sweep_event = None
-            self._done_signal.trigger(self.stats)
+            self._sim.cancel(self._sweep_event)
+            self._sweep_event = None
 
     def close(self) -> None:
         """Stop timers; the producer accepts no further records."""

@@ -21,7 +21,6 @@ Contention effects instead emerge from the finite link capacity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, cast
@@ -38,26 +37,12 @@ __all__ = [
     "TransportStats",
     "ReliableChannel",
     "SendFailure",
-    "reset_message_counter",
 ]
-
-_message_ids = itertools.count()
 
 # Enum member lookups go through the enum metaclass (about 0.14 µs each on
 # Python 3.11); every packet is tagged with one of these.
 _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
-
-
-def reset_message_counter() -> None:
-    """Restart transport message ids (per-experiment determinism).
-
-    Message ids appear in trace records; restarting them per run makes a
-    trace — and hence its digest — a pure function of the scenario seed
-    regardless of what ran earlier in the process.
-    """
-    global _message_ids
-    _message_ids = itertools.count()
 
 
 @dataclass
@@ -313,7 +298,7 @@ class ReliableChannel:
             raise ValueError(f"unknown direction {direction!r}") from None
         sim = self._sim
         now = sim.now
-        message_id = next(_message_ids)
+        message_id = next(sim.message_ids)
         payload_per_segment = self.config.mtu - WIRE_HEADER_BYTES
         total_segments = -(-size_bytes // payload_per_segment)
         message = _OutstandingMessage(

@@ -1,17 +1,14 @@
 """Discrete-event simulation kernel.
 
-The kernel provides a deterministic virtual clock (:class:`Simulator`),
-coroutine-style processes (:func:`spawn`, :class:`Signal`), queueing
-primitives (:class:`FifoStore`, :class:`TokenBucket`) and reproducible named
-random streams (:class:`RngRegistry`).  Every other subsystem in this
-repository -- the network substrate, the Kafka cluster, the testbed -- is a
-set of components scheduled on one shared :class:`Simulator`.
+The kernel provides a deterministic virtual clock (:class:`Simulator`) and
+reproducible named random streams (:class:`RngRegistry`).  Every other
+subsystem in this repository -- the network substrate, the Kafka cluster,
+the testbed -- is a set of components scheduled on one shared
+:class:`Simulator`.
 """
 
 from .events import Event, EventQueue, HIGH_PRIORITY, LOW_PRIORITY, NORMAL_PRIORITY
-from .process import Process, Signal, spawn
 from .random import RandomStream, RngRegistry
-from .resources import FifoStore, StoreFull, TokenBucket
 from .simulator import SimulationError, Simulator
 
 __all__ = [
@@ -20,14 +17,8 @@ __all__ = [
     "HIGH_PRIORITY",
     "NORMAL_PRIORITY",
     "LOW_PRIORITY",
-    "Process",
-    "Signal",
-    "spawn",
     "RandomStream",
     "RngRegistry",
-    "FifoStore",
-    "StoreFull",
-    "TokenBucket",
     "SimulationError",
     "Simulator",
 ]

@@ -9,6 +9,7 @@ events, so a run is exactly reproducible given the same seed and schedule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
@@ -49,6 +50,12 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_processed = 0
+        #: Per-run id sequences, both from 0: the unique record keys a
+        #: producer stamps at ingest and the transport's message ids.  Being
+        #: per simulator, they make routing and trace digests a pure
+        #: function of the run.
+        self.record_keys = itertools.count()
+        self.message_ids = itertools.count()
 
     @property
     def pending_events(self) -> int:

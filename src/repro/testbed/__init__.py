@@ -26,7 +26,6 @@ from .runner import (
     run_many,
     shutdown_pool,
 )
-from .scaled import ScaledExperiment, run_scaled_experiment
 from .sensitivity import (
     DEFAULT_CANDIDATES,
     ParameterSensitivity,
@@ -68,8 +67,6 @@ __all__ = [
     "mean_metric",
     "CaseCensus",
     "DeliveryTracker",
-    "ScaledExperiment",
-    "run_scaled_experiment",
     "ParameterSensitivity",
     "SensitivityReport",
     "analyze_sensitivity",

@@ -7,30 +7,40 @@ Mirrors the paper's procedure (Section III-E):
 3. inject the network fault while the producer runs,
 4. stop fault injection, run the consumer, and
 5. reconcile unique keys to count lost and duplicated messages.
+
+The same system also hosts Section IV-C's scaled deployment: with
+``producers=N`` the workload is split across a fleet of N producers, each
+on its own uplink (its own container's veth, so its own bandwidth and
+fault treatments), all sharing the one cluster, topic and tracker.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Set
 
 import numpy as np
 
 from ..kafka.cluster import KafkaCluster
 from ..kafka.consumer import reconcile
-from ..kafka.message import reset_key_counter
 from ..kafka.producer import KafkaProducer
 from ..kafka.state import DeliveryCase
 from ..network.faults import FaultInjector, NetworkFault
 from ..network.latency import ConstantLatency
 from ..network.link import Link
-from ..network.transport import ReliableChannel, reset_message_counter
+from ..network.transport import ReliableChannel
 from ..observability.invariants import verify_manifest, verify_trace
 from ..observability.telemetry import RunTelemetry, TelemetryConfig
 from ..observability.trace import RingBufferSink
 from ..simulation.random import RngRegistry
 from ..simulation.simulator import Simulator
-from ..workloads.arrival import ConstantRateSource, FullLoadSource, PolledSource
+from ..workloads.arrival import (
+    ConstantRateSource,
+    FullLoadSource,
+    PolledSource,
+    SourceDriver,
+)
 from .cache import default_salt, scenario_fingerprint
 from .results import ExperimentResult
 from .scenario import Scenario
@@ -39,27 +49,54 @@ from .tracker import DeliveryTracker
 __all__ = ["Experiment", "run_experiment"]
 
 
+@dataclass
+class Member:
+    """One producer of the experiment, with its own uplink and source."""
+
+    link: Link
+    channel: ReliableChannel
+    producer: KafkaProducer
+    injector: FaultInjector
+    source: SourceDriver
+
+
 class Experiment:
     """A fully wired testbed instance for one scenario.
 
-    Building the experiment constructs the simulator, cluster, link,
-    channel, producer, tracker and source; :meth:`run` executes it and
-    returns the :class:`ExperimentResult`.  The pieces stay accessible as
-    attributes for tests and custom drivers.
+    Building the experiment constructs the simulator, cluster, topic and
+    tracker, plus one :class:`Member` per producer; :meth:`run` executes it
+    and returns the :class:`ExperimentResult`.  The pieces stay accessible
+    as attributes for tests and custom drivers: ``link``, ``channel``,
+    ``producer``, ``injector`` and ``source`` are the first member's (the
+    only one unless ``producers > 1``).
+
+    With ``producers=N`` the scenario's workload is the *aggregate*
+    stream: each member receives ``message_count // N`` messages (the
+    first ``message_count % N`` one more) at ``arrival_rate / N`` for
+    rate-driven sources.  Full-load and polled sources run per member
+    unchanged, since each member is its own machine with its own I/O.  The
+    scenario's network fault applies to every member's uplink, mirroring
+    NetEm on the shared bridge.
     """
 
     #: Safety valve: no experiment may process more events than this.
     MAX_EVENTS = 20_000_000
 
     def __init__(
-        self, scenario: Scenario, telemetry: Optional[TelemetryConfig] = None
+        self,
+        scenario: Scenario,
+        telemetry: Optional[TelemetryConfig] = None,
+        producers: int = 1,
     ) -> None:
+        if producers < 1:
+            raise ValueError("producers must be >= 1")
+        if producers > scenario.message_count:
+            raise ValueError(
+                f"producers ({producers}) must not exceed message_count "
+                f"({scenario.message_count})"
+            )
         self.scenario = scenario
-        # Unique keys and transport message ids restart per experiment so
-        # partition routing — and the run's trace digest — is a pure
-        # function of the scenario seed.
-        reset_key_counter()
-        reset_message_counter()
+        self.producers = producers
         self.sim = Simulator()
         self.rng = RngRegistry(scenario.seed)
         # Telemetry is fully optional: with telemetry=None every component
@@ -76,49 +113,69 @@ class Experiment:
         self.topic = self.cluster.create_topic(
             scenario.topic_name, partitions=scenario.partition_count
         )
-        hardware = scenario.hardware
-        self.link = Link(
-            self.sim,
-            self.rng.stream("link"),
-            capacity_bps=hardware.link_capacity_bps,
-            latency=ConstantLatency(hardware.link_base_delay_s),
-        )
-        self.channel = ReliableChannel(self.sim, self.link, telemetry=self.telemetry)
         self.tracker = DeliveryTracker(
             retries_allowed=scenario.config.semantics.retries_allowed,
             telemetry=self.telemetry,
         )
         self.tracker.attach_clock(self.sim)
-        self.producer = KafkaProducer(
+        self.cluster.add_append_listener(self.tracker.on_append)
+        self.members = [self._build_member(index) for index in range(producers)]
+        first = self.members[0]
+        self.link = first.link
+        self.channel = first.channel
+        self.producer = first.producer
+        self.injector = first.injector
+        self.source = first.source
+        # Broker crashes are scheduled through the first member's injector
+        # only, so each one reaches the cluster once.
+        self.injector.on_broker_availability(self.cluster.set_broker_availability)
+
+    def _build_member(self, index: int) -> Member:
+        scenario = self.scenario
+        hardware = scenario.hardware
+        # A lone producer's streams keep their historical names, so its
+        # runs stay identical to every result recorded before fleets.
+        suffix = "" if self.producers == 1 else f"-{index}"
+        link = Link(
+            self.sim,
+            self.rng.stream(f"link{suffix}"),
+            capacity_bps=hardware.link_capacity_bps,
+            latency=ConstantLatency(hardware.link_base_delay_s),
+        )
+        channel = ReliableChannel(self.sim, link, telemetry=self.telemetry)
+        producer = KafkaProducer(
             self.sim,
             self.cluster,
-            self.channel,
+            channel,
             self.topic,
             config=scenario.config,
             hardware=hardware,
             listener=self.tracker,
             telemetry=self.telemetry,
         )
-        self.cluster.add_append_listener(self.tracker.on_append)
-        self.injector = FaultInjector(self.sim, self.link, telemetry=self.telemetry)
-        self.injector.on_broker_availability(self.cluster.set_broker_availability)
-        self.source = self._build_source()
+        injector = FaultInjector(self.sim, link, telemetry=self.telemetry)
+        count = scenario.message_count // self.producers
+        if index < scenario.message_count % self.producers:
+            count += 1
+        source = self._build_source(producer, count, self.rng.stream(f"source{suffix}"))
+        return Member(link, channel, producer, injector, source)
 
-    def _build_source(self):
+    def _build_source(self, producer: KafkaProducer, count: int, rng) -> SourceDriver:
         scenario = self.scenario
         config = scenario.config
-        rng = self.rng.stream("source")
         common = dict(
             sim=self.sim,
-            producer=self.producer,
-            count=scenario.message_count,
+            producer=producer,
+            count=count,
             payload_bytes=scenario.message_bytes,
             rng=rng,
             topic=scenario.topic_name,
             timeliness_s=scenario.timeliness_s,
         )
         if scenario.arrival_rate is not None:
-            return ConstantRateSource(rate=scenario.arrival_rate, **common)
+            return ConstantRateSource(
+                rate=scenario.arrival_rate / self.producers, **common
+            )
         if config.polling_interval_s > 0:
             return PolledSource(
                 polling_interval_s=config.polling_interval_s,
@@ -136,15 +193,16 @@ class Experiment:
         scenario = self.scenario
         wall_start = time.perf_counter()
         if scenario.loss_rate > 0 or scenario.network_delay_s > 0:
-            self.injector.inject(
-                NetworkFault(
-                    delay_s=scenario.network_delay_s,
-                    loss_rate=scenario.loss_rate,
-                    jitter_s=scenario.jitter_s,
-                    bursty=scenario.bursty_loss,
-                )
+            fault = NetworkFault(
+                delay_s=scenario.network_delay_s,
+                loss_rate=scenario.loss_rate,
+                jitter_s=scenario.jitter_s,
+                bursty=scenario.bursty_loss,
             )
-        self.source.start()
+            for member in self.members:
+                member.injector.inject(fault)
+        for member in self.members:
+            member.source.start()
         start = self.sim.now
         processed = self.sim.run(max_events=self.MAX_EVENTS)
         if processed >= self.MAX_EVENTS:
@@ -155,9 +213,15 @@ class Experiment:
         duration = self.sim.now - start
         # Fault injection "stops" before consumption: reconciliation reads
         # the committed logs directly, after all network events settled.
-        self.injector.clear()
+        for member in self.members:
+            member.injector.clear()
+        keys: Set[int] = (
+            self.source.keys
+            if self.producers == 1
+            else set().union(*(member.source.keys for member in self.members))
+        )
         report = reconcile(
-            self.source.keys,
+            keys,
             self.topic,
             ingest_times=self.tracker.ingest_times,
             timeliness_s=scenario.timeliness_s,
@@ -170,7 +234,6 @@ class Experiment:
             if census.case_counts.get(case)
         }
         ack_latencies = list(self.tracker.ack_latencies.values())
-        stats = self.producer.stats
         delivered = report.delivered_unique
         manifest = None
         if self.telemetry is not None:
@@ -204,8 +267,13 @@ class Experiment:
                 delivered / duration if duration > 0 else None
             ),
             simulated_duration_s=duration,
-            retransmissions=self.channel.stats("forward").retransmissions,
-            request_retries=stats.request_retries,
+            retransmissions=sum(
+                member.channel.stats("forward").retransmissions
+                for member in self.members
+            ),
+            request_retries=sum(
+                member.producer.stats.request_retries for member in self.members
+            ),
             seed=scenario.seed,
         )
         result.manifest = manifest
@@ -216,7 +284,7 @@ class Experiment:
         telemetry = self.telemetry
         metrics = telemetry.metrics
         scenario = self.scenario
-        stats = self.producer.stats
+        members = self.members
         for name in (
             "ingested",
             "queue_dropped",
@@ -229,9 +297,10 @@ class Experiment:
             "fire_and_forget",
             "bytes_sent",
         ):
-            metrics.counter(f"producer.{name}").inc(getattr(stats, name))
+            metrics.counter(f"producer.{name}").inc(
+                sum(getattr(member.producer.stats, name) for member in members)
+            )
         for direction in ("forward", "reverse"):
-            transport = self.channel.stats(direction)
             for name in (
                 "messages_sent",
                 "messages_delivered",
@@ -242,7 +311,10 @@ class Experiment:
                 "duplicate_segments",
             ):
                 metrics.counter(f"transport.{direction}.{name}").inc(
-                    getattr(transport, name)
+                    sum(
+                        getattr(member.channel.stats(direction), name)
+                        for member in members
+                    )
                 )
         for broker_id, broker in sorted(self.cluster.brokers.items()):
             metrics.gauge(f"broker.{broker_id}.requests_handled").set(
@@ -288,7 +360,9 @@ class Experiment:
 
 
 def run_experiment(
-    scenario: Scenario, telemetry: Optional[TelemetryConfig] = None
+    scenario: Scenario,
+    telemetry: Optional[TelemetryConfig] = None,
+    producers: int = 1,
 ) -> ExperimentResult:
     """Build and run one experiment (the testbed's main entry point)."""
-    return Experiment(scenario, telemetry=telemetry).run()
+    return Experiment(scenario, telemetry=telemetry, producers=producers).run()

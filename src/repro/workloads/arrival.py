@@ -84,8 +84,8 @@ class SourceDriver:
             source_time=self._sim.now,
             timeliness_s=self._timeliness_s,
         )
-        self.keys.add(record.key)
         self._producer.offer(record)
+        self.keys.add(record.key)
         self._emitted += 1
         if self._emitted >= self._count:
             self._producer.finish_input()
@@ -220,8 +220,8 @@ class PolledSource(SourceDriver):
                 source_time=self._sim.now,
                 timeliness_s=self._timeliness_s,
             )
-            self.keys.add(record.key)
             self._producer.offer(record)
+            self.keys.add(record.key)
             self._emitted += 1
             if self._emitted >= self._count:
                 self._producer.finish_input()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.kafka import DeliverySemantics, ProducerConfig
-from repro.testbed import Scenario, run_experiment, run_scaled_experiment
+from repro.observability.invariants import verify_trace
+from repro.testbed import Experiment, Scenario, TelemetryConfig, run_experiment
 
 
 BASE = Scenario(
@@ -17,13 +18,13 @@ BASE = Scenario(
 
 def test_scaling_relieves_overload():
     single = run_experiment(BASE)
-    fleet = run_scaled_experiment(BASE, producers=4)
+    fleet = run_experiment(BASE, producers=4)
     assert single.p_loss > 0.3
     assert fleet.p_loss < 0.1
 
 
 def test_fleet_conserves_all_keys():
-    result = run_scaled_experiment(BASE.with_(message_count=900), producers=3)
+    result = run_experiment(BASE.with_(message_count=900), producers=3)
     # check_conservation ran inside; produced must equal the request.
     assert result.produced == 900
 
@@ -31,8 +32,8 @@ def test_fleet_conserves_all_keys():
 def test_one_producer_fleet_matches_single_experiment_shape():
     scenario = BASE.with_(arrival_rate=6.0, message_count=600)
     single = run_experiment(scenario)
-    fleet = run_scaled_experiment(scenario, producers=1)
-    assert abs(single.p_loss - fleet.p_loss) < 0.05
+    fleet = run_experiment(scenario, producers=1)
+    assert fleet == single
 
 
 def test_fault_applies_to_every_member():
@@ -45,12 +46,14 @@ def test_fault_applies_to_every_member():
             semantics=DeliverySemantics.AT_MOST_ONCE, message_timeout_s=0.5
         ),
     )
-    fleet = run_scaled_experiment(scenario, producers=3)
+    experiment = Experiment(scenario, producers=3)
+    fleet = experiment.run()
     assert fleet.p_loss > 0.02  # faults visible through every uplink
+    assert all(member.link.forward.stats.dropped_loss for member in experiment.members)
 
 
 def test_uneven_message_split_covers_total():
-    result = run_scaled_experiment(
+    result = run_experiment(
         BASE.with_(message_count=1001, arrival_rate=9.0), producers=3
     )
     assert result.produced == 1001
@@ -58,12 +61,45 @@ def test_uneven_message_split_covers_total():
 
 def test_producers_validation():
     with pytest.raises(ValueError):
-        run_scaled_experiment(BASE, producers=0)
+        run_experiment(BASE, producers=0)
+
+
+def test_more_producers_than_messages_rejected():
+    with pytest.raises(ValueError, match="message_count"):
+        Experiment(BASE.with_(message_count=2), producers=3)
+    assert run_experiment(BASE.with_(message_count=3), producers=3).produced == 3
 
 
 def test_scaled_run_is_deterministic():
     scenario = BASE.with_(message_count=600, arrival_rate=12.0)
-    first = run_scaled_experiment(scenario, producers=2)
-    second = run_scaled_experiment(scenario, producers=2)
+    first = run_experiment(scenario, producers=2)
+    second = run_experiment(scenario, producers=2)
     assert first.p_loss == second.p_loss
     assert first.p_duplicate == second.p_duplicate
+
+
+def test_fleet_telemetry_passes_trace_invariants():
+    scenario = BASE.with_(message_count=450, arrival_rate=12.0, loss_rate=0.1)
+    experiment = Experiment(scenario, telemetry=TelemetryConfig(), producers=3)
+    result = experiment.run()
+    manifest = result.manifest
+    verify_trace(experiment.telemetry.tracer.records(), manifest)
+    counters = experiment.telemetry.metrics
+    assert counters.counter("reconciliation.produced").value == result.produced == 450
+    assert counters.counter("reconciliation.delivered_unique").value == manifest[
+        "delivered_unique"
+    ]
+    assert counters.counter("reconciliation.lost").value == manifest["lost"]
+    assert counters.counter("reconciliation.duplicated").value == manifest["duplicated"]
+    assert counters.counter("producer.ingested").value == 450
+    assert counters.counter("transport.forward.retransmissions").value == (
+        result.retransmissions
+    )
+    assert result.case_fractions and result.p95_ack_latency_s is not None
+
+
+def test_fleet_links_get_the_scenario_jitter():
+    scenario = BASE.with_(message_count=300, arrival_rate=9.0, network_delay_s=0.05)
+    steady = run_experiment(scenario, producers=3)
+    jittered = run_experiment(scenario.with_(jitter_s=0.03), producers=3)
+    assert jittered.mean_ack_latency_s != steady.mean_ack_latency_s

@@ -14,10 +14,11 @@ from repro.simulation import Simulator
 
 
 def make_request(partition, records=None, acks=True):
-    records = records or [ProducerRecord(payload_bytes=100)]
+    records = records or [ProducerRecord(payload_bytes=100, key=0)]
     for record in records:
         record.ingest_time = 0.0
     return ProduceRequest(
+        request_id=0,
         records=records, partition=partition, require_acks=acks, wire_bytes=300
     )
 
@@ -92,7 +93,7 @@ class TestBroker:
         broker = Broker(sim, "broker-0")
         appended = []
         broker.add_append_listener(lambda record, part, offset: appended.append(offset))
-        records = [ProducerRecord(payload_bytes=10) for _ in range(3)]
+        records = [ProducerRecord(payload_bytes=10, key=key) for key in range(3)]
         broker.handle_produce(make_request(partition, records))
         sim.run()
         assert appended == [0, 1, 2]

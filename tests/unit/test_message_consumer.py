@@ -3,19 +3,37 @@
 import pytest
 
 from repro.kafka import (
+    KafkaCluster,
     KafkaConsumer,
+    KafkaProducer,
     Partition,
     ProducerRecord,
     Topic,
     reconcile,
 )
 from repro.kafka.consumer import ReconciliationReport
+from repro.network import Link, ReliableChannel
+from repro.simulation import RngRegistry, Simulator
 
 
 class TestProducerRecord:
     def test_keys_are_unique_and_incremental(self):
+        sim = Simulator()
+        cluster = KafkaCluster(sim)
+        topic = cluster.create_topic("t")
+        channel = ReliableChannel(sim, Link(sim, RngRegistry(1).stream("link")))
+        producer = KafkaProducer(sim, cluster, channel, topic)
         a, b = ProducerRecord(payload_bytes=10), ProducerRecord(payload_bytes=10)
-        assert b.key == a.key + 1
+        assert a.key is None
+        producer.offer(a)
+        producer.offer(b)
+        assert (a.key, b.key) == (0, 1)
+        explicit = ProducerRecord(payload_bytes=10, key=7)
+        producer.offer(explicit)
+        assert explicit.key == 7
+        later = ProducerRecord(payload_bytes=10)
+        producer.offer(later)
+        assert later.key == 2
 
     def test_deadline_requires_ingest(self):
         record = ProducerRecord(payload_bytes=10)

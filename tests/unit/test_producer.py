@@ -57,8 +57,8 @@ def offer_n(sim, producer, count, payload=100, spacing=0.01):
             producer.finish_input()
             return
         record = ProducerRecord(payload_bytes=payload)
-        keys.append(record.key)
         producer.offer(record)
+        keys.append(record.key)
         sim.schedule(spacing, emit, i + 1)
 
     emit()
@@ -69,7 +69,7 @@ def test_clean_at_least_once_delivers_everything():
     sim, _, topic, producer = make_producer()
     keys = offer_n(sim, producer, 20)
     sim.run()
-    assert producer.done.triggered
+    assert producer.done
     assert producer.stats.acknowledged == 20
     assert sorted(topic.key_counts()) == sorted(keys)
 
@@ -102,7 +102,7 @@ def test_linger_flushes_partial_batch():
     assert topic.total_messages() == 1
     producer.finish_input()
     sim.run()
-    assert producer.done.triggered
+    assert producer.done
 
 
 def test_finish_input_flushes_incomplete_batch_immediately():
@@ -149,16 +149,16 @@ def test_done_signal_waits_for_outstanding():
     sim, _, _, producer = make_producer()
     producer.offer(ProducerRecord(payload_bytes=100))
     producer.finish_input()
-    assert not producer.done.triggered
+    assert not producer.done
     sim.run()
-    assert producer.done.triggered
+    assert producer.done
 
 
 def test_done_with_no_input():
     sim, _, _, producer = make_producer()
     producer.finish_input()
     sim.run()
-    assert producer.done.triggered
+    assert producer.done
 
 
 def test_offer_after_close_raises():

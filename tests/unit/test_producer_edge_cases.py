@@ -1,7 +1,9 @@
 """Edge-case unit tests for the producer pipeline internals."""
 
+import pytest
 
 from repro.kafka import (
+    DeliverySemantics,
     HardwareProfile,
     KafkaCluster,
     KafkaProducer,
@@ -53,9 +55,47 @@ class TestInFlightByteWindow:
         for _ in range(8):
             producer.offer(ProducerRecord(payload_bytes=50))
         sim.run(until=0.1)
-        assert producer._tokens.in_use <= 2
+        assert producer._in_flight <= 2
         producer.finish_input()
         sim.run()
+
+
+class TestInFlightRequestWindow:
+    @staticmethod
+    def peak_in_flight(sim, producer, count):
+        peak = []
+        stop = sim.every(0.001, lambda: peak.append(producer._in_flight))
+        for _ in range(count):
+            producer.offer(ProducerRecord(payload_bytes=50))
+        producer.finish_input()
+        sim.run(until=30.0)
+        stop()
+        sim.run()
+        assert producer.done and producer._in_flight == 0
+        return max(peak)
+
+    def test_at_least_once_never_exceeds_max_in_flight(self):
+        config = ProducerConfig(message_timeout_s=60.0, max_in_flight=3)
+        sim, _, _, producer = make(config, capacity=2000.0, delay=0.05)
+        assert self.peak_in_flight(sim, producer, 40) == 3
+
+    def test_at_most_once_never_exceeds_socket_window(self):
+        config = ProducerConfig(
+            semantics=DeliverySemantics.AT_MOST_ONCE, message_timeout_s=60.0
+        )
+        hardware = HardwareProfile(socket_window_requests=4)
+        sim, _, _, producer = make(config, hardware, capacity=2000.0, delay=0.05)
+        assert self.peak_in_flight(sim, producer, 40) == 4
+
+    def test_unmatched_release_raises(self):
+        _, _, _, producer = make()
+        with pytest.raises(RuntimeError, match="without matching acquire"):
+            producer._release_slot()
+
+    def test_window_must_be_positive(self):
+        config = ProducerConfig(semantics=DeliverySemantics.AT_MOST_ONCE)
+        with pytest.raises(ValueError, match="window"):
+            make(config, HardwareProfile(socket_window_requests=0))
 
 
 class TestExpiryLookahead:
@@ -90,8 +130,8 @@ class TestRetryPath:
         keys = []
         for _ in range(30):
             record = ProducerRecord(payload_bytes=100)
-            keys.append(record.key)
             producer.offer(record)
+            keys.append(record.key)
         producer.finish_input()
         sim.run()
         assert producer.stats.request_retries > 0
@@ -116,7 +156,7 @@ class TestSweepLifecycle:
         producer.offer(ProducerRecord(payload_bytes=100))
         producer.finish_input()
         sim.run()  # must terminate (self-suspending sweep)
-        assert producer.done.triggered
+        assert producer.done
         assert sim.pending_events == 0
 
     def test_sweep_rearms_on_new_offers(self):

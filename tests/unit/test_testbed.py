@@ -121,7 +121,7 @@ class TestResults:
 
 class TestTracker:
     def make_record(self, key_time=0.0):
-        record = ProducerRecord(payload_bytes=100)
+        record = ProducerRecord(payload_bytes=100, key=0)
         record.ingest_time = key_time
         return record
 

@@ -38,7 +38,7 @@ class TestConstantRateSource:
         source.start()
         sim.run()
         assert len(source.keys) == 25
-        assert producer.done.triggered
+        assert producer.done
 
     def test_deterministic_spacing(self):
         sim, producer, rng = make_producer()
