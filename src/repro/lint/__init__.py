@@ -13,8 +13,7 @@ statically, before a change ever reaches the test suite:
   dependent ``hash()`` on paths that feed seeds, traces or serialized
   reports,
 * no unsorted JSON serialization, float ``==``, mutable default
-  arguments, unpicklable closures handed to a process pool, or config
-  dataclass fields the field-diff scenario codec cannot round-trip.
+  arguments, or unpicklable closures handed to a process pool.
 
 Findings can be silenced inline (``# repro: allow[REPRO105]``) or
 parked wholesale in a committed baseline file so legacy findings never

@@ -8,7 +8,7 @@ from .base import (
     register,
     rule_classes,
 )
-from . import codec, correctness, determinism  # noqa: F401  (registration)
+from . import correctness, determinism  # noqa: F401  (registration)
 
 __all__ = [
     "DETERMINISTIC_PACKAGES",

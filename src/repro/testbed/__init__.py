@@ -10,7 +10,7 @@ across runs.
 """
 
 from ..observability.telemetry import RunTelemetry, TelemetryConfig
-from .cache import Quarantine, ResultCache, scenario_fingerprint
+from .cache import ResultCache, scenario_fingerprint
 from .collection import (
     CollectionPlan,
     abnormal_case_plan,
@@ -20,7 +20,6 @@ from .collection import (
 from .experiment import Experiment, run_experiment
 from .runner import (
     ExperimentFailed,
-    RetryPolicy,
     RunFailure,
     resolve_workers,
     run_many,
@@ -39,8 +38,6 @@ from .tracker import CaseCensus, DeliveryTracker
 
 __all__ = [
     "ResultCache",
-    "Quarantine",
-    "RetryPolicy",
     "scenario_fingerprint",
     "TelemetryConfig",
     "RunTelemetry",

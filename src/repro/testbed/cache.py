@@ -35,7 +35,6 @@ from .scenario import Scenario
 
 __all__ = [
     "ResultCache",
-    "Quarantine",
     "scenario_fingerprint",
     "CACHE_EPOCH",
     "default_salt",
@@ -97,11 +96,6 @@ class ResultCache:
         :func:`default_salt`.  Changing the salt makes every existing
         entry a miss without touching the files.
 
-    metrics:
-        Optional :class:`~repro.observability.metrics.MetricsRegistry`;
-        when given, lookups maintain ``cache.hits`` / ``cache.misses`` /
-        ``cache.corrupt_entries`` counters in it.
-
     Attributes
     ----------
     hits / misses / corruptions:
@@ -112,15 +106,9 @@ class ResultCache:
     #: Subdirectory corrupt entries are moved into for post-mortem.
     CORRUPT_DIR = "corrupt"
 
-    def __init__(
-        self,
-        root: "str | Path",
-        salt: Optional[str] = None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, root: "str | Path", salt: Optional[str] = None) -> None:
         self.root = Path(root).expanduser()
         self.salt = salt if salt is not None else default_salt()
-        self.metrics = metrics
         self.hits = 0
         self.misses = 0
         self.corruptions = 0
@@ -139,38 +127,28 @@ class ResultCache:
         A corrupt entry (present on disk but unreadable or undecodable) is
         *quarantined*: the bad file is moved into ``root/corrupt/`` so it
         is never re-parsed on the next sweep, the ``corruptions`` counter
-        (and the ``cache.corrupt_entries`` metric, when a registry is
-        attached) is incremented, and the lookup counts as a miss — the
-        next :meth:`put` writes a fresh entry in its place.
+        is incremented, and the lookup counts as a miss — the next
+        :meth:`put` writes a fresh entry in its place.
         """
         path = self._path(self.key(scenario))
         try:
             text = path.read_text()
         except OSError:
-            self._count_miss()
+            self.misses += 1
             return None
         try:
             data = json.loads(text)
             result = _result_from_payload(data["result"])
         except (ValueError, KeyError, TypeError) as error:
             self._quarantine_corrupt(path, error)
-            self._count_miss()
+            self.misses += 1
             return None
         self.hits += 1
-        if self.metrics is not None:
-            self.metrics.counter("cache.hits").inc()
         return result
-
-    def _count_miss(self) -> None:
-        self.misses += 1
-        if self.metrics is not None:
-            self.metrics.counter("cache.misses").inc()
 
     def _quarantine_corrupt(self, path: Path, error: Exception) -> None:
         """Move a corrupt entry out of the lookup path and count it."""
         self.corruptions += 1
-        if self.metrics is not None:
-            self.metrics.counter("cache.corrupt_entries").inc()
         target = self.root / self.CORRUPT_DIR / path.name
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -223,93 +201,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.corruptions = 0
-
-
-class Quarantine:
-    """Persistent record of scenarios whose runs fail repeatedly.
-
-    A scenario that exhausts its retry budget gets a failure recorded
-    here, keyed by its cache fingerprint; once a scenario accumulates
-    ``budget`` recorded failures it is *quarantined* — subsequent
-    :func:`~repro.testbed.runner.run_many` calls with this quarantine skip
-    it immediately (its slot becomes a
-    :class:`~repro.testbed.runner.RunFailure`) instead of burning its
-    retry budget again or failing the whole grid.
-
-    State is one JSON file, written atomically on every change, so a
-    killed sweep never loses or tears the record.
-    """
-
-    def __init__(self, path: "str | Path", budget: int = 1) -> None:
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
-        self.path = Path(path).expanduser()
-        self.budget = budget
-        self._entries: dict = {}
-        if self.path.exists():
-            try:
-                self._entries = json.loads(self.path.read_text())
-            except (OSError, ValueError):
-                # A torn or corrupt quarantine file resets to empty: losing
-                # quarantine state only costs re-running the retry budget.
-                self._entries = {}
-
-    def record_failure(self, fingerprint: str, error: str, seed: int = 0) -> bool:
-        """Record one retry-budget exhaustion; True if now quarantined."""
-        entry = self._entries.setdefault(
-            fingerprint, {"failures": 0, "last_error": "", "seed": seed}
-        )
-        entry["failures"] += 1
-        entry["last_error"] = error
-        entry["seed"] = seed
-        self._save()
-        return entry["failures"] >= self.budget
-
-    def is_quarantined(self, fingerprint: str) -> bool:
-        """Whether a scenario has used up its quarantine budget."""
-        entry = self._entries.get(fingerprint)
-        return entry is not None and entry["failures"] >= self.budget
-
-    def failures(self, fingerprint: str) -> int:
-        """Recorded failure count for a fingerprint (0 if unknown)."""
-        entry = self._entries.get(fingerprint)
-        return entry["failures"] if entry is not None else 0
-
-    def last_error(self, fingerprint: str) -> str:
-        """The most recent recorded error for a fingerprint."""
-        entry = self._entries.get(fingerprint)
-        return entry["last_error"] if entry is not None else ""
-
-    def entries(self) -> dict:
-        """A copy of the full quarantine record."""
-        return {key: dict(value) for key, value in self._entries.items()}
-
-    def remove(self, fingerprint: str) -> bool:
-        """Forgive one scenario; True if it had a record."""
-        removed = self._entries.pop(fingerprint, None) is not None
-        if removed:
-            self._save()
-        return removed
-
-    def clear(self) -> int:
-        """Forgive everything; returns the number of records removed."""
-        count = len(self._entries)
-        self._entries = {}
-        self._save()
-        return count
-
-    def __len__(self) -> int:
-        return sum(
-            1
-            for entry in self._entries.values()
-            if entry["failures"] >= self.budget
-        )
-
-    def _save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self._entries, sort_keys=True, indent=2))
-        tmp.replace(self.path)
 
 
 def _result_to_payload(result: ExperimentResult) -> dict:

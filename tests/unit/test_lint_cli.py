@@ -142,7 +142,7 @@ class TestExitCodesAndFlags:
     def test_list_rules_prints_table(self, capsys):
         code, out = run_lint(capsys, "--list-rules")
         assert code == 0
-        assert "REPRO101" in out and "REPRO301" in out
+        assert "REPRO101" in out and "REPRO203" in out
 
 
 class TestBaselineWorkflow:

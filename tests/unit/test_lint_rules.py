@@ -28,7 +28,6 @@ RULE_FIXTURES = {
     "REPRO201": ("float_equality", "repro.kpi.fake", 3),
     "REPRO202": ("mutable_default", "repro.models.fake", 3),
     "REPRO203": ("spawn_closure", "repro.testbed.fake", 2),
-    "REPRO301": ("codec_field", "repro.testbed.scenario", 2),
 }
 
 
@@ -200,29 +199,6 @@ class TestRulePrecision:
         source = "def f(x):\n    return x == 0.0\n"
         result = lint_source(source, module="repro.kpi.fake")
         assert result.findings == []
-
-    def test_codec_rule_ignores_non_dataclasses(self):
-        source = (
-            "from typing import Dict\n"
-            "class Plain:\n"
-            "    labels: Dict[str, str]\n"
-        )
-        result = lint_source(source, module="repro.testbed.scenario")
-        assert result.findings == []
-
-    def test_codec_rule_out_of_scope_module_is_quiet(self):
-        source = (FIXTURES / "codec_field_bad.py").read_text()
-        result = lint_source(source, module="repro.kpi.fake")
-        assert result.findings == []
-
-    def test_real_scenario_and_config_modules_are_codec_clean(self):
-        for module, path in [
-            ("repro.testbed.scenario", "src/repro/testbed/scenario.py"),
-            ("repro.kafka.config", "src/repro/kafka/config.py"),
-        ]:
-            source = (Path(__file__).parents[2] / path).read_text()
-            result = lint_source(source, module=module)
-            assert [f for f in result.findings if f.rule == "REPRO301"] == []
 
     def test_parse_error_becomes_a_finding(self):
         result = lint_source("def broken(:\n", path="broken.py")

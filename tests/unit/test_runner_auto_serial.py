@@ -1,32 +1,69 @@
-"""Auto-serial fallback, worker resolution and the lean payload codec.
+"""Auto-serial fallback, worker resolution and the pool's lifetime.
 
 The engine must never lose to serial execution on dispatch overhead:
 whenever a pool cannot win (one worker, one usable CPU, one pending
 scenario) `run_many` drops to the in-process loop and records *why*
-— in the `execution_info` out-param and a `runner.auto_serial.<reason>`
-metrics counter.
+in the `execution_info` out-param.
 """
 
+import json
 import multiprocessing
 import os
-import time
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.testbed.runner as runner_mod
-from repro.kafka import DeliverySemantics, HardwareProfile, ProducerConfig
-from repro.observability import MetricsRegistry
 from repro.testbed import (
     ExperimentFailed,
-    RetryPolicy,
     Scenario,
     resolve_workers,
     run_many,
 )
-from repro.testbed.runner import (
-    _decode_scenario,
-    _encode_scenario,
-)
+
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: A grid whose fourth scenario SIGKILLs its pool worker (as the OOM
+#: killer would) once the other three rows are in the cache; prints what
+#: ``run_many`` left behind as JSON.
+DEAD_WORKER_GRID = """
+import json, multiprocessing, os, signal, sys, time
+import repro.testbed.runner as runner
+from repro.testbed import ExperimentFailed, ResultCache, Scenario, run_many
+
+root = sys.argv[1]
+real = runner.run_experiment
+
+def run_or_die(scenario, telemetry=None):
+    if scenario.seed == 4:
+        deadline = time.monotonic() + 30
+        while len(ResultCache(root)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(scenario)
+
+runner.run_experiment = run_or_die
+runner._cpu_count = lambda: 2
+grid = [Scenario(message_count=20, seed=seed) for seed in (1, 2, 3, 4)]
+cache = ResultCache(root)
+info = {}
+try:
+    run_many(grid, workers=2, cache=cache, execution_info=info)
+    failures = []
+except ExperimentFailed as exc:
+    failures = exc.failures
+print(json.dumps({
+    "mode": info.get("mode"),
+    "failed": [failure.scenario.seed for failure in failures],
+    "errors": [failure.error for failure in failures],
+    "children": len(multiprocessing.active_children()),
+    "cached": [s.seed for s in grid if cache.get(s) is not None],
+}))
+"""
 
 
 def fake_run_experiment(scenario, telemetry=None):
@@ -54,8 +91,8 @@ def failing_run_experiment(scenario, telemetry=None):
     return ("ran", scenario.seed)
 
 
-def hanging_run_experiment(scenario, telemetry=None):
-    time.sleep(30)
+def raising_run_experiment(scenario, telemetry=None):
+    raise ValueError("boom")
 
 
 def doubled_run_experiment(scenario, telemetry=None):
@@ -96,38 +133,31 @@ class TestResolveWorkersAuto:
 
 class TestAutoSerialReasons:
     def test_workers_le_1(self):
-        registry = MetricsRegistry()
         info = {}
-        run_many(scenarios(4), workers=1, metrics=registry, execution_info=info)
+        run_many(scenarios(4), workers=1, execution_info=info)
         assert info["mode"] == "serial"
         assert info["reason"] == "workers<=1"
-        assert registry.counter("runner.auto_serial.workers_le_1").value == 1
 
     def test_cpu_count_eq_1(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "_cpu_count", lambda: 1)
-        registry = MetricsRegistry()
         info = {}
-        run_many(scenarios(8), workers=4, metrics=registry, execution_info=info)
+        run_many(scenarios(8), workers=4, execution_info=info)
         assert info["mode"] == "serial"
         assert info["reason"] == "cpu_count==1"
-        assert registry.counter("runner.auto_serial.cpu_count_eq_1").value == 1
 
     def test_single_scenario(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "_cpu_count", lambda: 8)
         cache = SeedCache({1: ("hit", 1), 2: ("hit", 2), 3: ("hit", 3)})
-        registry = MetricsRegistry()
         info = {}
         # Three of four slots are cache hits: one pending scenario, so a
         # pool has nothing to spread.
         results = run_many(
-            scenarios(4), workers=4, cache=cache,
-            metrics=registry, execution_info=info,
+            scenarios(4), workers=4, cache=cache, execution_info=info
         )
         assert results == [("hit", 1), ("hit", 2), ("hit", 3), ("ran", 4)]
         assert info["mode"] == "serial"
         assert info["reason"] == "single_scenario"
         assert (info["pending"], info["total"]) == (1, 4)
-        assert registry.counter("runner.auto_serial.single_scenario").value == 1
 
     def test_single_scenario_never_pays_for_a_pool(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "_cpu_count", lambda: 8)
@@ -139,19 +169,11 @@ class TestAutoSerialReasons:
     def test_no_fork_runs_serially(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "_cpu_count", lambda: 8)
         monkeypatch.setattr(runner_mod, "_fork_context", lambda: None)
-        registry = MetricsRegistry()
         info = {}
-        results = run_many(
-            scenarios(4), workers=4, metrics=registry, execution_info=info
-        )
+        results = run_many(scenarios(4), workers=4, execution_info=info)
         assert results == [("ran", seed) for seed in range(1, 5)]
         assert info["mode"] == "serial"
         assert info["reason"] == "no_fork"
-        assert registry.counter("runner.auto_serial.no_fork").value == 1
-
-    def test_metrics_optional(self):
-        [result] = run_many(scenarios(1), workers=1)
-        assert result == ("ran", 1)
 
 
 class TestExecutionInfoShape:
@@ -222,18 +244,44 @@ class TestPoolLifetime:
             run_many(scenarios(4), workers=2)
         assert multiprocessing.active_children() == []
 
-    def test_timed_out_attempt_is_reaped(self, monkeypatch):
-        # A per-attempt timeout forces the pool even for one scenario; the
-        # hung worker is terminated with the pool, not left running.
-        monkeypatch.setattr(runner_mod, "run_experiment", hanging_run_experiment)
+    def test_pooled_failure_carries_the_worker_traceback(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(runner_mod, "run_experiment", raising_run_experiment)
         info = {}
-        [failure] = run_many(
-            scenarios(1), workers=2, on_error="collect", execution_info=info,
-            retry=RetryPolicy(max_attempts=1, timeout_s=0.2),
-        )
+        with pytest.raises(ExperimentFailed) as excinfo:
+            run_many(scenarios(2), workers=2, execution_info=info)
         assert info["mode"] == "pool"
-        assert "TimeoutError" in failure.error
-        assert multiprocessing.active_children() == []
+        message = str(excinfo.value)
+        assert "ValueError('boom')" in message
+        # The tail of the traceback formatted inside the worker.
+        assert 'raise ValueError("boom")' in message
+        assert "in raising_run_experiment" in message
+
+    def test_dead_worker_fails_the_grid_instead_of_hanging(self, tmp_path):
+        # A subprocess with its own session bounds the wait: a hung grid
+        # is killed with every worker it forked.
+        child = subprocess.Popen(
+            [sys.executable, "-c", DEAD_WORKER_GRID, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("run_many hung after a pool worker died")
+        assert child.returncode == 0, err
+        report = json.loads(out)
+        assert report["mode"] == "pool"
+        assert report["failed"] == [4]
+        assert "BrokenProcessPool" in report["errors"][0]
+        assert report["children"] == 0
+        # Rows finished before the kill were checkpointed for a rerun.
+        assert report["cached"] == [1, 2, 3]
 
     def test_pool_sees_state_set_before_the_call(self, monkeypatch):
         # Workers fork per call, so a stand-in installed now is what runs.
@@ -241,44 +289,3 @@ class TestPoolLifetime:
         monkeypatch.setattr(runner_mod, "run_experiment", doubled_run_experiment)
         assert run_many(scenarios(2), workers=2) == [("doubled", 2), ("doubled", 4)]
 
-
-class TestLeanPayloadCodec:
-    def test_default_scenario_is_empty_payload(self):
-        assert _encode_scenario(Scenario()) == {}
-        assert _decode_scenario({}) == Scenario()
-
-    def test_round_trip_preserves_every_field(self):
-        scenario = Scenario(
-            message_bytes=900,
-            timeliness_s=4.0,
-            network_delay_s=0.25,
-            loss_rate=0.1,
-            jitter_s=0.01,
-            config=ProducerConfig(
-                semantics=DeliverySemantics.AT_MOST_ONCE,
-                batch_size=6,
-                polling_interval_s=0.04,
-                message_timeout_s=2.0,
-                max_retries=3,
-            ),
-            message_count=777,
-            seed=42,
-            bursty_loss=True,
-            arrival_rate=123.0,
-            broker_count=5,
-            partition_count=7,
-            hardware=HardwareProfile(),
-            topic_name="alt",
-        )
-        payload = _encode_scenario(scenario)
-        assert _decode_scenario(payload) == scenario
-
-    def test_payload_only_carries_diffs(self):
-        payload = _encode_scenario(Scenario(seed=9, message_bytes=500))
-        assert payload == {"message_bytes": 500, "seed": 9}
-
-    def test_nested_enum_encodes_as_wire_value(self):
-        payload = _encode_scenario(
-            Scenario(config=ProducerConfig(semantics=DeliverySemantics.EXACTLY_ONCE))
-        )
-        assert payload == {"config": {"semantics": "exactly_once"}}

@@ -1,11 +1,13 @@
 """Unit tests for the parallel experiment engine and the result cache."""
 
+import json
+
 import pytest
 
+import repro.testbed.runner as runner_mod
 from repro.testbed import (
     ExperimentFailed,
     ResultCache,
-    RunFailure,
     Scenario,
     derive_seed,
     resolve_workers,
@@ -13,6 +15,7 @@ from repro.testbed import (
     scenario_fingerprint,
     sweep,
 )
+from repro.testbed.cache import default_salt
 from repro.testbed.runner import WORKERS_ENV_VAR
 from repro.testbed.sweep import grid_scenarios
 
@@ -131,28 +134,89 @@ class TestRunManySerial:
             run_many([SMALL], workers=1)
         assert "bad scenario" in str(excinfo.value)
 
-    def test_error_collect_mode(self, monkeypatch):
-        calls = []
+    def test_failure_message_carries_fingerprint_and_traceback(self, monkeypatch):
+        def injected(scenario):
+            raise RuntimeError("injected failure")
 
-        def sometimes(scenario):
-            calls.append(scenario.seed)
-            if scenario.seed == 2:
-                raise RuntimeError("only seed 2 fails")
-            from repro.testbed.experiment import Experiment
+        monkeypatch.setattr(runner_mod, "run_experiment", injected)
+        with pytest.raises(ExperimentFailed) as excinfo:
+            run_many([SMALL], workers=1)
+        message = str(excinfo.value)
+        fingerprint = scenario_fingerprint(SMALL, default_salt())
+        assert f"{fingerprint[:12]} seed={SMALL.seed}:" in message
+        assert "RuntimeError('injected failure')" in message
+        # The tail of the traceback is quoted.
+        assert 'raise RuntimeError("injected failure")' in message
 
-            return Experiment(scenario).run()
+    def test_failure_message_truncates_long_grids(self, monkeypatch):
+        def injected(scenario):
+            raise RuntimeError("injected failure")
 
-        monkeypatch.setattr("repro.testbed.runner.run_experiment", sometimes)
-        scenarios = [SMALL.with_(seed=s) for s in (1, 2, 3)]
-        results = run_many(scenarios, workers=1, on_error="collect")
-        assert calls == [1, 2, 3]
-        assert isinstance(results[1], RunFailure)
-        assert not results[1]  # falsy for filtering
-        assert results[0].seed == 1 and results[2].seed == 3
+        monkeypatch.setattr(runner_mod, "run_experiment", injected)
+        scenarios = [SMALL.with_(seed=seed) for seed in range(10, 16)]
+        with pytest.raises(ExperimentFailed) as excinfo:
+            run_many(scenarios, workers=1)
+        message = str(excinfo.value)
+        assert "6 scenario(s) failed" in message
+        assert "and 3 more" in message
 
-    def test_bad_on_error_rejected(self):
-        with pytest.raises(ValueError):
-            run_many([SMALL], workers=1, on_error="ignore")
+
+class TestCacheCorruption:
+    def test_corrupt_entry_is_quarantined_and_counted(self, tmp_path):
+        cache = ResultCache(tmp_path, salt="v1")
+        [result] = run_many([SMALL], workers=1, cache=cache)
+        path = cache._path(cache.key(SMALL))
+        path.write_text("{torn write")
+
+        assert cache.get(SMALL) is None
+        assert cache.corruptions == 1
+        # The bad file moved aside for post-mortem and left the lookup path.
+        assert not path.exists()
+        assert (tmp_path / ResultCache.CORRUPT_DIR / path.name).exists()
+        assert len(cache) == 0
+
+        # A fresh write repairs the slot.
+        cache.put(SMALL, result)
+        assert cache.get(SMALL) == result
+
+    def test_unknown_fields_count_as_corruption(self, tmp_path):
+        cache = ResultCache(tmp_path, salt="v1")
+        run_many([SMALL], workers=1, cache=cache)
+        path = cache._path(cache.key(SMALL))
+        payload = json.loads(path.read_text())
+        payload["result"]["not_a_field"] = 1
+        path.write_text(json.dumps(payload, sort_keys=True))
+        assert cache.get(SMALL) is None
+        assert cache.corruptions == 1
+
+
+class TestResume:
+    def test_interrupted_sweep_resumes_from_cache(self, tmp_path, monkeypatch):
+        scenarios = [SMALL.with_(seed=seed) for seed in (21, 22, 23, 24)]
+        cache = ResultCache(tmp_path, salt="v1")
+        real = runner_mod.run_experiment
+
+        def interrupt_third(scenario, telemetry=None):
+            if scenario.seed == 23:
+                raise KeyboardInterrupt
+            return real(scenario)
+
+        monkeypatch.setattr(runner_mod, "run_experiment", interrupt_third)
+        with pytest.raises(KeyboardInterrupt):
+            run_many(scenarios, workers=1, cache=cache)
+        assert len(cache) == 2  # the two finished rows were checkpointed
+
+        ran = []
+
+        def counting(scenario, telemetry=None):
+            ran.append(scenario.seed)
+            return real(scenario)
+
+        monkeypatch.setattr(runner_mod, "run_experiment", counting)
+        results = run_many(scenarios, workers=1, cache=cache)
+        assert [r.seed for r in results] == [21, 22, 23, 24]
+        # Only the interrupted tail was recomputed.
+        assert sorted(ran) == [23, 24]
 
 
 class TestSweepSeeding:
