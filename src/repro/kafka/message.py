@@ -54,6 +54,10 @@ class ProducerRecord:
     ) -> None:
         if payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
+        if key is not None and key < 0:
+            # Keys index the testbed's per-message arrays, where a negative
+            # index would silently alias a slot at the end.
+            raise ValueError("key must be non-negative")
         if timeliness_s is not None and timeliness_s <= 0:
             raise ValueError("timeliness_s must be positive when given")
         self.payload_bytes = payload_bytes

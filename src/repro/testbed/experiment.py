@@ -17,8 +17,9 @@ fault treatments), all sharing the one cluster, topic and tracker.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Optional
 
 import numpy as np
 
@@ -215,11 +216,11 @@ class Experiment:
         # the committed logs directly, after all network events settled.
         for member in self.members:
             member.injector.clear()
-        keys: Set[int] = (
-            self.source.keys
-            if self.producers == 1
-            else set().union(*(member.source.keys for member in self.members))
-        )
+        keys = self.source.keys
+        if self.producers > 1:
+            keys = array("q")
+            for member in self.members:
+                keys.extend(member.source.keys)
         report = reconcile(
             keys,
             self.topic,
@@ -233,7 +234,7 @@ class Experiment:
             for case in DeliveryCase
             if census.case_counts.get(case)
         }
-        ack_latencies = list(self.tracker.ack_latencies.values())
+        ack_latencies = self.tracker.ack_latencies
         delivered = report.delivered_unique
         manifest = None
         if self.telemetry is not None:

@@ -21,6 +21,7 @@ identity for every ``(lo, hi)`` used here) at a fraction of the call cost.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Optional
 
 from ..kafka.config import HardwareProfile
@@ -59,7 +60,8 @@ class SourceDriver:
         self._timeliness_s = timeliness_s
         self._payload_sampler = payload_sampler
         self._emitted = 0
-        self.keys: set = set()
+        #: Keys of the emitted records, in emission order.
+        self.keys = array("q")
 
     def start(self) -> None:
         """Begin emitting records at simulated time now."""
@@ -85,7 +87,7 @@ class SourceDriver:
             timeliness_s=self._timeliness_s,
         )
         self._producer.offer(record)
-        self.keys.add(record.key)
+        self.keys.append(record.key)
         self._emitted += 1
         if self._emitted >= self._count:
             self._producer.finish_input()
@@ -221,7 +223,7 @@ class PolledSource(SourceDriver):
                 timeliness_s=self._timeliness_s,
             )
             self._producer.offer(record)
-            self.keys.add(record.key)
+            self.keys.append(record.key)
             self._emitted += 1
             if self._emitted >= self._count:
                 self._producer.finish_input()

@@ -51,10 +51,9 @@ def test_tracker_and_reconciliation_agree_on_losses():
     )
     experiment = Experiment(scenario)
     result = experiment.run()
+    tracker = experiment.tracker
     never_persisted = sum(
-        1
-        for machine in experiment.tracker.machines.values()
-        if not machine.persisted
+        1 for key in experiment.source.keys if not tracker.persisted(key)
     )
     assert never_persisted == round(result.p_loss * result.produced)
 

@@ -1,5 +1,7 @@
 """Unit tests for producer records, the consumer and reconciliation."""
 
+import math
+
 import pytest
 
 from repro.kafka import (
@@ -58,6 +60,12 @@ class TestProducerRecord:
             ProducerRecord(payload_bytes=0)
         with pytest.raises(ValueError):
             ProducerRecord(payload_bytes=10, timeliness_s=0.0)
+
+    def test_negative_key_rejected(self):
+        # A negative key would alias the last slot of the per-key arrays.
+        with pytest.raises(ValueError, match="non-negative"):
+            ProducerRecord(payload_bytes=10, key=-1)
+        assert ProducerRecord(payload_bytes=10, key=0).key == 0
 
 
 def make_topic():
@@ -137,8 +145,9 @@ class TestReconciliation:
         topic = make_topic()
         topic.partitions[0].append(1, 10, timestamp=10.0)
         topic.partitions[0].append(2, 10, timestamp=0.5)
+        # Ingest times are indexed by key; NaN marks key 0, never ingested.
         report = reconcile(
-            {1, 2}, topic, ingest_times={1: 0.0, 2: 0.0}, timeliness_s=1.0
+            {1, 2}, topic, ingest_times=[math.nan, 0.0, 0.0], timeliness_s=1.0
         )
         assert report.stale == 1
         assert report.p_stale == pytest.approx(0.5)

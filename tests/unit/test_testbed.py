@@ -169,8 +169,8 @@ class TestTracker:
         tracker.on_ingest(record)
         tracker.on_append(record, None, 0)
         tracker.on_append(record, None, 1)  # retry landed before any failure
-        machine = tracker.machines[record.key]
-        assert machine.state is MessageState.DUPLICATED
+        assert tracker.state(record.key) is MessageState.DUPLICATED
+        assert tracker.persisted(record.key)
 
     def test_persisted_but_unacked_divergence_counted(self):
         tracker = DeliveryTracker()
@@ -180,6 +180,35 @@ class TestTracker:
         tracker.on_expired(record, after_send=True)  # producer view: lost
         assert tracker.persisted_but_unacked() == 1
         assert tracker.census().case_counts == {DeliveryCase.CASE3: 1}
+
+    def test_ack_latencies_in_ack_order(self):
+        tracker = DeliveryTracker()
+        for key, rtt in ((5, 0.3), (2, 0.1), (9000, 0.2)):
+            tracker.on_acknowledged(ProducerRecord(payload_bytes=100, key=key), rtt)
+        assert list(tracker.ack_latencies) == [0.3, 0.1, 0.2]
+
+    def test_double_ack_raises(self):
+        tracker = DeliveryTracker()
+        record = self.make_record()
+        tracker.on_acknowledged(record, 0.1)
+        with pytest.raises(RuntimeError, match="acknowledged twice"):
+            tracker.on_acknowledged(record, 0.2)
+        assert list(tracker.ack_latencies) == [0.1]
+
+    def test_ingest_times_indexed_by_key(self):
+        tracker = DeliveryTracker()
+        tracker.on_ingest(self.make_record(key_time=1.5))
+        assert tracker.ingest_times[0] == 1.5
+        assert all(t != t for t in tracker.ingest_times[1:])  # NaN elsewhere
+
+    def test_unseen_key_has_no_state(self):
+        tracker = DeliveryTracker()
+        tracker.on_ingest(self.make_record())
+        assert tracker.state(0) is MessageState.READY
+        assert not tracker.persisted(0)
+        for key in (1, -1, 10**6):
+            with pytest.raises(KeyError):
+                tracker.state(key)
 
     def test_unresolved_counted_separately(self):
         tracker = DeliveryTracker()
