@@ -90,7 +90,8 @@ class DeliveryCase(Enum):
 
 # An enum member lookup such as ``MessageState.READY`` goes through the enum
 # metaclass (about 0.14 µs on Python 3.11, ten times a module global), and
-# the methods below run for every simulated message, so they read these.
+# the trace replay runs the methods below for every transition record, so
+# they read these.
 _READY = MessageState.READY
 _DELIVERED = MessageState.DELIVERED
 _LOST = MessageState.LOST
@@ -114,10 +115,11 @@ class IllegalTransition(RuntimeError):
 class MessageStateMachine:
     """Tracks one message's walk through the Fig. 2 state diagram.
 
-    The testbed instruments every message with one of these; the producer
-    and broker report transitions as they happen, and
-    :meth:`classify_case` reduces the history to a Table I case.  A plain
-    ``__slots__`` class, since one is built per simulated message.
+    The reference model of a message's walk: the testbed's tracker packs
+    what :meth:`classify_case` and :attr:`persisted` read of a history into
+    one byte per message and is tested against this class, and the trace
+    replay re-walks every traced transition through one of these per key.
+    A plain ``__slots__`` class, since the replay builds one per message.
     """
 
     __slots__ = ("state", "history")
