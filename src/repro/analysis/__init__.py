@@ -1,6 +1,5 @@
 """Result presentation: figure series, text tables and ASCII plots."""
 
-from .export import results_to_json, series_to_csv, series_to_json
 from .plots import ascii_plot
 from .series import FigureSeries
 from .tables import comparison_table, render_table
@@ -10,7 +9,4 @@ __all__ = [
     "ascii_plot",
     "render_table",
     "comparison_table",
-    "series_to_csv",
-    "series_to_json",
-    "results_to_json",
 ]

@@ -1,16 +1,16 @@
 """A from-scratch neural-network framework on numpy.
 
 Re-implements what the paper built in a deep-learning framework: dense
-layers, standard activations, MSE/MAE losses, SGD/Momentum/Adam, scalers,
-train/test utilities and model persistence.  ``build_mlp`` constructs the
-paper's 200/200/200/64 topology.
+layers, ReLU/sigmoid/identity activations, the MSE loss, SGD/Momentum/Adam,
+a standard scaler, the MAE metric and model persistence.  ``build_mlp``
+constructs the paper's 200/200/200/64 topology with ReLU hidden layers and
+a sigmoid output.
 """
 
-from .activations import ACTIVATIONS, Activation, Identity, Relu, Sigmoid, Tanh, get_activation
-from .data import iterate_minibatches, train_test_split
+from .activations import ACTIVATIONS, Activation, Identity, Relu, Sigmoid, get_activation
 from .layers import Dense, Layer
-from .losses import HuberLoss, LOSSES, Loss, MAELoss, MSELoss, get_loss
-from .metrics import mae, max_error, r2_score, rmse
+from .losses import MSELoss
+from .metrics import mae
 from .network import PAPER_HIDDEN_LAYERS, Sequential, TrainingHistory, build_mlp
 from .optimizers import Adam, Momentum, Optimizer, SGD, get_optimizer
 from .scaling import StandardScaler
@@ -18,11 +18,10 @@ from .serialize import load_model, save_model
 from .tensor import INITIALIZERS, Parameter, glorot_uniform, he_normal, zeros_init
 
 __all__ = [
-    "Activation", "Relu", "Sigmoid", "Tanh", "Identity", "ACTIVATIONS", "get_activation",
-    "train_test_split", "iterate_minibatches",
+    "Activation", "Relu", "Sigmoid", "Identity", "ACTIVATIONS", "get_activation",
     "Layer", "Dense",
-    "Loss", "MSELoss", "MAELoss", "HuberLoss", "LOSSES", "get_loss",
-    "mae", "rmse", "r2_score", "max_error",
+    "MSELoss",
+    "mae",
     "Sequential", "TrainingHistory", "build_mlp", "PAPER_HIDDEN_LAYERS",
     "Optimizer", "SGD", "Momentum", "Adam", "get_optimizer",
     "StandardScaler",

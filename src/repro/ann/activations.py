@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Activation", "Relu", "Sigmoid", "Tanh", "Identity", "ACTIVATIONS", "get_activation"]
+__all__ = ["Activation", "Relu", "Sigmoid", "Identity", "ACTIVATIONS", "get_activation"]
 
 
 class Activation:
     """An elementwise nonlinearity ``f`` with derivative ``f'``.
 
     ``derivative`` receives the *output* of ``apply`` where that is cheaper
-    (sigmoid/tanh), so subclasses document which of input/output they use.
+    (sigmoid), so subclasses document which of input/output they use.
     """
 
     name = "base"
@@ -54,18 +54,6 @@ class Sigmoid(Activation):
         return y * (1.0 - y)
 
 
-class Tanh(Activation):
-    """Hyperbolic tangent."""
-
-    name = "tanh"
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def derivative(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return 1.0 - y * y
-
-
 class Identity(Activation):
     """Linear pass-through (regression output layers)."""
 
@@ -79,7 +67,7 @@ class Identity(Activation):
 
 
 #: Name → activation registry (used by serialisation).
-ACTIVATIONS = {cls.name: cls for cls in (Relu, Sigmoid, Tanh, Identity)}
+ACTIVATIONS = {cls.name: cls for cls in (Relu, Sigmoid, Identity)}
 
 
 def get_activation(name: "str | Activation") -> Activation:

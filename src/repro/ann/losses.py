@@ -1,4 +1,4 @@
-"""Regression losses with analytic gradients."""
+"""The training loss with its analytic gradient."""
 
 from __future__ import annotations
 
@@ -6,98 +6,20 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["Loss", "MSELoss", "MAELoss", "HuberLoss", "get_loss", "LOSSES"]
+__all__ = ["MSELoss"]
 
 
-class Loss:
-    """A scalar objective over a prediction batch."""
-
-    name = "base"
+class MSELoss:
+    """Mean squared error — the training objective."""
 
     def value_and_grad(
         self, predicted: np.ndarray, target: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         """Return ``(loss, d loss / d predicted)`` averaged over samples."""
-        raise NotImplementedError
-
-
-def _check(predicted: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    predicted = np.asarray(predicted, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if predicted.shape != target.shape:
-        raise ValueError(f"shape mismatch: {predicted.shape} vs {target.shape}")
-    return predicted, target
-
-
-class MSELoss(Loss):
-    """Mean squared error — the training objective."""
-
-    name = "mse"
-
-    def value_and_grad(
-        self, predicted: np.ndarray, target: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        predicted, target = _check(predicted, target)
+        predicted = np.asarray(predicted, dtype=np.float64)
+        target = np.asarray(target, dtype=np.float64)
+        if predicted.shape != target.shape:
+            raise ValueError(f"shape mismatch: {predicted.shape} vs {target.shape}")
         diff = predicted - target
         n = predicted.shape[0]
         return float(np.mean(diff**2)), (2.0 / (n * predicted.shape[1])) * diff
-
-
-class MAELoss(Loss):
-    """Mean absolute error — the paper's reported accuracy metric."""
-
-    name = "mae"
-
-    def value_and_grad(
-        self, predicted: np.ndarray, target: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        predicted, target = _check(predicted, target)
-        diff = predicted - target
-        n = predicted.shape[0]
-        return (
-            float(np.mean(np.abs(diff))),
-            np.sign(diff) / (n * predicted.shape[1]),
-        )
-
-
-class HuberLoss(Loss):
-    """Huber loss — quadratic near zero, linear in the tails."""
-
-    name = "huber"
-
-    def __init__(self, delta: float = 0.05) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = float(delta)
-
-    def value_and_grad(
-        self, predicted: np.ndarray, target: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        predicted, target = _check(predicted, target)
-        diff = predicted - target
-        abs_diff = np.abs(diff)
-        quadratic = abs_diff <= self.delta
-        values = np.where(
-            quadratic,
-            0.5 * diff**2,
-            self.delta * (abs_diff - 0.5 * self.delta),
-        )
-        grads = np.where(quadratic, diff, self.delta * np.sign(diff))
-        n = predicted.shape[0] * predicted.shape[1]
-        return float(np.mean(values)), grads / n
-
-
-#: Name → loss registry.
-LOSSES = {"mse": MSELoss, "mae": MAELoss, "huber": HuberLoss}
-
-
-def get_loss(name: "str | Loss") -> Loss:
-    """Resolve a loss by name or pass an instance through."""
-    if isinstance(name, Loss):
-        return name
-    try:
-        return LOSSES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown loss {name!r}; expected one of {sorted(LOSSES)}"
-        ) from None

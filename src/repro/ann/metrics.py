@@ -4,42 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mae", "rmse", "r2_score", "max_error"]
-
-
-def _pair(
-    predicted: np.ndarray, target: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    predicted = np.asarray(predicted, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if predicted.shape != target.shape:
-        raise ValueError(f"shape mismatch: {predicted.shape} vs {target.shape}")
-    return predicted, target
+__all__ = ["mae"]
 
 
 def mae(predicted: np.ndarray, target: np.ndarray) -> float:
     """Mean absolute error — the paper reports MAE < 0.02."""
-    predicted, target = _pair(predicted, target)
+    predicted = np.asarray(predicted, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if predicted.shape != target.shape:
+        raise ValueError(f"shape mismatch: {predicted.shape} vs {target.shape}")
     return float(np.mean(np.abs(predicted - target)))
-
-
-def rmse(predicted: np.ndarray, target: np.ndarray) -> float:
-    """Root mean squared error."""
-    predicted, target = _pair(predicted, target)
-    return float(np.sqrt(np.mean((predicted - target) ** 2)))
-
-
-def max_error(predicted: np.ndarray, target: np.ndarray) -> float:
-    """Worst absolute error over the set."""
-    predicted, target = _pair(predicted, target)
-    return float(np.max(np.abs(predicted - target)))
-
-
-def r2_score(predicted: np.ndarray, target: np.ndarray) -> float:
-    """Coefficient of determination (1 = perfect, 0 = mean predictor)."""
-    predicted, target = _pair(predicted, target)
-    residual = np.sum((target - predicted) ** 2)
-    total = np.sum((target - target.mean(axis=0)) ** 2)
-    if total == 0.0:
-        return 1.0 if residual == 0.0 else 0.0
-    return float(1.0 - residual / total)

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .layers import Dense, Layer
-from .losses import Loss, get_loss
+from .losses import MSELoss
 from .optimizers import Optimizer, get_optimizer
 from .tensor import Parameter
 
@@ -100,10 +100,9 @@ class Sequential:
             grad = layer.backward(grad)
         return grad
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray, loss: "str | Loss" = "mse") -> float:
-        """Loss of the current network on ``(x, y)``."""
-        loss_fn = get_loss(loss)
-        value, _ = loss_fn.value_and_grad(self.predict(x), np.asarray(y, dtype=np.float64))
+    def evaluate(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Mean squared error of the current network on ``(x, y)``."""
+        value, _ = MSELoss().value_and_grad(self.predict(x), np.asarray(y, dtype=np.float64))
         return value
 
     def fit(
@@ -113,23 +112,20 @@ class Sequential:
         epochs: int = 1000,
         batch_size: int = 32,
         optimizer: "str | Optimizer" = "sgd",
-        loss: "str | Loss" = "mse",
         validation: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         patience: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        verbose_every: Optional[int] = None,
-        weight_decay: float = 0.0,
     ) -> TrainingHistory:
-        """Minibatch training.
+        """Minibatch training on the mean squared error.
 
         Parameters
         ----------
         epochs:
             Maximum passes over the data (the paper uses 1000).
         batch_size:
-            Minibatch size.
-        optimizer / loss:
-            Names or instances (paper: SGD, learning rate 0.5, MSE).
+            Minibatch size (at least 1).
+        optimizer:
+            Name or instance (paper: SGD, learning rate 0.5).
         validation:
             Optional ``(x_val, y_val)`` evaluated each epoch.
         patience:
@@ -137,14 +133,11 @@ class Sequential:
             improvement (requires ``validation``).
         rng:
             Shuffling source; fixed seed → identical training run.
-        verbose_every:
-            Print progress every N epochs when set.
-        weight_decay:
-            L2 penalty coefficient added to every weight gradient (0
-            disables regularisation; biases are not decayed).
         """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if patience is not None and validation is None:
             raise ValueError("patience requires a validation set")
         x = np.asarray(x, dtype=np.float64)
@@ -152,29 +145,17 @@ class Sequential:
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
             raise ValueError("x and y must be 2-D with matching row counts")
         optimizer = get_optimizer(optimizer)
-        loss_fn = get_loss(loss)
+        loss_fn = MSELoss()
         rng = rng if rng is not None else np.random.default_rng(0)
         history = TrainingHistory()
         best_val = np.inf
         best_weights: Optional[List[np.ndarray]] = None
         stale = 0
         parameters = self.parameters()
-        # Hoisted out of the batch loop: the decayed-weight list never
-        # changes, and per-epoch gather-once/slice-views beats per-batch
-        # fancy indexing (identical batches, far less numpy overhead).
-        decayed = (
-            [
-                weight
-                for weight in (
-                    getattr(layer, "weight", None) for layer in self.layers
-                )
-                if weight is not None
-            ]
-            if weight_decay > 0.0
-            else []
-        )
+        # Per-epoch gather-once/slice-views beats per-batch fancy
+        # indexing (identical batches, far less numpy overhead).
         count = x.shape[0]
-        for epoch in range(epochs):
+        for _ in range(epochs):
             epoch_loss = 0.0
             batches = 0
             order = rng.permutation(count)
@@ -186,14 +167,12 @@ class Sequential:
                 predicted = self.forward(xb, training=True)
                 value, grad = loss_fn.value_and_grad(predicted, yb)
                 self.backward(grad)
-                for weight in decayed:
-                    weight.grad += weight_decay * weight.value
                 optimizer.step(parameters)
                 epoch_loss += value
                 batches += 1
             history.train_loss.append(epoch_loss / max(1, batches))
             if validation is not None:
-                val = self.evaluate(validation[0], validation[1], loss_fn)
+                val = self.evaluate(validation[0], validation[1])
                 history.validation_loss.append(val)
                 if val < best_val - 1e-9:
                     best_val = val
@@ -204,13 +183,6 @@ class Sequential:
                     if patience is not None and stale > patience:
                         history.stopped_early = True
                         break
-            if verbose_every is not None and (epoch + 1) % verbose_every == 0:
-                val_text = (
-                    f" val={history.validation_loss[-1]:.5f}"
-                    if history.validation_loss
-                    else ""
-                )
-                print(f"epoch {epoch + 1}: loss={history.train_loss[-1]:.5f}{val_text}")
         if best_weights is not None:
             for parameter, weights in zip(parameters, best_weights):
                 parameter.value = weights
@@ -221,11 +193,10 @@ def build_mlp(
     input_dim: int,
     output_dim: int,
     hidden: Sequence[int] = PAPER_HIDDEN_LAYERS,
-    hidden_activation: str = "relu",
-    output_activation: str = "sigmoid",
     seed: int = 0,
 ) -> Sequential:
-    """Build the paper's fully-connected architecture.
+    """Build the paper's fully-connected architecture: ReLU hidden layers
+    and a sigmoid output.
 
     The sigmoid output keeps predicted probabilities inside (0, 1) — the
     corner case the paper worries about ("P̂_l or P̂_d become negative").
@@ -235,8 +206,8 @@ def build_mlp(
     rng = np.random.default_rng(seed)
     widths = [input_dim, *hidden]
     layers: List[Layer] = [
-        Dense(width_in, width_out, hidden_activation, rng)
+        Dense(width_in, width_out, "relu", rng)
         for width_in, width_out in zip(widths[:-1], widths[1:])
     ]
-    layers.append(Dense(widths[-1], output_dim, output_activation, rng))
+    layers.append(Dense(widths[-1], output_dim, "sigmoid", rng))
     return Sequential(layers)

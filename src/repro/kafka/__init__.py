@@ -16,7 +16,7 @@ from .config import (
 )
 from .consumer import KafkaConsumer, ReconciliationReport, reconcile
 from .log import LogEntry, LogSegment, PartitionLog
-from .message import ProducerRecord, RecordMetadata
+from .message import ProducerRecord
 from .partition import Partition
 from .producer import KafkaProducer, ProducerListener, ProducerStats
 from .semantics import DeliverySemantics
@@ -27,7 +27,7 @@ from .state import (
     MessageStateMachine,
     Transition,
 )
-from .topic import KeyHashPartitioner, Partitioner, RoundRobinPartitioner, Topic
+from .topic import Topic
 
 __all__ = [
     "Broker",
@@ -45,7 +45,6 @@ __all__ = [
     "LogSegment",
     "PartitionLog",
     "ProducerRecord",
-    "RecordMetadata",
     "Partition",
     "KafkaProducer",
     "ProducerListener",
@@ -56,8 +55,5 @@ __all__ = [
     "MessageState",
     "MessageStateMachine",
     "Transition",
-    "KeyHashPartitioner",
-    "Partitioner",
-    "RoundRobinPartitioner",
     "Topic",
 ]

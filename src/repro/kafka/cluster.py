@@ -18,7 +18,7 @@ from .broker import Broker, ProduceRequest, ProduceResponse
 from .config import BrokerConfig
 from .message import ProducerRecord
 from .partition import Partition
-from .topic import Partitioner, Topic
+from .topic import Topic
 
 __all__ = ["KafkaCluster"]
 
@@ -63,12 +63,7 @@ class KafkaCluster:
         """Stable, ordered broker identifiers."""
         return sorted(self.brokers)
 
-    def create_topic(
-        self,
-        name: str,
-        partitions: int = 3,
-        partitioner: Optional[Partitioner] = None,
-    ) -> Topic:
+    def create_topic(self, name: str, partitions: int = 3) -> Topic:
         """Create a topic with leaders assigned round-robin across brokers."""
         if name in self.topics:
             raise ValueError(f"topic {name!r} already exists")
@@ -86,7 +81,7 @@ class KafkaCluster:
             partition_objects.append(
                 Partition(name, index, leader, replicas)
             )
-        topic = Topic(name, partition_objects, partitioner)
+        topic = Topic(name, partition_objects)
         self.topics[name] = topic
         return topic
 

@@ -8,10 +8,9 @@ and timestamps the simulation needs, never actual payload bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ProducerRecord", "RecordMetadata"]
+__all__ = ["ProducerRecord"]
 
 
 class ProducerRecord:
@@ -85,13 +84,3 @@ class ProducerRecord:
         if self.timeliness_s is None or self.ingest_time is None:
             return False
         return (delivered_at - self.ingest_time) > self.timeliness_s
-
-
-@dataclass
-class RecordMetadata:
-    """Broker-side result of appending one record."""
-
-    topic: str
-    partition: int
-    offset: int
-    timestamp: float

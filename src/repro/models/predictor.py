@@ -59,6 +59,8 @@ class TrainingSettings:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must be in (0, 0.5)")
 
@@ -298,7 +300,6 @@ class ReliabilityPredictor:
             epochs=settings.epochs,
             batch_size=settings.batch_size,
             optimizer=SGD(settings.learning_rate),
-            loss="mse",
             validation=(x_scaled[val_index], y[val_index]),
             patience=settings.patience,
             rng=rng,

@@ -11,7 +11,6 @@ from .faults import FaultInjector, NetworkFault
 from .latency import (
     ConstantLatency,
     LatencyModel,
-    NormalLatency,
     ParetoLatency,
     UniformLatency,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
-    "NormalLatency",
     "ParetoLatency",
     "Link",
     "LinkDirection",

@@ -15,7 +15,6 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
-    "NormalLatency",
     "ParetoLatency",
 ]
 
@@ -69,25 +68,6 @@ class UniformLatency(LatencyModel):
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.base_s * 1e3:.1f} ± {self.jitter_s * 1e3:.1f} ms)"
-
-
-class NormalLatency(LatencyModel):
-    """Normally distributed jitter truncated at zero."""
-
-    def __init__(self, mean_s: float, stddev_s: float) -> None:
-        if mean_s < 0 or stddev_s < 0:
-            raise ValueError("mean and stddev must be non-negative")
-        self.mean_s = float(mean_s)
-        self.stddev_s = float(stddev_s)
-
-    def sample(self, rng: Rng) -> float:
-        return max(0.0, rng.normal(self.mean_s, self.stddev_s))
-
-    def mean(self) -> float:
-        return self.mean_s
-
-    def __repr__(self) -> str:
-        return f"NormalLatency({self.mean_s * 1e3:.1f} ms, σ={self.stddev_s * 1e3:.1f} ms)"
 
 
 class ParetoLatency(LatencyModel):

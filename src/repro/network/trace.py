@@ -12,7 +12,7 @@ configuration controller as the "known network status" the paper assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -136,7 +136,6 @@ def generate_paper_trace(
     delay_scale_s: float = 0.020,
     delay_shape: float = 2.0,
     delay_cap_s: float = 0.400,
-    rate_process: Optional[GilbertElliottRateProcess] = None,
 ) -> NetworkTrace:
     """Generate the Fig. 9-style trace: Pareto delay + G-E loss rate.
 
@@ -147,7 +146,7 @@ def generate_paper_trace(
     if duration_s <= 0 or interval_s <= 0:
         raise ValueError("duration and interval must be positive")
     delay_model = ParetoLatency(delay_scale_s, delay_shape, cap_s=delay_cap_s)
-    process = rate_process if rate_process is not None else GilbertElliottRateProcess()
+    process = GilbertElliottRateProcess()
     trace = NetworkTrace(interval_s=interval_s)
     steps = int(round(duration_s / interval_s))
     for step in range(steps):

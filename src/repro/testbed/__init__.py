@@ -33,7 +33,7 @@ from .sensitivity import (
 )
 from .results import ExperimentResult, load_results_csv, save_results_csv, wilson_interval
 from .scenario import Scenario
-from .sweep import apply_axis, derive_seed, mean_metric, replicate, sweep
+from .sweep import apply_axis, derive_seed, sweep
 from .tracker import CaseCensus, DeliveryTracker
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
     "Scenario",
     "apply_axis",
     "sweep",
-    "replicate",
-    "mean_metric",
     "CaseCensus",
     "DeliveryTracker",
     "ParameterSensitivity",

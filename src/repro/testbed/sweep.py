@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .cache import ResultCache
 from .results import ExperimentResult
 from .runner import run_many
 from .scenario import Scenario
 
-__all__ = ["apply_axis", "derive_seed", "sweep", "replicate", "mean_metric"]
+__all__ = ["apply_axis", "derive_seed", "sweep"]
 
 
 def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
@@ -124,25 +122,3 @@ def sweep(
     if progress is not None:
         wrapped = lambda index, total, scenario: progress(scenario)  # noqa: E731
     return run_many(scenarios, workers=workers, cache=cache, progress=wrapped)
-
-
-def replicate(
-    scenario: Scenario,
-    replications: int,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[ExperimentResult]:
-    """Run one scenario under ``replications`` different seeds."""
-    return sweep(
-        scenario, {}, replications=replications, workers=workers, cache=cache
-    )
-
-
-def mean_metric(
-    results: Iterable[ExperimentResult], metric: str = "p_loss"
-) -> float:
-    """Average a metric over results (CI-friendly aggregation)."""
-    values = [getattr(result, metric) for result in results]
-    if not values:
-        raise ValueError("no results to aggregate")
-    return float(np.mean(values))

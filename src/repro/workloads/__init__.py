@@ -9,7 +9,6 @@ streams.
 from .arrival import (
     ConstantRateSource,
     FullLoadSource,
-    PoissonSource,
     PolledSource,
     SourceDriver,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "FullLoadSource",
     "PolledSource",
     "ConstantRateSource",
-    "PoissonSource",
     "StreamProfile",
     "SOCIAL_MEDIA",
     "WEB_ACCESS_LOGS",

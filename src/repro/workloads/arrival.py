@@ -30,7 +30,7 @@ from ..kafka.producer import KafkaProducer
 from ..simulation.random import Rng
 from ..simulation.simulator import Simulator
 
-__all__ = ["SourceDriver", "FullLoadSource", "PolledSource", "ConstantRateSource", "PoissonSource"]
+__all__ = ["SourceDriver", "FullLoadSource", "PolledSource", "ConstantRateSource"]
 
 
 class SourceDriver:
@@ -254,25 +254,3 @@ class ConstantRateSource(SourceDriver):
 
     def _next_interval(self) -> float:
         return self._interval
-
-
-class PoissonSource(SourceDriver):
-    """Memoryless arrivals at a mean rate (messages/second)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        producer: KafkaProducer,
-        count: int,
-        payload_bytes: int,
-        rng: Rng,
-        rate: float,
-        **kwargs,
-    ) -> None:
-        super().__init__(sim, producer, count, payload_bytes, rng, **kwargs)
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self._rate = rate
-
-    def _next_interval(self) -> float:
-        return float(self._rng.exponential(1.0 / self._rate))

@@ -26,7 +26,7 @@ def numerical_gradient(network, loss, x, y, parameter, index, epsilon=1e-6):
     seed=st.integers(min_value=0, max_value=10_000),
     batch=st.integers(min_value=1, max_value=4),
     hidden=st.integers(min_value=2, max_value=6),
-    activation=st.sampled_from(["tanh", "sigmoid", "identity"]),
+    activation=st.sampled_from(["sigmoid", "identity"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_backprop_matches_finite_differences(seed, batch, hidden, activation):

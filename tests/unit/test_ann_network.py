@@ -1,4 +1,4 @@
-"""Unit tests for the sequential network, data utilities and persistence."""
+"""Unit tests for the sequential network, scaling, metrics and persistence."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,9 @@ from repro.ann import (
     Sequential,
     StandardScaler,
     build_mlp,
-    iterate_minibatches,
     load_model,
     mae,
-    max_error,
-    r2_score,
-    rmse,
     save_model,
-    train_test_split,
 )
 
 
@@ -80,47 +75,21 @@ class TestFit:
         with pytest.raises(ValueError):
             net.fit(np.zeros((5, 2)), np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_non_positive_batch_size_rejected(self, batch_size):
+        net = build_mlp(1, 1, hidden=(4,))
+        before = [parameter.value.copy() for parameter in net.parameters()]
+        with pytest.raises(ValueError, match="batch_size"):
+            net.fit(np.zeros((5, 1)), np.zeros((5, 1)), epochs=2, batch_size=batch_size)
+        assert all(
+            np.array_equal(parameter.value, old)
+            for parameter, old in zip(net.parameters(), before)
+        )
+
     def test_evaluate_returns_loss(self):
         net = build_mlp(1, 1, hidden=(4,))
-        value = net.evaluate(np.zeros((5, 1)), np.full((5, 1), 0.5), loss="mse")
+        value = net.evaluate(np.zeros((5, 1)), np.full((5, 1), 0.5))
         assert value >= 0.0
-
-
-class TestDataUtilities:
-    def test_split_sizes(self):
-        x = np.arange(100).reshape(50, 2)
-        y = np.arange(50).reshape(50, 1)
-        x_train, x_test, y_train, y_test = train_test_split(x, y, 0.2)
-        assert x_train.shape[0] == 40
-        assert x_test.shape[0] == 10
-        assert y_train.shape[0] == 40
-
-    def test_split_partitions_rows(self):
-        x = np.arange(20).reshape(10, 2)
-        y = np.arange(10).reshape(10, 1)
-        x_train, x_test, _, _ = train_test_split(x, y, 0.3)
-        combined = np.vstack([x_train, x_test])
-        assert sorted(map(tuple, combined)) == sorted(map(tuple, x))
-
-    def test_split_validation(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((5, 1)), np.zeros((5, 1)), 1.5)
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((1, 1)), np.zeros((1, 1)), 0.2)
-
-    def test_minibatches_cover_all_rows(self):
-        x = np.arange(10).reshape(10, 1)
-        y = x.copy()
-        seen = []
-        for xb, _ in iterate_minibatches(x, y, 3):
-            seen.extend(xb[:, 0].tolist())
-        assert sorted(seen) == list(range(10))
-
-    def test_minibatch_shuffling(self):
-        x = np.arange(50).reshape(50, 1)
-        rng = np.random.default_rng(1)
-        first_batch = next(iter(iterate_minibatches(x, x, 10, rng)))[0]
-        assert not np.array_equal(first_batch[:, 0], np.arange(10))
 
 
 class TestScalers:
@@ -156,14 +125,6 @@ class TestMetrics:
         predicted = np.array([[1.0], [3.0]])
         target = np.array([[0.0], [0.0]])
         assert mae(predicted, target) == pytest.approx(2.0)
-        assert rmse(predicted, target) == pytest.approx(np.sqrt(5.0))
-        assert max_error(predicted, target) == pytest.approx(3.0)
-
-    def test_r2_perfect_and_mean(self):
-        target = np.array([[1.0], [2.0], [3.0]])
-        assert r2_score(target, target) == pytest.approx(1.0)
-        mean_prediction = np.full_like(target, 2.0)
-        assert r2_score(mean_prediction, target) == pytest.approx(0.0)
 
 
 class TestSerialisation:
@@ -175,10 +136,10 @@ class TestSerialisation:
         assert np.allclose(restored.predict(x), net.predict(x))
 
     def test_architecture_preserved(self, tmp_path):
-        net = build_mlp(3, 1, hidden=(8,), hidden_activation="tanh", seed=0)
+        net = build_mlp(3, 1, hidden=(8,), seed=0)
         save_model(net, tmp_path / "model")
         restored = load_model(tmp_path / "model")
-        assert restored.layers[0].activation.name == "tanh"
+        assert [layer.activation.name for layer in restored.layers] == ["relu", "sigmoid"]
 
     def test_sequential_requires_layers(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from repro.network import (
     ConstantLatency,
     GilbertElliottLoss,
     NoLoss,
-    NormalLatency,
     ParetoLatency,
     UniformLatency,
 )
@@ -38,11 +37,6 @@ class TestLatencyModels:
     def test_uniform_jitter_larger_than_base_rejected(self):
         with pytest.raises(ValueError):
             UniformLatency(0.01, 0.02)
-
-    def test_normal_latency_truncated_at_zero(self, rng):
-        model = NormalLatency(0.001, 0.01)
-        samples = [model.sample(rng) for _ in range(200)]
-        assert all(s >= 0.0 for s in samples)
 
     def test_pareto_minimum_is_scale(self, rng):
         model = ParetoLatency(0.02, shape=2.0)

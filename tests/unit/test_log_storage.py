@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kafka import KeyHashPartitioner, Partition, PartitionLog, RoundRobinPartitioner, Topic
+from repro.kafka import Partition, PartitionLog, Topic
 from repro.kafka.log import LogSegment
 
 
@@ -119,22 +119,17 @@ class TestPartition:
 
 
 class TestTopic:
-    def make(self, partitioner=None):
+    def make(self):
         partitions = [Partition("t", i, f"broker-{i % 2}") for i in range(3)]
-        return Topic("t", partitions, partitioner)
+        return Topic("t", partitions)
 
     def test_requires_partitions(self):
         with pytest.raises(ValueError):
             Topic("t", [])
 
     def test_key_hash_partitioner_is_deterministic(self):
-        topic = self.make(KeyHashPartitioner())
+        topic = self.make()
         assert topic.partition_for(42) is topic.partition_for(42)
-
-    def test_round_robin_cycles(self):
-        partitioner = RoundRobinPartitioner()
-        indices = [partitioner.select(0, 3) for _ in range(6)]
-        assert indices == [0, 1, 2, 0, 1, 2]
 
     def test_key_counts_merge_partitions(self):
         topic = self.make()

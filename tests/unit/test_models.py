@@ -134,6 +134,16 @@ def synthetic_results(count=60, seed=0):
     return rows
 
 
+class TestTrainingSettings:
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_non_positive_batch_size_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainingSettings(batch_size=batch_size)
+
+    def test_batch_size_of_one_accepted(self):
+        assert TrainingSettings(batch_size=1).batch_size == 1
+
+
 class TestPredictorTraining:
     def test_fit_and_predict_learns_trend(self):
         rows = synthetic_results()

@@ -186,19 +186,3 @@ class TestJitterScenario:
         assert captured
         assert captured[0].jitter_s == 0.02
         assert captured[0].delay_s == 0.05
-
-
-class TestWeightDecay:
-    def test_weight_decay_shrinks_weights(self):
-        import numpy as np
-        from repro.ann import build_mlp
-
-        x = np.random.default_rng(0).normal(size=(64, 3))
-        y = np.random.default_rng(1).uniform(0, 1, size=(64, 1))
-        plain = build_mlp(3, 1, hidden=(16,), seed=4)
-        decayed = build_mlp(3, 1, hidden=(16,), seed=4)
-        plain.fit(x, y, epochs=50)
-        decayed.fit(x, y, epochs=50, weight_decay=0.05)
-        plain_norm = sum(np.abs(p.value).sum() for p in plain.parameters())
-        decayed_norm = sum(np.abs(p.value).sum() for p in decayed.parameters())
-        assert decayed_norm < plain_norm

@@ -11,7 +11,6 @@ from repro.workloads import (
     FullLoadSource,
     GAME_TRAFFIC,
     PAPER_STREAMS,
-    PoissonSource,
     PolledSource,
     SOCIAL_MEDIA,
     StreamProfile,
@@ -52,23 +51,6 @@ class TestConstantRateSource:
         sim, producer, rng = make_producer()
         with pytest.raises(ValueError):
             ConstantRateSource(sim, producer, 5, 100, rng, rate=0.0)
-
-
-class TestPoissonSource:
-    def test_emits_exact_count(self):
-        sim, producer, rng = make_producer()
-        source = PoissonSource(sim, producer, 30, 100, rng, rate=200.0)
-        source.start()
-        sim.run()
-        assert len(source.keys) == 30
-
-    def test_mean_rate_roughly_holds(self):
-        sim, producer, rng = make_producer()
-        source = PoissonSource(sim, producer, 400, 100, rng, rate=100.0)
-        source.start()
-        sim.run()
-        # 400 arrivals at 100/s should take about 4 simulated seconds.
-        assert 2.0 < sim.now < 8.0
 
 
 class TestFullLoadSource:
