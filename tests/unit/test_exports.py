@@ -14,14 +14,10 @@ import pytest
 import repro
 
 
-def _module_names():
-    names = [repro.__name__]
-    for info in pkgutil.walk_packages(repro.__path__, prefix=f"{repro.__name__}."):
-        names.append(info.name)
-    return sorted(names)
-
-
-MODULES = _module_names()
+MODULES = sorted(
+    [repro.__name__]
+    + [info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")]
+)
 
 
 def test_walk_finds_every_subpackage():
