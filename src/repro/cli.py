@@ -24,8 +24,8 @@ Six subcommands cover the paper's workflow:
     checker and print a summary; exits non-zero on any violation.
 ``repro lint``
     Run the determinism & correctness static-analysis rules over the
-    source tree; exits non-zero on any new, unsuppressed finding (see
-    DESIGN.md §9 and the lint-baseline workflow in README).
+    source tree; exits non-zero on any unsuppressed finding, and
+    ``--out`` writes the JSON report (see DESIGN.md §9).
 
 Installed as the ``repro`` console script; also runnable via
 ``python -m repro.cli``.

@@ -213,11 +213,6 @@ class KafkaProducer:
         """Records ingested whose fate the producer has not yet resolved."""
         return self._outstanding
 
-    @property
-    def queue_depth(self) -> int:
-        """Records currently waiting in the accumulator."""
-        return len(self._queue)
-
     def offer(self, record: ProducerRecord) -> bool:
         """Ingest one record from the upstream source.
 

@@ -15,30 +15,25 @@ statically, before a change ever reaches the test suite:
 * no unsorted JSON serialization, float ``==``, mutable default
   arguments, or unpicklable closures handed to a process pool.
 
-Findings can be silenced inline (``# repro: allow[REPRO105]``) or
-parked wholesale in a committed baseline file so legacy findings never
-block CI while new ones always do.  See DESIGN.md §9 for the rule set
-and how to add a rule.
+Each rule in the fixed tuple ``RULES`` runs on every scanned file in
+its scope.  Inline ``# repro: allow[REPRO105]`` is the only way to
+silence a finding; any other finding fails the run.  See DESIGN.md §9
+for the rule set and how to add a rule.
 """
 
-from .baseline import Baseline, finding_fingerprint
 from .engine import LintResult, lint_paths, lint_source
-from .finding import Finding, Severity
+from .finding import Finding
 from .report import json_report, render_human
-from .rules import DETERMINISTIC_PACKAGES, Rule, default_rules, rule_classes
+from .rules import DETERMINISTIC_PACKAGES, RULES, Rule
 
 __all__ = [
-    "Baseline",
     "DETERMINISTIC_PACKAGES",
     "Finding",
     "LintResult",
+    "RULES",
     "Rule",
-    "Severity",
-    "default_rules",
-    "finding_fingerprint",
     "json_report",
     "lint_paths",
     "lint_source",
     "render_human",
-    "rule_classes",
 ]

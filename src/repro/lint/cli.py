@@ -3,8 +3,8 @@
 Kept inside the lint package so ``repro/cli.py`` stays a thin
 dispatcher; :func:`configure_parser` attaches the arguments to the
 subparser the top-level CLI creates, and :func:`run` executes a lint
-invocation and returns the process exit code (0 = clean, 1 = new
-findings at/above the fail level, 2 = usage error).
+invocation and returns the process exit code (0 = clean, 1 = any
+unsuppressed finding, 2 = usage error such as a missing path).
 """
 
 from __future__ import annotations
@@ -12,21 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
-from .baseline import Baseline
 from .engine import lint_paths
-from .finding import Severity
 from .report import json_report, render_human, render_json
-from .rules import default_rules, rule_classes
+from .rules import RULES
 
-__all__ = ["DEFAULT_BASELINE", "DEFAULT_PATHS", "configure_parser", "run"]
+__all__ = ["DEFAULT_PATHS", "configure_parser", "run"]
 
 #: Default scan roots, relative to the invocation directory.
 DEFAULT_PATHS = ("src/repro",)
-
-#: Default committed baseline location (repo root).
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -36,35 +31,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help=f"files or directories to scan (default: {', '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
-        "--format", choices=["human", "json"], default="human",
-        help="report format on stdout (default: human)",
-    )
-    parser.add_argument(
         "--out", metavar="FILE", default=None,
         help="also write the JSON report to FILE (CI artifact)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=DEFAULT_BASELINE,
-        help=f"baseline file (default: {DEFAULT_BASELINE}; missing file "
-             f"= empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file: every finding gates",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record all current findings into the baseline file and "
-             "exit 0",
-    )
-    parser.add_argument(
-        "--rules", metavar="IDS", default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--fail-on", choices=["error", "warning", "never"], default="error",
-        help="minimum severity of a new finding that fails the run "
-             "(default: error)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -73,12 +41,10 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def _list_rules() -> int:
-    for cls in rule_classes():
-        scope = (
-            ", ".join(cls.default_scope) if cls.default_scope else "all files"
-        )
-        print(f"{cls.id}  {cls.name:<18} {cls.severity.value:<7} {scope}")
-        print(f"         {cls.description}")
+    for rule in RULES:
+        scope = ", ".join(rule.scope) if rule.scope else "all files"
+        print(f"{rule.id}  {rule.name:<18} {scope}")
+        print(f"         {rule.description}")
     return 0
 
 
@@ -87,66 +53,16 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         return _list_rules()
 
-    try:
-        only = (
-            [part.strip() for part in args.rules.split(",") if part.strip()]
-            if args.rules
-            else None
-        )
-        rules = default_rules(only=only)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     paths: List[str] = list(args.paths) if args.paths else list(DEFAULT_PATHS)
     try:
-        result = lint_paths(paths, rules=rules)
+        result = lint_paths(paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline)
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"baseline written to {baseline_path} "
-            f"({len(result.findings)} finding(s) recorded)"
-        )
-        return 0
-
-    baseline: Optional[Baseline] = None
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if baseline is not None:
-        new, baselined = baseline.split(result.findings)
-        result.findings = new
-    else:
-        baselined = []
-
-    fail_on = (
-        None if args.fail_on == "never" else Severity.parse(args.fail_on)
-    )
-    effective_fail = fail_on if fail_on is not None else Severity.ERROR
-    document = json_report(
-        result, baselined, rules, paths, fail_on=effective_fail
-    )
-    if fail_on is None:
-        document["ok"] = True
-
     if args.out:
-        Path(args.out).write_text(render_json(document), encoding="utf-8")
-    if args.format == "json":
-        sys.stdout.write(render_json(document))
-    else:
-        sys.stdout.write(render_human(result, baselined, effective_fail))
-
-    if fail_on is None:
-        return 0
-    gating = [
-        f for f in result.findings if f.severity.rank >= fail_on.rank
-    ]
-    return 1 if gating else 0
+        Path(args.out).write_text(
+            render_json(json_report(result, paths)), encoding="utf-8"
+        )
+    sys.stdout.write(render_human(result))
+    return 1 if result.findings else 0

@@ -3,22 +3,22 @@
 One parse and one AST walk per file; every node is dispatched to the
 rules subscribed to its type.  Findings are then filtered through
 inline suppressions (``# repro: allow[REPRO105]`` on the flagged line
-or alone on the line above) and, by the CLI layer, through the
-committed baseline.
+or alone on the line above), the only escape hatch.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Type
 
-from .finding import Finding, Severity
-from .rules import Rule, default_rules
+from .finding import Finding
+from .rules import RULES, LintContext, Rule
 
 __all__ = [
+    "EXCLUDED_DIRS",
     "LintResult",
     "PARSE_ERROR_RULE",
     "discover_files",
@@ -31,7 +31,7 @@ __all__ = [
 PARSE_ERROR_RULE = "REPRO000"
 
 #: Directories never scanned: deliberate-violation fixtures and caches.
-DEFAULT_EXCLUDED_DIRS = ("lint_fixtures", "__pycache__", ".git")
+EXCLUDED_DIRS = ("lint_fixtures", "__pycache__", ".git")
 
 _ALLOW_DIRECTIVE = re.compile(
     r"#\s*repro:\s*allow\[(?P<ids>[A-Za-z0-9_*,\s]+)\]"
@@ -40,7 +40,7 @@ _ALLOW_DIRECTIVE = re.compile(
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run (before baseline filtering)."""
+    """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
@@ -111,12 +111,9 @@ def _display_path(path: Path) -> str:
 def lint_source(
     source: str,
     path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
     module: Optional[str] = None,
 ) -> LintResult:
     """Lint one module given as text (the unit-test entry point)."""
-    if rules is None:
-        rules = default_rules()
     if module is None:
         module = module_name_for(Path(path))
     source_lines = source.splitlines()
@@ -128,7 +125,6 @@ def lint_source(
             Finding(
                 rule=PARSE_ERROR_RULE,
                 name="parse-error",
-                severity=Severity.ERROR,
                 path=path,
                 line=exc.lineno or 1,
                 col=(exc.offset or 1),
@@ -138,12 +134,11 @@ def lint_source(
         )
         return result
 
-    from .rules.base import LintContext
-
     ctx = LintContext(path, module, source_lines, tree)
-    active = [rule for rule in rules if rule.applies_to(module)]
     dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-    for rule in active:
+    for rule in RULES:
+        if not rule.applies_to(module):
+            continue
         for node_type in rule.node_types:
             dispatch.setdefault(node_type, []).append(rule)
     if not dispatch:
@@ -155,31 +150,14 @@ def lint_source(
             raw.extend(rule.check(node, ctx))
     for finding in raw:
         if _is_suppressed(finding, source_lines):
-            result.suppressed.append(_mark_suppressed(finding))
+            result.suppressed.append(replace(finding, suppressed=True))
         else:
             result.findings.append(finding)
     result.sort()
     return result
 
 
-def _mark_suppressed(finding: Finding) -> Finding:
-    return Finding(
-        rule=finding.rule,
-        name=finding.name,
-        severity=finding.severity,
-        path=finding.path,
-        line=finding.line,
-        col=finding.col,
-        message=finding.message,
-        snippet=finding.snippet,
-        suppressed=True,
-    )
-
-
-def discover_files(
-    paths: Iterable[Path],
-    excluded_dirs: Tuple[str, ...] = DEFAULT_EXCLUDED_DIRS,
-) -> List[Path]:
+def discover_files(paths: Iterable[Path]) -> List[Path]:
     """Python files under ``paths``, deterministically ordered."""
     found: Set[Path] = set()
     for root in paths:
@@ -191,26 +169,19 @@ def discover_files(
         if not root.is_dir():
             raise FileNotFoundError(f"lint path does not exist: {root}")
         for candidate in sorted(root.rglob("*.py")):
-            if any(part in excluded_dirs for part in candidate.parts):
+            if any(part in EXCLUDED_DIRS for part in candidate.parts):
                 continue
             found.add(candidate)
     return sorted(found)
 
 
-def lint_paths(
-    paths: Sequence["str | Path"],
-    rules: Optional[Sequence[Rule]] = None,
-    excluded_dirs: Tuple[str, ...] = DEFAULT_EXCLUDED_DIRS,
-) -> LintResult:
+def lint_paths(paths: Sequence["str | Path"]) -> LintResult:
     """Lint every Python file under ``paths``."""
-    if rules is None:
-        rules = default_rules()
     result = LintResult()
-    for file_path in discover_files([Path(p) for p in paths], excluded_dirs):
+    for file_path in discover_files([Path(p) for p in paths]):
         file_result = lint_source(
             file_path.read_text(encoding="utf-8"),
             path=_display_path(file_path),
-            rules=rules,
             module=module_name_for(file_path),
         )
         result.extend(file_result)

@@ -1,33 +1,9 @@
-"""Finding and severity types shared by the lint engine and reporters."""
+"""The finding type shared by the lint engine and reporters."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
-
-
-class Severity(enum.Enum):
-    """How strongly a rule's finding gates the lint run.
-
-    ``ERROR`` findings fail the run under the default ``--fail-on error``;
-    ``WARNING`` findings are reported but only gate under
-    ``--fail-on warning``.
-    """
-
-    WARNING = "warning"
-    ERROR = "error"
-
-    @property
-    def rank(self) -> int:
-        return 1 if self is Severity.ERROR else 0
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown severity {text!r}")
 
 
 @dataclass(frozen=True)
@@ -36,21 +12,17 @@ class Finding:
 
     ``path`` is repo-relative with POSIX separators so reports are
     byte-identical across operating systems and checkout locations.
-    ``snippet`` is the stripped source line — it anchors the baseline
-    fingerprint, so a finding stays baselined when code above it moves
-    but resurfaces when the flagged line itself changes.
+    ``snippet`` is the stripped source line, shown under the finding.
     """
 
     rule: str
     name: str
-    severity: Severity
     path: str
     line: int
     col: int
     message: str
     snippet: str = ""
     suppressed: bool = field(default=False, compare=False)
-    baselined: bool = field(default=False, compare=False)
 
     @property
     def sort_key(self) -> Tuple[str, int, int, str]:
@@ -60,12 +32,10 @@ class Finding:
         return {
             "rule": self.rule,
             "name": self.name,
-            "severity": self.severity.value,
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }

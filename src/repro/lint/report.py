@@ -2,18 +2,18 @@
 
 The JSON report is itself a determinism-sensitive artifact (CI uploads
 it), so it is fully sorted: findings by (path, line, col, rule), keys
-alphabetically.  Schema (version 1)::
+alphabetically.  Schema (version 2)::
 
     {
-      "version": 1,
+      "version": 2,
       "tool": "repro-lint",
       "paths": [...],              # scanned roots, as given
       "files_scanned": int,
-      "counts": {"new": n, "baselined": n, "suppressed": n},
-      "rules": [{"id", "name", "severity", "description"}...],
-      "findings": [Finding.to_dict()...],        # new findings only
-      "baselined": [...], "suppressed": [...],
-      "ok": bool                   # nothing gates at the fail level
+      "counts": {"new": n, "suppressed": n},
+      "rules": [{"id", "name", "description"}...],
+      "findings": [Finding.to_dict()...],        # unsuppressed findings
+      "suppressed": [...],
+      "ok": bool                   # no unsuppressed finding
     }
 """
 
@@ -23,25 +23,14 @@ import json
 from typing import Any, Dict, List, Sequence
 
 from .engine import LintResult
-from .finding import Finding, Severity
-from .rules import Rule
+from .rules import RULES
 
 __all__ = ["REPORT_VERSION", "json_report", "render_human"]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
-def _gates(findings: Sequence[Finding], fail_on: Severity) -> bool:
-    return any(f.severity.rank >= fail_on.rank for f in findings)
-
-
-def json_report(
-    result: LintResult,
-    baselined: Sequence[Finding],
-    rules: Sequence[Rule],
-    paths: Sequence[str],
-    fail_on: Severity = Severity.ERROR,
-) -> Dict[str, Any]:
+def json_report(result: LintResult, paths: Sequence[str]) -> Dict[str, Any]:
     """Build the schema-stable JSON document for one run."""
     return {
         "version": REPORT_VERSION,
@@ -50,22 +39,15 @@ def json_report(
         "files_scanned": result.files_scanned,
         "counts": {
             "new": len(result.findings),
-            "baselined": len(baselined),
             "suppressed": len(result.suppressed),
         },
         "rules": [
-            {
-                "id": rule.id,
-                "name": rule.name,
-                "severity": rule.severity.value,
-                "description": rule.description,
-            }
-            for rule in sorted(rules, key=lambda r: r.id)
+            {"id": rule.id, "name": rule.name, "description": rule.description}
+            for rule in RULES
         ],
         "findings": [f.to_dict() for f in result.findings],
-        "baselined": [f.to_dict() for f in baselined],
         "suppressed": [f.to_dict() for f in result.suppressed],
-        "ok": not _gates(result.findings, fail_on),
+        "ok": not result.findings,
     }
 
 
@@ -73,31 +55,24 @@ def render_json(document: Dict[str, Any]) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def render_human(
-    result: LintResult,
-    baselined: Sequence[Finding],
-    fail_on: Severity = Severity.ERROR,
-) -> str:
+def render_human(result: LintResult) -> str:
     """Compiler-style listing plus a one-line summary."""
     lines: List[str] = []
     for finding in result.findings:
         lines.append(
             f"{finding.path}:{finding.line}:{finding.col}: "
-            f"{finding.severity.value} {finding.rule} [{finding.name}] "
-            f"{finding.message}"
+            f"{finding.rule} [{finding.name}] {finding.message}"
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    summary = (
+    lines.append(
         f"{result.files_scanned} file(s) scanned: "
         f"{len(result.findings)} new finding(s), "
-        f"{len(baselined)} baselined, "
         f"{len(result.suppressed)} suppressed"
     )
-    lines.append(summary)
-    if result.findings and _gates(result.findings, fail_on):
+    if result.findings:
         lines.append(
-            "fix the finding, add '# repro: allow[RULE]' with a "
-            "justification, or record it via --write-baseline"
+            "fix the finding, or add '# repro: allow[RULE]' with a "
+            "justification"
         )
     return "\n".join(lines) + "\n"

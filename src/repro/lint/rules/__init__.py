@@ -1,20 +1,32 @@
-"""Rule registry: importing this package registers every shipped rule."""
+"""The shipped lint rules: one fixed tuple, in rule-id order."""
 
-from .base import (
-    DETERMINISTIC_PACKAGES,
-    LintContext,
-    Rule,
-    default_rules,
-    register,
-    rule_classes,
+from typing import Tuple
+
+from .base import DETERMINISTIC_PACKAGES, LintContext, Rule
+from .correctness import FloatEqualityRule, MutableDefaultRule, SpawnClosureRule
+from .determinism import (
+    BuiltinHashRule,
+    FsOrderRule,
+    RawGeneratorRule,
+    SetIterationRule,
+    UnseededRandomRule,
+    UnsortedJsonRule,
+    WallClockRule,
 )
-from . import correctness, determinism  # noqa: F401  (registration)
 
-__all__ = [
-    "DETERMINISTIC_PACKAGES",
-    "LintContext",
-    "Rule",
-    "default_rules",
-    "register",
-    "rule_classes",
-]
+#: Every rule the engine runs.  Rules are stateless, so one instance each
+#: serves every file.
+RULES: Tuple[Rule, ...] = (
+    UnseededRandomRule(),
+    WallClockRule(),
+    SetIterationRule(),
+    BuiltinHashRule(),
+    UnsortedJsonRule(),
+    FsOrderRule(),
+    RawGeneratorRule(),
+    FloatEqualityRule(),
+    MutableDefaultRule(),
+    SpawnClosureRule(),
+)
+
+__all__ = ["DETERMINISTIC_PACKAGES", "LintContext", "RULES", "Rule"]

@@ -1,4 +1,4 @@
-"""Rule base class, lint context, and the rule registry.
+"""Rule base class and the per-file lint context.
 
 A rule is a small AST checker: it declares which node types it wants
 (``node_types``), which dotted package prefixes it applies to
@@ -10,7 +10,8 @@ to the rules subscribed to its type.
 Adding a rule (see DESIGN.md §9):
 
 1. subclass :class:`Rule` in one of the modules under
-   ``repro/lint/rules/`` and decorate it with :func:`register`,
+   ``repro/lint/rules/`` and add an instance to ``RULES`` in
+   ``repro/lint/rules/__init__.py``, in id order,
 2. add a violating + clean fixture pair under
    ``tests/unit/lint_fixtures/`` and a row in the rule table of
    ``tests/unit/test_lint_rules.py``,
@@ -20,18 +21,11 @@ Adding a rule (see DESIGN.md §9):
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Type
 
-from ..finding import Finding, Severity
+from ..finding import Finding
 
-__all__ = [
-    "DETERMINISTIC_PACKAGES",
-    "LintContext",
-    "Rule",
-    "default_rules",
-    "register",
-    "rule_classes",
-]
+__all__ = ["DETERMINISTIC_PACKAGES", "LintContext", "Rule"]
 
 #: Packages whose code runs inside the simulated clock: everything here
 #: must draw randomness from seeded streams and never read the host
@@ -111,21 +105,17 @@ class LintContext:
 class Rule:
     """Base class for lint rules."""
 
-    #: Stable identifier, e.g. ``"REPRO105"`` (used in suppressions,
-    #: baselines and reports).
+    #: Stable identifier, e.g. ``"REPRO105"`` (used in suppressions and
+    #: reports).
     id: str = ""
     #: Short kebab-case name shown next to the id.
     name: str = ""
     #: One-line description for ``repro lint --list-rules``.
     description: str = ""
-    severity: Severity = Severity.ERROR
     #: Dotted package prefixes this rule applies to; ``None`` = all.
-    default_scope: Optional[Tuple[str, ...]] = None
+    scope: Optional[Tuple[str, ...]] = None
     #: AST node classes the engine dispatches to :meth:`check`.
     node_types: Tuple[Type[ast.AST], ...] = ()
-
-    def __init__(self, scope: Optional[Tuple[str, ...]] = None) -> None:
-        self.scope = self.default_scope if scope is None else scope
 
     def applies_to(self, module: str) -> bool:
         if self.scope is None:
@@ -145,44 +135,9 @@ class Rule:
         return Finding(
             rule=self.id,
             name=self.name,
-            severity=self.severity,
             path=ctx.path,
             line=lineno,
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
             snippet=ctx.line(lineno).strip(),
         )
-
-
-_RULE_CLASSES: List[Type[Rule]] = []
-
-
-def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global registry."""
-    if not cls.id or not cls.name:
-        raise ValueError(f"rule {cls.__name__} must set id and name")
-    if any(existing.id == cls.id for existing in _RULE_CLASSES):
-        raise ValueError(f"duplicate rule id {cls.id}")
-    _RULE_CLASSES.append(cls)
-    return cls
-
-
-def rule_classes() -> List[Type[Rule]]:
-    """All registered rule classes, ordered by rule id."""
-    return sorted(_RULE_CLASSES, key=lambda cls: cls.id)
-
-
-def default_rules(
-    only: Optional[Sequence[str]] = None,
-) -> List[Rule]:
-    """Fresh instances of the registered rules (optionally filtered)."""
-    selected = rule_classes()
-    if only is not None:
-        wanted = set(only)
-        unknown = wanted - {cls.id for cls in selected}
-        if unknown:
-            raise ValueError(
-                f"unknown rule id(s): {', '.join(sorted(unknown))}"
-            )
-        selected = [cls for cls in selected if cls.id in wanted]
-    return [cls() for cls in selected]

@@ -6,7 +6,7 @@ import ast
 from typing import Iterator, Union
 
 from ..finding import Finding
-from .base import LintContext, Rule, register
+from .base import LintContext, Rule
 
 __all__ = [
     "FloatEqualityRule",
@@ -15,7 +15,6 @@ __all__ = [
 ]
 
 
-@register
 class FloatEqualityRule(Rule):
     """REPRO201: exact equality against a non-trivial float literal.
 
@@ -35,7 +34,7 @@ class FloatEqualityRule(Rule):
         "== / != against a non-sentinel float literal; use a tolerance "
         "helper"
     )
-    default_scope = ("repro",)
+    scope = ("repro",)
     node_types = (ast.Compare,)
 
     _SENTINELS = (0.0, 1.0, -1.0, float("inf"), float("-inf"))
@@ -72,7 +71,6 @@ class FloatEqualityRule(Rule):
                     return
 
 
-@register
 class MutableDefaultRule(Rule):
     """REPRO202: mutable default argument values.
 
@@ -127,7 +125,6 @@ class MutableDefaultRule(Rule):
                 )
 
 
-@register
 class SpawnClosureRule(Rule):
     """REPRO203: closures handed to a process pool.
 

@@ -11,7 +11,7 @@ import ast
 from typing import Iterator, Optional
 
 from ..finding import Finding
-from .base import DETERMINISTIC_PACKAGES, LintContext, Rule, register
+from .base import DETERMINISTIC_PACKAGES, LintContext, Rule
 
 __all__ = [
     "BuiltinHashRule",
@@ -54,7 +54,6 @@ _STDLIB_RANDOM = {
 }
 
 
-@register
 class UnseededRandomRule(Rule):
     """REPRO101: global/unseeded RNGs inside the deterministic core.
 
@@ -71,7 +70,7 @@ class UnseededRandomRule(Rule):
         "global or unseeded RNG call inside the deterministic core; "
         "draw from a seeded stream instead"
     )
-    default_scope = DETERMINISTIC_PACKAGES
+    scope = DETERMINISTIC_PACKAGES
     node_types = (ast.Call,)
 
     def check(self, node: ast.Call, ctx: LintContext) -> Iterator[Finding]:
@@ -103,7 +102,6 @@ class UnseededRandomRule(Rule):
                 )
 
 
-@register
 class WallClockRule(Rule):
     """REPRO102: host wall-clock reads inside the deterministic core.
 
@@ -117,7 +115,7 @@ class WallClockRule(Rule):
         "wall-clock read inside the deterministic core; use the "
         "simulator clock"
     )
-    default_scope = DETERMINISTIC_PACKAGES
+    scope = DETERMINISTIC_PACKAGES
     node_types = (ast.Call,)
 
     _CLOCK_CALLS = {
@@ -171,7 +169,6 @@ def _is_set_expr(node: ast.AST) -> Optional[str]:
     return None
 
 
-@register
 class SetIterationRule(Rule):
     """REPRO103: iterating a hash-ordered container.
 
@@ -205,7 +202,6 @@ class SetIterationRule(Rule):
         )
 
 
-@register
 class BuiltinHashRule(Rule):
     """REPRO104: ``hash()`` builtin on determinism-sensitive paths.
 
@@ -231,7 +227,6 @@ class BuiltinHashRule(Rule):
             )
 
 
-@register
 class UnsortedJsonRule(Rule):
     """REPRO105: JSON serialization without ``sort_keys=True``.
 
@@ -266,7 +261,6 @@ class UnsortedJsonRule(Rule):
         )
 
 
-@register
 class FsOrderRule(Rule):
     """REPRO106: directory listings consumed in filesystem order.
 
@@ -326,7 +320,6 @@ def _imported_from_numpy_random(tree: ast.Module, name: str) -> bool:
     return False
 
 
-@register
 class RawGeneratorRule(Rule):
     """REPRO107: a numpy random stream built outside ``simulation/random.py``.
 
@@ -346,7 +339,7 @@ class RawGeneratorRule(Rule):
         "numpy Generator/default_rng/bit generator built in the simulated "
         "layers; draw from an RngRegistry stream"
     )
-    default_scope = (
+    scope = (
         "repro.simulation",
         "repro.network",
         "repro.kafka",

@@ -323,11 +323,6 @@ class ReliabilityPredictor:
         self.invalidate_caches()
         return len(self._memory)
 
-    @property
-    def remembered_rows(self) -> int:
-        """Number of measured rows available to the neighbour fallback."""
-        return len(self._memory)
-
     def _neighbour_index(
         self, semantics: DeliverySemantics
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:

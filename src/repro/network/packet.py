@@ -76,7 +76,3 @@ class Packet:
             f"Packet({self.kind.value}, {self.size_bytes} B, message {self.message_id}, "
             f"segment {self.segment_index}, attempt {self.attempt})"
         )
-
-    def is_ack(self) -> bool:
-        """True when this packet is a transport acknowledgement."""
-        return self.kind is PacketKind.ACK

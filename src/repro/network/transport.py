@@ -254,14 +254,6 @@ class ReliableChannel:
         """Return the sender-side stats of ``direction``."""
         return self._endpoint(direction).stats
 
-    def smoothed_rtt(self, direction: str) -> Optional[float]:
-        """The sender's current SRTT estimate for ``direction`` (or None).
-
-        This is exactly what a real client can observe about its network
-        path, so the online configuration extension builds on it.
-        """
-        return self._endpoint(direction).srtt
-
     def minimum_rtt(self, direction: str) -> Optional[float]:
         """Smallest first-attempt RTT observed (filters queueing delay)."""
         return self._endpoint(direction).min_rtt

@@ -1,11 +1,10 @@
-"""Suppression, baseline and discovery semantics of the lint engine."""
+"""Suppression and discovery semantics of the lint engine."""
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, finding_fingerprint, lint_paths, lint_source
+from repro.lint import lint_paths, lint_source
 from repro.lint.engine import discover_files
 
 BAD_JSON = "import json\n\ndef dump(p):\n    return json.dumps(p)\n"
@@ -69,75 +68,6 @@ class TestSuppressions:
         )
         result = lint_source(source, module="repro.chaos.fake")
         assert [f.rule for f in result.findings] == ["REPRO105"]
-
-
-class TestBaseline:
-    def make_findings(self, source="import json\nx = json.dumps({})\n"):
-        return lint_source(source, path="mod.py", module="repro.chaos.fake")
-
-    def test_roundtrip_through_disk(self, tmp_path):
-        findings = self.make_findings().findings
-        baseline = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == baseline.entries
-        assert len(loaded) == 1
-
-    def test_baselined_findings_are_split_out(self):
-        findings = self.make_findings().findings
-        baseline = Baseline.from_findings(findings)
-        new, baselined = baseline.split(findings)
-        assert new == []
-        assert len(baselined) == 1
-        assert baselined[0].baselined is True
-
-    def test_changed_line_resurfaces_the_finding(self):
-        baseline = Baseline.from_findings(self.make_findings().findings)
-        changed = self.make_findings(
-            "import json\nx = json.dumps({'a': 1})\n"
-        ).findings
-        new, baselined = baseline.split(changed)
-        assert len(new) == 1
-        assert baselined == []
-
-    def test_line_number_drift_stays_baselined(self):
-        baseline = Baseline.from_findings(self.make_findings().findings)
-        shifted = self.make_findings(
-            "import json\n\n\n# moved down\nx = json.dumps({})\n"
-        ).findings
-        new, baselined = baseline.split(shifted)
-        assert new == []
-        assert len(baselined) == 1
-
-    def test_second_occurrence_of_a_baselined_pattern_gates(self):
-        baseline = Baseline.from_findings(self.make_findings().findings)
-        doubled = self.make_findings(
-            "import json\nx = json.dumps({})\ny = json.dumps({})\n"
-        ).findings
-        new, baselined = baseline.split(doubled)
-        assert len(baselined) == 1
-        assert len(new) == 1
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        assert len(baseline) == 0
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        # repro: allow[REPRO105] - throwaway fixture; only the version field is read
-        path.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(ValueError, match="version"):
-            Baseline.load(path)
-
-    def test_fingerprint_ignores_line_numbers(self):
-        [finding] = self.make_findings().findings
-        [shifted] = self.make_findings(
-            "import json\n\n\nx = json.dumps({})\n"
-        ).findings
-        assert finding.line != shifted.line
-        assert finding_fingerprint(finding) == finding_fingerprint(shifted)
-        assert finding_fingerprint(finding).startswith("REPRO105:mod.py:")
 
 
 class TestDiscovery:
