@@ -65,21 +65,22 @@ class ProducerConfig:
     queue_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # Float checks are written ``not x >= 0`` so that NaN fails them.
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.polling_interval_s < 0:
+        if not self.polling_interval_s >= 0:
             raise ValueError("polling_interval_s must be >= 0")
-        if self.message_timeout_s <= 0:
+        if not self.message_timeout_s > 0:
             raise ValueError("message_timeout_s must be positive")
-        if self.request_timeout_s <= 0:
+        if not self.request_timeout_s > 0:
             raise ValueError("request_timeout_s must be positive")
-        if self.retry_backoff_s < 0:
+        if not self.retry_backoff_s >= 0:
             raise ValueError("retry_backoff_s must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.linger_s < 0:
+        if not self.linger_s >= 0:
             raise ValueError("linger_s must be >= 0")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 or None")

@@ -57,15 +57,6 @@ class KafkaConsumer:
                 budget -= len(entries)
         return out
 
-    def consume_all(self) -> List[LogEntry]:
-        """Drain the topic from the current positions to the end."""
-        out: List[LogEntry] = []
-        while True:
-            batch = self.poll()
-            if not batch:
-                return out
-            out.extend(batch)
-
 
 @dataclass
 class ReconciliationReport:

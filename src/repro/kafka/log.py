@@ -131,11 +131,6 @@ class PartitionLog:
         """Log end offset."""
         return self._segments[-1].next_offset
 
-    @property
-    def segment_count(self) -> int:
-        """Number of rolled segments (including the active one)."""
-        return len(self._segments)
-
     def __len__(self) -> int:
         return self.next_offset
 

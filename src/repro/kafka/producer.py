@@ -36,6 +36,7 @@ from .broker import ProduceRequest, ProduceResponse
 from .cluster import KafkaCluster
 from .config import HardwareProfile, ProducerConfig
 from .message import ProducerRecord
+from .partition import Partition
 from .topic import Topic
 
 __all__ = ["ProducerListener", "ProducerStats", "KafkaProducer"]
@@ -101,7 +102,10 @@ class ProducerStats:
 class _Batch:
     """Sender-side state for one produce request and its retries."""
 
-    __slots__ = ("records", "attempt", "timer", "waiting", "completed", "base_sequence", "byte_charge")
+    __slots__ = (
+        "records", "attempt", "timer", "waiting", "completed", "base_sequence",
+        "byte_charge", "partition",
+    )
 
     def __init__(self, records: List[ProducerRecord]) -> None:
         self.records = records
@@ -111,6 +115,9 @@ class _Batch:
         self.completed = False
         self.base_sequence: Optional[int] = None
         self.byte_charge = 0
+        #: Routed once, by the first record, so a retry whose head record
+        #: expired still reaches the partition that fences its sequences.
+        self.partition: Optional[Partition] = None
 
 
 class KafkaProducer:
@@ -362,7 +369,9 @@ class KafkaProducer:
 
     def _send_batch(self, batch: _Batch) -> None:
         waits_for_ack = self._waits_for_ack
-        partition = self._topic.partition_for(batch.records[0].key)
+        partition = batch.partition
+        if partition is None:
+            partition = batch.partition = self._topic.partition_for(batch.records[0].key)
         base_sequence = None
         producer_id = None
         if self._idempotent:

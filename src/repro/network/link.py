@@ -130,10 +130,6 @@ class LinkDirection:
         """Current queueing delay a newly offered packet would see."""
         return max(0.0, self._shared.busy_until - self._sim.now)
 
-    def utilisation_hint(self) -> float:
-        """Backlog as a fraction of the tail-drop bound (1.0 = saturated)."""
-        return min(1.0, self.backlog_s / self.max_queue_delay_s)
-
 
 class Link:
     """A link between a producer host and the cluster.

@@ -4,9 +4,8 @@ The dynamic-configuration experiment of Section V runs the producer under a
 network whose one-way delay follows a Pareto distribution and whose packet
 loss rate is driven by a Gilbert–Elliott two-state Markov chain.  This
 module generates such traces as a sequence of per-interval samples that can
-be (a) plotted (Fig. 9), (b) replayed onto a link through the
-:class:`~repro.network.faults.FaultInjector`, and (c) fed to the dynamic
-configuration controller as the "known network status" the paper assumes.
+be (a) plotted (Fig. 9) and (b) fed to the dynamic configuration controller
+as the "known network status" the paper assumes.
 """
 
 from __future__ import annotations
@@ -14,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
-import numpy as np
-
 from ..simulation.random import Rng
-from .faults import FaultInjector, NetworkFault
 from .latency import ParetoLatency
 from .loss import GilbertElliottLoss
 
@@ -65,22 +61,6 @@ class NetworkTrace:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def mean_delay_s(self) -> float:
-        """Average one-way delay across the trace."""
-        return float(np.mean([p.delay_s for p in self.points]))
-
-    def mean_loss_rate(self) -> float:
-        """Average loss rate across the trace."""
-        return float(np.mean([p.loss_rate for p in self.points]))
-
-    def schedule_on(self, injector: FaultInjector, bursty: bool = False) -> None:
-        """Replay the trace as scheduled fault injections on a link."""
-        for point in self.points:
-            injector.inject_at(
-                point.time_s,
-                NetworkFault(delay_s=point.delay_s, loss_rate=point.loss_rate, bursty=bursty),
-            )
 
 
 class GilbertElliottRateProcess:

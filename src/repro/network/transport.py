@@ -27,8 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, cast
 
 from ..observability.metrics import DEFAULT_LATENCY_BUCKETS
 from ..observability.trace import EventKind
-from ..simulation.events import Event
-from ..simulation.simulator import Simulator
+from ..simulation.simulator import Event, Simulator
 from .link import FORWARD, Link, REVERSE
 from .packet import ACK_PACKET_BYTES, DEFAULT_MTU, Packet, PacketKind, WIRE_HEADER_BYTES
 
@@ -97,7 +96,6 @@ class SendFailure:
 
     RETRIES_EXHAUSTED = "retries_exhausted"
     DEADLINE = "deadline"
-    ABORTED = "aborted"
 
 
 #: Receiver dedupe bitmaps start this large and double as ids outgrow them.
@@ -317,13 +315,6 @@ class ReliableChannel:
             remaining -= seg_payload
             self._transmit_segment(direction, message, index, seg_payload + WIRE_HEADER_BYTES, 0)
         return message_id
-
-    def abort(self, direction: str, message_id: int) -> None:
-        """Abandon an in-flight send (e.g. the producer gave up on it)."""
-        endpoint = self._endpoint(direction)
-        message = endpoint.outstanding.get(message_id)
-        if message is not None:
-            self._fail(direction, message, SendFailure.ABORTED)
 
     # ------------------------------------------------------------ internals
 

@@ -149,11 +149,6 @@ class RngRegistry:
         self._master_seed = int(master_seed)
         self._streams: Dict[str, RandomStream] = {}
 
-    @property
-    def master_seed(self) -> int:
-        """The master seed this registry was built from."""
-        return self._master_seed
-
     def stream(self, name: str) -> RandomStream:
         """Return the stream for ``name``, creating it on first use.
 
@@ -165,8 +160,3 @@ class RngRegistry:
             seq = np.random.SeedSequence([self._master_seed, name_key])
             self._streams[name] = RandomStream(np.random.PCG64(seq))
         return self._streams[name]
-
-    def fork(self, salt: int) -> "RngRegistry":
-        """Derive an independent registry, e.g. one per replication."""
-        seq = np.random.SeedSequence([self._master_seed, int(salt)])
-        return RngRegistry(int(seq.generate_state(1, dtype=np.uint64)[0]))

@@ -1,22 +1,40 @@
-"""The discrete-event simulator clock and run loop.
+"""The discrete-event simulator: a virtual clock and its event heap.
 
-A :class:`Simulator` owns an :class:`~repro.simulation.events.EventQueue`
-and a virtual clock.  Components schedule callbacks relative to *now* with
+Components schedule callbacks relative to *now* with
 :meth:`Simulator.schedule` or at absolute times with
 :meth:`Simulator.schedule_at`.  Time only advances when :meth:`run` pops
 events, so a run is exactly reproducible given the same seed and schedule.
+
+A scheduled event is one plain list, its heap entry::
+
+    [time, seq, callback, args]
+
+Entries are ordered by ``(time, seq)``: simultaneous events run in the
+order they were scheduled.  The entry is also the event's cancel handle.
+Cancelling an event, and firing it, set its ``callback`` slot to None, so
+the run loop drops a cancelled entry when it surfaces and a late cancel of
+a fired event is a no-op.
+
+Performance note: one list per event is the cheapest object Python can
+build and the heap can order.  ``seq`` is unique, so list comparison never
+reaches the callback slot and every sift comparison stays in C instead of
+dispatching to a Python-level ``__lt__``.  Experiments schedule tens of
+millions of events, which makes this the hottest allocation and comparison
+site of the whole testbed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional
 
-from .events import ARGS, CALLBACK, NORMAL_PRIORITY, TIME, Event, EventQueue
+__all__ = ["Event", "Simulator", "SimulationError"]
 
-__all__ = ["Simulator", "SimulationError"]
+#: A scheduled event: the heap entry ``[time, seq, callback, args]``.
+#: ``callback`` is None once the event was cancelled or fired.
+Event = List[Any]
 
 
 class SimulationError(RuntimeError):
@@ -26,10 +44,11 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Discrete-event simulation kernel.
 
-    Parameters
-    ----------
-    start_time:
-        Initial value of the virtual clock, in seconds.
+    Cancellation is lazy: a cancelled entry stays in the heap (as a dead
+    entry) until it surfaces in :meth:`run`, which keeps :meth:`cancel`
+    O(1).  When dead entries outnumber the live ones (beyond a small
+    floor) the whole heap is compacted in one pass, so a cancel-heavy
+    workload cannot grow the heap without bound.
 
     Examples
     --------
@@ -37,18 +56,24 @@ class Simulator:
     >>> fired = []
     >>> _ = sim.schedule(1.5, fired.append, "hello")
     >>> sim.run()
+    1
     >>> (sim.now, fired)
     (1.5, ['hello'])
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    #: Compaction trigger: rebuild once at least this many dead entries
+    #: accumulate *and* they outnumber the live entries.
+    COMPACT_MIN_DEAD = 64
+
+    def __init__(self) -> None:
         #: Current virtual time in seconds.  A plain attribute rather than a
         #: property because components read it on nearly every event; only
         #: the kernel writes it.
-        self.now = float(start_time)
-        self._queue = EventQueue()
-        self._running = False
-        self._stopped = False
+        self.now = 0.0
+        self._heap: List[Event] = []
+        self._next_seq = 0
+        self._live = 0
+        self._dead = 0
         self.events_processed = 0
         #: Per-run id sequences, both from 0: the unique record keys a
         #: producer stamps at ingest and the transport's message ids.  Being
@@ -60,51 +85,46 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still scheduled."""
-        return len(self._queue)
+        return self._live
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = NORMAL_PRIORITY,
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        # Written as ``not >=`` so NaN is rejected too.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        # EventQueue.push inlined: this is the kernel's hottest call site.
-        time = self.now + delay
-        queue = self._queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        entry = [time, priority, seq, callback, args]
-        heappush(queue._heap, entry)
-        queue._live += 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = [self.now + delay, seq, callback, args]
+        heappush(self._heap, entry)
+        self._live += 1
         return entry
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = NORMAL_PRIORITY,
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        queue = self._queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        entry = [time, priority, seq, callback, args]
-        heappush(queue._heap, entry)
-        queue._live += 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = [time, seq, callback, args]
+        heappush(self._heap, entry)
+        self._live += 1
         return entry
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event (no-op once it was cancelled or fired)."""
-        self._queue.cancel(event)
+        if event[2] is not None:
+            event[2] = None
+            self._live -= 1
+            self._dead += 1
+            if self._dead >= self.COMPACT_MIN_DEAD and self._dead > self._live:
+                # In place (slice assignment), so the run loop's local
+                # binding of the heap stays valid.
+                heap = self._heap
+                heap[:] = [entry for entry in heap if entry[2] is not None]
+                heapify(heap)
+                self._dead = 0
 
     def every(
         self,
@@ -117,7 +137,7 @@ class Simulator:
 
         Returns a zero-argument function that stops the recurrence.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError("interval must be positive")
         state = {"event": None, "stopped": False}
 
@@ -139,28 +159,8 @@ class Simulator:
 
         return stop
 
-    def step(self) -> bool:
-        """Advance the clock to the next event and fire it.
-
-        Returns False when the queue is empty (nothing fired).
-        """
-        entry = self._queue.pop()
-        if entry is None:
-            return False
-        if entry[TIME] < self.now:
-            raise SimulationError("event queue returned an event in the past")
-        self.now = entry[TIME]
-        # The entry is off the heap; clear its callback so a later cancel()
-        # (e.g. a component clearing a timer that already fired) is a no-op
-        # instead of corrupting the queue's live/dead accounting.
-        callback = entry[CALLBACK]
-        entry[CALLBACK] = None
-        callback(*entry[ARGS])
-        self.events_processed += 1
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` is reached, or stop().
+        """Run events until the heap drains or ``until`` is reached.
 
         Parameters
         ----------
@@ -175,68 +175,59 @@ class Simulator:
         int
             The number of events processed.
         """
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise SimulationError(f"until={until} is before now={self.now}")
         horizon = until if until is not None else math.inf
         limit = max_events if max_events is not None else math.inf
-        self._stopped = False
-        self._running = True
         processed = 0
-        # Hot loop: operates on the queue's heap directly so each event
-        # costs one C-level heappop and no method call.  EventQueue
-        # guarantees the list identity survives cancel/compact/clear (all
-        # mutate in place), so the local binding stays valid across
-        # callbacks.  Entries are unique by ``seq``, so popping an entry
-        # beyond ``until`` and pushing it back leaves the event order as it
-        # was.  Scheduling rejects past times, so the clock never runs back.
-        # Slots are indexed literally (0 = TIME, 3 = CALLBACK, 4 = ARGS) to
-        # spare a global lookup per event.
-        queue = self._queue
-        heap = queue._heap
+        # Hot loop: each event costs one C-level heappop and no method
+        # call.  cancel() compacts the heap in place, so the local binding
+        # stays valid across callbacks.  Entries are unique by ``seq``, so
+        # popping an entry beyond ``until`` and pushing it back leaves the
+        # event order as it was.  Scheduling rejects past times, so the
+        # clock never runs back.
+        heap = self._heap
         try:
-            while heap and not self._stopped and processed < limit:
+            while heap and processed < limit:
                 entry = heappop(heap)
-                callback = entry[3]
+                callback = entry[2]
                 if callback is None:
-                    queue._dead -= 1
+                    self._dead -= 1
                     continue
                 time = entry[0]
                 if time > horizon:
                     heappush(heap, entry)
                     break
-                queue._live -= 1
+                self._live -= 1
                 self.now = time
                 # Off the heap: a late cancel() of this event must be a
-                # no-op, not a live/dead counter update (see step()).
-                entry[3] = None
-                callback(*entry[4])
+                # no-op, not a live/dead counter update.
+                entry[2] = None
+                callback(*entry[3])
                 processed += 1
         finally:
-            self._running = False
             # Lifetime counter maintained outside the hot loop: one add per
             # run() call, so telemetry costs nothing per event.
             self.events_processed += processed
-        if until is not None and not self._stopped and self.now < until:
+        if until is not None and self.now < until:
             self.now = until
         return processed
 
-    def stop(self) -> None:
-        """Request the current :meth:`run` loop to exit after this event."""
-        self._stopped = True
-
     def heap_integrity(self) -> dict:
-        """Audit the event queue's live/dead bookkeeping (O(pending)).
+        """Audit the live/dead bookkeeping against an O(pending) heap scan.
 
-        Run manifests embed the result; the invariant checker asserts its
-        ``ok`` flag, catching any drift between the queue's incremental
-        counters and the actual heap contents ("heap ``len`` never
-        drifts").
+        The schedule, cancel and run paths maintain ``_live``/``_dead``
+        incrementally; any drift between those counters and the heap
+        contents means events were lost or double-counted.  Run manifests
+        embed the result and the invariant checker asserts its ``ok`` flag
+        ("heap ``len`` never drifts").
         """
-        return self._queue.check_integrity()
-
-    def reset(self, start_time: float = 0.0) -> None:
-        """Drop all pending events and rewind the clock."""
-        self._queue.clear()
-        self.now = float(start_time)
-        self._stopped = False
-        self.events_processed = 0
+        scanned_live = sum(1 for entry in self._heap if entry[2] is not None)
+        scanned_dead = len(self._heap) - scanned_live
+        return {
+            "ok": scanned_live == self._live and scanned_dead == self._dead,
+            "live": self._live,
+            "dead": self._dead,
+            "scanned_live": scanned_live,
+            "scanned_dead": scanned_dead,
+        }

@@ -70,11 +70,12 @@ class Scenario:
     topic_name: str = "events"
 
     def __post_init__(self) -> None:
+        # Float checks are written ``not x >= 0`` so that NaN fails them.
         if self.message_bytes < 1:
             raise ValueError("message_bytes must be >= 1")
-        if self.network_delay_s < 0:
+        if not self.network_delay_s >= 0:
             raise ValueError("network_delay_s must be >= 0")
-        if self.jitter_s < 0:
+        if not self.jitter_s >= 0:
             raise ValueError("jitter_s must be >= 0")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
@@ -82,7 +83,7 @@ class Scenario:
             raise ValueError("message_count must be >= 1")
         if self.broker_count < 1 or self.partition_count < 1:
             raise ValueError("cluster shape must be positive")
-        if self.arrival_rate is not None and self.arrival_rate <= 0:
+        if self.arrival_rate is not None and not self.arrival_rate > 0:
             raise ValueError("arrival_rate must be positive when given")
 
     @property

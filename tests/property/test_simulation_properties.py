@@ -3,18 +3,16 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import EventQueue, RngRegistry, Simulator
-from repro.simulation.events import TIME
+from repro.simulation import RngRegistry, Simulator
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
 def test_event_queue_pops_in_nondecreasing_time_order(times):
-    queue = EventQueue()
-    for time in times:
-        queue.push(time, lambda: None)
+    sim = Simulator()
     popped = []
-    while queue:
-        popped.append(queue.pop()[TIME])
+    for time in times:
+        sim.schedule_at(time, lambda: popped.append(sim.now))
+    sim.run()
     assert popped == sorted(popped)
     assert len(popped) == len(times)
 
@@ -24,17 +22,16 @@ def test_event_queue_pops_in_nondecreasing_time_order(times):
     st.integers(min_value=0, max_value=99),
 )
 def test_cancelling_any_subset_preserves_order_of_rest(times, cancel_stride):
-    queue = EventQueue()
-    events = [queue.push(time, lambda: None) for time in times]
+    sim = Simulator()
+    popped = []
+    events = [sim.schedule_at(time, lambda: popped.append(sim.now)) for time in times]
     kept = []
     for index, event in enumerate(events):
         if cancel_stride and index % (cancel_stride + 1) == 0:
-            queue.cancel(event)
+            sim.cancel(event)
         else:
-            kept.append(event[TIME])
-    popped = []
-    while queue:
-        popped.append(queue.pop()[TIME])
+            kept.append(event[0])
+    sim.run()
     assert popped == sorted(kept)
 
 

@@ -1,5 +1,7 @@
 """Unit tests for producer/broker configuration and the hardware profile."""
 
+import math
+
 import pytest
 
 from repro.kafka import (
@@ -47,6 +49,11 @@ class TestProducerConfig:
             ("max_in_flight", 0),
             ("linger_s", -0.1),
             ("queue_capacity", 0),
+            ("polling_interval_s", math.nan),
+            ("message_timeout_s", math.nan),
+            ("request_timeout_s", math.nan),
+            ("retry_backoff_s", math.nan),
+            ("linger_s", math.nan),
         ],
     )
     def test_validation(self, field, value):

@@ -1,196 +1,98 @@
-"""Unit tests for the event queue and its single-list event entries."""
+"""Unit tests for the simulator's event heap and its single-list entries."""
 
 
 from repro.simulation import Simulator
-from repro.simulation.events import (
-    ARGS,
-    CALLBACK,
-    HIGH_PRIORITY,
-    LOW_PRIORITY,
-    PRIORITY,
-    SEQ,
-    TIME,
-    EventQueue,
-)
-
-
-def fire(entry):
-    """Fire a popped entry the way ``Simulator.step`` does."""
-    callback = entry[CALLBACK]
-    entry[CALLBACK] = None
-    callback(*entry[ARGS])
-
-
-def test_push_pop_single_event():
-    queue = EventQueue()
-    fired = []
-    queue.push(1.0, fired.append, "a")
-    event = queue.pop()
-    fire(event)
-    assert fired == ["a"]
 
 
 def test_pop_returns_events_in_time_order():
-    queue = EventQueue()
-    queue.push(3.0, lambda: None)
-    queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    times = [queue.pop()[TIME] for _ in range(3)]
+    sim = Simulator()
+    times = []
+    for time in (3.0, 1.0, 2.0):
+        sim.schedule_at(time, lambda: times.append(sim.now))
+    sim.run()
     assert times == [1.0, 2.0, 3.0]
 
 
-def test_same_time_orders_by_priority_then_insertion():
-    queue = EventQueue()
-    order = []
-    queue.push(1.0, order.append, "normal-first")
-    queue.push(1.0, order.append, "high", priority=HIGH_PRIORITY)
-    queue.push(1.0, order.append, "low", priority=LOW_PRIORITY)
-    queue.push(1.0, order.append, "normal-second")
-    while queue:
-        fire(queue.pop())
-    assert order == ["high", "normal-first", "normal-second", "low"]
-
-
 def test_len_counts_live_events_only():
-    queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    assert len(queue) == 2
-    queue.cancel(first)
-    assert len(queue) == 1
+    sim = Simulator()
+    first = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    assert sim.pending_events == 2
+    sim.cancel(first)
+    assert sim.pending_events == 1
 
 
 def test_cancelled_event_is_skipped_on_pop():
-    queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    queue.cancel(first)
-    assert queue.pop()[TIME] == 2.0
-    assert queue.pop() is None
-
-
-def test_double_cancel_is_idempotent():
-    queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    queue.cancel(event)
-    queue.cancel(event)
-    assert len(queue) == 1
-
-
-def test_peek_time_skips_cancelled_head():
-    queue = EventQueue()
-    head = queue.push(1.0, lambda: None)
-    queue.push(5.0, lambda: None)
-    queue.cancel(head)
-    assert queue.peek_time() == 5.0
-
-
-def test_peek_time_empty_queue_is_none():
-    assert EventQueue().peek_time() is None
-
-
-def test_clear_drops_everything():
-    queue = EventQueue()
-    queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    queue.clear()
-    assert not queue
-    assert queue.pop() is None
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1.0, fired.append, 1.0)
+    sim.schedule(2.0, fired.append, 2.0)
+    sim.cancel(first)
+    assert sim.run() == 1
+    assert fired == [2.0]
+    assert sim.pending_events == 0
 
 
 def test_event_fire_passes_args():
+    sim = Simulator()
     received = []
-    event = EventQueue().push(0.0, lambda a, b: received.append((a, b)), 1, 2)
-    fire(event)
+    sim.schedule(0.0, lambda a, b: received.append((a, b)), 1, 2)
+    sim.run()
     assert received == [(1, 2)]
 
 
 def test_entry_is_the_heap_list():
-    queue = EventQueue()
+    sim = Simulator()
     callback = print
-    entry = queue.push(2.5, callback, "x", priority=HIGH_PRIORITY)
-    assert entry == [2.5, HIGH_PRIORITY, 0, callback, ("x",)]
-    assert (entry[TIME], entry[PRIORITY], entry[SEQ]) == (2.5, HIGH_PRIORITY, 0)
-    assert queue._heap[0] is entry
-
-
-def test_bool_reflects_liveness():
-    queue = EventQueue()
-    assert not queue
-    event = queue.push(1.0, lambda: None)
-    assert queue
-    queue.cancel(event)
-    assert not queue
+    entry = sim.schedule_at(2.5, callback, "x")
+    assert entry == [2.5, 0, callback, ("x",)]
+    assert sim._heap[0] is entry
 
 
 def test_len_consistent_under_interleaved_push_cancel_peek_pop():
-    """Regression: peek_time used to pop cancelled heads on its own path;
-    len(queue) must track the live count through any interleaving."""
-    queue = EventQueue()
+    """The live count tracks any interleaving of schedule, cancel and a
+    one-event run."""
+    sim = Simulator()
     live = []
-    events = []
     for index in range(50):
-        events.append(queue.push(float(index % 7), lambda: None))
-        live.append(events[-1])
+        live.append(sim.schedule(float(index % 7), lambda: None))
         if index % 3 == 0 and live:
             victim = live[len(live) // 2]
-            queue.cancel(victim)
+            sim.cancel(victim)
             live.remove(victim)
-        if index % 4 == 0:
-            queue.peek_time()
-            assert len(queue) == len(live)
         if index % 5 == 0 and live:
-            popped = queue.pop()
-            assert popped[CALLBACK] is not None
-            live.remove(popped)
-        assert len(queue) == len(live)
-    drained = 0
-    while queue:
-        assert queue.pop() is not None
-        drained += 1
-    assert drained == len(live)
-    assert queue.pop() is None
-    assert len(queue) == 0
+            assert sim.run(max_events=1) == 1
+            fired = [event for event in live if event[2] is None]
+            assert len(fired) == 1
+            live.remove(fired[0])
+        assert sim.pending_events == len(live)
+        assert sim.heap_integrity()["ok"]
+    assert sim.run() == len(live)
+    assert sim.pending_events == 0
+    assert sim.run() == 0
 
 
 def test_compaction_preserves_order_and_len():
     """Cancelling enough events to trigger heap compaction must not
     disturb ordering or the live count."""
-    queue = EventQueue()
-    events = [queue.push(float(i), lambda: None) for i in range(300)]
+    sim = Simulator()
+    popped = []
+    events = [sim.schedule_at(float(i), lambda: popped.append(sim.now)) for i in range(300)]
     # Cancel most of them so dead entries outnumber live ones.
     for event in events[::2]:
-        queue.cancel(event)
+        sim.cancel(event)
     for event in events[1::4]:
-        queue.cancel(event)
-    expected = sorted(e[TIME] for e in events if e[CALLBACK] is not None)
-    assert len(queue) == len(expected)
-    assert queue._dead < EventQueue.COMPACT_MIN_DEAD or queue._dead <= queue._live
-    popped = []
-    while queue:
-        popped.append(queue.pop()[TIME])
+        sim.cancel(event)
+    expected = sorted(e[0] for e in events if e[2] is not None)
+    assert sim.pending_events == len(expected)
+    assert sim._dead < Simulator.COMPACT_MIN_DEAD or sim._dead <= sim._live
+    assert len(sim._heap) == sim._live + sim._dead
+    sim.run()
     assert popped == expected
 
 
-def test_cancel_during_pop_interleaving_keeps_peek_consistent():
-    queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    second = queue.push(2.0, lambda: None)
-    third = queue.push(3.0, lambda: None)
-    assert queue.peek_time() == 1.0
-    queue.cancel(first)
-    assert queue.peek_time() == 2.0
-    assert len(queue) == 2
-    assert queue.pop() is second
-    queue.cancel(third)
-    assert queue.peek_time() is None
-    assert queue.pop() is None
-    assert len(queue) == 0
-
-
 # --------------------------------------------------------------------------
-# The entry as cancel handle, through the simulator.
+# The entry as cancel handle.
 
 
 def test_cancel_after_fire_is_a_noop():
@@ -212,7 +114,7 @@ def test_cancel_after_step_is_a_noop():
     sim = Simulator()
     event = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    assert sim.step()
+    assert sim.run(max_events=1) == 1
     sim.cancel(event)
     assert sim.pending_events == 1
     assert sim.heap_integrity()["ok"]
@@ -239,7 +141,7 @@ def test_cancel_while_compaction_is_pending():
     of entries that were compacted away or already fired."""
     sim = Simulator()
     fired = []
-    floor = EventQueue.COMPACT_MIN_DEAD
+    floor = Simulator.COMPACT_MIN_DEAD
     count = 2 * floor
     events = [sim.schedule(float(i), fired.append, i) for i in range(count)]
     # Dead entries reach the floor but do not yet outnumber the live ones.

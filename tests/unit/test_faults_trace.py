@@ -111,27 +111,6 @@ class TestTrace:
         with pytest.raises(ValueError):
             NetworkTrace(interval_s=10).at(0)
 
-    def test_trace_means(self):
-        trace = NetworkTrace(interval_s=1, points=[
-            TracePoint(0, 0.1, 0.2), TracePoint(1, 0.3, 0.0),
-        ])
-        assert trace.mean_delay_s() == pytest.approx(0.2)
-        assert trace.mean_loss_rate() == pytest.approx(0.1)
-
-    def test_schedule_on_replays_trace(self):
-        sim = Simulator()
-        link = Link(sim, np.random.default_rng(1))
-        injector = FaultInjector(sim, link)
-        trace = NetworkTrace(interval_s=5, points=[
-            TracePoint(0, 0.05, 0.0), TracePoint(5, 0.25, 0.3),
-        ])
-        trace.schedule_on(injector)
-        sim.run(until=1.0)
-        assert link.forward.latency.mean() == pytest.approx(0.05)
-        sim.run(until=6.0)
-        assert link.forward.latency.mean() == pytest.approx(0.25)
-        assert link.forward.loss.expected_loss_rate() == pytest.approx(0.3)
-
     def test_rate_process_bounds(self):
         rng = np.random.default_rng(3)
         process = GilbertElliottRateProcess(good_rate=0.01, bad_rate=0.2)

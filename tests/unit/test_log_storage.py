@@ -16,7 +16,7 @@ class TestPartitionLog:
         log = PartitionLog(segment_max_entries=2)
         for key in range(5):
             log.append(key, 10, 0.0)
-        assert log.segment_count == 3
+        assert len(log.segments) == 3
         assert [entry.offset for entry in log] == list(range(5))
 
     def test_read_from_offset(self):
@@ -143,11 +143,6 @@ class TestTopic:
         topic.partitions[0].append(1, 10, 0.0)
         topic.partitions[0].append(2, 10, 0.0)
         assert topic.total_messages() == 2
-
-    def test_read_all_concatenates(self):
-        topic = self.make()
-        topic.partitions[2].append(9, 10, 0.0)
-        assert [entry.key for entry in topic.read_all()] == [9]
 
 
 class TestRetention:

@@ -77,7 +77,10 @@ class TestConsumer:
         topic = make_topic()
         for key in range(10):
             topic.partitions[key % 2].append(key, 10, 0.0)
-        entries = KafkaConsumer(topic).consume_all()
+        consumer = KafkaConsumer(topic, max_poll_records=4)
+        entries = []
+        while batch := consumer.poll():
+            entries.extend(batch)
         assert sorted(entry.key for entry in entries) == list(range(10))
 
     def test_poll_respects_batch_limit(self):

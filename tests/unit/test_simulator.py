@@ -1,5 +1,7 @@
 """Unit tests for the simulator clock and run loop."""
 
+import math
+
 import pytest
 
 from repro.simulation import SimulationError, Simulator
@@ -23,8 +25,26 @@ def test_schedule_negative_delay_rejected():
         Simulator().schedule(-0.1, lambda: None)
 
 
+@pytest.mark.parametrize("method", ["schedule", "schedule_at", "run"])
+def test_nan_time_rejected(method):
+    sim = Simulator()
+    fired = []
+    for time in (1.0, 2.0, 3.0):
+        sim.schedule_at(time, fired.append, time)
+    with pytest.raises(SimulationError):
+        if method == "run":
+            sim.run(until=math.nan)
+        else:
+            getattr(sim, method)(math.nan, fired.append, math.nan)
+    assert sim.pending_events == 3
+    sim.run(until=2.5)
+    assert fired == [1.0, 2.0]
+    assert sim.now == 2.5
+
+
 def test_schedule_at_in_the_past_rejected():
-    sim = Simulator(start_time=10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
     with pytest.raises(SimulationError):
         sim.schedule_at(5.0, lambda: None)
 
@@ -48,7 +68,8 @@ def test_run_until_processes_events_up_to_bound():
 
 
 def test_run_until_before_now_rejected():
-    sim = Simulator(start_time=5.0)
+    sim = Simulator()
+    sim.run(until=5.0)
     with pytest.raises(SimulationError):
         sim.run(until=1.0)
 
@@ -65,21 +86,6 @@ def test_events_scheduled_during_run_execute():
     sim.run()
     assert order == ["first", "second"]
     assert sim.now == 2.0
-
-
-def test_stop_exits_run_loop():
-    sim = Simulator()
-    seen = []
-
-    def first():
-        seen.append(1)
-        sim.stop()
-
-    sim.schedule(1.0, first)
-    sim.schedule(2.0, seen.append, 2)
-    sim.run()
-    assert seen == [1]
-    assert sim.pending_events == 1
 
 
 def test_max_events_bounds_processing():
@@ -102,6 +108,8 @@ def test_every_repeats_until_stopped():
 def test_every_rejects_non_positive_interval():
     with pytest.raises(SimulationError):
         Simulator().every(0.0, lambda: None)
+    with pytest.raises(SimulationError):
+        Simulator().every(math.nan, lambda: None)
 
 
 def test_cancel_prevents_callback():
@@ -111,20 +119,6 @@ def test_cancel_prevents_callback():
     sim.cancel(event)
     sim.run()
     assert fired == []
-
-
-def test_reset_rewinds_clock_and_clears_queue():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    sim.schedule(1.0, lambda: None)
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending_events == 0
-
-
-def test_step_returns_false_when_empty():
-    assert Simulator().step() is False
 
 
 def test_deterministic_tie_break_is_fifo():

@@ -39,6 +39,9 @@ class TestScenario:
             Scenario(message_count=0)
         with pytest.raises(ValueError):
             Scenario(arrival_rate=0.0)
+        for field in ("network_delay_s", "jitter_s", "loss_rate", "arrival_rate"):
+            with pytest.raises(ValueError):
+                Scenario(**{field: float("nan")})
 
 
 class TestApplyAxis:

@@ -100,17 +100,6 @@ def test_expired_deadline_fails_immediately():
     assert failures == [SendFailure.DEADLINE]
 
 
-def test_abort_cancels_inflight_send():
-    sim, _, channel = make_channel(delay=1.0)
-    failures = []
-    message_id = channel.send(
-        FORWARD, 400, on_failed=lambda payload, reason: failures.append(reason)
-    )
-    channel.abort(FORWARD, message_id)
-    sim.run()
-    assert failures == [SendFailure.ABORTED]
-
-
 def test_duplicate_segments_not_delivered_twice():
     # Heavy ACK loss forces data retransmissions that the receiver dedups.
     sim, link, channel = make_channel(loss_rate=0.4, seed=17)

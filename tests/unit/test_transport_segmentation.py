@@ -85,9 +85,3 @@ def test_interleaved_messages_reassemble_independently():
     sim.run()
     assert sorted(size for _, size in received) == [100, 4000, 4000]
     assert {payload for payload, _ in received} == {"big-a", "small", "big-b"}
-
-
-def test_abort_unknown_message_is_noop():
-    sim, link, channel = make()
-    channel.abort(FORWARD, 999_999_999)  # nothing should raise
-    sim.run()
