@@ -17,9 +17,6 @@ in ``BENCH_parallel.json`` at the repository root:
    ``__lt__`` comparisons, peek-then-pop run loop), on the same
    schedule-and-fire chain as ``test_kernel_event_throughput`` plus a
    cancel-heavy timer workload.
-
-A cache-warm re-run of the same grid is timed as well, since repeated
-sweeps are the dominant workflow the cache accelerates.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import time
 from pathlib import Path
 
 from repro.simulation import Simulator
-from repro.testbed import ResultCache, Scenario, run_many
+from repro.testbed import Scenario, run_many
 from repro.testbed.sweep import grid_scenarios
 
 from conftest import write_report
@@ -292,17 +289,6 @@ def test_parallel_sweep_speedup_and_kernel_gain():
         )
         assert pinned_serial == serial, "pinned results diverged"
 
-    # Cache-warm re-run of the same grid.
-    cache_dir = Path(__file__).parent / "_artifacts" / "parallel_cache"
-    cache = ResultCache(cache_dir, salt="bench")
-    cache.clear()
-    run_many(scenarios, workers=1, cache=cache)  # warm
-    start = time.perf_counter()
-    cached = run_many(scenarios, workers=1, cache=cache)
-    cached_s = time.perf_counter() - start
-    assert cached == serial
-    cache_speedup = usable["serial_s"] / cached_s if cached_s > 0 else float("inf")
-
     # Kernel: legacy replica vs current, chain + cancel-heavy workloads.
     legacy_chain_s = _best_of(lambda: _chain_workload(_LegacySimulator()))
     kernel_chain_s = _best_of(lambda: _chain_workload(Simulator()))
@@ -319,8 +305,6 @@ def test_parallel_sweep_speedup_and_kernel_gain():
         "usable_cpus_run": usable,
         "pinned_one_cpu_run": pinned,
         "bit_identical": True,
-        "cached_rerun_s": round(cached_s, 4),
-        "cache_speedup": round(cache_speedup, 1),
         "kernel_chain_legacy_s": round(legacy_chain_s, 4),
         "kernel_chain_s": round(kernel_chain_s, 4),
         "kernel_chain_gain": round(chain_gain, 3),
@@ -339,7 +323,6 @@ def test_parallel_sweep_speedup_and_kernel_gain():
     if pinned is not None:
         lines.append(_describe("pinned to 1 CPU", pinned))
     lines += [
-        f"  cached   {cached_s:8.4f} s  (speedup {cache_speedup:.0f}x)",
         "DES kernel (legacy object heap -> tuple heap)",
         f"  chain  {legacy_chain_s:.4f} s -> {kernel_chain_s:.4f} s "
         f"({chain_gain:.2f}x)",
@@ -350,7 +333,6 @@ def test_parallel_sweep_speedup_and_kernel_gain():
     write_report("parallel_sweep", "\n".join(lines))
 
     assert chain_gain >= 1.2, f"kernel chain gain {chain_gain:.2f}x < 1.2x"
-    assert cache_speedup > 10, "cache-warm re-run should be >10x faster"
     if cpus >= 2:
         assert usable["execution_mode"] == "pool", usable
         assert usable["speedup"] >= 1.2, (

@@ -53,14 +53,7 @@ from .models import ModelRegistry, TrainingSettings, train_reliability_model
 from .network import generate_paper_trace
 from .performance import ProducerPerformanceModel
 from .simulation import RngRegistry
-from .testbed import (
-    ResultCache,
-    Scenario,
-    abnormal_case_plan,
-    normal_case_plan,
-    resolve_workers,
-    run_many,
-)
+from .testbed import Scenario, abnormal_case_plan, normal_case_plan, run_many
 from .workloads import PAPER_STREAMS
 from .workloads.streams import GAME_TRAFFIC, SOCIAL_MEDIA, WEB_ACCESS_LOGS
 
@@ -99,24 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_options(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--workers", type=_workers_argument, default="auto",
-            metavar="N|auto",
-            help="experiment pool size, capped at the usable CPUs; 'auto' "
-                 "(default) means $REPRO_WORKERS, else every usable CPU; "
-                 "falls back to serial when a pool cannot win",
-        )
-        command.add_argument(
-            "--cache-dir", metavar="DIR", default=None,
-            help="reuse measured results from (and write new ones to) "
-                 "this cache directory",
-        )
-
     experiment = sub.add_parser(
         "experiment", help="run one testbed experiment and print P_l / P_d"
     )
-    add_engine_options(experiment)
     experiment.add_argument("--message-bytes", type=int, default=200, metavar="M")
     experiment.add_argument("--delay-ms", type=float, default=0.0, metavar="D")
     experiment.add_argument("--loss", type=float, default=0.0, metavar="L")
@@ -143,7 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     train = sub.add_parser("train", help="collect data and train the predictor")
-    add_engine_options(train)
+    train.add_argument(
+        "--workers", type=_workers_argument, default="auto",
+        metavar="N|auto",
+        help="experiment pool size, capped at the usable CPUs; 'auto' "
+             "(default) means $REPRO_WORKERS, else every usable CPU; "
+             "falls back to serial when a pool cannot win",
+    )
     train.add_argument("--messages", type=int, default=2000,
                        help="messages per collection experiment")
     train.add_argument("--normal-rows", type=int, default=60)
@@ -200,12 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--name", default="reliability")
     chaos.add_argument(
-        "--workers", type=_workers_argument, default="auto", metavar="N|auto",
-        help="worker budget note for the run manifest; campaign phases "
-             "feed controller state forward, so the replay itself is a "
-             "sequential control loop",
-    )
-    chaos.add_argument(
         "--out", metavar="PATH", default=None,
         help="write the deterministic JSON campaign report to PATH",
     )
@@ -223,41 +201,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    return ResultCache(args.cache_dir) if args.cache_dir else None
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    scenario = Scenario(
-        message_bytes=args.message_bytes,
-        network_delay_s=args.delay_ms / 1000.0,
-        loss_rate=args.loss,
-        message_count=args.messages,
-        seed=args.seed,
-        bursty_loss=args.bursty_loss,
-        config=ProducerConfig(
-            semantics=DeliverySemantics.parse(args.semantics),
-            batch_size=args.batch_size,
-            polling_interval_s=args.polling_ms / 1000.0,
-            message_timeout_s=args.timeout_s,
-        ),
-    )
+    try:
+        scenario = Scenario(
+            message_bytes=args.message_bytes,
+            network_delay_s=args.delay_ms / 1000.0,
+            loss_rate=args.loss,
+            message_count=args.messages,
+            seed=args.seed,
+            bursty_loss=args.bursty_loss,
+            config=ProducerConfig(
+                semantics=DeliverySemantics.parse(args.semantics),
+                batch_size=args.batch_size,
+                polling_interval_s=args.polling_ms / 1000.0,
+                message_timeout_s=args.timeout_s,
+            ),
+        )
+    except ValueError as exc:
+        # An out-of-range option is a usage error, reported by main().
+        raise argparse.ArgumentError(None, str(exc)) from None
     telemetry = None
     if args.metrics or args.trace_file:
         telemetry = TelemetryConfig(trace_path=args.trace_file)
     execution: dict = {}
     [result] = run_many(
-        [scenario], workers=args.workers, cache=_build_cache(args),
-        telemetry=telemetry, execution_info=execution,
+        [scenario], telemetry=telemetry, execution_info=execution
     )
     if args.metrics:
-        if result.manifest is None:
-            print(
-                "error: cached result carries no telemetry; "
-                "re-run without --cache-dir or clear the cache",
-                file=sys.stderr,
-            )
-            return 1
         # Machine-readable mode: exactly one JSON document on stdout.
         manifest = dict(result.manifest)
         metrics = manifest.pop("metrics", {})
@@ -308,7 +278,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         settings=settings,
         progress=progress,
         workers=args.workers,
-        cache=_build_cache(args),
     )
     print(f"\rcollected {report.train_rows + report.test_rows} rows")
     rows = [["submodel", "rows"]]
@@ -423,11 +392,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"parked phases={report.breaker_trips}"
         )
     # Campaign phases feed controller state forward, so the replay is a
-    # sequential control loop regardless of the worker budget.
-    print(
-        "execution: mode=serial reason=sequential_control_loop "
-        f"workers_budget={resolve_workers(args.workers)}"
-    )
+    # sequential control loop.
+    print("execution: mode=serial reason=sequential_control_loop")
     if args.out:
         if len(reports) == 1:
             document = reports[0].to_dict()
@@ -483,7 +449,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     handlers = {
         "experiment": _cmd_experiment,
         "train": _cmd_train,
@@ -492,7 +459,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "inspect": _cmd_inspect,
         "lint": lint_cli.run,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -206,8 +206,9 @@ class BuiltinHashRule(Rule):
     """REPRO104: ``hash()`` builtin on determinism-sensitive paths.
 
     ``hash(str)`` changes with ``PYTHONHASHSEED``, so anything derived
-    from it (seeds, cache keys, report fields) differs between
-    processes.  Use ``hashlib.blake2b`` like the runner/cache layers do.
+    from it (seeds, fingerprints, report fields) differs between
+    processes.  Use ``hashlib.blake2b`` like the sweep seeding and the
+    trace digests do.
     """
 
     id = "REPRO104"

@@ -12,7 +12,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..testbed.cache import ResultCache
 from ..testbed.collection import (
     CollectionPlan,
     abnormal_case_plan,
@@ -70,7 +69,6 @@ def train_reliability_model(
     seed: int = 0,
     progress: Optional[Callable[[int, int, object], None]] = None,
     workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
 ) -> TrainedModelReport:
     """Run the full pipeline and return the trained predictor + report.
 
@@ -87,17 +85,15 @@ def train_reliability_model(
         Hold-out split control.
     progress:
         Forwarded to the collection loop.
-    workers / cache:
-        Parallel-collection pool size and result cache, forwarded to
+    workers:
+        Parallel-collection pool size, forwarded to
         :func:`~repro.testbed.collection.collect_training_data` (no
         effect when ``results`` is given).
     """
     if results is None:
         if plans is None:
             plans = [normal_case_plan(), abnormal_case_plan()]
-        results = collect_training_data(
-            plans, progress=progress, workers=workers, cache=cache
-        )
+        results = collect_training_data(plans, progress=progress, workers=workers)
     results = list(results)
     train, test = split_results(results, test_fraction, seed)
     predictor = ReliabilityPredictor()

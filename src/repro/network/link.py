@@ -69,16 +69,16 @@ class LinkStats:
 
 
 class LinkDirection:
-    """One direction of a duplex link: its treatment, backlog and counters.
+    """One direction of a duplex link: its treatment and counters.
 
     :meth:`Link.send` moves packets through it.
 
     Parameters
     ----------
-    sim:
-        Owning simulator.
     rng:
         Random stream used for delay and loss sampling.
+    shared:
+        The link's serialisation resource, shared with the other direction.
     capacity_bps:
         Serialisation capacity in **bytes per second**.
     latency:
@@ -93,25 +93,23 @@ class LinkDirection:
 
     def __init__(
         self,
-        sim: Simulator,
         rng: Rng,
+        shared: SharedCapacity,
         capacity_bps: float = DEFAULT_CAPACITY_BPS,
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
         max_queue_delay_s: float = DEFAULT_MAX_QUEUE_DELAY_S,
-        shared: Optional[SharedCapacity] = None,
     ) -> None:
         if capacity_bps <= 0:
             raise ValueError("capacity must be positive")
         if max_queue_delay_s <= 0:
             raise ValueError("max_queue_delay_s must be positive")
-        self._sim = sim
         self._rng = rng
         self.capacity_bps = float(capacity_bps)
         self.latency = latency if latency is not None else ConstantLatency(0.0005)
         self.loss = loss if loss is not None else NoLoss()
         self.max_queue_delay_s = float(max_queue_delay_s)
-        self._shared = shared if shared is not None else SharedCapacity()
+        self._shared = shared
         self.stats = LinkStats()
 
     @property
@@ -125,21 +123,15 @@ class LinkDirection:
         # A memoryless model's draw is made inline by ``Link.send``.
         self._loss_rate = model.independent_rate()
 
-    @property
-    def backlog_s(self) -> float:
-        """Current queueing delay a newly offered packet would see."""
-        return max(0.0, self._shared.busy_until - self._sim.now)
-
 
 class Link:
     """A link between a producer host and the cluster.
 
-    By default the two directions share one serialisation resource (the
-    Docker-bridge model — see :class:`SharedCapacity`); pass
-    ``duplex=True`` for two independent full-rate directions.  The two
-    directions keep independent treatment (latency/loss) settings either
-    way, so a fault injector can apply asymmetric treatments; the default
-    applies the same treatment both ways, matching NetEm on the bridge.
+    The two directions share one serialisation resource (the Docker-bridge
+    model — see :class:`SharedCapacity`) but keep independent treatment
+    (latency/loss) settings, so a fault injector can apply asymmetric
+    treatments; the default applies the same treatment both ways, matching
+    NetEm on the bridge.
     """
 
     def __init__(
@@ -150,19 +142,18 @@ class Link:
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
         max_queue_delay_s: float = DEFAULT_MAX_QUEUE_DELAY_S,
-        duplex: bool = False,
     ) -> None:
         self._sim = sim
-        shared = None if duplex else SharedCapacity()
+        shared = SharedCapacity()
         self.forward = LinkDirection(
-            sim, rng, capacity_bps, latency, loss, max_queue_delay_s, shared=shared
+            rng, shared, capacity_bps, latency, loss, max_queue_delay_s
         )
         # The reverse direction gets its own loss-model instance when the
         # model is stateful; sharing a Gilbert-Elliott chain across
         # directions would couple their burst phases artificially.  The
         # caller may overwrite ``reverse.loss`` for full control.
         self.reverse = LinkDirection(
-            sim, rng, capacity_bps, latency, loss, max_queue_delay_s, shared=shared
+            rng, shared, capacity_bps, latency, loss, max_queue_delay_s
         )
         self._directions = {FORWARD: self.forward, REVERSE: self.reverse}
 

@@ -5,12 +5,11 @@ executes it against a freshly wired simulated Kafka system and returns the
 measured reliability metrics.  ``sweep`` runs feature grids and
 ``collection`` implements the paper's Fig. 3 training-data design.
 ``run_many`` is the parallel engine underneath both (process-pool fan-out
-with deterministic ordering) and ``ResultCache`` persists measured rows
-across runs.
+with deterministic ordering); ``scenario_fingerprint`` names the run a
+manifest or failure came from.
 """
 
 from ..observability.telemetry import RunTelemetry, TelemetryConfig
-from .cache import ResultCache, scenario_fingerprint
 from .collection import (
     CollectionPlan,
     abnormal_case_plan,
@@ -32,12 +31,11 @@ from .sensitivity import (
     analyze_sensitivity,
 )
 from .results import ExperimentResult, load_results_csv, save_results_csv, wilson_interval
-from .scenario import Scenario
+from .scenario import Scenario, scenario_fingerprint
 from .sweep import apply_axis, derive_seed, sweep
 from .tracker import CaseCensus, DeliveryTracker
 
 __all__ = [
-    "ResultCache",
     "scenario_fingerprint",
     "TelemetryConfig",
     "RunTelemetry",

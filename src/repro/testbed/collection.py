@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..kafka.semantics import DeliverySemantics
-from .cache import ResultCache
 from .results import ExperimentResult
 from .runner import run_many
 from .scenario import Scenario
@@ -136,12 +135,10 @@ def collect_training_data(
     plans: Sequence[CollectionPlan],
     progress: Optional[Callable[[int, int, Scenario], None]] = None,
     workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
 ) -> List[ExperimentResult]:
     """Run every scenario of every plan and return the measured rows.
 
-    ``workers`` fans the collection out over a process pool and ``cache``
-    reuses rows measured by earlier collections (see
+    ``workers`` fans the collection out over a process pool (see
     :func:`~repro.testbed.runner.run_many`); the rows are identical to a
     serial run either way.  ``progress(index, total, scenario)`` fires as
     each row completes.
@@ -149,4 +146,4 @@ def collect_training_data(
     scenarios: List[Scenario] = []
     for plan in plans:
         scenarios.extend(plan.scenarios())
-    return run_many(scenarios, workers=workers, cache=cache, progress=progress)
+    return run_many(scenarios, workers=workers, progress=progress)

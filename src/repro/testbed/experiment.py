@@ -42,9 +42,8 @@ from ..workloads.arrival import (
     PolledSource,
     SourceDriver,
 )
-from .cache import default_salt, scenario_fingerprint
 from .results import ExperimentResult
-from .scenario import Scenario
+from .scenario import Scenario, default_salt, scenario_fingerprint
 from .tracker import DeliveryTracker
 
 __all__ = ["Experiment", "run_experiment"]

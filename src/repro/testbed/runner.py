@@ -14,7 +14,7 @@ Worker count resolution (:func:`resolve_workers`):
    (``os.sched_getaffinity``, else ``os.cpu_count()``).
 
 :func:`run_many` caps the resolved count at those usable CPUs and at the
-number of pending scenarios.
+number of scenarios.
 
 Engine overhead control: each :func:`run_many` call forks its own
 :class:`~concurrent.futures.ProcessPoolExecutor` and shuts it down before
@@ -22,7 +22,7 @@ returning.  A forked worker starts with the experiment stack already
 imported, so the pool costs tens of milliseconds and no state outlives
 the call.  Scenarios cross the process boundary pickled, one per
 dispatch, so results stream back as each experiment finishes.  When a
-pool cannot win — ``workers <= 1``, a single usable CPU, or one pending
+pool cannot win — ``workers <= 1``, a single usable CPU, or one
 scenario — or the platform cannot fork, the same loop consumes an
 in-process ``map`` instead and ``execution_info`` records why, so the
 engine never loses to serial execution on dispatch overhead.
@@ -33,9 +33,7 @@ worker that dies outright (e.g. killed by the OOM killer) breaks the
 pool; :func:`run_many` then raises :class:`ExperimentFailed` for every
 unfinished scenario instead of waiting forever.  A failed run is a
 deterministic function of its scenario, so nothing is retried: recovery
-is a rerun with the same
-:class:`~repro.testbed.cache.ResultCache`, which already holds every row
-finished before the failure.
+is a rerun of the grid.
 """
 
 from __future__ import annotations
@@ -49,10 +47,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..observability.telemetry import TelemetryConfig
-from .cache import ResultCache, default_salt, scenario_fingerprint
 from .experiment import run_experiment
 from .results import ExperimentResult
-from .scenario import Scenario
+from .scenario import Scenario, default_salt, scenario_fingerprint
 
 __all__ = [
     "WORKERS_ENV_VAR",
@@ -84,9 +81,10 @@ class RunFailure:
 class ExperimentFailed(RuntimeError):
     """One or more scenarios of a :func:`run_many` grid raised.
 
-    The message identifies the first few failing scenarios by cache
-    fingerprint and seed and quotes the tail of each traceback, so a
-    failed overnight sweep is diagnosable from the exception alone.
+    The message identifies the first few failing scenarios by
+    :func:`~repro.testbed.scenario.scenario_fingerprint` and seed and
+    quotes the tail of each traceback, so a failed overnight sweep is
+    diagnosable from the exception alone.
     """
 
     #: How many failures the message details.
@@ -204,7 +202,6 @@ def _run_one(job: Tuple[Scenario, Optional[TelemetryConfig]]) -> Tuple[bool, Any
 def run_many(
     scenarios: Sequence[Scenario],
     workers: Optional[Union[int, str]] = None,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressFn] = None,
     telemetry: Optional[TelemetryConfig] = None,
     execution_info: Optional[Dict[str, Any]] = None,
@@ -218,29 +215,24 @@ def run_many(
     workers:
         Pool size (``int`` or ``"auto"``); see :func:`resolve_workers`
         for defaulting.  The pool is capped at the usable CPUs and at the
-        number of scenarios actually needing a run, and the call runs
-        in-process instead whenever a pool cannot win — resolved
-        ``workers <= 1``, a single usable CPU, or one pending scenario —
-        or the platform has no ``fork`` start method.
-    cache:
-        Optional result cache; hits skip the run, fresh results are
-        written back *as each scenario completes*, so an interrupted
-        sweep resumes from the cache without recomputing finished rows.
+        number of scenarios, and the call runs in-process instead
+        whenever a pool cannot win — resolved ``workers <= 1``, a single
+        usable CPU, or one scenario — or the platform has no ``fork``
+        start method.
     progress:
         ``progress(index, total, scenario)`` invoked in input order as
-        each scenario completes (cache hits report immediately).
+        each scenario completes.
     telemetry:
         Optional :class:`~repro.observability.telemetry.TelemetryConfig`
-        applied to every fresh run (cache hits keep whatever manifest they
-        were stored with).  A ``trace_path`` is specialised per grid slot
-        via :meth:`TelemetryConfig.for_scenario` so parallel workers never
-        interleave writes into one file.
+        applied to every run.  A ``trace_path`` is specialised per grid
+        slot via :meth:`TelemetryConfig.for_scenario` so parallel workers
+        never interleave writes into one file.
     execution_info:
         Optional dict filled in place with how the grid actually ran:
-        ``mode`` (``"serial"`` / ``"pool"`` / ``"cache"``), ``workers``,
-        ``reason`` (the auto-serial trigger, else ``None``),
-        ``pending`` and ``total``.  Callers print it into
-        run manifests.
+        ``mode`` (``"serial"`` / ``"pool"``), ``workers`` (0 for an
+        empty grid), ``reason`` (the auto-serial trigger, else
+        ``None``), ``pending`` and ``total`` (both the grid size).
+        Callers print it into run manifests.
 
     Returns
     -------
@@ -257,84 +249,70 @@ def run_many(
     scenarios = list(scenarios)
     total = len(scenarios)
     results: List[Optional[ExperimentResult]] = [None] * total
-    pending: List[int] = []
-    for index, scenario in enumerate(scenarios):
-        hit = cache.get(scenario) if cache is not None else None
-        if hit is None:
-            pending.append(index)
-            continue
-        results[index] = hit
-        if progress is not None:
-            progress(index, total, scenario)
-
     info: Dict[str, Any] = {
-        "mode": "cache",
+        "mode": "serial",
         "workers": 0,
         "reason": None,
-        "pending": len(pending),
+        "pending": total,
         "total": total,
     }
-    salt = cache.salt if cache is not None else default_salt()
     failures: List[RunFailure] = []
 
     def failure(index: int, error: str, trace: str) -> RunFailure:
         scenario = scenarios[index]
         return RunFailure(
-            scenario, error, trace, scenario_fingerprint(scenario, salt)
+            scenario, error, trace, scenario_fingerprint(scenario, default_salt())
         )
 
-    if pending:
+    if scenarios:
         requested = _requested_workers(workers)
         cpus = _cpu_count()
         context = _fork_context()
         # A pool cannot beat the in-process loop when there is no
         # parallelism to buy (one worker, one CPU) or nothing to spread
-        # (one pending scenario); fall back automatically and record why.
+        # (one scenario); fall back automatically and record why.
         serial_reason: Optional[str] = None
         if requested is not None and requested <= 1:
             serial_reason = "workers<=1"
         elif cpus <= 1:
             serial_reason = "cpu_count==1"
-        elif len(pending) == 1:
+        elif total == 1:
             serial_reason = "single_scenario"
         elif context is None:
             serial_reason = "no_fork"
         jobs = [
             (
-                scenarios[index],
+                scenario,
                 None
                 if telemetry is None
-                else telemetry.for_scenario(index, scenarios[index].seed),
+                else telemetry.for_scenario(index, scenario.seed),
             )
-            for index in pending
+            for index, scenario in enumerate(scenarios)
         ]
         executor: Optional[ProcessPoolExecutor] = None
         settled = 0
         try:
             if serial_reason is None:
-                effective = min(requested or cpus, cpus, len(pending))
+                effective = min(requested or cpus, cpus, total)
                 info.update(mode="pool", workers=effective)
                 executor = ProcessPoolExecutor(effective, mp_context=context)
                 outcomes = executor.map(_run_one, jobs, chunksize=1)
             else:
-                info.update(mode="serial", workers=1, reason=serial_reason)
+                info.update(workers=1, reason=serial_reason)
                 outcomes = map(_run_one, jobs)
-            for index, (ok, payload) in zip(pending, outcomes):
+            for index, (ok, payload) in enumerate(outcomes):
                 settled += 1
                 if ok:
                     results[index] = payload
-                    if cache is not None:
-                        cache.put(scenarios[index], payload)
                 else:
                     failures.append(failure(index, *payload))
                 if progress is not None:
                     progress(index, total, scenarios[index])
         except BrokenProcessPool as exc:
-            # A worker died mid-task: every unfinished scenario fails;
-            # the finished ones are already in the cache.
+            # A worker died mid-task: every unfinished scenario fails.
             trace = traceback.format_exc()
             failures.extend(
-                failure(index, repr(exc), trace) for index in pending[settled:]
+                failure(index, repr(exc), trace) for index in range(settled, total)
             )
         finally:
             if executor is not None:

@@ -4,16 +4,29 @@ A :class:`Scenario` fixes the paper's Eq. 1 inputs — message size ``M``,
 timeliness ``S``, network delay ``D``, packet loss rate ``L`` and the
 producer configuration ``Confs`` — plus the bookkeeping the testbed needs
 (message count, seed, cluster shape).
+
+A run's identity is :func:`scenario_fingerprint`: a SHA-256 over a
+canonical JSON encoding of the scenario plus a code-version salt
+(:func:`default_salt`).  Run manifests and
+:class:`~repro.testbed.runner.ExperimentFailed` messages carry it, so a
+result can be traced to the scenario that produced it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Optional
 
 from ..kafka.config import BrokerConfig, HardwareProfile, ProducerConfig
 
-__all__ = ["Scenario"]
+__all__ = ["Scenario", "scenario_fingerprint", "default_salt"]
+
+#: Counter mixed into :func:`default_salt` after the package version.
+SALT_EPOCH = 1
 
 
 @dataclass(frozen=True)
@@ -85,6 +98,8 @@ class Scenario:
             raise ValueError("cluster shape must be positive")
         if self.arrival_rate is not None and not self.arrival_rate > 0:
             raise ValueError("arrival_rate must be positive when given")
+        if self.timeliness_s is not None and not self.timeliness_s > 0:
+            raise ValueError("timeliness_s must be positive when given")
 
     @property
     def is_normal_network(self) -> bool:
@@ -94,3 +109,42 @@ class Scenario:
     def with_(self, **changes) -> "Scenario":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+def default_salt() -> str:
+    """The code-version salt of a run's identity: package version + epoch."""
+    from .. import __version__
+
+    return f"{__version__}+e{SALT_EPOCH}"
+
+
+def _canonical(value: Any) -> Any:
+    """Recursively convert a value into canonical JSON-encodable form."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            member.name: _canonical(getattr(value, member.name))
+            for member in dataclasses.fields(value)
+        }
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _canonical(item) for key, item in value.items()}
+    if isinstance(value, float):
+        # repr round-trips exactly; 1.0 and 1 must not collide.
+        return f"f:{value!r}"
+    return value
+
+
+def scenario_fingerprint(scenario: Scenario, salt: str) -> str:
+    """Stable hex digest identifying ``(scenario, salt)``.
+
+    Covers every Scenario field — producer configuration, hardware
+    profile, broker configuration, seed, message count — so two scenarios
+    collide only if they define bit-identical experiments under the same
+    code version.
+    """
+    payload = {"salt": salt, "scenario": _canonical(scenario)}
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .cache import ResultCache
 from .results import ExperimentResult
 from .runner import run_many
 from .scenario import Scenario
@@ -103,7 +102,6 @@ def analyze_sensitivity(
     perturbation: float = 0.5,
     progress: Optional[Callable[[str], None]] = None,
     workers: Optional[Union[int, str]] = None,
-    cache: Optional[ResultCache] = None,
     execution_info: Optional[Dict[str, Any]] = None,
 ) -> SensitivityReport:
     """Run the Section III-D screen around ``baseline``.
@@ -119,9 +117,9 @@ def analyze_sensitivity(
     progress:
         Optional callback invoked with each parameter name as its probe
         scenarios are scheduled.
-    workers / cache / execution_info:
-        Process-pool size (``int`` or ``"auto"``), result cache and
-        execution-mode out-param, forwarded to
+    workers / execution_info:
+        Process-pool size (``int`` or ``"auto"``) and execution-mode
+        out-param, forwarded to
         :func:`~repro.testbed.runner.run_many`; the whole screen (one
         baseline plus up to two probes per candidate) runs as one batch.
 
@@ -161,9 +159,7 @@ def analyze_sensitivity(
         specs.append(
             (parameter, value, low_value, high_value, low_index, high_index)
         )
-    results = run_many(
-        jobs, workers=workers, cache=cache, execution_info=execution_info
-    )
+    results = run_many(jobs, workers=workers, execution_info=execution_info)
     baseline_result = results[0]
     report = SensitivityReport(baseline=baseline_result)
     for parameter, value, low_value, high_value, low_index, high_index in specs:

@@ -8,9 +8,8 @@ bytes").  Axis names address either :class:`Scenario` fields directly
 prefix (``"config.batch_size"``).
 
 Sweeps run through the parallel engine (:mod:`repro.testbed.runner`):
-pass ``workers=`` to fan the grid out over a process pool and ``cache=``
-to reuse rows measured by earlier sweeps — results are identical to the
-serial path either way.
+pass ``workers=`` to fan the grid out over a process pool — results are
+identical to the serial path either way.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import hashlib
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .cache import ResultCache
 from .results import ExperimentResult
 from .runner import run_many
 from .scenario import Scenario
@@ -52,7 +50,7 @@ def derive_seed(base_seed: int, point: int, replication: int) -> int:
     * replications of the same point differ, so replicate-averaging
       actually averages independent noise;
     * the mapping is deterministic and platform-independent, so sweeps
-      stay exactly reproducible (and cacheable) from ``base_seed``.
+      stay exactly reproducible from ``base_seed``.
     """
     digest = hashlib.blake2b(
         f"{base_seed}/{point}/{replication}".encode("ascii"), digest_size=4
@@ -90,7 +88,6 @@ def sweep(
     replications: int = 1,
     progress: Optional[Callable[[Scenario], None]] = None,
     workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
 ) -> List[ExperimentResult]:
     """Run the cartesian product of ``axes`` starting from ``base``.
 
@@ -110,9 +107,6 @@ def sweep(
         Process-pool size; ``None`` resolves via the ``REPRO_WORKERS``
         environment variable, defaulting to every CPU the process may run
         on (see :func:`~repro.testbed.runner.resolve_workers`).
-    cache:
-        Optional :class:`~repro.testbed.cache.ResultCache` for reusing
-        previously measured rows.
 
     Returns results in grid order (replications adjacent), identical for
     any worker count.
@@ -121,4 +115,4 @@ def sweep(
     wrapped = None
     if progress is not None:
         wrapped = lambda index, total, scenario: progress(scenario)  # noqa: E731
-    return run_many(scenarios, workers=workers, cache=cache, progress=wrapped)
+    return run_many(scenarios, workers=workers, progress=wrapped)

@@ -78,6 +78,17 @@ class TestMain:
         assert code == 0
         assert "95% CI" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "option", [["--timeout-s", "-1"], ["--timeout-s", "nan"], ["--loss", "1.5"]]
+    )
+    def test_out_of_range_option_is_a_usage_error(self, capsys, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--messages", "10", *option])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("repro: error: ")
+
     def test_train_command_small(self, capsys, tmp_path):
         code = main([
             "train", "--messages", "150", "--normal-rows", "24",

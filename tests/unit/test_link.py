@@ -8,6 +8,7 @@ from repro.network import (
     ConstantLatency,
     FORWARD,
     Link,
+    NoLoss,
     Packet,
     PacketKind,
     REVERSE,
@@ -60,15 +61,6 @@ def test_shared_capacity_couples_directions(sim, rng):
     assert arrivals == [("fwd", pytest.approx(0.5)), ("rev", pytest.approx(1.0))]
 
 
-def test_duplex_mode_decouples_directions(sim, rng):
-    link = Link(sim, rng, capacity_bps=1000.0, latency=ConstantLatency(0.0), duplex=True)
-    arrivals = []
-    link.send(make_packet(size=500), FORWARD, lambda p: arrivals.append(("fwd", sim.now)))
-    link.send(make_packet(size=500), REVERSE, lambda p: arrivals.append(("rev", sim.now)))
-    sim.run()
-    assert sorted(t for _, t in arrivals) == [pytest.approx(0.5), pytest.approx(0.5)]
-
-
 def test_tail_drop_beyond_queue_bound(sim, rng):
     link = Link(
         sim, rng, capacity_bps=1000.0, latency=ConstantLatency(0.0), max_queue_delay_s=1.0
@@ -94,9 +86,22 @@ def test_lossy_link_drops_without_arrival(sim, rng):
 
 
 def test_lost_packet_still_consumes_capacity(sim, rng):
-    link = Link(sim, rng, capacity_bps=1000.0, loss=BernoulliLoss(0.999))
+    link = Link(
+        sim,
+        rng,
+        capacity_bps=1000.0,
+        latency=ConstantLatency(0.0),
+        loss=BernoulliLoss(0.999),
+        max_queue_delay_s=10.0,
+    )
     link.send(make_packet(size=1000), FORWARD, lambda p: None)
-    assert link.forward.backlog_s == pytest.approx(1.0)
+    assert link.forward.stats.dropped_loss == 1
+    link.forward.loss = NoLoss()
+    arrivals = []
+    link.send(make_packet(size=1000), FORWARD, lambda p: arrivals.append(sim.now))
+    sim.run()
+    # 1 s on an idle link; the lost packet's transmission adds 1 s.
+    assert arrivals == [pytest.approx(2.0)]
 
 
 def test_stats_count_sent_and_delivered(sim, rng):

@@ -1,13 +1,10 @@
-"""Unit tests for the parallel experiment engine and the result cache."""
-
-import json
+"""Unit tests for the parallel experiment engine and the run identity."""
 
 import pytest
 
 import repro.testbed.runner as runner_mod
 from repro.testbed import (
     ExperimentFailed,
-    ResultCache,
     Scenario,
     derive_seed,
     resolve_workers,
@@ -15,7 +12,7 @@ from repro.testbed import (
     scenario_fingerprint,
     sweep,
 )
-from repro.testbed.cache import default_salt
+from repro.testbed.scenario import default_salt
 from repro.testbed.runner import WORKERS_ENV_VAR
 from repro.testbed.sweep import grid_scenarios
 
@@ -67,46 +64,13 @@ class TestFingerprint:
             Scenario(), "b"
         )
 
-
-class TestResultCache:
-    def test_miss_then_hit_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="v1")
-        assert cache.get(SMALL) is None
-        assert cache.misses == 1
-        [result] = run_many([SMALL], workers=1, cache=cache)
-        cached = cache.get(SMALL)
-        assert cached == result
-        assert cache.hits == 1
-        assert len(cache) == 1
-
-    def test_cache_short_circuits_runs(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path, salt="v1")
-        [result] = run_many([SMALL], workers=1, cache=cache)
-
-        def boom(scenario):
-            raise AssertionError("cache hit should not re-run")
-
-        monkeypatch.setattr("repro.testbed.runner.run_experiment", boom)
-        [again] = run_many([SMALL], workers=1, cache=cache)
-        assert again == result
-
-    def test_salt_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="v1")
-        run_many([SMALL], workers=1, cache=cache)
-        stale = ResultCache(tmp_path, salt="v2")
-        assert stale.get(SMALL) is None
-
-    def test_corrupted_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="v1")
-        path = cache.put(SMALL, run_many([SMALL], workers=1)[0])
-        path.write_text("{not json")
-        assert cache.get(SMALL) is None
-
-    def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="v1")
-        run_many([SMALL], workers=1, cache=cache)
-        assert cache.clear() == 1
-        assert len(cache) == 0
+    def test_run_identity_is_pinned(self):
+        # Manifests and ExperimentFailed messages carry these values; a
+        # change to either breaks the link to runs recorded earlier.
+        assert default_salt() == "1.0.0+e1"
+        assert scenario_fingerprint(Scenario(), default_salt()) == (
+            "62430d6a7826da8f8b43510c5036d65e59ef340263269d10ee65c38876562bf3"
+        )
 
 
 class TestRunManySerial:
@@ -159,64 +123,6 @@ class TestRunManySerial:
         message = str(excinfo.value)
         assert "6 scenario(s) failed" in message
         assert "and 3 more" in message
-
-
-class TestCacheCorruption:
-    def test_corrupt_entry_is_quarantined_and_counted(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="v1")
-        [result] = run_many([SMALL], workers=1, cache=cache)
-        path = cache._path(cache.key(SMALL))
-        path.write_text("{torn write")
-
-        assert cache.get(SMALL) is None
-        assert cache.corruptions == 1
-        # The bad file moved aside for post-mortem and left the lookup path.
-        assert not path.exists()
-        assert (tmp_path / ResultCache.CORRUPT_DIR / path.name).exists()
-        assert len(cache) == 0
-
-        # A fresh write repairs the slot.
-        cache.put(SMALL, result)
-        assert cache.get(SMALL) == result
-
-    def test_unknown_fields_count_as_corruption(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="v1")
-        run_many([SMALL], workers=1, cache=cache)
-        path = cache._path(cache.key(SMALL))
-        payload = json.loads(path.read_text())
-        payload["result"]["not_a_field"] = 1
-        path.write_text(json.dumps(payload, sort_keys=True))
-        assert cache.get(SMALL) is None
-        assert cache.corruptions == 1
-
-
-class TestResume:
-    def test_interrupted_sweep_resumes_from_cache(self, tmp_path, monkeypatch):
-        scenarios = [SMALL.with_(seed=seed) for seed in (21, 22, 23, 24)]
-        cache = ResultCache(tmp_path, salt="v1")
-        real = runner_mod.run_experiment
-
-        def interrupt_third(scenario, telemetry=None):
-            if scenario.seed == 23:
-                raise KeyboardInterrupt
-            return real(scenario)
-
-        monkeypatch.setattr(runner_mod, "run_experiment", interrupt_third)
-        with pytest.raises(KeyboardInterrupt):
-            run_many(scenarios, workers=1, cache=cache)
-        assert len(cache) == 2  # the two finished rows were checkpointed
-
-        ran = []
-
-        def counting(scenario, telemetry=None):
-            ran.append(scenario.seed)
-            return real(scenario)
-
-        monkeypatch.setattr(runner_mod, "run_experiment", counting)
-        results = run_many(scenarios, workers=1, cache=cache)
-        assert [r.seed for r in results] == [21, 22, 23, 24]
-        # Only the interrupted tail was recomputed.
-        assert sorted(ran) == [23, 24]
 
 
 class TestSweepSeeding:

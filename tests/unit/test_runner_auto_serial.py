@@ -28,31 +28,38 @@ from repro.testbed import (
 ROOT = Path(__file__).resolve().parents[2]
 
 #: A grid whose fourth scenario SIGKILLs its pool worker (as the OOM
-#: killer would) once the other three rows are in the cache; prints what
-#: ``run_many`` left behind as JSON.
+#: killer would) once the parent has seen the other three rows finish: the
+#: parent's ``progress`` writes one marker file per finished row.  Prints
+#: what ``run_many`` left behind as JSON.
 DEAD_WORKER_GRID = """
 import json, multiprocessing, os, signal, sys, time
+from pathlib import Path
 import repro.testbed.runner as runner
-from repro.testbed import ExperimentFailed, ResultCache, Scenario, run_many
+from repro.testbed import ExperimentFailed, Scenario, run_many
 
-root = sys.argv[1]
+root = Path(sys.argv[1])
 real = runner.run_experiment
 
 def run_or_die(scenario, telemetry=None):
     if scenario.seed == 4:
         deadline = time.monotonic() + 30
-        while len(ResultCache(root)) < 3 and time.monotonic() < deadline:
+        while len(os.listdir(root)) < 3 and time.monotonic() < deadline:
             time.sleep(0.01)
         os.kill(os.getpid(), signal.SIGKILL)
     return real(scenario)
 
+seen = []
+
+def progress(index, total, scenario):
+    seen.append(scenario.seed)
+    (root / f"done-{scenario.seed}").touch()
+
 runner.run_experiment = run_or_die
 runner._cpu_count = lambda: 2
 grid = [Scenario(message_count=20, seed=seed) for seed in (1, 2, 3, 4)]
-cache = ResultCache(root)
 info = {}
 try:
-    run_many(grid, workers=2, cache=cache, execution_info=info)
+    run_many(grid, workers=2, progress=progress, execution_info=info)
     failures = []
 except ExperimentFailed as exc:
     failures = exc.failures
@@ -61,28 +68,13 @@ print(json.dumps({
     "failed": [failure.scenario.seed for failure in failures],
     "errors": [failure.error for failure in failures],
     "children": len(multiprocessing.active_children()),
-    "cached": [s.seed for s in grid if cache.get(s) is not None],
+    "seen": seen,
 }))
 """
 
 
 def fake_run_experiment(scenario, telemetry=None):
     return ("ran", scenario.seed)
-
-
-class SeedCache:
-    """A result cache stand-in keyed by scenario seed."""
-
-    salt = "test"
-
-    def __init__(self, hits):
-        self.hits = hits
-
-    def get(self, scenario):
-        return self.hits.get(scenario.seed)
-
-    def put(self, scenario, result):
-        self.hits[scenario.seed] = result
 
 
 def failing_run_experiment(scenario, telemetry=None):
@@ -147,20 +139,24 @@ class TestAutoSerialReasons:
 
     def test_single_scenario(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "_cpu_count", lambda: 8)
-        cache = SeedCache({1: ("hit", 1), 2: ("hit", 2), 3: ("hit", 3)})
         info = {}
-        # Three of four slots are cache hits: one pending scenario, so a
-        # pool has nothing to spread.
-        results = run_many(
-            scenarios(4), workers=4, cache=cache, execution_info=info
-        )
-        assert results == [("hit", 1), ("hit", 2), ("hit", 3), ("ran", 4)]
-        assert info["mode"] == "serial"
-        assert info["reason"] == "single_scenario"
-        assert (info["pending"], info["total"]) == (1, 4)
+        # One scenario: a pool has nothing to spread.
+        results = run_many(scenarios(1), workers=4, execution_info=info)
+        assert results == [("ran", 1)]
+        assert info == {
+            "mode": "serial",
+            "workers": 1,
+            "reason": "single_scenario",
+            "pending": 1,
+            "total": 1,
+        }
 
     def test_single_scenario_never_pays_for_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single scenario must not fork a pool")
+
         monkeypatch.setattr(runner_mod, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", no_pool)
         info = {}
         run_many(scenarios(1), workers=4, execution_info=info)
         assert info["mode"] == "serial"
@@ -280,8 +276,8 @@ class TestPoolLifetime:
         assert report["failed"] == [4]
         assert "BrokenProcessPool" in report["errors"][0]
         assert report["children"] == 0
-        # Rows finished before the kill were checkpointed for a rerun.
-        assert report["cached"] == [1, 2, 3]
+        # Rows finished before the kill still reached the caller.
+        assert report["seen"] == [1, 2, 3]
 
     def test_pool_sees_state_set_before_the_call(self, monkeypatch):
         # Workers fork per call, so a stand-in installed now is what runs.

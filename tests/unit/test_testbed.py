@@ -42,6 +42,9 @@ class TestScenario:
         for field in ("network_delay_s", "jitter_s", "loss_rate", "arrival_rate"):
             with pytest.raises(ValueError):
                 Scenario(**{field: float("nan")})
+        for timeliness in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                Scenario(timeliness_s=timeliness)
 
 
 class TestApplyAxis:
