@@ -65,7 +65,7 @@ def main() -> None:
         if index >= SOURCE_MESSAGES:
             producer_a.finish_input()
             return
-        record = ProducerRecord(payload_bytes=220, topic="raw")
+        record = ProducerRecord(payload_bytes=220)
         producer_a.offer(record)
         source_keys.add(record.key)
         sim.schedule(1.0 / SOURCE_RATE, feed, index + 1)
@@ -90,7 +90,7 @@ def main() -> None:
                 continue  # at-least-once consumption: dedup by key
             processed.add(entry.key)
             if filter_rng.random() < FILTER_KEEP:
-                derived_record = ProducerRecord(payload_bytes=180, topic="derived")
+                derived_record = ProducerRecord(payload_bytes=180)
                 producer_b.offer(derived_record)
                 kept_keys.add(derived_record.key)
 

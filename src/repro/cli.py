@@ -73,6 +73,17 @@ def _workers_argument(text: str):
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    """Parse a count that must be at least 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _execution_line(info: dict) -> str:
     """One-line human summary of how a grid actually executed."""
     mode = info.get("mode", "?")
@@ -128,11 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(default) means $REPRO_WORKERS, else every usable CPU; "
              "falls back to serial when a pool cannot win",
     )
-    train.add_argument("--messages", type=int, default=2000,
+    train.add_argument("--messages", type=_positive_int, default=2000,
                        help="messages per collection experiment")
     train.add_argument("--normal-rows", type=int, default=60)
     train.add_argument("--abnormal-rows", type=int, default=90)
-    train.add_argument("--epochs", type=int, default=300)
+    train.add_argument("--epochs", type=_positive_int, default=300)
     train.add_argument("--paper-topology", action="store_true",
                        help="use the paper's 200/200/200/64 hidden layers")
     train.add_argument("--registry", metavar="DIR",
@@ -153,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamic.add_argument("--reconfigure-every", type=float, default=60.0)
     dynamic.add_argument("--gamma", type=float, default=0.95,
                          help="KPI requirement for the stepwise search")
-    dynamic.add_argument("--cap", type=int, default=300,
+    dynamic.add_argument("--cap", type=_positive_int, default=300,
                          help="max messages per measured interval")
     dynamic.add_argument("--seed", type=int, default=2020)
 
@@ -174,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
-        "--cap", type=int, default=None, metavar="N",
+        "--cap", type=_positive_int, default=None, metavar="N",
         help="max messages per phase (smoke runs)",
     )
     chaos.add_argument(

@@ -15,7 +15,7 @@ from .config import (
     ProducerConfig,
 )
 from .consumer import KafkaConsumer, ReconciliationReport, reconcile
-from .log import LogEntry, LogSegment, PartitionLog
+from .log import LogEntry, PartitionLog
 from .message import ProducerRecord
 from .partition import Partition
 from .producer import KafkaProducer, ProducerListener, ProducerStats
@@ -42,7 +42,6 @@ __all__ = [
     "ReconciliationReport",
     "reconcile",
     "LogEntry",
-    "LogSegment",
     "PartitionLog",
     "ProducerRecord",
     "Partition",

@@ -127,7 +127,7 @@ def reconcile(
         the producer.
     topic:
         The topic to read back, in consumer order: partition by partition,
-        each from its oldest retained offset.
+        each from offset 0.
     ingest_times:
         Optional producer-ingest time per key (NaN for none) for
         staleness checks.
@@ -153,14 +153,14 @@ def reconcile(
     copies = array("l", bytes(size * array("l").itemsize))
     stale = 0
     for partition in topic.partitions:
-        for segment in partition.log.segments:
-            for key, timestamp in zip(segment.keys, segment.timestamps):
-                if 0 <= key < size:
-                    # A NaN ingest time (never ingested) is never stale.
-                    if not copies[key] and key < ingested:
-                        if (timestamp - times[key]) > window:
-                            stale += 1
-                    copies[key] += 1
+        log = partition.log
+        for key, timestamp in zip(log.keys, log.timestamps):
+            if 0 <= key < size:
+                # A NaN ingest time (never ingested) is never stale.
+                if not copies[key] and key < ingested:
+                    if (timestamp - times[key]) > window:
+                        stale += 1
+                copies[key] += 1
     lost_keys = {key for key in source_keys if not copies[key]}
     duplicated_keys = {key for key in source_keys if copies[key] > 1}
     duplicate_copies = sum(copies[key] - 1 for key in duplicated_keys)

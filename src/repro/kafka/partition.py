@@ -27,7 +27,6 @@ class Partition:
         index: int,
         leader_broker_id: str,
         replica_broker_ids: Optional[List[str]] = None,
-        segment_max_entries: int = 4096,
     ) -> None:
         if index < 0:
             raise ValueError("partition index must be >= 0")
@@ -40,18 +39,12 @@ class Partition:
             for broker_id in replica_broker_ids or []
             if broker_id != leader_broker_id
         ]
-        self.log = PartitionLog(segment_max_entries)
+        self.log = PartitionLog()
 
     @property
     def name(self) -> str:
         """Kafka-style ``topic-partition`` name."""
         return f"{self.topic}-{self.index}"
-
-    @property
-    def high_watermark(self) -> int:
-        """Highest offset replicated to every follower: with synchronous
-        replication, the log end offset."""
-        return self.log.next_offset
 
     def append(
         self,

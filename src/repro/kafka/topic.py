@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .partition import Partition
 
@@ -31,15 +31,3 @@ class Topic:
         keys spread out.
         """
         return self.partitions[(key * 2654435761 % (2**32)) % self.partition_count]
-
-    def total_messages(self) -> int:
-        """Entries across all partitions (duplicates included)."""
-        return sum(len(p.log) for p in self.partitions)
-
-    def key_counts(self) -> Dict[int, int]:
-        """Merge per-partition key counts (the reconciliation input)."""
-        counts: Dict[int, int] = {}
-        for partition in self.partitions:
-            for key, count in partition.log.key_counts().items():
-                counts[key] = counts.get(key, 0) + count
-        return counts

@@ -126,8 +126,8 @@ class FeatureSchema:
     numeric features; the remaining inputs are constant within a submodel
     and would only add noise columns.
 
-    ``physics_features`` additionally appends the analytic load ratio
-    λ̂/μ̂ from the performance model — the hybrid analytical+ML approach
+    The last column is the analytic load ratio λ̂/μ̂ from the
+    performance model — the hybrid analytical+ML approach
     of the paper's reference [15].  The ratio encodes where the overload
     cliff sits, which a small MLP struggles to infer from raw features.
     """
@@ -151,16 +151,14 @@ class FeatureSchema:
         ],
     }
 
-    def __init__(self, region: str, physics_features: bool = True) -> None:
+    def __init__(self, region: str) -> None:
         if region not in self.REGION_COLUMNS:
             raise ValueError(f"unknown region {region!r}")
         self.region = region
-        self.physics_features = physics_features
         self.columns = list(self.REGION_COLUMNS[region])
         # One C-level call gathers every raw column of a vector.
         self._raw_columns = operator.attrgetter(*self.columns)
-        if physics_features:
-            self.columns.append("load_ratio")
+        self.columns.append("load_ratio")
         self._performance_model = None
         # The load ratio is a pure function of its inputs but costs a
         # whole queueing-model evaluation in Python; configuration
@@ -212,8 +210,7 @@ class FeatureSchema:
 
     def _row(self, vector: FeatureVector) -> List[float]:
         row = list(self._raw_columns(vector))
-        if self.physics_features:
-            row.append(self._load_ratio(vector))
+        row.append(self._load_ratio(vector))
         return row
 
     def encode(self, vector: FeatureVector) -> np.ndarray:

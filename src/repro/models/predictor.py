@@ -52,7 +52,6 @@ class TrainingSettings:
     validation_fraction: float = 0.15
     patience: Optional[int] = 100
     seed: int = 0
-    physics_features: bool = True
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -120,13 +119,12 @@ class SubModel:
         semantics: DeliverySemantics,
         network: Sequential,
         scaler: StandardScaler,
-        physics_features: bool = True,
     ) -> None:
         self.region = region
         self.semantics = semantics
         self.network = network
         self.scaler = scaler
-        self.schema = FeatureSchema(region, physics_features)
+        self.schema = FeatureSchema(region)
         self.outputs = self.schema.output_columns(semantics)
 
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -276,7 +274,7 @@ class ReliabilityPredictor:
     ) -> None:
         region, semantics_value = key
         semantics = DeliverySemantics.parse(semantics_value)
-        schema = FeatureSchema(region, settings.physics_features)
+        schema = FeatureSchema(region)
         outputs = schema.output_columns(semantics)
         vectors = [FeatureVector.from_result(row) for row in rows]
         x = schema.encode_many(vectors)
@@ -304,9 +302,7 @@ class ReliabilityPredictor:
             patience=settings.patience,
             rng=rng,
         )
-        self.submodels[key] = SubModel(
-            region, semantics, network, scaler, settings.physics_features
-        )
+        self.submodels[key] = SubModel(region, semantics, network, scaler)
 
     # ------------------------------------------------------------ fallback
 

@@ -63,7 +63,6 @@ class ModelRegistry:
                 "region": region,
                 "semantics": semantics,
                 "scaler": submodel.scaler.to_dict(),
-                "physics_features": submodel.schema.physics_features,
             }
         (directory / _MANIFEST).write_text(
             json.dumps(manifest, indent=2, sort_keys=True)
@@ -79,13 +78,19 @@ class ModelRegistry:
         manifest = json.loads(manifest_path.read_text())
         predictor = ReliabilityPredictor()
         for key, entry in manifest.items():
+            if not entry.get("physics_features", True):
+                # Every schema appends the load-ratio column, so a model
+                # trained without it takes a narrower input.
+                raise ValueError(
+                    f"submodel {key!r} of {name!r} was trained without the "
+                    "load-ratio feature, which this version always encodes"
+                )
             network = load_model(directory / key)
             submodel = SubModel(
                 region=entry["region"],
                 semantics=DeliverySemantics.parse(entry["semantics"]),
                 network=network,
                 scaler=StandardScaler.from_dict(entry["scaler"]),
-                physics_features=entry.get("physics_features", True),
             )
             predictor.submodels[(entry["region"], entry["semantics"])] = submodel
         return predictor

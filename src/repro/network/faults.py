@@ -156,22 +156,18 @@ class FaultInjector:
     sim:
         The simulator (used for scheduled injections).
     link:
-        The producer↔cluster link to manipulate.
-    both_directions:
-        Whether treatments apply to the reverse direction too (NetEm on the
-        bridge affects both; NetEm on one veth affects one).
+        The producer↔cluster link to manipulate; a fault treats both of
+        its directions, as NetEm on the shared bridge does.
     """
 
     def __init__(
         self,
         sim: Simulator,
         link: Link,
-        both_directions: bool = True,
         telemetry=None,
     ) -> None:
         self._sim = sim
         self._link = link
-        self._both = both_directions
         self._baseline_latency = (link.forward.latency, link.reverse.latency)
         self._baseline_loss = (link.forward.loss, link.reverse.loss)
         self.active_fault: Optional[NetworkFault] = None
@@ -202,11 +198,10 @@ class FaultInjector:
             )
         self._link.forward.latency = fault.build_latency()
         self._link.forward.loss = self._build_loss(fault, "forward")
-        if self._both:
-            self._link.reverse.latency = fault.build_latency()
-            # Separate loss-model instance: stateful chains must not be
-            # shared between directions.
-            self._link.reverse.loss = self._build_loss(fault, "reverse")
+        self._link.reverse.latency = fault.build_latency()
+        # Separate loss-model instance: stateful chains must not be
+        # shared between directions.
+        self._link.reverse.loss = self._build_loss(fault, "reverse")
 
     def inject_at(self, time: float, fault: NetworkFault) -> None:
         """Schedule ``fault`` to be applied at absolute simulated time."""

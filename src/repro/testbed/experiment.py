@@ -17,7 +17,6 @@ fault treatments), all sharing the one cluster, topic and tracker.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -169,8 +168,6 @@ class Experiment:
             count=count,
             payload_bytes=scenario.message_bytes,
             rng=rng,
-            topic=scenario.topic_name,
-            timeliness_s=scenario.timeliness_s,
         )
         if scenario.arrival_rate is not None:
             return ConstantRateSource(
@@ -215,13 +212,10 @@ class Experiment:
         # the committed logs directly, after all network events settled.
         for member in self.members:
             member.injector.clear()
-        keys = self.source.keys
-        if self.producers > 1:
-            keys = array("q")
-            for member in self.members:
-                keys.extend(member.source.keys)
+        # Every key comes from the simulator's one ``record_keys`` counter,
+        # so the source keys are exactly the first ``emitted`` integers.
         report = reconcile(
-            keys,
+            range(sum(member.source.emitted for member in self.members)),
             self.topic,
             ingest_times=self.tracker.ingest_times,
             timeliness_s=scenario.timeliness_s,

@@ -21,8 +21,7 @@ identity for every ``(lo, hi)`` used here) at a fraction of the call cost.
 
 from __future__ import annotations
 
-from array import array
-from typing import Callable, Optional
+from typing import Optional
 
 from ..kafka.config import HardwareProfile
 from ..kafka.message import ProducerRecord
@@ -34,7 +33,13 @@ __all__ = ["SourceDriver", "FullLoadSource", "PolledSource", "ConstantRateSource
 
 
 class SourceDriver:
-    """Base class: emits ``count`` records into a producer, then finishes."""
+    """Base class: emits ``count`` records into a producer, then finishes.
+
+    Every record takes the next key of the simulation's one
+    ``record_keys`` counter at :meth:`KafkaProducer.offer`, so the keys of
+    a run are exactly ``range(n)`` for the ``n`` records its sources
+    emitted; :attr:`emitted` is this source's share.
+    """
 
     def __init__(
         self,
@@ -43,9 +48,6 @@ class SourceDriver:
         count: int,
         payload_bytes: int,
         rng: Rng,
-        topic: str = "events",
-        timeliness_s: Optional[float] = None,
-        payload_sampler: Optional[Callable[[Rng], int]] = None,
     ) -> None:
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -54,14 +56,11 @@ class SourceDriver:
         self._sim = sim
         self._producer = producer
         self._count = count
-        self._payload_bytes = payload_bytes
+        # The sensitivity screen perturbs M to a float.
+        self._payload_bytes = max(1, int(payload_bytes))
         self._rng = rng
-        self._topic = topic
-        self._timeliness_s = timeliness_s
-        self._payload_sampler = payload_sampler
-        self._emitted = 0
-        #: Keys of the emitted records, in emission order.
-        self.keys = array("q")
+        #: Records handed to the producer so far.
+        self.emitted = 0
 
     def start(self) -> None:
         """Begin emitting records at simulated time now."""
@@ -71,28 +70,18 @@ class SourceDriver:
         """Time until the next record; subclasses define the process."""
         raise NotImplementedError
 
+    def _offer(self) -> bool:
+        """Offer one record; after the last, finish the input and return True."""
+        self._producer.offer(ProducerRecord(self._payload_bytes))
+        self.emitted += 1
+        if self.emitted >= self._count:
+            self._producer.finish_input()
+            return True
+        return False
+
     def _emit(self) -> None:
-        if self._emitted >= self._count:
-            self._producer.finish_input()
-            return
-        size = (
-            self._payload_sampler(self._rng)
-            if self._payload_sampler is not None
-            else self._payload_bytes
-        )
-        record = ProducerRecord(
-            payload_bytes=max(1, int(size)),
-            topic=self._topic,
-            source_time=self._sim.now,
-            timeliness_s=self._timeliness_s,
-        )
-        self._producer.offer(record)
-        self.keys.append(record.key)
-        self._emitted += 1
-        if self._emitted >= self._count:
-            self._producer.finish_input()
-            return
-        self._sim.schedule(self._next_interval(), self._emit)
+        if not self._offer():
+            self._sim.schedule(self._next_interval(), self._emit)
 
 
 class FullLoadSource(SourceDriver):
@@ -115,9 +104,8 @@ class FullLoadSource(SourceDriver):
         rng: Rng,
         hardware: HardwareProfile,
         waits_for_ack: bool,
-        **kwargs,
     ) -> None:
-        super().__init__(sim, producer, count, payload_bytes, rng, **kwargs)
+        super().__init__(sim, producer, count, payload_bytes, rng)
         self._hardware = hardware
         self._peak_rate = hardware.full_load_rate(payload_bytes, waits_for_ack)
         self._burst_remaining = self._burst_length()
@@ -165,9 +153,8 @@ class PolledSource(SourceDriver):
         rng: Rng,
         polling_interval_s: float,
         hardware: Optional[HardwareProfile] = None,
-        **kwargs,
     ) -> None:
-        super().__init__(sim, producer, count, payload_bytes, rng, **kwargs)
+        super().__init__(sim, producer, count, payload_bytes, rng)
         if polling_interval_s <= 0:
             raise ValueError(
                 "polling_interval_s must be positive; use FullLoadSource for δ=0"
@@ -207,31 +194,11 @@ class PolledSource(SourceDriver):
 
     def _poll(self) -> None:
         """The producer's δ-periodic acquisition call."""
-        if self._emitted >= self._count:
-            return
         if self._pending > 0:
             self._pending -= 1
-            size = (
-                self._payload_sampler(self._rng)
-                if self._payload_sampler is not None
-                else self._payload_bytes
-            )
-            record = ProducerRecord(
-                payload_bytes=max(1, int(size)),
-                topic=self._topic,
-                source_time=self._sim.now,
-                timeliness_s=self._timeliness_s,
-            )
-            self._producer.offer(record)
-            self.keys.append(record.key)
-            self._emitted += 1
-            if self._emitted >= self._count:
-                self._producer.finish_input()
+            if self._offer():
                 return
         self._sim.schedule(self._delta, self._poll)
-
-    def _next_interval(self) -> float:  # pragma: no cover - unused override
-        return self._delta
 
 
 class ConstantRateSource(SourceDriver):
@@ -245,9 +212,8 @@ class ConstantRateSource(SourceDriver):
         payload_bytes: int,
         rng: Rng,
         rate: float,
-        **kwargs,
     ) -> None:
-        super().__init__(sim, producer, count, payload_bytes, rng, **kwargs)
+        super().__init__(sim, producer, count, payload_bytes, rng)
         if rate <= 0:
             raise ValueError("rate must be positive")
         self._interval = 1.0 / rate

@@ -15,9 +15,7 @@ KPI-weight characteristics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
-
-from ..simulation.random import Rng
+from typing import Tuple
 
 __all__ = ["StreamProfile", "SOCIAL_MEDIA", "WEB_ACCESS_LOGS", "GAME_TRAFFIC", "PAPER_STREAMS"]
 
@@ -32,8 +30,6 @@ class StreamProfile:
         Human-readable stream name (the Table II column).
     mean_payload_bytes:
         Mean message size ``M``.
-    payload_jitter:
-        Fractional size spread around the mean (uniform).
     timeliness_s:
         The validity period ``S`` of a message.
     kpi_weights:
@@ -49,7 +45,6 @@ class StreamProfile:
 
     name: str
     mean_payload_bytes: int
-    payload_jitter: float
     timeliness_s: float
     kpi_weights: Tuple[float, float, float, float]
     arrival_rate: float
@@ -57,8 +52,6 @@ class StreamProfile:
     def __post_init__(self) -> None:
         if self.mean_payload_bytes < 1:
             raise ValueError("mean_payload_bytes must be >= 1")
-        if not 0 <= self.payload_jitter < 1:
-            raise ValueError("payload_jitter must be in [0, 1)")
         if self.timeliness_s <= 0:
             raise ValueError("timeliness_s must be positive")
         if abs(sum(self.kpi_weights) - 1.0) > 1e-9:
@@ -66,24 +59,11 @@ class StreamProfile:
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
 
-    def payload_sampler(self) -> Callable[[Rng], int]:
-        """Sampler of per-message payload sizes."""
-        mean = self.mean_payload_bytes
-        jitter = self.payload_jitter
-
-        def sample(rng: Rng) -> int:
-            low = mean * (1.0 - jitter)
-            high = mean * (1.0 + jitter)
-            return max(1, int(round(rng.uniform(low, high))))
-
-        return sample
-
 
 #: Short text posts; loss is the cardinal sin, latency matters.
 SOCIAL_MEDIA = StreamProfile(
     name="social media messages",
     mean_payload_bytes=300,
-    payload_jitter=0.4,
     timeliness_s=5.0,
     kpi_weights=(0.4, 0.3, 0.2, 0.1),
     arrival_rate=12.0,
@@ -93,7 +73,6 @@ SOCIAL_MEDIA = StreamProfile(
 WEB_ACCESS_LOGS = StreamProfile(
     name="web server access records",
     mean_payload_bytes=200,
-    payload_jitter=0.2,
     timeliness_s=60.0,
     kpi_weights=(0.1, 0.1, 0.7, 0.1),
     arrival_rate=15.0,
@@ -103,7 +82,6 @@ WEB_ACCESS_LOGS = StreamProfile(
 GAME_TRAFFIC = StreamProfile(
     name="game traffic messages",
     mean_payload_bytes=80,
-    payload_jitter=0.2,
     timeliness_s=0.5,
     kpi_weights=(0.2, 0.4, 0.2, 0.2),
     arrival_rate=20.0,

@@ -53,7 +53,7 @@ def test_tracker_and_reconciliation_agree_on_losses():
     result = experiment.run()
     tracker = experiment.tracker
     never_persisted = sum(
-        1 for key in experiment.source.keys if not tracker.persisted(key)
+        1 for key in range(result.produced) if not tracker.persisted(key)
     )
     assert never_persisted == round(result.p_loss * result.produced)
 

@@ -29,6 +29,23 @@ def test_fleet_conserves_all_keys():
     assert result.produced == 900
 
 
+@pytest.mark.parametrize("producers", [1, 3])
+def test_source_keys_are_dense_with_queue_drops(producers):
+    # The experiment reconciles range(produced) as its source keys, which
+    # holds only while every emitted record, queue-dropped ones included,
+    # takes the next key of the simulator's one counter.
+    scenario = Scenario(
+        message_count=300,
+        loss_rate=0.1,
+        seed=3,
+        config=ProducerConfig(queue_capacity=2),
+    )
+    experiment = Experiment(scenario, producers=producers)
+    result = experiment.run()
+    assert sum(member.producer.stats.queue_dropped for member in experiment.members) >= 1
+    assert next(experiment.sim.record_keys) == result.produced == scenario.message_count
+
+
 def test_one_producer_fleet_matches_single_experiment_shape():
     scenario = BASE.with_(arrival_rate=6.0, message_count=600)
     single = run_experiment(scenario)

@@ -158,18 +158,18 @@ class TestCluster:
         sim.run()
         before = partition.read()
         assert [entry.offset for entry in before] == list(range(count))
-        assert partition.high_watermark == count
+        assert len(partition.log) == count
         cluster.set_broker_availability("broker-0", False)
         assert partition.leader_broker_id == "broker-1"
         assert partition.read() == before
-        assert partition.high_watermark == count
+        assert len(partition.log) == count
         # The new leader appends after the entries it inherited.
         responses = []
         cluster.handle_produce(make_request(partition), responses.append)
         sim.run()
         assert cluster.leader_for(partition).broker_id == "broker-1"
         assert responses[0].base_offset == count
-        assert partition.high_watermark == count + 1
+        assert len(partition.log) == count + 1
 
     def test_restore_brings_broker_back(self, sim):
         cluster = KafkaCluster(sim)

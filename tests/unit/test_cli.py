@@ -89,6 +89,24 @@ class TestMain:
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith("repro: error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--messages", "0"],
+            ["train", "--epochs", "0"],
+            ["chaos", "--cap", "0"],
+            ["chaos", "--cap", "-5"],
+            ["dynamic", "--cap", "0"],
+        ],
+    )
+    def test_count_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(f"repro {argv[0]}: error: ")
+
     def test_train_command_small(self, capsys, tmp_path):
         code = main([
             "train", "--messages", "150", "--normal-rows", "24",

@@ -37,29 +37,9 @@ class TestProducerRecord:
         producer.offer(later)
         assert later.key == 2
 
-    def test_deadline_requires_ingest(self):
-        record = ProducerRecord(payload_bytes=10)
-        with pytest.raises(ValueError):
-            record.deadline(1.0)
-        record.ingest_time = 5.0
-        assert record.deadline(1.5) == 6.5
-
-    def test_staleness(self):
-        record = ProducerRecord(payload_bytes=10, timeliness_s=2.0)
-        record.ingest_time = 1.0
-        assert not record.is_stale(2.9)
-        assert record.is_stale(3.1)
-
-    def test_no_timeliness_is_never_stale(self):
-        record = ProducerRecord(payload_bytes=10)
-        record.ingest_time = 0.0
-        assert not record.is_stale(1e9)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ProducerRecord(payload_bytes=0)
-        with pytest.raises(ValueError):
-            ProducerRecord(payload_bytes=10, timeliness_s=0.0)
 
     def test_negative_key_rejected(self):
         # A negative key would alias the last slot of the per-key arrays.

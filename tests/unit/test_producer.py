@@ -9,6 +9,7 @@ from repro.kafka import (
     ProducerConfig,
     ProducerListener,
     ProducerRecord,
+    reconcile,
 )
 from repro.network import ConstantLatency, Link, ReliableChannel
 from repro.simulation import RngRegistry, Simulator
@@ -65,32 +66,39 @@ def offer_n(sim, producer, count, payload=100, spacing=0.01):
     return keys
 
 
+def appended(keys, topic):
+    """Copies of ``keys`` in the topic, duplicates included."""
+    report = reconcile(keys, topic)
+    return report.delivered_unique + report.duplicate_copies
+
+
 def test_clean_at_least_once_delivers_everything():
     sim, _, topic, producer = make_producer()
     keys = offer_n(sim, producer, 20)
     sim.run()
     assert producer.done
     assert producer.stats.acknowledged == 20
-    assert sorted(topic.key_counts()) == sorted(keys)
+    report = reconcile(keys, topic)
+    assert report.lost == report.duplicated == 0
 
 
 def test_at_most_once_fire_and_forget_resolves_at_send():
     config = ProducerConfig(semantics=DeliverySemantics.AT_MOST_ONCE)
     sim, _, topic, producer = make_producer(config)
-    offer_n(sim, producer, 10)
+    keys = offer_n(sim, producer, 10)
     sim.run()
     assert producer.stats.fire_and_forget == 10
     assert producer.stats.acknowledged == 0
-    assert topic.total_messages() == 10
+    assert appended(keys, topic) == 10
 
 
 def test_batching_groups_messages_per_request():
     config = ProducerConfig(batch_size=5, linger_s=0.5)
     sim, _, topic, producer = make_producer(config)
-    offer_n(sim, producer, 20, spacing=0.001)
+    keys = offer_n(sim, producer, 20, spacing=0.001)
     sim.run()
     assert producer.stats.requests_sent == 4
-    assert topic.total_messages() == 20
+    assert appended(keys, topic) == 20
 
 
 def test_linger_flushes_partial_batch():
@@ -99,7 +107,7 @@ def test_linger_flushes_partial_batch():
     record = ProducerRecord(payload_bytes=100)
     producer.offer(record)
     sim.run(until=1.0)
-    assert topic.total_messages() == 1
+    assert appended([record.key], topic) == 1
     producer.finish_input()
     sim.run()
     assert producer.done
@@ -108,10 +116,11 @@ def test_linger_flushes_partial_batch():
 def test_finish_input_flushes_incomplete_batch_immediately():
     config = ProducerConfig(batch_size=10, linger_s=30.0)
     sim, _, topic, producer = make_producer(config)
-    producer.offer(ProducerRecord(payload_bytes=100))
+    record = ProducerRecord(payload_bytes=100)
+    producer.offer(record)
     producer.finish_input()
     sim.run()
-    assert topic.total_messages() == 1
+    assert appended([record.key], topic) == 1
 
 
 def test_queue_expiry_drops_stale_records():
@@ -173,9 +182,8 @@ def test_exactly_once_deduplicates_broker_side():
     sim, _, topic, producer = make_producer(config)
     keys = offer_n(sim, producer, 15)
     sim.run()
-    counts = topic.key_counts()
-    assert all(count == 1 for count in counts.values())
-    assert sorted(counts) == sorted(keys)
+    report = reconcile(keys, topic)
+    assert report.lost == report.duplicated == 0
 
 
 def test_listener_sees_full_lifecycle():

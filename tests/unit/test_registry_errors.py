@@ -30,6 +30,24 @@ class TestRegistryValidation:
         (tmp_path / "stray").mkdir()
         assert ModelRegistry(tmp_path).list_models() == []
 
+    def test_model_without_load_ratio_rejected_on_load(self, tmp_path):
+        # Its input is one column narrower than every schema encodes.
+        import json
+
+        directory = tmp_path / "narrow"
+        directory.mkdir()
+        entry = {
+            "region": "normal",
+            "semantics": "at_least_once",
+            "scaler": {},
+            "physics_features": False,
+        }
+        (directory / "manifest.json").write_text(
+            json.dumps({"normal__at_least_once": entry})
+        )
+        with pytest.raises(ValueError, match="load-ratio"):
+            ModelRegistry(tmp_path).load("narrow")
+
 
 class TestSerialisationErrors:
     def test_unknown_layer_type_rejected_on_save(self, tmp_path):
