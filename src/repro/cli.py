@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -81,6 +82,18 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """Parse a duration that must be positive and finite (a usage error otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    # Written as ``not <`` so NaN is rejected too.
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
     return value
 
 
@@ -157,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     dynamic.add_argument("--registry", metavar="DIR",
                          help="load the predictor from this registry")
     dynamic.add_argument("--name", default="reliability")
-    dynamic.add_argument("--duration", type=float, default=300.0,
+    dynamic.add_argument("--duration", type=_positive_seconds, default=300.0,
                          help="trace duration in seconds")
-    dynamic.add_argument("--interval", type=float, default=10.0,
+    dynamic.add_argument("--interval", type=_positive_seconds, default=10.0,
                          help="trace resolution in seconds")
-    dynamic.add_argument("--reconfigure-every", type=float, default=60.0)
+    dynamic.add_argument("--reconfigure-every", type=_positive_seconds, default=60.0)
     dynamic.add_argument("--gamma", type=float, default=0.95,
                          help="KPI requirement for the stepwise search")
     dynamic.add_argument("--cap", type=_positive_int, default=300,

@@ -155,10 +155,20 @@ class Broker:
             self.requests_dropped += 1
             self._record_drop(request, phase="queued")
             return
-        now = self._sim.now
-        finish = max(now, self._busy_until) + self.service_time(request)
+        # ``service_time(request)`` inline; the two must stay equal.
+        config = self.config
+        payload_bytes = 0
+        for record in request.records:
+            payload_bytes += record.payload_bytes
+        service = config.processing_time_s
+        service += payload_bytes / config.append_bytes_per_s
+        if request.require_acks and config.replication_factor > 1:
+            service += config.acks_all_extra_s
+        sim = self._sim
+        now = sim.now
+        finish = (now if now > self._busy_until else self._busy_until) + service
         self._busy_until = finish
-        self._sim.schedule_at(finish, self._complete, request, on_done)
+        sim.schedule_at(finish, self._complete, request, on_done)
 
     def _complete(
         self,
@@ -173,31 +183,35 @@ class Broker:
         self.requests_handled += 1
         now = self._sim.now
         partition = request.partition
+        # Synchronous replication: the leader's append is the partition's.
+        log = partition.log
         producer_id = request.producer_id
-        base_sequence = request.base_sequence
+        sequence = request.base_sequence
+        tracer = self._tracer
+        metrics = self._metrics
+        listeners = self._append_listeners
         base_offset: Optional[int] = None
         appended = 0
-        for position, record in enumerate(request.records):
-            sequence = base_sequence + position if base_sequence is not None else None
-            offset = partition.append(
-                record.key, record.payload_bytes, now, producer_id, sequence
-            )
+        for record in request.records:
+            offset = log.append(record.key, record.payload_bytes, now, producer_id, sequence)
+            if sequence is not None:
+                sequence += 1
             if offset is None:
                 continue  # idempotence fencing discarded a duplicate
             appended += 1
             if base_offset is None:
                 base_offset = offset
-            if self._tracer is not None:
-                self._tracer.emit(
+            if tracer is not None:
+                tracer.emit(
                     EventKind.APPEND,
                     now,
                     key=record.key,
                     broker=self.broker_id,
                     offset=offset,
                 )
-            if self._metrics is not None:
-                self._metrics.counter("broker.appends").inc()
-            for listener in self._append_listeners:
+            if metrics is not None:
+                metrics.counter("broker.appends").inc()
+            for listener in listeners:
                 listener(record, partition, offset)
         if on_done is not None:
             on_done(

@@ -32,6 +32,8 @@ class Partition:
             raise ValueError("partition index must be >= 0")
         self.topic = topic
         self.index = index
+        #: Kafka-style ``topic-partition`` name.
+        self.name = f"{topic}-{index}"
         self.leader_broker_id = leader_broker_id
         #: Follower broker ids, in failover preference order.
         self.follower_broker_ids: List[str] = [
@@ -40,22 +42,6 @@ class Partition:
             if broker_id != leader_broker_id
         ]
         self.log = PartitionLog()
-
-    @property
-    def name(self) -> str:
-        """Kafka-style ``topic-partition`` name."""
-        return f"{self.topic}-{self.index}"
-
-    def append(
-        self,
-        key: int,
-        payload_bytes: int,
-        timestamp: float,
-        producer_id: Optional[int] = None,
-        sequence: Optional[int] = None,
-    ) -> Optional[int]:
-        """Append through the leader (replicated on return); returns the offset."""
-        return self.log.append(key, payload_bytes, timestamp, producer_id, sequence)
 
     def read(self, start_offset: int = 0, max_entries: Optional[int] = None) -> List[LogEntry]:
         """Read committed entries."""

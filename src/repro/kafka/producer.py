@@ -207,6 +207,10 @@ class KafkaProducer:
         # idle producer never keeps the simulator alive.
         self._sweep_interval = max(0.05, self.config.request_timeout_s / 4)
         self._sweep_event = None
+        # ``(batch bytes, serialisation time)`` of a full batch of records
+        # the size of the last queue head, so the expiry lookahead and a
+        # full batch of equal records compute it once per payload size.
+        self._full_batch = (0, 0.0)
 
     # ------------------------------------------------------------- intake
 
@@ -229,21 +233,24 @@ class KafkaProducer:
         """
         if self._closed:
             raise RuntimeError("producer is closed")
+        sim = self._sim
         if record.key is None:
-            record.key = next(self._sim.record_keys)
+            record.key = next(sim.record_keys)
+        queue = self._queue
         capacity = self.config.queue_capacity
-        if capacity is not None and len(self._queue) >= capacity:
+        if capacity is not None and len(queue) >= capacity:
             self.stats.queue_dropped += 1
             self.listener.on_queue_drop(record)
             if self._tracer is not None:
-                self._tracer.emit(EventKind.QUEUE_DROP, self._sim.now, key=record.key)
+                self._tracer.emit(EventKind.QUEUE_DROP, sim.now, key=record.key)
             return False
-        record.ingest_time = self._sim.now
+        record.ingest_time = sim.now
         self.stats.ingested += 1
         self._outstanding += 1
         self.listener.on_ingest(record)
-        self._queue.append(record)
-        self._arm_sweep()
+        queue.append(record)
+        if self._sweep_event is None:
+            self._arm_sweep()
         self._maybe_form_batch()
         return True
 
@@ -295,13 +302,19 @@ class KafkaProducer:
             return
         queue = self._queue
         batch_size = self._batch_size
+        sim = self._sim
         if queue:
-            lookahead = self.hardware.serialization_time_s(
-                batch_size * queue[0].payload_bytes, batch_size
-            )
-            self._expire_from_queue_head(lookahead)
+            head = queue[0]
+            batch_bytes = batch_size * head.payload_bytes
+            memo_bytes, lookahead = self._full_batch
+            if memo_bytes != batch_bytes:
+                lookahead = self.hardware.serialization_time_s(batch_bytes, batch_size)
+                self._full_batch = (batch_bytes, lookahead)
+            if sim.now + lookahead >= head.ingest_time + self._message_timeout_s:
+                self._expire_from_queue_head(lookahead)
         if not queue:
-            self._check_done()
+            if self._input_finished:
+                self._check_done()
             return
         if self._in_flight >= self._window:
             return  # back-pressure: wait for an in-flight/socket slot
@@ -310,29 +323,36 @@ class KafkaProducer:
             and self._in_flight > 0
         ):
             return  # socket send buffer full; a completion will re-trigger
-        oldest_wait = self._sim.now - queue[0].ingest_time
-        if len(queue) < batch_size:
-            ready = self._input_finished or oldest_wait >= self.config.linger_s
-            if not ready:
-                self._arm_linger(self.config.linger_s - oldest_wait)
+        count = len(queue)
+        if count < batch_size:
+            oldest_wait = sim.now - queue[0].ingest_time
+            linger_s = self.config.linger_s
+            if not (self._input_finished or oldest_wait >= linger_s):
+                if self._linger_timer is None:
+                    self._linger_timer = sim.schedule(
+                        max(1e-6, linger_s - oldest_wait), self._on_linger
+                    )
                 return
-        records = [queue.popleft() for _ in range(min(batch_size, len(queue)))]
+        else:
+            count = batch_size
+        popleft = queue.popleft
+        records = [popleft() for _ in range(count)]
         if self._linger_timer is not None:
-            self._sim.cancel(self._linger_timer)
+            sim.cancel(self._linger_timer)
             self._linger_timer = None
         self._in_flight += 1
         self._serializing = True
-        total_bytes = sum([record.payload_bytes for record in records])
-        ser_time = self.hardware.serialization_time_s(total_bytes, len(records))
-        self._sim.schedule(ser_time, self._dispatch, records)
+        total_bytes = 0
+        for record in records:
+            total_bytes += record.payload_bytes
+        memo_bytes, ser_time = self._full_batch
+        if count != batch_size or total_bytes != memo_bytes:
+            ser_time = self.hardware.serialization_time_s(total_bytes, count)
+        sim.schedule(ser_time, self._dispatch, records)
 
-    def _arm_linger(self, delay: float) -> None:
-        if self._linger_timer is not None:
-            return
-        def fire() -> None:
-            self._linger_timer = None
-            self._maybe_form_batch()
-        self._linger_timer = self._sim.schedule(max(1e-6, delay), fire)
+    def _on_linger(self) -> None:
+        self._linger_timer = None
+        self._maybe_form_batch()
 
     def _release_slot(self) -> None:
         """Return an in-flight slot and try to form the next batch."""
@@ -343,7 +363,8 @@ class KafkaProducer:
 
     def _dispatch(self, records: List[ProducerRecord]) -> None:
         self._serializing = False
-        now = self._sim.now
+        sim = self._sim
+        now = sim.now
         timeout = self._message_timeout_s
         live: List[ProducerRecord] = []
         for record in records:
@@ -361,17 +382,14 @@ class KafkaProducer:
             self._release_slot()
             return
         self._send_batch(_Batch(live))
-        self._sim.schedule(0.0, self._maybe_form_batch)
-
-    def _wire_bytes(self, records: List[ProducerRecord]) -> int:
-        payload = sum([record.payload_bytes for record in records])
-        return payload + self.hardware.request_overhead_bytes
+        sim.schedule(0.0, self._maybe_form_batch)
 
     def _send_batch(self, batch: _Batch) -> None:
         waits_for_ack = self._waits_for_ack
+        records = batch.records
         partition = batch.partition
         if partition is None:
-            partition = batch.partition = self._topic.partition_for(batch.records[0].key)
+            partition = batch.partition = self._topic.partition_for(records[0].key)
         base_sequence = None
         producer_id = None
         if self._idempotent:
@@ -385,32 +403,38 @@ class KafkaProducer:
                 base_sequence = batch.base_sequence
         attempt = batch.attempt
         stats = self.stats
-        # Request ids number the producer's requests in send order.
+        wire_bytes = self.hardware.request_overhead_bytes
+        for record in records:
+            wire_bytes += record.payload_bytes
+        # Request ids number the producer's requests in send order.  A
+        # retry replaces ``batch.records`` rather than editing it, so the
+        # request can share the list.
+        request_id = stats.requests_sent
         request = ProduceRequest(
-            stats.requests_sent,
-            list(batch.records),
+            request_id,
+            records,
             partition,
             waits_for_ack,
-            self._wire_bytes(batch.records),
+            wire_bytes,
             producer_id,
             base_sequence,
             attempt,
         )
-        stats.requests_sent += 1
+        stats.requests_sent = request_id + 1
         if attempt > 0:
             stats.request_retries += 1
-        stats.bytes_sent += request.wire_bytes
+        stats.bytes_sent += wire_bytes
         listener = self.listener
         tracer = self._tracer
-        for record in batch.records:
+        for record in records:
             listener.on_send_attempt(record, attempt)
             if tracer is not None:
                 tracer.emit(EventKind.SEND, self._sim.now, key=record.key, attempt=attempt)
         if waits_for_ack:
-            if batch.attempt == 0:
-                batch.byte_charge = request.wire_bytes
-                self._in_flight_bytes += batch.byte_charge
-            self._batches[request.request_id] = batch
+            if attempt == 0:
+                batch.byte_charge = wire_bytes
+                self._in_flight_bytes += wire_bytes
+            self._batches[request_id] = batch
             batch.waiting = True
             # The response timer starts once the request has demonstrably
             # reached the broker (transport-level delivery); transmission
@@ -420,11 +444,11 @@ class KafkaProducer:
             # retry path immediately.
             self._channel.send(
                 FORWARD,
-                request.wire_bytes,
-                payload=request,
-                deadline=self._sim.now + 2.0 * self.config.request_timeout_s,
-                on_delivered=self._on_request_delivered,
-                on_failed=self._on_transport_failed,
+                wire_bytes,
+                request,
+                self._sim.now + 2.0 * self.config.request_timeout_s,
+                self._on_request_delivered,
+                self._on_transport_failed,
             )
         else:
             # Fire and forget: the producer's bookkeeping ends here; the
@@ -434,17 +458,17 @@ class KafkaProducer:
             # abandons the data (queue waiting time is charged separately
             # by accumulator expiry).
             deadline = self._sim.now + self.config.message_timeout_s
-            self._in_flight_bytes += request.wire_bytes
+            self._in_flight_bytes += wire_bytes
             self._channel.send(
                 FORWARD,
-                request.wire_bytes,
-                payload=request,
-                deadline=deadline,
-                on_delivered=self._on_amo_settled,
-                on_failed=self._on_amo_failed,
+                wire_bytes,
+                request,
+                deadline,
+                self._on_amo_settled,
+                self._on_amo_failed,
             )
-            self.stats.fire_and_forget += len(batch.records)
-            self._resolve(len(batch.records))
+            stats.fire_and_forget += len(records)
+            self._resolve(len(records))
 
     # ------------------------------------------------- at-least-once path
 
@@ -548,33 +572,41 @@ class KafkaProducer:
             return
         self._send_batch(batch)
 
-    def _producer_receive(self, payload, size_bytes: int) -> None:
-        """A message arrived on the REVERSE direction (a broker response)."""
-        if not isinstance(payload, ProduceResponse):
-            return
-        batch = self._batches.pop(payload.request_id, None)
+    def _producer_receive(self, response: ProduceResponse, size_bytes: int) -> None:
+        """A broker response arrived (the REVERSE direction carries nothing else)."""
+        batch = self._batches.pop(response.request_id, None)
         if batch is None or batch.completed:
             return
         batch.completed = True
         batch.waiting = False
         self._in_flight_bytes -= batch.byte_charge
+        sim = self._sim
         if batch.timer is not None:
-            self._sim.cancel(batch.timer)
+            sim.cancel(batch.timer)
             batch.timer = None
-        now = self._sim.now
+        now = sim.now
         records = batch.records
         self.stats.acknowledged += len(records)
         listener = self.listener
         tracer = self._tracer
+        ack_rtt = self._ack_rtt
         for record in records:
             rtt = now - record.ingest_time
             listener.on_acknowledged(record, rtt)
             if tracer is not None:
                 tracer.emit(EventKind.ACK, now, key=record.key, rtt_s=rtt)
-            if self._ack_rtt is not None:
-                self._ack_rtt.observe(rtt)
-        self._resolve(len(records))
-        self._release_slot()
+            if ack_rtt is not None:
+                ack_rtt.observe(rtt)
+        # ``_resolve(len(records))`` and ``_release_slot()`` inline; keep them in step.
+        self._outstanding -= len(records)
+        if self._outstanding < 0:
+            raise RuntimeError("producer resolved more records than ingested")
+        if self._input_finished:
+            self._check_done()
+        if self._in_flight == 0:
+            raise RuntimeError("release without matching acquire")
+        self._in_flight -= 1
+        sim.schedule(0.0, self._maybe_form_batch)
 
     # ------------------------------------------------- at-most-once path
 
@@ -594,22 +626,18 @@ class KafkaProducer:
 
     # ---------------------------------------------------- cluster wiring
 
-    def _cluster_receive(self, payload, size_bytes: int) -> None:
-        """A produce request arrived at the cluster end of the channel."""
-        if not isinstance(payload, ProduceRequest):
-            return
-        if payload.require_acks:
-            self._cluster.handle_produce(payload, self._send_response)
-        else:
-            self._cluster.handle_produce(payload, None)
+    def _cluster_receive(self, request: ProduceRequest, size_bytes: int) -> None:
+        """A produce request arrived (the FORWARD direction carries nothing else)."""
+        self._cluster.handle_produce(
+            request, self._send_response if request.require_acks else None
+        )
 
     def _send_response(self, response: ProduceResponse) -> None:
-        deadline = self._sim.now + 2.0 * self.config.request_timeout_s
         self._channel.send(
             REVERSE,
             self.hardware.response_bytes,
-            payload=response,
-            deadline=deadline,
+            response,
+            self._sim.now + 2.0 * self.config.request_timeout_s,
         )
 
     # ------------------------------------------------------------- close

@@ -18,11 +18,6 @@ class Topic:
         self.name = name
         self.partitions = partitions
 
-    @property
-    def partition_count(self) -> int:
-        """Number of partitions."""
-        return len(self.partitions)
-
     def partition_for(self, key: int) -> Partition:
         """The partition a record with ``key`` is routed to.
 
@@ -30,4 +25,5 @@ class Topic:
         records; the Knuth multiplicative hash keeps small incremental
         keys spread out.
         """
-        return self.partitions[(key * 2654435761 % (2**32)) % self.partition_count]
+        partitions = self.partitions
+        return partitions[(key * 2654435761 % (2**32)) % len(partitions)]

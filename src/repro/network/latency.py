@@ -32,7 +32,10 @@ class LatencyModel:
 
 
 class ConstantLatency(LatencyModel):
-    """A fixed one-way delay, NetEm's ``delay <d>``."""
+    """A fixed one-way delay, NetEm's ``delay <d>``.
+
+    A link reads ``delay_s`` once, when the model is installed on it.
+    """
 
     def __init__(self, delay_s: float) -> None:
         if delay_s < 0:

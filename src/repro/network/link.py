@@ -113,6 +113,18 @@ class LinkDirection:
         self.stats = LinkStats()
 
     @property
+    def latency(self) -> LatencyModel:
+        """Propagation-delay model; assigning one installs a new treatment."""
+        return self._latency
+
+    @latency.setter
+    def latency(self, model: LatencyModel) -> None:
+        self._latency = model
+        # A constant delay is read inline by ``Link.send``; only jittered
+        # and Pareto models are sampled per packet.
+        self._delay = model.delay_s if type(model) is ConstantLatency else None
+
+    @property
     def loss(self) -> LossModel:
         """Per-packet loss model; assigning one installs a new treatment."""
         return self._loss
@@ -201,5 +213,8 @@ class Link:
             stats.dropped_loss += 1
             return True
         stats.delivered += 1
-        sim.schedule_at(depart + lane.latency.sample(rng), on_arrival, packet)
+        delay = lane._delay
+        if delay is None:
+            delay = lane._latency.sample(rng)
+        sim.schedule_at(depart + delay, on_arrival, packet)
         return True

@@ -159,10 +159,11 @@ class _DirectionEndpoint:
     """Sender state, receiver state and stats for one channel direction.
 
     ``on_data``/``on_ack`` are the link arrival callbacks for this
-    direction's data segments and their acknowledgements, built once per
-    channel rather than once per segment; ``reverse`` names the direction
-    the acknowledgements travel.  ``rto`` is the clamped first-attempt
-    retransmission timeout, recomputed whenever the RTT estimate moves.
+    direction's data segments and their acknowledgements, bound to this
+    endpoint once per channel rather than once per segment; ``reverse``
+    names the direction the acknowledgements travel.  ``rto`` is the
+    clamped first-attempt retransmission timeout, recomputed whenever the
+    RTT estimate moves.
     ``completed`` holds one byte per transport message id (ids are dense
     per simulator), set once the receiver has the whole message.
     """
@@ -182,15 +183,10 @@ class _DirectionEndpoint:
         "stats",
     )
 
-    def __init__(
-        self,
-        reverse: str,
-        on_data: Callable[[Packet], None],
-        on_ack: Callable[[Packet], None],
-    ) -> None:
+    def __init__(self, reverse: str, initial_rto_s: float) -> None:
         self.reverse = reverse
-        self.on_data = on_data
-        self.on_ack = on_ack
+        self.on_data: Callable[[Packet], None]
+        self.on_ack: Callable[[Packet], None]
         self.outstanding: Dict[int, _OutstandingMessage] = {}
         # Segments seen so far of incomplete multi-segment messages.
         self.received: Dict[int, Set[int]] = {}
@@ -198,7 +194,7 @@ class _DirectionEndpoint:
         self.receiver: Optional[Callable[[Any, int], None]] = None
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
-        self.rto = 0.0
+        self.rto = initial_rto_s
         self.min_rtt: Optional[float] = None
         self.stats = TransportStats()
 
@@ -224,16 +220,14 @@ class ReliableChannel:
         self._sim = sim
         self._link = link
         self.config = config if config is not None else TransportConfig()
-        self._endpoints: Dict[str, _DirectionEndpoint] = {
-            direction: _DirectionEndpoint(
-                reverse,
-                partial(self._on_data, direction),
-                partial(self._on_ack, direction),
-            )
-            for direction, reverse in ((FORWARD, REVERSE), (REVERSE, FORWARD))
-        }
-        for endpoint in self._endpoints.values():
-            endpoint.rto = self._base_rto(endpoint)
+        # The clamped initial RTO; ``_on_ack`` recomputes it per RTT sample.
+        rto = min(max(self.config.initial_rto_s, self.config.min_rto_s), self.config.max_rto_s)
+        self._endpoints: Dict[str, _DirectionEndpoint] = {}
+        for direction, reverse in ((FORWARD, REVERSE), (REVERSE, FORWARD)):
+            endpoint = _DirectionEndpoint(reverse, rto)
+            endpoint.on_data = partial(self._on_data, endpoint)
+            endpoint.on_ack = partial(self._on_ack, endpoint)
+            self._endpoints[direction] = endpoint
         self._tracer = telemetry.tracer if telemetry is not None else None
         if telemetry is not None:
             self._rtt_hist = telemetry.metrics.histogram(
@@ -300,7 +294,8 @@ class ReliableChannel:
             message_id, payload, size_bytes, total_segments, on_delivered, on_failed, now
         )
         endpoint.outstanding[message_id] = message
-        endpoint.stats.messages_sent += 1
+        stats = endpoint.stats
+        stats.messages_sent += 1
         if deadline is not None:
             if deadline <= now:
                 # Already expired: fail on the next event tick for causality.
@@ -309,6 +304,19 @@ class ReliableChannel:
             message.deadline_event = sim.schedule_at(
                 deadline, self._fail, direction, message, SendFailure.DEADLINE
             )
+        if total_segments == 1:
+            # The common case: exactly ``_transmit_segment``'s first attempt.
+            stats.segments_sent += 1
+            wire_bytes = size_bytes + WIRE_HEADER_BYTES
+            self._link.send(
+                Packet(_DATA, wire_bytes, message_id, 0, message.segment_payload, 0),
+                direction,
+                endpoint.on_data,
+            )
+            message.timers[0] = sim.schedule(
+                endpoint.rto, self._on_rto, direction, message, 0, wire_bytes, 0
+            )
+            return message_id
         remaining = size_bytes
         for index in range(total_segments):
             seg_payload = min(payload_per_segment, remaining)
@@ -323,13 +331,6 @@ class ReliableChannel:
             return self._endpoints[direction]
         except KeyError:
             raise ValueError(f"unknown direction {direction!r}") from None
-
-    def _base_rto(self, endpoint: _DirectionEndpoint) -> float:
-        """Jacobson RTO: SRTT + 4·RTTVAR (initial RTO before any sample), clamped."""
-        config = self.config
-        srtt = endpoint.srtt
-        base = config.initial_rto_s if srtt is None else srtt + 4.0 * endpoint.rttvar
-        return min(max(base, config.min_rto_s), config.max_rto_s)
 
     def _transmit_segment(
         self,
@@ -388,9 +389,8 @@ class ReliableChannel:
             return
         self._transmit_segment(direction, message, index, wire_bytes, attempt + 1)
 
-    def _on_data(self, direction: str, packet: Packet) -> None:
-        """A data segment arrived at the receiver of ``direction``."""
-        endpoint = self._endpoints[direction]
+    def _on_data(self, endpoint: _DirectionEndpoint, packet: Packet) -> None:
+        """A data segment arrived at the receiver of ``endpoint``'s direction."""
         payload, total_segments, size_bytes = packet.payload
         message_id = packet.message_id
         completed = endpoint.completed
@@ -424,13 +424,15 @@ class ReliableChannel:
             completed[message_id] = 1
             if total_segments > 1:
                 del endpoint.received[message_id]
-            if endpoint.receiver is not None:
-                endpoint.receiver(payload, size_bytes)
+            receiver = endpoint.receiver
+            if receiver is not None:
+                receiver(payload, size_bytes)
 
-    def _on_ack(self, direction: str, packet: Packet) -> None:
-        """An ACK for a segment sent in ``direction`` returned to the sender."""
-        endpoint = self._endpoints[direction]
-        message = endpoint.outstanding.get(packet.message_id)
+    def _on_ack(self, endpoint: _DirectionEndpoint, packet: Packet) -> None:
+        """An ACK for a segment sent in ``endpoint``'s direction returned."""
+        message_id = packet.message_id
+        outstanding = endpoint.outstanding
+        message = outstanding.get(message_id)
         if message is None or message.failed or message.delivered:
             return
         endpoint.stats.acks_received += 1
@@ -457,27 +459,28 @@ class ReliableChannel:
                 self._rtt_hist.observe(sample)
             if endpoint.min_rtt is None or sample < endpoint.min_rtt:
                 endpoint.min_rtt = sample
-            if endpoint.srtt is None:
-                endpoint.srtt = sample
-                endpoint.rttvar = sample / 2.0
+            srtt = endpoint.srtt
+            if srtt is None:
+                srtt = endpoint.srtt = sample
+                rttvar = endpoint.rttvar = sample / 2.0
             else:
-                endpoint.rttvar = 0.75 * endpoint.rttvar + 0.25 * abs(endpoint.srtt - sample)
-                endpoint.srtt = 0.875 * endpoint.srtt + 0.125 * sample
-            endpoint.rto = self._base_rto(endpoint)
-        if complete:
-            self._complete(direction, message)
-
-    def _complete(self, direction: str, message: _OutstandingMessage) -> None:
-        endpoint = self._endpoints[direction]
+                rttvar = endpoint.rttvar = 0.75 * endpoint.rttvar + 0.25 * abs(srtt - sample)
+                srtt = endpoint.srtt = 0.875 * srtt + 0.125 * sample
+            # Jacobson RTO: SRTT + 4·RTTVAR, clamped.
+            config = self.config
+            endpoint.rto = min(max(srtt + 4.0 * rttvar, config.min_rto_s), config.max_rto_s)
+        if not complete:
+            return
         message.delivered = True
         # Each segment's ACK cancelled its timer: only the deadline is left.
-        if message.deadline_event is not None:
-            self._sim.cancel(message.deadline_event)
+        deadline_event = message.deadline_event
+        if deadline_event is not None:
             message.deadline_event = None
-        endpoint.outstanding.pop(message.message_id, None)
+            sim.cancel(deadline_event)
+        del outstanding[message_id]
         endpoint.stats.messages_delivered += 1
         if message.on_delivered is not None:
-            message.on_delivered(message.payload, self._sim.now - message.start_time)
+            message.on_delivered(message.payload, sim.now - message.start_time)
 
     def _fail(self, direction: str, message: _OutstandingMessage, reason: str) -> None:
         if message.failed or message.delivered:

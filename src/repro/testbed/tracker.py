@@ -243,9 +243,13 @@ class DeliveryTracker(ProducerListener):
 
     def on_ingest(self, record: ProducerRecord) -> None:
         key = record.key
-        self._seen(key)
-        if record.ingest_time is not None:
-            self.ingest_times[key] = record.ingest_time
+        codes = self._codes
+        if key >= len(codes):
+            self._grow(key)
+        codes[key] |= _SEEN
+        ingest_time = record.ingest_time
+        if ingest_time is not None:
+            self.ingest_times[key] = ingest_time
 
     def on_queue_drop(self, record: ProducerRecord) -> None:
         key = record.key
@@ -297,7 +301,11 @@ class DeliveryTracker(ProducerListener):
     def on_append(self, record: ProducerRecord, partition: Partition, offset: int) -> None:
         """Cluster append listener: a copy of ``record`` was persisted."""
         key = record.key
-        code = self._seen(key)
+        codes = self._codes
+        if key >= len(codes):
+            self._grow(key)
+        code = codes[key] | _SEEN
+        codes[key] = code
         state = code & _STATE_MASK
         if state == _READY:
             self._apply(key, code, _I)

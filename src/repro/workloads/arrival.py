@@ -80,7 +80,13 @@ class SourceDriver:
         return False
 
     def _emit(self) -> None:
-        if not self._offer():
+        # ``_offer`` inline (``_poll`` calls it); keep the two in step.
+        producer = self._producer
+        producer.offer(ProducerRecord(self._payload_bytes))
+        self.emitted += 1
+        if self.emitted >= self._count:
+            producer.finish_input()
+        else:
             self._sim.schedule(self._next_interval(), self._emit)
 
 

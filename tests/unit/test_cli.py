@@ -107,6 +107,20 @@ class TestMain:
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith(f"repro {argv[0]}: error: ")
 
+    @pytest.mark.parametrize("option", ["--duration", "--interval", "--reconfigure-every"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+    def test_dynamic_seconds_must_be_positive(self, capsys, option, value):
+        # Rejected while parsing, before the quick model is trained.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dynamic", f"{option}={value}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "training" not in captured.out
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines()[-1].startswith(
+            f"repro dynamic: error: argument {option}: "
+        )
+
     def test_train_command_small(self, capsys, tmp_path):
         code = main([
             "train", "--messages", "150", "--normal-rows", "24",

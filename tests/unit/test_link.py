@@ -12,6 +12,7 @@ from repro.network import (
     Packet,
     PacketKind,
     REVERSE,
+    UniformLatency,
 )
 from repro.simulation import Simulator
 
@@ -36,6 +37,22 @@ def test_packet_arrives_after_tx_plus_propagation(sim, rng):
     link.send(make_packet(size=100), FORWARD, lambda p: arrivals.append(sim.now))
     sim.run()
     assert arrivals == [pytest.approx(0.1 + 0.5)]
+
+
+def test_installed_latency_model_sets_the_delay(sim, rng):
+    link = Link(sim, rng, capacity_bps=1000.0, latency=ConstantLatency(0.5))
+    link.forward.latency = ConstantLatency(0.25)
+    link.reverse.latency = UniformLatency(0.25, 0.1)
+    arrivals = []
+    link.send(make_packet(size=100), FORWARD, lambda p: arrivals.append(sim.now))
+    sim.run()
+    assert arrivals == [0.1 + 0.25]
+    # A jittered model is sampled per packet, from the link's stream.
+    expected = UniformLatency(0.25, 0.1).sample(np.random.default_rng(3))
+    sent = sim.now
+    link.send(make_packet(size=100), REVERSE, lambda p: arrivals.append(sim.now))
+    sim.run()
+    assert arrivals[1] == sent + 0.1 + expected
 
 
 def test_fifo_serialisation_queues_packets(sim, rng):

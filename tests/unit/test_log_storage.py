@@ -55,7 +55,7 @@ class TestPartition:
 
     def test_append_replicates_to_followers(self):
         partition = self.make()
-        partition.append(1, 10, 0.0)
+        partition.log.append(1, 10, 0.0)
         # Synchronous replication: every replica serves the one log.
         assert len(partition.log) == 1
 
@@ -69,7 +69,7 @@ class TestPartition:
 
     def test_failover_promotes_follower(self):
         partition = self.make()
-        partition.append(1, 10, 0.0)
+        partition.log.append(1, 10, 0.0)
         partition.elect_new_leader("broker-1")
         assert partition.leader_broker_id == "broker-1"
         assert len(partition.log) == 1
@@ -80,7 +80,7 @@ class TestPartition:
         partition = self.make()
         count = 25
         for key in range(count):
-            offset = partition.append(key, 10 + key, 0.1 * key, producer_id=7, sequence=key)
+            offset = partition.log.append(key, 10 + key, 0.1 * key, producer_id=7, sequence=key)
             assert offset == key
         before = partition.read()
         assert len(partition.log) == count
@@ -92,8 +92,8 @@ class TestPartition:
         assert len(partition.log) == count
         # The idempotence state moved with the data: a replayed sequence is
         # still fenced and the next one takes the next offset.
-        assert partition.append(3, 13, 9.0, producer_id=7, sequence=3) is None
-        assert partition.append(count, 10, 9.0, producer_id=7, sequence=count) == count
+        assert partition.log.append(3, 13, 9.0, producer_id=7, sequence=3) is None
+        assert partition.log.append(count, 10, 9.0, producer_id=7, sequence=count) == count
         # Failing back to the old leader serves the same log again.
         partition.elect_new_leader("broker-0")
         assert partition.read() == before + [partition.read()[-1]]
@@ -124,9 +124,9 @@ class TestTopic:
     def test_reconcile_counts_copies_across_partitions(self):
         # Reconciliation counts one key's copies across partitions.
         topic = self.make()
-        topic.partitions[0].append(1, 10, 0.0)
-        topic.partitions[1].append(1, 10, 0.0)
-        topic.partitions[2].append(2, 10, 0.0)
+        topic.partitions[0].log.append(1, 10, 0.0)
+        topic.partitions[1].log.append(1, 10, 0.0)
+        topic.partitions[2].log.append(2, 10, 0.0)
         report = reconcile({1, 2}, topic)
         assert report.duplicated_keys == {1}
         assert report.duplicate_copies == 1

@@ -56,7 +56,7 @@ class TestConsumer:
     def test_consume_all_reads_everything(self):
         topic = make_topic()
         for key in range(10):
-            topic.partitions[key % 2].append(key, 10, 0.0)
+            topic.partitions[key % 2].log.append(key, 10, 0.0)
         consumer = KafkaConsumer(topic, max_poll_records=4)
         entries = []
         while batch := consumer.poll():
@@ -66,14 +66,14 @@ class TestConsumer:
     def test_poll_respects_batch_limit(self):
         topic = make_topic()
         for key in range(10):
-            topic.partitions[0].append(key, 10, 0.0)
+            topic.partitions[0].log.append(key, 10, 0.0)
         consumer = KafkaConsumer(topic, max_poll_records=3)
         assert len(consumer.poll()) == 3
         assert len(consumer.poll()) == 3
 
     def test_positions_advance(self):
         topic = make_topic()
-        topic.partitions[0].append(1, 10, 0.0)
+        topic.partitions[0].log.append(1, 10, 0.0)
         consumer = KafkaConsumer(topic)
         consumer.poll()
         assert consumer.positions[0] == 1
@@ -91,7 +91,7 @@ class TestReconciliation:
         topic = make_topic()
         keys = set(range(5))
         for key in keys:
-            topic.partitions[0].append(key, 10, 0.0)
+            topic.partitions[0].log.append(key, 10, 0.0)
         report = reconcile(keys, topic)
         report.check_conservation()
         assert report.p_loss == 0.0
@@ -100,7 +100,7 @@ class TestReconciliation:
 
     def test_lost_keys_counted(self):
         topic = make_topic()
-        topic.partitions[0].append(0, 10, 0.0)
+        topic.partitions[0].log.append(0, 10, 0.0)
         report = reconcile({0, 1, 2, 3}, topic)
         assert report.lost == 3
         assert report.p_loss == pytest.approx(0.75)
@@ -109,8 +109,8 @@ class TestReconciliation:
     def test_duplicates_counted_once_per_key(self):
         topic = make_topic()
         for _ in range(3):
-            topic.partitions[0].append(7, 10, 0.0)
-        topic.partitions[0].append(8, 10, 0.0)
+            topic.partitions[0].log.append(7, 10, 0.0)
+        topic.partitions[0].log.append(8, 10, 0.0)
         report = reconcile({7, 8}, topic)
         assert report.duplicated == 1
         assert report.duplicate_copies == 2
@@ -118,16 +118,16 @@ class TestReconciliation:
 
     def test_foreign_keys_in_topic_ignored(self):
         topic = make_topic()
-        topic.partitions[0].append(999, 10, 0.0)
-        topic.partitions[0].append(999, 10, 0.0)
+        topic.partitions[0].log.append(999, 10, 0.0)
+        topic.partitions[0].log.append(999, 10, 0.0)
         report = reconcile({1}, topic)
         assert report.lost == 1
         assert report.duplicated == 0
 
     def test_staleness_accounting(self):
         topic = make_topic()
-        topic.partitions[0].append(1, 10, timestamp=10.0)
-        topic.partitions[0].append(2, 10, timestamp=0.5)
+        topic.partitions[0].log.append(1, 10, timestamp=10.0)
+        topic.partitions[0].log.append(2, 10, timestamp=0.5)
         # Ingest times are indexed by key; NaN marks key 0, never ingested.
         report = reconcile(
             {1, 2}, topic, ingest_times=[math.nan, 0.0, 0.0], timeliness_s=1.0
