@@ -80,11 +80,6 @@ class ProduceRequest:
         self.attempt = attempt
         self.request_id = request_id
 
-    @property
-    def payload_bytes(self) -> int:
-        """Application payload bytes across the batch."""
-        return sum(record.payload_bytes for record in self.records)
-
 
 @dataclass
 class ProduceResponse:
@@ -135,10 +130,16 @@ class Broker:
 
     def service_time(self, request: ProduceRequest) -> float:
         """Processing + append latency for ``request``."""
-        time = self.config.processing_time_s
-        time += request.payload_bytes / self.config.append_bytes_per_s
-        if request.require_acks and self.config.replication_factor > 1:
-            time += self.config.acks_all_extra_s
+        config = self.config
+        # A plain loop, not a generator ``sum``: this runs once per
+        # request (DESIGN.md §10).
+        payload_bytes = 0
+        for record in request.records:
+            payload_bytes += record.payload_bytes
+        time = config.processing_time_s
+        time += payload_bytes / config.append_bytes_per_s
+        if request.require_acks and config.replication_factor > 1:
+            time += config.acks_all_extra_s
         return time
 
     def handle_produce(
@@ -155,20 +156,10 @@ class Broker:
             self.requests_dropped += 1
             self._record_drop(request, phase="queued")
             return
-        # ``service_time(request)`` inline; the two must stay equal.
-        config = self.config
-        payload_bytes = 0
-        for record in request.records:
-            payload_bytes += record.payload_bytes
-        service = config.processing_time_s
-        service += payload_bytes / config.append_bytes_per_s
-        if request.require_acks and config.replication_factor > 1:
-            service += config.acks_all_extra_s
-        sim = self._sim
-        now = sim.now
-        finish = (now if now > self._busy_until else self._busy_until) + service
+        now = self._sim.now
+        finish = max(now, self._busy_until) + self.service_time(request)
         self._busy_until = finish
-        sim.schedule_at(finish, self._complete, request, on_done)
+        self._sim.schedule_at(finish, self._complete, request, on_done)
 
     def _complete(
         self,

@@ -597,16 +597,8 @@ class KafkaProducer:
                 tracer.emit(EventKind.ACK, now, key=record.key, rtt_s=rtt)
             if ack_rtt is not None:
                 ack_rtt.observe(rtt)
-        # ``_resolve(len(records))`` and ``_release_slot()`` inline; keep them in step.
-        self._outstanding -= len(records)
-        if self._outstanding < 0:
-            raise RuntimeError("producer resolved more records than ingested")
-        if self._input_finished:
-            self._check_done()
-        if self._in_flight == 0:
-            raise RuntimeError("release without matching acquire")
-        self._in_flight -= 1
-        sim.schedule(0.0, self._maybe_form_batch)
+        self._resolve(len(records))
+        self._release_slot()
 
     # ------------------------------------------------- at-most-once path
 

@@ -243,10 +243,7 @@ class DeliveryTracker(ProducerListener):
 
     def on_ingest(self, record: ProducerRecord) -> None:
         key = record.key
-        codes = self._codes
-        if key >= len(codes):
-            self._grow(key)
-        codes[key] |= _SEEN
+        self._seen(key)
         ingest_time = record.ingest_time
         if ingest_time is not None:
             self.ingest_times[key] = ingest_time
@@ -301,11 +298,7 @@ class DeliveryTracker(ProducerListener):
     def on_append(self, record: ProducerRecord, partition: Partition, offset: int) -> None:
         """Cluster append listener: a copy of ``record`` was persisted."""
         key = record.key
-        codes = self._codes
-        if key >= len(codes):
-            self._grow(key)
-        code = codes[key] | _SEEN
-        codes[key] = code
+        code = self._seen(key)
         state = code & _STATE_MASK
         if state == _READY:
             self._apply(key, code, _I)

@@ -80,13 +80,7 @@ class SourceDriver:
         return False
 
     def _emit(self) -> None:
-        # ``_offer`` inline (``_poll`` calls it); keep the two in step.
-        producer = self._producer
-        producer.offer(ProducerRecord(self._payload_bytes))
-        self.emitted += 1
-        if self.emitted >= self._count:
-            producer.finish_input()
-        else:
+        if not self._offer():
             self._sim.schedule(self._next_interval(), self._emit)
 
 

@@ -58,17 +58,6 @@ class TestBroker:
         without = broker.service_time(make_request(partition, acks=False))
         assert with_acks - without == pytest.approx(0.02)
 
-    @pytest.mark.parametrize("acks", [True, False])
-    def test_request_completes_after_exactly_its_service_time(self, sim, partition, acks):
-        config = BrokerConfig(replication_factor=3, acks_all_extra_s=0.02)
-        broker = Broker(sim, "broker-0", config)
-        records = [ProducerRecord(payload_bytes=size, key=key) for key, size in enumerate((100, 37))]
-        request = make_request(partition, records, acks=acks)
-        finished = []
-        broker.handle_produce(request, lambda response: finished.append(sim.now))
-        sim.run()
-        assert finished == [broker.service_time(request)]
-
     def test_requests_queue_fifo(self, sim, partition):
         config = BrokerConfig(processing_time_s=0.1, replication_factor=1)
         broker = Broker(sim, "broker-0", config)

@@ -97,6 +97,12 @@ class TestMain:
             ["chaos", "--cap", "0"],
             ["chaos", "--cap", "-5"],
             ["dynamic", "--cap", "0"],
+            # Durations are rejected while parsing, before the quick model is trained.
+            *(
+                ["dynamic", f"{option}={value}"]
+                for option in ("--duration", "--interval", "--reconfigure-every")
+                for value in ("0", "-1", "nan", "inf", "soon")
+            ),
         ],
     )
     def test_count_below_one_is_a_usage_error(self, capsys, argv):
@@ -106,20 +112,6 @@ class TestMain:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith(f"repro {argv[0]}: error: ")
-
-    @pytest.mark.parametrize("option", ["--duration", "--interval", "--reconfigure-every"])
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
-    def test_dynamic_seconds_must_be_positive(self, capsys, option, value):
-        # Rejected while parsing, before the quick model is trained.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["dynamic", f"{option}={value}"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert "training" not in captured.out
-        assert "Traceback" not in captured.err
-        assert captured.err.strip().splitlines()[-1].startswith(
-            f"repro dynamic: error: argument {option}: "
-        )
 
     def test_train_command_small(self, capsys, tmp_path):
         code = main([
