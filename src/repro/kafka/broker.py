@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from ..observability.metrics import Counter
 from ..observability.trace import EventKind
 from ..simulation.simulator import Simulator
 from .config import BrokerConfig
@@ -116,11 +117,15 @@ class Broker:
         self._append_listeners: List[Callable[[ProducerRecord, Partition, int], None]] = []
         self._tracer = None
         self._metrics = None
+        # The run's append counter, bound on the first append so that a run
+        # with none leaves no counter in its metrics.
+        self._appends: Optional[Counter] = None
 
     def attach_telemetry(self, telemetry) -> None:
         """Attach run telemetry after construction (the cluster builds us)."""
         self._tracer = telemetry.tracer
         self._metrics = telemetry.metrics
+        self._appends = None
 
     def add_append_listener(
         self, callback: Callable[[ProducerRecord, Partition, int], None]
@@ -179,7 +184,6 @@ class Broker:
         producer_id = request.producer_id
         sequence = request.base_sequence
         tracer = self._tracer
-        metrics = self._metrics
         listeners = self._append_listeners
         base_offset: Optional[int] = None
         appended = 0
@@ -200,10 +204,12 @@ class Broker:
                     broker=self.broker_id,
                     offset=offset,
                 )
-            if metrics is not None:
-                metrics.counter("broker.appends").inc()
             for listener in listeners:
                 listener(record, partition, offset)
+        if appended and self._metrics is not None:
+            if self._appends is None:
+                self._appends = self._metrics.counter("broker.appends")
+            self._appends.inc(appended)
         if on_done is not None:
             on_done(
                 ProduceResponse(

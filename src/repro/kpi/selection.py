@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..kafka.config import ProducerConfig
 from ..kafka.semantics import DeliverySemantics
@@ -31,6 +31,13 @@ __all__ = [
     "evaluate_configs",
     "select_configuration",
     "scale_producers",
+]
+
+#: One coordinate's axis during the search: its candidate values, the
+#: position of the entry config's value, and the candidates built and
+#: estimates fetched so far, both keyed by position.
+_Axis = Tuple[
+    List[Any], int, Dict[int, ProducerConfig], Dict[int, FallbackEstimate]
 ]
 
 
@@ -140,10 +147,19 @@ def select_configuration(
     coordinate.  The search exits as soon as the requirement is met (the
     paper's criterion) or when a full round makes no move.
 
-    Each coordinate fetches its candidate axis lazily in at most two
-    :meth:`~ReliabilityPredictor.predict_with_fallback_batch` calls (see
-    ``reliability_at``), so the prediction cost is at most two grouped
-    forward passes per (coordinate, round) rather than one per probe.
+    Estimates come in two stages, each one
+    :meth:`~ReliabilityPredictor.predict_with_fallback_batch` call.  The
+    first stage works per round: when the walk reaches a coordinate whose
+    neighbours at the current config are not fetched yet, one call fetches
+    the immediate neighbours of that coordinate and of every later one.  A
+    walk that never moves therefore makes two calls in all (the start
+    config and one round).  The second stage works per axis: once the walk
+    moves on a coordinate and wants more than the entry value's
+    neighbours, one call fetches the rest of that axis.  A move changes
+    the config, so the later coordinates fetch their neighbours again.
+    ``prediction_source`` folds in the neighbours of each coordinate the
+    walk reaches and every second-stage row, never the neighbours of a
+    coordinate it left before reaching.
     """
     steps = steps if steps is not None else ParameterSteps()
     config = start if start is not None else ProducerConfig()
@@ -162,75 +178,56 @@ def select_configuration(
     if result.met_requirement:
         return result
 
-    parameters = ["semantics", "batch_size", "polling_interval_s", "message_timeout_s"]
+    parameters = ("semantics", "batch_size", "polling_interval_s", "message_timeout_s")
+    # First fetch stage, per parameter: its axis at the current config, the
+    # candidates built so far (the current config with that one field
+    # changed) and their estimates.  Every entry describes the current
+    # config, so a move clears them all; each move raises γ, so the walk
+    # never comes back to a config whose entries were cleared.
+    axes: Dict[str, _Axis] = {}
     for _round in range(max_rounds):
         moved = False
-        for parameter in parameters:
-            values = list(getattr(steps, parameter))
-            current_value = getattr(config, parameter)
-            if current_value not in values:
-                values = sorted(
-                    set(values) | {current_value},
-                    key=lambda v: (str(v) if parameter == "semantics" else float(v)),
-                )
-            index = values.index(current_value)
-            # The walk only ever varies `parameter` while on this
-            # coordinate, and with_() overwrites that field, so every
-            # candidate is the entry config with one field changed.  Each
-            # is built on first use: most of an axis is never probed.
+        for order, parameter in enumerate(parameters):
+            if parameter not in axes:
+                # One grouped call fetches the immediate neighbours of this
+                # coordinate and of every later one: a walk that does not
+                # move reads all of them, so it pays one call per round
+                # rather than one per coordinate.
+                slots: List[Tuple[Dict[int, FallbackEstimate], int]] = []
+                vectors: List[FeatureVector] = []
+                for later in parameters[order:]:
+                    if later in axes:
+                        continue
+                    values = list(getattr(steps, later))
+                    current_value = getattr(config, later)
+                    if current_value not in values:
+                        values = sorted(
+                            set(values) | {current_value},
+                            key=lambda v: (str(v) if later == "semantics" else float(v)),
+                        )
+                    index = values.index(current_value)
+                    candidates: Dict[int, ProducerConfig] = {}
+                    estimates: Dict[int, FallbackEstimate] = {}
+                    for position in (index - 1, index + 1):
+                        if 0 <= position < len(values):
+                            candidates[position] = config.with_(**{later: values[position]})
+                            vectors.append(context.feature_vector(candidates[position]))
+                            slots.append((estimates, position))
+                    axes[later] = (values, index, candidates, estimates)
+                if vectors:
+                    fetched = predictor.predict_with_fallback_batch(vectors)
+                    for (estimates, position), tiered in zip(slots, fetched):
+                        estimates[position] = tiered
+            values, index, candidates, estimates = axes[parameter]
+            # Only the neighbours of a coordinate the walk reaches count
+            # toward prediction_source, never rows fetched for a later
+            # coordinate that the walk left before reaching (it met γ or
+            # moved first).
+            result.prediction_source = max(
+                [result.prediction_source] + [t.source for t in estimates.values()],
+                key=TIERS.index,
+            )
             entry = config
-            axis_configs: Dict[int, ProducerConfig] = {}
-            axis_estimates: Dict[int, FallbackEstimate] = {}
-
-            def config_at(position: int) -> ProducerConfig:
-                candidate = axis_configs.get(position)
-                if candidate is None:
-                    candidate = entry.with_(**{parameter: values[position]})
-                    axis_configs[position] = candidate
-                return candidate
-
-            def reliability_at(position: int) -> FallbackEstimate:
-                # Two-stage batched fetch.  The first request covers just
-                # the entry value's immediate neighbours — the only probes
-                # a non-moving coordinate ever makes, so a stuck walk pays
-                # for two candidates (in one call).  The moment the walk
-                # wants anything more, the rest of the axis is fetched in
-                # a single grouped forward pass: a moving walk re-probes
-                # values step by step, and the batch amortises all of
-                # them at once.
-                if position in axis_estimates:
-                    return axis_estimates[position]
-                if not axis_estimates:
-                    wanted = [
-                        p
-                        for p in (index - 1, index + 1)
-                        if 0 <= p < len(values)
-                    ]
-                else:
-                    wanted = [
-                        p for p in range(len(values)) if p not in axis_estimates
-                    ]
-                if position not in wanted:
-                    wanted.append(position)
-                fetched = predictor.predict_with_fallback_batch(
-                    [context.feature_vector(config_at(p)) for p in wanted]
-                )
-                result.prediction_source = max(
-                    [result.prediction_source] + [tiered.source for tiered in fetched],
-                    key=TIERS.index,
-                )
-                axis_estimates.update(zip(wanted, fetched))
-                return axis_estimates[position]
-
-            def gamma_at(position: int) -> float:
-                reliability = reliability_at(position).estimate
-                performance = performance_model.predict(
-                    config_at(position),
-                    context.message_bytes,
-                    context.network_delay_s,
-                )
-                return kpi_from_estimates(performance, reliability, weights)
-
             improved = True
             while improved:
                 improved = False
@@ -238,15 +235,35 @@ def select_configuration(
                     neighbour = index + direction
                     if not 0 <= neighbour < len(values):
                         continue
-                    candidate_gamma = gamma_at(neighbour)
+                    if neighbour not in estimates:
+                        # Second stage: the walk moved on this axis and wants
+                        # more than the entry's neighbours, so the rest of the
+                        # axis comes in one call.
+                        rest = [p for p in range(len(values)) if p not in estimates]
+                        for position in rest:
+                            candidates[position] = entry.with_(
+                                **{parameter: values[position]}
+                            )
+                        fetched = predictor.predict_with_fallback_batch(
+                            [context.feature_vector(candidates[p]) for p in rest]
+                        )
+                        result.prediction_source = max(
+                            [result.prediction_source] + [t.source for t in fetched],
+                            key=TIERS.index,
+                        )
+                        estimates.update(zip(rest, fetched))
+                    candidate = candidates[neighbour]
+                    performance = performance_model.predict(
+                        candidate, context.message_bytes, context.network_delay_s
+                    )
+                    candidate_gamma = kpi_from_estimates(
+                        performance, estimates[neighbour].estimate, weights
+                    )
                     result.steps_taken += 1
                     if candidate_gamma > gamma + 1e-9:
-                        config, gamma, index = (
-                            config_at(neighbour),
-                            candidate_gamma,
-                            neighbour,
-                        )
-                        result.config_source = axis_estimates[neighbour].source
+                        config, gamma, index = candidate, candidate_gamma, neighbour
+                        axes.clear()
+                        result.config_source = estimates[neighbour].source
                         result.trace.append((f"{parameter}={values[neighbour]}", gamma))
                         moved = True
                         improved = True

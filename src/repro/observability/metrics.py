@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS"]
@@ -89,11 +90,10 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # The first bound >= value; NaN compares false with every bound and
+        # lands in the +Inf bucket, as a scan over the bounds would put it.
+        index = bisect_left(self.buckets, value) if value == value else -1
+        self.bucket_counts[index] += 1
 
     @property
     def mean(self) -> Optional[float]:

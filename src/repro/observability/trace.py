@@ -24,8 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "EventKind",
@@ -66,6 +69,77 @@ def encode_record(record: Dict[str, Any]) -> str:
     exactly (Python emits shortest-repr floats).
     """
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+@lru_cache(maxsize=256)
+def _record_encoder(
+    kind: str, shape: Tuple[Tuple[str, type], ...]
+) -> Callable[[Dict[str, Any]], str]:
+    """An encoder equal to :func:`encode_record` for one kind of record.
+
+    ``shape`` pairs every other field name with the type of its value.
+    The sorted keys, the separators and the ``kind`` value become one
+    ``%``-template, and the function checks that each other value still
+    has its type: ``str`` values go through ``encode_basestring_ascii``,
+    ``int`` and finite ``float`` values through ``repr``, ``bool`` values
+    become ``true``/``false`` (what :mod:`json` writes for each), and a
+    value of any other type through :func:`encode_record`.  A record whose
+    values fail a check is encoded by :func:`encode_record` whole, so NaN,
+    the infinities and subclasses such as numpy scalars still come out as
+    :mod:`json` writes them.  Compiling costs a fraction of a millisecond,
+    so each encoder is built once per process.
+    """
+    types = dict(shape)
+    names = sorted(types)
+    slots = {"kind": encode_record(kind).replace("%", "%%")}
+    checks: List[str] = []
+    values: List[str] = []
+    for index, name in enumerate(names):
+        value, cls = f"v{index}", types[name]
+        if cls is str:
+            checks.append(f"type({value}) is str")
+            slots[name] = "%s"
+            values.append(f"esc({value})")
+        elif cls is int or cls is float:
+            check = f"type({value}) is {cls.__name__}"
+            if cls is float:
+                check += f" and {value} - {value} == 0.0"  # NaN/inf give NaN
+            checks.append(check)
+            slots[name] = "%r"
+            values.append(value)
+        elif cls is bool:
+            checks.append(f"type({value}) is bool")
+            slots[name] = "%s"
+            values.append(f"('true' if {value} else 'false')")
+        else:
+            slots[name] = "%s"
+            values.append(f"ref({value})")
+    template = "{%s}" % ",".join(
+        encode_basestring_ascii(name).replace("%", "%%") + ":" + slots[name]
+        for name in sorted(slots)
+    )
+    # Every record has ``t`` besides ``kind``; ``get`` returns a tuple
+    # exactly when there are more names.
+    unpacked = ", ".join(f"v{index}" for index in range(len(names)))
+    source = (
+        "def encode(record):\n"
+        f"    {unpacked} = get(record)\n"
+        f"    if {' and '.join(checks) or 'True'}:\n"
+        f"        return template % ({''.join(v + ', ' for v in values)})\n"
+        "    return ref(record)\n"
+    )
+    namespace: Dict[str, Any] = {
+        "get": itemgetter(*names),
+        "template": template,
+        "esc": encode_basestring_ascii,
+        "ref": encode_record,
+    }
+    exec(source, namespace)
+    return namespace["encode"]
+
+
+#: Lines the tracer hashes per digest update.
+_HASH_BATCH = 256
 
 
 def _new_digest() -> "hashlib._Hash":
@@ -178,12 +252,17 @@ class Tracer:
     per site and nothing else.
     """
 
-    __slots__ = ("_sink", "count", "_digest")
+    __slots__ = ("_sink", "count", "_digest", "_unhashed", "_encoders")
 
     def __init__(self, sink: Optional[TraceSink] = None) -> None:
         self._sink = sink if sink is not None else RingBufferSink()
         self.count = 0
         self._digest = _new_digest()
+        # Encoded lines wait here and are hashed _HASH_BATCH at a time: the
+        # digest of the joined lines equals the digest of each in turn.
+        self._unhashed: List[str] = []
+        # The encoder of each (kind, field names) shape, in emission order.
+        self._encoders: Dict[Tuple[str, ...], Callable[[Dict[str, Any]], str]] = {}
 
     @property
     def sink(self) -> TraceSink:
@@ -195,19 +274,33 @@ class Tracer:
         ``key`` is the message key for per-message events; extra fields go
         into the record verbatim (they must be JSON-encodable).
         """
-        record: Dict[str, Any] = {"kind": kind, "t": time}
-        if key is not None:
-            record["key"] = key
-        if data:
-            record.update(data)
-        line = encode_record(record)
-        self._digest.update(line.encode("utf-8"))
-        self._digest.update(b"\n")
+        if key is None:
+            record: Dict[str, Any] = {"kind": kind, "t": time, **data}
+        else:
+            record = {"kind": kind, "t": time, "key": key, **data}
+        shape = (kind, *record)
+        encoder = self._encoders.get(shape)
+        if encoder is None:
+            fields = [(name, type(value)) for name, value in record.items()]
+            encoder = _record_encoder(kind, tuple(fields[1:]))
+            self._encoders[shape] = encoder
+        line = encoder(record)
+        unhashed = self._unhashed
+        unhashed.append(line)
+        if len(unhashed) == _HASH_BATCH:
+            self._hash_lines()
         self.count += 1
         self._sink.write(record, line)
 
+    def _hash_lines(self) -> None:
+        """Fold the lines not yet hashed into the digest, in one update."""
+        self._digest.update(("\n".join(self._unhashed) + "\n").encode())
+        self._unhashed.clear()
+
     def digest(self) -> str:
         """Hex digest over every record emitted so far."""
+        if self._unhashed:
+            self._hash_lines()
         return self._digest.copy().hexdigest()
 
     def records(self) -> List[Dict[str, Any]]:

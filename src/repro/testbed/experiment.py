@@ -117,7 +117,15 @@ class Experiment:
             telemetry=self.telemetry,
         )
         self.tracker.attach_clock(self.sim)
-        self.cluster.add_append_listener(self.tracker.on_append)
+        tracker = self.tracker
+        # The method is looked up on every append, never cached as a bound
+        # method, so a class-level wrapper installed after construction
+        # sees every call (DESIGN.md §10).
+        self.cluster.add_append_listener(
+            lambda record, partition, offset: tracker.on_append(
+                record, partition, offset
+            )
+        )
         self.members = [self._build_member(index) for index in range(producers)]
         first = self.members[0]
         self.link = first.link
@@ -228,6 +236,11 @@ class Experiment:
             if census.case_counts.get(case)
         }
         ack_latencies = self.tracker.ack_latencies
+        p50_ack, p95_ack = (
+            np.percentile(ack_latencies, (50, 95)).tolist()
+            if ack_latencies
+            else (None, None)
+        )
         delivered = report.delivered_unique
         manifest = None
         if self.telemetry is not None:
@@ -251,12 +264,8 @@ class Experiment:
             mean_ack_latency_s=(
                 float(np.mean(ack_latencies)) if ack_latencies else None
             ),
-            p50_ack_latency_s=(
-                float(np.percentile(ack_latencies, 50)) if ack_latencies else None
-            ),
-            p95_ack_latency_s=(
-                float(np.percentile(ack_latencies, 95)) if ack_latencies else None
-            ),
+            p50_ack_latency_s=p50_ack,
+            p95_ack_latency_s=p95_ack,
             throughput_msgs_per_s=(
                 delivered / duration if duration > 0 else None
             ),

@@ -38,6 +38,7 @@ from ..kafka.state import (
     MessageState,
     Transition,
 )
+from ..observability.metrics import Counter
 from ..observability.trace import EventKind
 
 __all__ = ["DeliveryTracker", "CaseCensus"]
@@ -57,6 +58,10 @@ _CODES = 1 << 7
 _READY, _DELIVERED, _LOST, _DUPLICATED = range(4)
 _I, _II, _III, _IV, _V, _VI = range(6)
 _TRANSITIONS: Tuple[Transition, ...] = tuple(Transition)
+#: Trace field values per state and per edge, and each edge's counter name.
+_STATE_NAMES = tuple(state.value for state in _STATES)
+_EDGE_NAMES = tuple(transition.value for transition in _TRANSITIONS)
+_EDGE_COUNTERS = tuple(f"transitions.{name}" for name in _EDGE_NAMES)
 
 #: The per-key arrays start with this many slots and double when a key
 #: falls outside them, so a small run scans small arrays and a long one
@@ -183,6 +188,9 @@ class DeliveryTracker(ProducerListener):
         self._clock: Optional[object] = None
         self._tracer = telemetry.tracer if telemetry is not None else None
         self._metrics = telemetry.metrics if telemetry is not None else None
+        # Each edge's counter, bound on the edge's first use: an edge that
+        # never fires leaves no counter in the run's metrics.
+        self._edge_counters: List[Optional[Counter]] = [None] * len(_TRANSITIONS)
 
     def attach_clock(self, simulator) -> None:
         """Give the tracker access to simulated time (for ingest stamps)."""
@@ -210,17 +218,21 @@ class DeliveryTracker(ProducerListener):
             raise _illegal(code, edge)
         self._codes[key] = target
         if self._metrics is not None:
-            self._metrics.counter(f"transitions.{_TRANSITIONS[edge].value}").inc()
+            counter = self._edge_counters[edge]
+            if counter is None:
+                counter = self._metrics.counter(_EDGE_COUNTERS[edge])
+                self._edge_counters[edge] = counter
+            counter.inc()
         if self._tracer is not None:
             now = self._clock.now if self._clock is not None else 0.0
             self._tracer.emit(
                 EventKind.TRANSITION,
                 now,
                 key=key,
-                edge=_TRANSITIONS[edge].value,
+                edge=_EDGE_NAMES[edge],
                 **{
-                    "from": _STATES[code & _STATE_MASK].value,
-                    "to": _STATES[target & _STATE_MASK].value,
+                    "from": _STATE_NAMES[code & _STATE_MASK],
+                    "to": _STATE_NAMES[target & _STATE_MASK],
                 },
             )
 

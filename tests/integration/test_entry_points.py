@@ -61,7 +61,10 @@ class Calls:
         self._monkeypatch.setattr(cls, name, counted)
 
 
-def run_wrapped(name: str, monkeypatch: pytest.MonkeyPatch) -> Dict[str, Any]:
+def run_wrapped(
+    name: str, monkeypatch: pytest.MonkeyPatch, wrap_after_build: bool = False
+) -> Dict[str, Any]:
+    experiment = Experiment(GRID[name]) if wrap_after_build else None
     calls = Calls(monkeypatch)
     counts = calls.counts
 
@@ -83,14 +86,26 @@ def run_wrapped(name: str, monkeypatch: pytest.MonkeyPatch) -> Dict[str, Any]:
     calls.wrap(PartitionLog, "append", after=appended)
     calls.wrap(DeliveryTracker, "on_ingest")
     calls.wrap(DeliveryTracker, "on_append")
-    experiment = Experiment(GRID[name])
+    if experiment is None:
+        experiment = Experiment(GRID[name])
     experiment.run()
     return {"counts": counts, "experiment": experiment}
 
 
 @pytest.mark.parametrize("name", POINTS)
 def test_wrapped_calls_match_the_run_counters(name, monkeypatch):
-    outcome = run_wrapped(name, monkeypatch)
+    check_counts(name, run_wrapped(name, monkeypatch))
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_wrappers_installed_after_build_match_the_run_counters(name, monkeypatch):
+    # Catches an entry point that construction cached as a bound method
+    # (a registered listener, say): the cached method bypasses a
+    # class-level wrapper installed later.
+    check_counts(name, run_wrapped(name, monkeypatch, wrap_after_build=True))
+
+
+def check_counts(name: str, outcome: Dict[str, Any]) -> None:
     counts = outcome["counts"]
     experiment = outcome["experiment"]
     sim = experiment.sim

@@ -395,3 +395,70 @@ class TestEvaluateConfigs:
             uncovered, context.message_bytes, context.network_delay_s
         )
         assert gamma == kpi_from_estimates(performance, CONSERVATIVE_ESTIMATE)
+
+
+class ScriptedPredictor:
+    """Counts calls; ``answer(vector)`` gives each row's (p_loss, tier)."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.calls = 0
+
+    def predict_with_fallback_batch(self, vectors):
+        self.calls += 1
+        out = []
+        for vector in vectors:
+            p_loss, tier = self.answer(vector)
+            out.append(FallbackEstimate(ReliabilityEstimate(p_loss, 0.0), tier))
+        return out
+
+
+def is_default(vector):
+    default = ProducerConfig()
+    return (
+        vector.semantics is default.semantics
+        and vector.batch_size == default.batch_size
+        and vector.polling_interval_s == default.polling_interval_s
+        and vector.message_timeout_s == default.message_timeout_s
+    )
+
+
+class TestFetchPerRound:
+    def test_walk_that_never_moves_makes_two_calls(self):
+        # Every candidate off the default config loses everything, so no
+        # neighbour improves γ and the requirement is never met: one call
+        # for the start, one for the neighbours of all four coordinates.
+        stub = ScriptedPredictor(
+            lambda vector: (0.0 if is_default(vector) else 1.0, "ann")
+        )
+        result = select_configuration(
+            contexts()[0], stub, ProducerPerformanceModel(), gamma_requirement=0.999
+        )
+        assert result.config == ProducerConfig()
+        assert not result.met_requirement
+        assert result.steps_taken == 4
+        assert [name for name, _ in result.trace] == ["start"]
+        assert stub.calls == 2
+
+    def test_unread_later_coordinate_tier_not_reported(self):
+        # The move to at-most-once meets γ, so the walk never reaches the
+        # batch-size coordinate whose neighbour the round fetched from the
+        # neighbour tier.
+        def answer(vector):
+            if vector.semantics is AMO:
+                return 0.0, "ann"
+            if vector.batch_size != 1:
+                return 0.5, "neighbour"
+            return 0.5, "ann"
+
+        stub = ScriptedPredictor(answer)
+        result = select_configuration(
+            contexts()[0], stub, ProducerPerformanceModel(), gamma_requirement=0.6
+        )
+        assert result.met_requirement
+        assert [name for name, _ in result.trace] == [
+            "start",
+            "semantics=DeliverySemantics.AT_MOST_ONCE",
+        ]
+        assert result.prediction_source == "ann"
+        assert result.config_source == "ann"
