@@ -129,6 +129,23 @@ def evaluate_configs(
     return scored
 
 
+def _axis_values(
+    steps: ParameterSteps, parameter: str, config: ProducerConfig
+) -> Tuple[List[Any], int]:
+    """The candidate values of ``parameter`` and the position of ``config``'s.
+
+    A current value off the step grid joins it in order.
+    """
+    values = list(getattr(steps, parameter))
+    current_value = getattr(config, parameter)
+    if current_value not in values:
+        values = sorted(
+            set(values) | {current_value},
+            key=lambda v: (str(v) if parameter == "semantics" else float(v)),
+        )
+    return values, values.index(current_value)
+
+
 def select_configuration(
     context: SelectionContext,
     predictor: ReliabilityPredictor,
@@ -198,14 +215,7 @@ def select_configuration(
                 for later in parameters[order:]:
                     if later in axes:
                         continue
-                    values = list(getattr(steps, later))
-                    current_value = getattr(config, later)
-                    if current_value not in values:
-                        values = sorted(
-                            set(values) | {current_value},
-                            key=lambda v: (str(v) if later == "semantics" else float(v)),
-                        )
-                    index = values.index(current_value)
+                    values, index = _axis_values(steps, later, config)
                     candidates: Dict[int, ProducerConfig] = {}
                     estimates: Dict[int, FallbackEstimate] = {}
                     for position in (index - 1, index + 1):
