@@ -116,6 +116,7 @@ class Broker:
         self.requests_dropped = 0
         self._append_listeners: List[Callable[[ProducerRecord, Partition, int], None]] = []
         self._tracer = None
+        self._emit_append: Optional[Callable[[float, int, str, int], None]] = None
         self._metrics = None
         # The run's append counter, bound on the first append so that a run
         # with none leaves no counter in its metrics.
@@ -123,7 +124,12 @@ class Broker:
 
     def attach_telemetry(self, telemetry) -> None:
         """Attach run telemetry after construction (the cluster builds us)."""
-        self._tracer = telemetry.tracer
+        self._tracer = tracer = telemetry.tracer
+        self._emit_append = (
+            tracer.emitter(EventKind.APPEND, key=int, broker=str, offset=int)
+            if tracer is not None
+            else None
+        )
         self._metrics = telemetry.metrics
         self._appends = None
 
@@ -183,7 +189,8 @@ class Broker:
         log = partition.log
         producer_id = request.producer_id
         sequence = request.base_sequence
-        tracer = self._tracer
+        emit_append = self._emit_append
+        broker_id = self.broker_id
         listeners = self._append_listeners
         base_offset: Optional[int] = None
         appended = 0
@@ -196,14 +203,8 @@ class Broker:
             appended += 1
             if base_offset is None:
                 base_offset = offset
-            if tracer is not None:
-                tracer.emit(
-                    EventKind.APPEND,
-                    now,
-                    key=record.key,
-                    broker=self.broker_id,
-                    offset=offset,
-                )
+            if emit_append is not None:
+                emit_append(now, record.key, broker_id, offset)
             for listener in listeners:
                 listener(record, partition, offset)
         if appended and self._metrics is not None:

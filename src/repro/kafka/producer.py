@@ -169,6 +169,19 @@ class KafkaProducer:
             )
         else:
             self._ack_rtt = None
+        # The per-record events go through emitters bound once (see
+        # Tracer.emitter); the rare ones through the tracer's emit.
+        tracer = self._tracer
+        self._emit_send = (
+            tracer.emitter(EventKind.SEND, key=int, attempt=int)
+            if tracer is not None
+            else None
+        )
+        self._emit_ack = (
+            tracer.emitter(EventKind.ACK, key=int, rtt_s=float)
+            if tracer is not None
+            else None
+        )
         self.stats = ProducerStats()
         # Read for every record on the batch path.  Every record the producer
         # holds was stamped by ``offer``, so its delivery deadline is simply
@@ -425,11 +438,11 @@ class KafkaProducer:
             stats.request_retries += 1
         stats.bytes_sent += wire_bytes
         listener = self.listener
-        tracer = self._tracer
+        emit_send = self._emit_send
         for record in records:
             listener.on_send_attempt(record, attempt)
-            if tracer is not None:
-                tracer.emit(EventKind.SEND, self._sim.now, key=record.key, attempt=attempt)
+            if emit_send is not None:
+                emit_send(self._sim.now, record.key, attempt)
         if waits_for_ack:
             if attempt == 0:
                 batch.byte_charge = wire_bytes
@@ -588,13 +601,13 @@ class KafkaProducer:
         records = batch.records
         self.stats.acknowledged += len(records)
         listener = self.listener
-        tracer = self._tracer
+        emit_ack = self._emit_ack
         ack_rtt = self._ack_rtt
         for record in records:
             rtt = now - record.ingest_time
             listener.on_acknowledged(record, rtt)
-            if tracer is not None:
-                tracer.emit(EventKind.ACK, now, key=record.key, rtt_s=rtt)
+            if emit_ack is not None:
+                emit_ack(now, record.key, rtt)
             if ack_rtt is not None:
                 ack_rtt.observe(rtt)
         self._resolve(len(records))

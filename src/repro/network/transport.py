@@ -228,7 +228,14 @@ class ReliableChannel:
             endpoint.on_data = partial(self._on_data, endpoint)
             endpoint.on_ack = partial(self._on_ack, endpoint)
             self._endpoints[direction] = endpoint
-        self._tracer = telemetry.tracer if telemetry is not None else None
+        self._tracer = tracer = telemetry.tracer if telemetry is not None else None
+        self._emit_retransmit = (
+            tracer.emitter(
+                EventKind.RETRANSMIT, direction=str, message_id=int, segment=int, attempt=int
+            )
+            if tracer is not None
+            else None
+        )
         if telemetry is not None:
             self._rtt_hist = telemetry.metrics.histogram(
                 "transport.rtt_s", DEFAULT_LATENCY_BUCKETS
@@ -347,14 +354,9 @@ class ReliableChannel:
         stats.segments_sent += 1
         if attempt > 0:
             stats.retransmissions += 1
-            if self._tracer is not None:
-                self._tracer.emit(
-                    EventKind.RETRANSMIT,
-                    self._sim.now,
-                    direction=direction,
-                    message_id=message.message_id,
-                    segment=index,
-                    attempt=attempt,
+            if self._emit_retransmit is not None:
+                self._emit_retransmit(
+                    self._sim.now, direction, message.message_id, index, attempt
                 )
         packet = Packet(
             _DATA,

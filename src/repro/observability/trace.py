@@ -71,75 +71,123 @@ def encode_record(record: Dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-@lru_cache(maxsize=256)
-def _record_encoder(
-    kind: str, shape: Tuple[Tuple[str, type], ...]
-) -> Callable[[Dict[str, Any]], str]:
-    """An encoder equal to :func:`encode_record` for one kind of record.
+#: Lines the tracer hashes per digest update.
+_HASH_BATCH = 256
 
-    ``shape`` pairs every other field name with the type of its value.
-    The sorted keys, the separators and the ``kind`` value become one
-    ``%``-template, and the function checks that each other value still
-    has its type: ``str`` values go through ``encode_basestring_ascii``,
-    ``int`` and finite ``float`` values through ``repr``, ``bool`` values
-    become ``true``/``false`` (what :mod:`json` writes for each), and a
-    value of any other type through :func:`encode_record`.  A record whose
-    values fail a check is encoded by :func:`encode_record` whole, so NaN,
-    the infinities and subclasses such as numpy scalars still come out as
-    :mod:`json` writes them.  Compiling costs a fraction of a millisecond,
-    so each encoder is built once per process.
+
+def _encoding(kind: str, fields: List[Tuple[str, type, str]]) -> Tuple[str, str, str]:
+    """Source pieces that encode one kind of record as :func:`encode_record` does.
+
+    ``fields`` lists every field but ``kind`` as (name, type of its value,
+    the variable holding it).  The sorted keys, the separators and the
+    ``kind`` value become one ``%``-template; the condition checks that
+    each value still has its type; the arguments fill the template:
+    ``str`` values through ``encode_basestring_ascii`` (``esc``), ``int``
+    and finite ``float`` values through ``repr``, ``bool`` values as
+    ``true``/``false`` (what :mod:`json` writes for each), and a value of
+    any other type through :func:`encode_record` (``ref``).  When the
+    condition fails, the whole record goes through :func:`encode_record`,
+    so NaN, the infinities and subclasses such as numpy scalars still
+    come out as :mod:`json` writes them.  Returns (template, condition,
+    arguments).
     """
-    types = dict(shape)
-    names = sorted(types)
     slots = {"kind": encode_record(kind).replace("%", "%%")}
     checks: List[str] = []
-    values: List[str] = []
-    for index, name in enumerate(names):
-        value, cls = f"v{index}", types[name]
+    arguments: List[str] = []
+    for name, cls, value in sorted(fields, key=lambda field: field[0]):
         if cls is str:
             checks.append(f"type({value}) is str")
             slots[name] = "%s"
-            values.append(f"esc({value})")
+            arguments.append(f"esc({value})")
         elif cls is int or cls is float:
             check = f"type({value}) is {cls.__name__}"
             if cls is float:
                 check += f" and {value} - {value} == 0.0"  # NaN/inf give NaN
             checks.append(check)
             slots[name] = "%r"
-            values.append(value)
+            arguments.append(value)
         elif cls is bool:
             checks.append(f"type({value}) is bool")
             slots[name] = "%s"
-            values.append(f"('true' if {value} else 'false')")
+            arguments.append(f"('true' if {value} else 'false')")
         else:
             slots[name] = "%s"
-            values.append(f"ref({value})")
+            arguments.append(f"ref({value})")
     template = "{%s}" % ",".join(
         encode_basestring_ascii(name).replace("%", "%%") + ":" + slots[name]
         for name in sorted(slots)
     )
-    # Every record has ``t`` besides ``kind``; ``get`` returns a tuple
-    # exactly when there are more names.
-    unpacked = ", ".join(f"v{index}" for index in range(len(names)))
-    source = (
-        "def encode(record):\n"
-        f"    {unpacked} = get(record)\n"
-        f"    if {' and '.join(checks) or 'True'}:\n"
-        f"        return template % ({''.join(v + ', ' for v in values)})\n"
-        "    return ref(record)\n"
-    )
+    return template, " and ".join(checks) or "True", "".join(a + ", " for a in arguments)
+
+
+def _compile(source: str, name: str, template: str, **names: Any) -> Any:
+    """Run generated ``source`` and return the function it defines as ``name``."""
     namespace: Dict[str, Any] = {
-        "get": itemgetter(*names),
         "template": template,
         "esc": encode_basestring_ascii,
         "ref": encode_record,
+        **names,
     }
     exec(source, namespace)
-    return namespace["encode"]
+    return namespace[name]
 
 
-#: Lines the tracer hashes per digest update.
-_HASH_BATCH = 256
+@lru_cache(maxsize=256)
+def _record_encoder(
+    kind: str, shape: Tuple[Tuple[str, type], ...]
+) -> Callable[[Dict[str, Any]], str]:
+    """An encoder equal to :func:`encode_record` for one kind of record.
+
+    ``shape`` pairs every other field name with the type of its value
+    (see :func:`_encoding`).  Compiling costs a fraction of a
+    millisecond, so each encoder is built once per process.
+    """
+    fields = [(name, cls, f"v{index}") for index, (name, cls) in enumerate(shape)]
+    template, condition, arguments = _encoding(kind, fields)
+    # Every record has ``t`` besides ``kind``; ``get`` returns a tuple
+    # exactly when there are more names.
+    source = (
+        "def encode(record):\n"
+        f"    {', '.join(value for _, _, value in fields)} = get(record)\n"
+        f"    if {condition}:\n"
+        f"        return template % ({arguments})\n"
+        "    return ref(record)\n"
+    )
+    get = itemgetter(*(name for name, _, _ in fields))
+    return _compile(source, "encode", template, get=get)
+
+
+@lru_cache(maxsize=256)
+def _emitter_factory(kind: str, shape: Tuple[Tuple[str, type], ...]) -> Any:
+    """``make(tracer, unhashed, hash_lines, write)`` for :meth:`Tracer.emitter`.
+
+    The emitter it makes builds the record ``Tracer.emit`` would build,
+    encodes it as :func:`_record_encoder` does and records it as
+    ``Tracer.emit`` does, in one call with positional values.  The
+    factory is compiled once per process and kind; each tracer's
+    emitters are closures over that tracer.
+    """
+    fields = [("t", float, "t")] + [
+        (name, cls, f"v{index}") for index, (name, cls) in enumerate(shape)
+    ]
+    template, condition, arguments = _encoding(kind, fields)
+    items = "".join(f", {name!r}: {value}" for name, _, value in fields)
+    source = (
+        "def make(tracer, unhashed, hash_lines, write):\n"
+        f"    def emit({', '.join(value for _, _, value in fields)}):\n"
+        f"        record = {{'kind': kind{items}}}\n"
+        f"        if {condition}:\n"
+        f"            line = template % ({arguments})\n"
+        "        else:\n"
+        "            line = ref(record)\n"
+        "        unhashed.append(line)\n"
+        "        if len(unhashed) == batch:\n"
+        "            hash_lines()\n"
+        "        tracer.count += 1\n"
+        "        write(record, line)\n"
+        "    return emit\n"
+    )
+    return _compile(source, "make", template, kind=kind, batch=_HASH_BATCH)
 
 
 def _new_digest() -> "hashlib._Hash":
@@ -267,6 +315,22 @@ class Tracer:
     @property
     def sink(self) -> TraceSink:
         return self._sink
+
+    def emitter(self, kind: str, **types: type) -> Callable[..., None]:
+        """A faster :meth:`emit` for one kind of event with fixed fields.
+
+        ``emitter(kind, key=int, attempt=int)(time, key, attempt)`` records
+        exactly what ``emit(kind, time, key=key, attempt=attempt)`` records,
+        in one call: every declared field is always present (pass a key,
+        never ``None``), and the declared types only pick the inlined
+        encoding, a value of another type being encoded by
+        :func:`encode_record`.  Emission sites on the per-message path bind
+        one per kind when their telemetry is attached.
+        """
+        if "t" in types:
+            raise ValueError("the time is the emitter's first argument, not a field")
+        make = _emitter_factory(kind, tuple(types.items()))
+        return make(self, self._unhashed, self._hash_lines, self._sink.write)
 
     def emit(self, kind: str, time: float, key: Optional[int] = None, **data: Any) -> None:
         """Record one event at simulated ``time``.

@@ -186,7 +186,14 @@ class DeliveryTracker(ProducerListener):
         self.ingest_times = array("d")
         self.ack_latencies = array("d")
         self._clock: Optional[object] = None
-        self._tracer = telemetry.tracer if telemetry is not None else None
+        tracer = telemetry.tracer if telemetry is not None else None
+        self._emit_transition = (
+            tracer.emitter(
+                EventKind.TRANSITION, **{"key": int, "edge": str, "from": str, "to": str}
+            )
+            if tracer is not None
+            else None
+        )
         self._metrics = telemetry.metrics if telemetry is not None else None
         # Each edge's counter, bound on the edge's first use: an edge that
         # never fires leaves no counter in the run's metrics.
@@ -223,17 +230,13 @@ class DeliveryTracker(ProducerListener):
                 counter = self._metrics.counter(_EDGE_COUNTERS[edge])
                 self._edge_counters[edge] = counter
             counter.inc()
-        if self._tracer is not None:
-            now = self._clock.now if self._clock is not None else 0.0
-            self._tracer.emit(
-                EventKind.TRANSITION,
-                now,
-                key=key,
-                edge=_EDGE_NAMES[edge],
-                **{
-                    "from": _STATE_NAMES[code & _STATE_MASK],
-                    "to": _STATE_NAMES[target & _STATE_MASK],
-                },
+        if self._emit_transition is not None:
+            self._emit_transition(
+                self._clock.now if self._clock is not None else 0.0,
+                key,
+                _EDGE_NAMES[edge],
+                _STATE_NAMES[code & _STATE_MASK],
+                _STATE_NAMES[target & _STATE_MASK],
             )
 
     def _code(self, key: int) -> int:

@@ -123,3 +123,41 @@ def test_digest_covers_records_a_wrapped_ring_evicted():
         if index in (0, 255, 256, 257, 999):
             assert tracer.digest() == trace_digest(emitted)
     assert tracer.count == 1000
+
+
+#: The emitters the per-message emission sites bind, with their fields.
+EMITTERS = [
+    (EventKind.SEND, {"key": int, "attempt": int}),
+    (EventKind.ACK, {"key": int, "rtt_s": float}),
+    (EventKind.APPEND, {"key": int, "broker": str, "offset": int}),
+    (EventKind.TRANSITION, {"key": int, "edge": str, "from": str, "to": str}),
+    (EventKind.RETRANSMIT,
+     {"direction": str, "message_id": int, "segment": int, "attempt": int}),
+]
+
+
+@pytest.mark.parametrize("kind, types", EMITTERS, ids=[kind for kind, _ in EMITTERS])
+def test_emitter_records_what_emit_records(kind, types):
+    rng = random.Random(f"trace-emitter-{kind}")
+    by_emit, by_emitter = Tracer(), Tracer()
+    emit = by_emitter.emitter(kind, **types)
+    for _ in range(RECORDS_PER_KIND):
+        time = random_float(rng)
+        # Mostly the declared types, sometimes anything else.
+        values = {
+            name: random_value(rng) if rng.random() < 0.3 else
+            {int: rng.randint(-(2**70), 2**70), float: random_float(rng),
+             str: rng.choice(["ready", 'q"\\', "é"])}[cls]
+            for name, cls in types.items()
+        }
+        if "key" in values and values["key"] is None:
+            values["key"] = 0  # emit leaves a None key out of the record
+        by_emit.emit(kind, time, **values)
+        emit(time, *values.values())
+    expected, actual = by_emit.records(), by_emitter.records()
+    # Same records, fields in the same order, and the same lines.
+    assert [list(r.items()) for r in actual] == [list(r.items()) for r in expected]
+    assert actual.lines == expected.lines
+    assert actual.lines == [encode_record(record) for record in actual]
+    assert by_emitter.count == by_emit.count == RECORDS_PER_KIND
+    assert by_emitter.digest() == by_emit.digest()
