@@ -126,7 +126,7 @@ class Broker:
         """Attach run telemetry after construction (the cluster builds us)."""
         self._tracer = tracer = telemetry.tracer
         self._emit_append = (
-            tracer.emitter(EventKind.APPEND, key=int, broker=str, offset=int)
+            tracer.emitter(EventKind.APPEND, "key", "broker", "offset")
             if tracer is not None
             else None
         )

@@ -173,12 +173,12 @@ class KafkaProducer:
         # Tracer.emitter); the rare ones through the tracer's emit.
         tracer = self._tracer
         self._emit_send = (
-            tracer.emitter(EventKind.SEND, key=int, attempt=int)
+            tracer.emitter(EventKind.SEND, "key", "attempt")
             if tracer is not None
             else None
         )
         self._emit_ack = (
-            tracer.emitter(EventKind.ACK, key=int, rtt_s=float)
+            tracer.emitter(EventKind.ACK, "key", "rtt_s")
             if tracer is not None
             else None
         )

@@ -230,9 +230,7 @@ class ReliableChannel:
             self._endpoints[direction] = endpoint
         self._tracer = tracer = telemetry.tracer if telemetry is not None else None
         self._emit_retransmit = (
-            tracer.emitter(
-                EventKind.RETRANSMIT, direction=str, message_id=int, segment=int, attempt=int
-            )
+            tracer.emitter(EventKind.RETRANSMIT, "direction", "message_id", "segment", "attempt")
             if tracer is not None
             else None
         )

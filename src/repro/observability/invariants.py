@@ -39,7 +39,6 @@ transition events through fresh state machines and checks that
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..kafka.state import (
@@ -50,13 +49,6 @@ from ..kafka.state import (
     Transition,
 )
 from .trace import EventKind, trace_digest
-
-#: Each edge by its trace value (and by itself): the replay looks one up
-#: per transition record, where an enum call costs a Python call.
-_EDGE_OF: Dict[Any, Transition] = {
-    **{transition.value: transition for transition in Transition},
-    **{transition: transition for transition in Transition},
-}
 
 __all__ = [
     "InvariantViolation",
@@ -156,8 +148,8 @@ def replay_census(
                 f"but replay is in {source!r}"
             )
         try:
-            transition = _EDGE_OF[record["edge"]]
-        except (KeyError, TypeError):
+            transition = Transition(record["edge"])
+        except (KeyError, ValueError):
             problems.append(f"event {index}: unknown edge {record.get('edge')!r}")
             continue
         try:
@@ -215,7 +207,7 @@ def trace_violations(
                 f"replayed census {replayed} != recorded census {recorded}"
             )
     times = [record["t"] for record in events if "t" in record]
-    if any(map(operator.lt, times[1:], times)):
+    if any(later < earlier for earlier, later in zip(times, times[1:])):
         out.append("trace times are not monotonically non-decreasing")
     return out
 

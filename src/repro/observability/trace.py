@@ -26,7 +26,6 @@ import json
 from collections import deque
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -75,111 +74,40 @@ def encode_record(record: Dict[str, Any]) -> str:
 _HASH_BATCH = 256
 
 
-def _encoding(kind: str, fields: List[Tuple[str, type, str]]) -> Tuple[str, str, str]:
-    """Source pieces that encode one kind of record as :func:`encode_record` does.
+@lru_cache(maxsize=256)
+def _emitter_factory(kind: str, names: Tuple[str, ...]) -> Any:
+    """``make(tracer, unhashed, hash_lines, write)`` for :meth:`Tracer.emitter`.
 
-    ``fields`` lists every field but ``kind`` as (name, type of its value,
-    the variable holding it).  The sorted keys, the separators and the
-    ``kind`` value become one ``%``-template; the condition checks that
-    each value still has its type; the arguments fill the template:
-    ``str`` values through ``encode_basestring_ascii`` (``esc``), ``int``
-    and finite ``float`` values through ``repr``, ``bool`` values as
-    ``true``/``false`` (what :mod:`json` writes for each), and a value of
-    any other type through :func:`encode_record` (``ref``).  When the
-    condition fails, the whole record goes through :func:`encode_record`,
-    so NaN, the infinities and subclasses such as numpy scalars still
-    come out as :mod:`json` writes them.  Returns (template, condition,
-    arguments).
+    The emitter it makes takes the time and one value per name, builds
+    the record :meth:`Tracer.emit` would build, and records it as ``emit``
+    does, with the line :func:`encode_record` would write: the sorted
+    keys, the separators and the ``kind`` value are one ``%``-template,
+    and each value is formatted as :mod:`json` writes it, an ``int`` or
+    finite ``float`` through ``repr``, a ``str`` through
+    ``encode_basestring_ascii``, and anything else (NaN, the infinities,
+    ``bool``, ``None``, subclasses such as numpy scalars, nested values)
+    through :func:`encode_record`.  Compiling costs a fraction of a
+    millisecond, so each factory is built once per process.
     """
-    slots = {"kind": encode_record(kind).replace("%", "%%")}
-    checks: List[str] = []
-    arguments: List[str] = []
-    for name, cls, value in sorted(fields, key=lambda field: field[0]):
-        if cls is str:
-            checks.append(f"type({value}) is str")
-            slots[name] = "%s"
-            arguments.append(f"esc({value})")
-        elif cls is int or cls is float:
-            check = f"type({value}) is {cls.__name__}"
-            if cls is float:
-                check += f" and {value} - {value} == 0.0"  # NaN/inf give NaN
-            checks.append(check)
-            slots[name] = "%r"
-            arguments.append(value)
-        elif cls is bool:
-            checks.append(f"type({value}) is bool")
-            slots[name] = "%s"
-            arguments.append(f"('true' if {value} else 'false')")
-        else:
-            slots[name] = "%s"
-            arguments.append(f"ref({value})")
+    fields = {"t": "t", **{name: f"v{index}" for index, name in enumerate(names)}}
+    slots = dict.fromkeys(fields, "%s")
+    slots["kind"] = encode_record(kind).replace("%", "%%")
     template = "{%s}" % ",".join(
         encode_basestring_ascii(name).replace("%", "%%") + ":" + slots[name]
         for name in sorted(slots)
     )
-    return template, " and ".join(checks) or "True", "".join(a + ", " for a in arguments)
-
-
-def _compile(source: str, name: str, template: str, **names: Any) -> Any:
-    """Run generated ``source`` and return the function it defines as ``name``."""
-    namespace: Dict[str, Any] = {
-        "template": template,
-        "esc": encode_basestring_ascii,
-        "ref": encode_record,
-        **names,
-    }
-    exec(source, namespace)
-    return namespace[name]
-
-
-@lru_cache(maxsize=256)
-def _record_encoder(
-    kind: str, shape: Tuple[Tuple[str, type], ...]
-) -> Callable[[Dict[str, Any]], str]:
-    """An encoder equal to :func:`encode_record` for one kind of record.
-
-    ``shape`` pairs every other field name with the type of its value
-    (see :func:`_encoding`).  Compiling costs a fraction of a
-    millisecond, so each encoder is built once per process.
-    """
-    fields = [(name, cls, f"v{index}") for index, (name, cls) in enumerate(shape)]
-    template, condition, arguments = _encoding(kind, fields)
-    # Every record has ``t`` besides ``kind``; ``get`` returns a tuple
-    # exactly when there are more names.
-    source = (
-        "def encode(record):\n"
-        f"    {', '.join(value for _, _, value in fields)} = get(record)\n"
-        f"    if {condition}:\n"
-        f"        return template % ({arguments})\n"
-        "    return ref(record)\n"
+    arguments = "".join(
+        f"repr({value}) if (c := type({value})) is int"
+        f" or c is float and {value} - {value} == 0.0"  # NaN/inf give NaN
+        f" else esc({value}) if c is str else ref({value}), "
+        for _, value in sorted(fields.items())
     )
-    get = itemgetter(*(name for name, _, _ in fields))
-    return _compile(source, "encode", template, get=get)
-
-
-@lru_cache(maxsize=256)
-def _emitter_factory(kind: str, shape: Tuple[Tuple[str, type], ...]) -> Any:
-    """``make(tracer, unhashed, hash_lines, write)`` for :meth:`Tracer.emitter`.
-
-    The emitter it makes builds the record ``Tracer.emit`` would build,
-    encodes it as :func:`_record_encoder` does and records it as
-    ``Tracer.emit`` does, in one call with positional values.  The
-    factory is compiled once per process and kind; each tracer's
-    emitters are closures over that tracer.
-    """
-    fields = [("t", float, "t")] + [
-        (name, cls, f"v{index}") for index, (name, cls) in enumerate(shape)
-    ]
-    template, condition, arguments = _encoding(kind, fields)
-    items = "".join(f", {name!r}: {value}" for name, _, value in fields)
+    items = "".join(f", {name!r}: {value}" for name, value in fields.items())
     source = (
         "def make(tracer, unhashed, hash_lines, write):\n"
-        f"    def emit({', '.join(value for _, _, value in fields)}):\n"
+        f"    def emit({', '.join(fields.values())}):\n"
         f"        record = {{'kind': kind{items}}}\n"
-        f"        if {condition}:\n"
-        f"            line = template % ({arguments})\n"
-        "        else:\n"
-        "            line = ref(record)\n"
+        f"        line = template % ({arguments})\n"
         "        unhashed.append(line)\n"
         "        if len(unhashed) == batch:\n"
         "            hash_lines()\n"
@@ -187,7 +115,15 @@ def _emitter_factory(kind: str, shape: Tuple[Tuple[str, type], ...]) -> Any:
         "        write(record, line)\n"
         "    return emit\n"
     )
-    return _compile(source, "make", template, kind=kind, batch=_HASH_BATCH)
+    namespace: Dict[str, Any] = {
+        "kind": kind,
+        "template": template,
+        "batch": _HASH_BATCH,
+        "esc": encode_basestring_ascii,
+        "ref": encode_record,
+    }
+    exec(source, namespace)
+    return namespace["make"]
 
 
 def _new_digest() -> "hashlib._Hash":
@@ -300,7 +236,7 @@ class Tracer:
     per site and nothing else.
     """
 
-    __slots__ = ("_sink", "count", "_digest", "_unhashed", "_encoders")
+    __slots__ = ("_sink", "count", "_digest", "_unhashed")
 
     def __init__(self, sink: Optional[TraceSink] = None) -> None:
         self._sink = sink if sink is not None else RingBufferSink()
@@ -309,27 +245,22 @@ class Tracer:
         # Encoded lines wait here and are hashed _HASH_BATCH at a time: the
         # digest of the joined lines equals the digest of each in turn.
         self._unhashed: List[str] = []
-        # The encoder of each (kind, field names) shape, in emission order.
-        self._encoders: Dict[Tuple[str, ...], Callable[[Dict[str, Any]], str]] = {}
 
     @property
     def sink(self) -> TraceSink:
         return self._sink
 
-    def emitter(self, kind: str, **types: type) -> Callable[..., None]:
+    def emitter(self, kind: str, *names: str) -> Callable[..., None]:
         """A faster :meth:`emit` for one kind of event with fixed fields.
 
-        ``emitter(kind, key=int, attempt=int)(time, key, attempt)`` records
-        exactly what ``emit(kind, time, key=key, attempt=attempt)`` records,
-        in one call: every declared field is always present (pass a key,
-        never ``None``), and the declared types only pick the inlined
-        encoding, a value of another type being encoded by
-        :func:`encode_record`.  Emission sites on the per-message path bind
-        one per kind when their telemetry is attached.
+        ``emitter(kind, "key", "attempt")(time, key, attempt)`` records
+        exactly what ``emit(kind, time, key=key, attempt=attempt)`` records
+        (pass a key, never ``None``: ``emit`` would leave it out; and name
+        neither ``kind`` nor ``t``).  The per-message emission sites bind
+        one per kind when their telemetry is attached; the rare events go
+        through ``emit``.
         """
-        if "t" in types:
-            raise ValueError("the time is the emitter's first argument, not a field")
-        make = _emitter_factory(kind, tuple(types.items()))
+        make = _emitter_factory(kind, names)
         return make(self, self._unhashed, self._hash_lines, self._sink.write)
 
     def emit(self, kind: str, time: float, key: Optional[int] = None, **data: Any) -> None:
@@ -342,13 +273,7 @@ class Tracer:
             record: Dict[str, Any] = {"kind": kind, "t": time, **data}
         else:
             record = {"kind": kind, "t": time, "key": key, **data}
-        shape = (kind, *record)
-        encoder = self._encoders.get(shape)
-        if encoder is None:
-            fields = [(name, type(value)) for name, value in record.items()]
-            encoder = _record_encoder(kind, tuple(fields[1:]))
-            self._encoders[shape] = encoder
-        line = encoder(record)
+        line = encode_record(record)
         unhashed = self._unhashed
         unhashed.append(line)
         if len(unhashed) == _HASH_BATCH:

@@ -188,9 +188,7 @@ class DeliveryTracker(ProducerListener):
         self._clock: Optional[object] = None
         tracer = telemetry.tracer if telemetry is not None else None
         self._emit_transition = (
-            tracer.emitter(
-                EventKind.TRANSITION, **{"key": int, "edge": str, "from": str, "to": str}
-            )
+            tracer.emitter(EventKind.TRANSITION, "key", "edge", "from", "to")
             if tracer is not None
             else None
         )

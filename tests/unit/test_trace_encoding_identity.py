@@ -1,14 +1,15 @@
-"""``Tracer.emit`` must write the bytes ``encode_record`` writes, for every kind.
+"""``Tracer.emitter`` must record what ``Tracer.emit`` records, for every kind.
 
-The tracer encodes each record with an encoder compiled for its kind and
-field types (a ``%``-template over the sorted keys) because it is several
-times cheaper than ``json.dumps(sort_keys=True)``.  That is only a valid
-rewrite while both give the same line, so the reference here stays
-``encode_record``: every emitted line, and the running digest over them,
-is checked against it on random records of every ``EventKind`` —
-floats of every magnitude and sign, NaN and the infinities, large ints,
-strings that need escaping, bools, ``None``, float subclasses, nested
-values, and one field set seen with changing value types.
+The per-message emission sites go through emitters: functions compiled
+for one kind and field set that format each value into a ``%``-template
+over the sorted keys, because that is several times cheaper than
+``json.dumps(sort_keys=True)``.  That is only a valid rewrite while both
+give the same line, so the reference here stays ``emit``, which encodes
+with ``encode_record``: every record, line and the running digest are
+checked against it on random records of every ``EventKind`` — floats of
+every magnitude and sign, NaN and the infinities, large ints, strings
+that need escaping, bools, ``None``, float subclasses, nested values,
+and one field set seen with changing value types.
 """
 
 from __future__ import annotations
@@ -82,42 +83,59 @@ def random_record(rng: random.Random):
     return random_float(rng), key, data
 
 
+def assert_same_records(by_emit: Tracer, by_emitter: Tracer) -> None:
+    expected, actual = by_emit.records(), by_emitter.records()
+    # Same records, fields in the same order, and the same lines.
+    assert [list(r.items()) for r in actual] == [list(r.items()) for r in expected]
+    mismatches = [
+        (line, reference)
+        for line, reference in zip(actual.lines, expected.lines)
+        if line != reference
+    ]
+    assert not mismatches, mismatches[:3]
+    assert expected.lines == [encode_record(record) for record in expected]
+    assert by_emitter.count == by_emit.count == len(expected)
+    # The digest folds the same bytes the reference encoding gives.
+    assert by_emitter.digest() == by_emit.digest() == trace_digest(list(expected))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_emitted_lines_match_encode_record(kind):
     rng = random.Random(f"trace-encoding-{kind}")
-    sink = RingBufferSink(capacity=RECORDS_PER_KIND)
-    tracer = Tracer(sink)
+    by_emit = Tracer(RingBufferSink(capacity=RECORDS_PER_KIND))
+    by_emitter = Tracer(RingBufferSink(capacity=RECORDS_PER_KIND))
     for _ in range(RECORDS_PER_KIND):
         time, key, data = random_record(rng)
-        tracer.emit(kind, time, key=key, **data)
-    records = sink.records
-    mismatches = [
-        (line, encode_record(record))
-        for record, line in zip(records, records.lines)
-        if line != encode_record(record)
-    ]
-    assert not mismatches, mismatches[:3]
-    # The digest folds the same bytes the reference encoding gives.
-    assert tracer.digest() == trace_digest(list(records))
+        by_emit.emit(kind, time, key=key, **data)
+        if key is None:
+            by_emitter.emitter(kind, *data)(time, *data.values())
+        else:
+            by_emitter.emitter(kind, "key", *data)(time, key, *data.values())
+    assert_same_records(by_emit, by_emitter)
 
 
 def test_one_field_set_with_changing_value_types():
-    tracer = Tracer()
+    by_emit, by_emitter = Tracer(), Tracer()
+    emit = by_emitter.emitter(EventKind.SEND, "key", "attempt")
     values = [1, 2.5, "x", True, None, 2**70, math.nan, np.float64(0.1), -0.0, 7]
     for attempt in values:
         for time in (0.5, 3, math.inf):
-            tracer.emit(EventKind.SEND, time, key=1, attempt=attempt)
-    records = tracer.records()
-    assert records.lines == [encode_record(record) for record in records]
-    assert tracer.digest() == trace_digest(list(records))
+            by_emit.emit(EventKind.SEND, time, key=1, attempt=attempt)
+            emit(time, 1, attempt)
+    assert_same_records(by_emit, by_emitter)
 
 
 def test_digest_covers_records_a_wrapped_ring_evicted():
-    # Lines are hashed in batches; the digest still covers all of them.
+    # Lines are hashed in batches, from emit and emitters alike; the
+    # digest still covers all of them.
     tracer = Tracer(RingBufferSink(capacity=10))
+    ack = tracer.emitter(EventKind.ACK, "key", "rtt_s")
     emitted = []
     for index in range(1000):
-        tracer.emit(EventKind.ACK, index * 0.25, key=index, rtt_s=0.1 * index)
+        if index % 3:
+            ack(index * 0.25, index, 0.1 * index)
+        else:
+            tracer.emit(EventKind.ACK, index * 0.25, key=index, rtt_s=0.1 * index)
         emitted.append({"kind": EventKind.ACK, "t": index * 0.25, "key": index,
                         "rtt_s": 0.1 * index})
         if index in (0, 255, 256, 257, 999):
@@ -125,7 +143,7 @@ def test_digest_covers_records_a_wrapped_ring_evicted():
     assert tracer.count == 1000
 
 
-#: The emitters the per-message emission sites bind, with their fields.
+#: The emitters the per-message emission sites bind, with a value for each field.
 EMITTERS = [
     (EventKind.SEND, {"key": int, "attempt": int}),
     (EventKind.ACK, {"key": int, "rtt_s": float}),
@@ -140,10 +158,10 @@ EMITTERS = [
 def test_emitter_records_what_emit_records(kind, types):
     rng = random.Random(f"trace-emitter-{kind}")
     by_emit, by_emitter = Tracer(), Tracer()
-    emit = by_emitter.emitter(kind, **types)
+    emit = by_emitter.emitter(kind, *types)
     for _ in range(RECORDS_PER_KIND):
         time = random_float(rng)
-        # Mostly the declared types, sometimes anything else.
+        # Mostly the values the site passes, sometimes anything else.
         values = {
             name: random_value(rng) if rng.random() < 0.3 else
             {int: rng.randint(-(2**70), 2**70), float: random_float(rng),
@@ -154,10 +172,5 @@ def test_emitter_records_what_emit_records(kind, types):
             values["key"] = 0  # emit leaves a None key out of the record
         by_emit.emit(kind, time, **values)
         emit(time, *values.values())
-    expected, actual = by_emit.records(), by_emitter.records()
-    # Same records, fields in the same order, and the same lines.
-    assert [list(r.items()) for r in actual] == [list(r.items()) for r in expected]
-    assert actual.lines == expected.lines
-    assert actual.lines == [encode_record(record) for record in actual]
-    assert by_emitter.count == by_emit.count == RECORDS_PER_KIND
-    assert by_emitter.digest() == by_emit.digest()
+    assert_same_records(by_emit, by_emitter)
+
