@@ -27,6 +27,11 @@ class Layer:
         """Trainable parameters of this layer."""
         return []
 
+    def release_training_state(self) -> None:
+        """Drop everything only backward reads: gradients and caches."""
+        for parameter in self.parameters():
+            parameter.grad = None
+
 
 class Dense(Layer):
     """Fully-connected layer ``y = act(x @ W + b)``.
@@ -84,12 +89,16 @@ class Dense(Layer):
         if self._x is None:
             raise RuntimeError("backward called before a training forward pass")
         grad_pre = grad_output * self.activation.derivative(self._pre, self._out)
-        self.weight.grad += self._x.T @ grad_pre
-        self.bias.grad += grad_pre.sum(axis=0, keepdims=True)
+        self.weight.accumulate(self._x.T @ grad_pre)
+        self.bias.accumulate(grad_pre.sum(axis=0, keepdims=True))
         return grad_pre @ self.weight.value.T
 
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]
+
+    def release_training_state(self) -> None:
+        super().release_training_state()
+        self._x = self._pre = self._out = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -118,6 +118,9 @@ class Sequential:
     ) -> TrainingHistory:
         """Minibatch training on the mean squared error.
 
+        Gradient buffers and the layers' cached activations are released
+        when it returns, so a fitted network holds only its weights.
+
         Parameters
         ----------
         epochs:
@@ -155,37 +158,44 @@ class Sequential:
         # Per-epoch gather-once/slice-views beats per-batch fancy
         # indexing (identical batches, far less numpy overhead).
         count = x.shape[0]
-        for _ in range(epochs):
-            epoch_loss = 0.0
-            batches = 0
-            order = rng.permutation(count)
-            x_epoch = x[order]
-            y_epoch = y[order]
-            for start in range(0, count, batch_size):
-                xb = x_epoch[start : start + batch_size]
-                yb = y_epoch[start : start + batch_size]
-                predicted = self.forward(xb, training=True)
-                value, grad = loss_fn.value_and_grad(predicted, yb)
-                self.backward(grad)
-                optimizer.step(parameters)
-                epoch_loss += value
-                batches += 1
-            history.train_loss.append(epoch_loss / max(1, batches))
-            if validation is not None:
-                val = self.evaluate(validation[0], validation[1])
-                history.validation_loss.append(val)
-                if val < best_val - 1e-9:
-                    best_val = val
-                    best_weights = [p.value.copy() for p in parameters]
-                    stale = 0
-                else:
-                    stale += 1
-                    if patience is not None and stale > patience:
-                        history.stopped_early = True
-                        break
+        try:
+            for _ in range(epochs):
+                epoch_loss = 0.0
+                batches = 0
+                order = rng.permutation(count)
+                x_epoch = x[order]
+                y_epoch = y[order]
+                for start in range(0, count, batch_size):
+                    xb = x_epoch[start : start + batch_size]
+                    yb = y_epoch[start : start + batch_size]
+                    predicted = self.forward(xb, training=True)
+                    value, grad = loss_fn.value_and_grad(predicted, yb)
+                    self.backward(grad)
+                    optimizer.step(parameters)
+                    epoch_loss += value
+                    batches += 1
+                history.train_loss.append(epoch_loss / max(1, batches))
+                if validation is not None:
+                    val = self.evaluate(validation[0], validation[1])
+                    history.validation_loss.append(val)
+                    if val < best_val - 1e-9:
+                        best_val = val
+                        best_weights = [p.value.copy() for p in parameters]
+                        stale = 0
+                    else:
+                        stale += 1
+                        if patience is not None and stale > patience:
+                            history.stopped_early = True
+                            break
+        finally:
+            for layer in self.layers:
+                layer.release_training_state()
         if best_weights is not None:
+            # Copied into the arrays built before training, so the kept
+            # weights do not pin mid-training heap blocks and the freed
+            # training state can go back to the OS.
             for parameter, weights in zip(parameters, best_weights):
-                parameter.value = weights
+                parameter.value[...] = weights
         return history
 
 

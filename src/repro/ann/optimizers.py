@@ -18,7 +18,11 @@ __all__ = ["Optimizer", "SGD", "Momentum", "Adam", "get_optimizer"]
 
 
 class Optimizer:
-    """Updates parameters in place from their accumulated gradients."""
+    """Updates parameters in place from their accumulated gradients.
+
+    A parameter without a gradient buffer has accumulated nothing and is
+    left as it is.
+    """
 
     def step(self, parameters: List[Parameter]) -> None:
         """Apply one update and zero the gradients."""
@@ -40,7 +44,10 @@ class SGD(Optimizer):
 
     def step(self, parameters: List[Parameter]) -> None:
         for parameter in parameters:
-            parameter.value -= self.learning_rate * parameter.grad
+            grad = parameter.grad
+            if grad is None:
+                continue
+            parameter.value -= self.learning_rate * grad
         self._finish(parameters)
 
 
@@ -58,12 +65,15 @@ class Momentum(Optimizer):
 
     def step(self, parameters: List[Parameter]) -> None:
         for parameter in parameters:
+            grad = parameter.grad
+            if grad is None:
+                continue
             velocity = self._velocity.get(id(parameter))
             if velocity is None:
                 velocity = np.zeros_like(parameter.value)
                 self._velocity[id(parameter)] = velocity
             velocity *= self.momentum
-            velocity -= self.learning_rate * parameter.grad
+            velocity -= self.learning_rate * grad
             parameter.value += velocity
         self._finish(parameters)
 
@@ -93,15 +103,18 @@ class Adam(Optimizer):
     def step(self, parameters: List[Parameter]) -> None:
         self._t += 1
         for parameter in parameters:
+            grad = parameter.grad
+            if grad is None:
+                continue
             key = id(parameter)
             if key not in self._m:
                 self._m[key] = np.zeros_like(parameter.value)
                 self._v[key] = np.zeros_like(parameter.value)
             m, v = self._m[key], self._v[key]
             m *= self.beta1
-            m += (1.0 - self.beta1) * parameter.grad
+            m += (1.0 - self.beta1) * grad
             v *= self.beta2
-            v += (1.0 - self.beta2) * parameter.grad**2
+            v += (1.0 - self.beta2) * grad**2
             m_hat = m / (1.0 - self.beta1**self._t)
             v_hat = v / (1.0 - self.beta2**self._t)
             parameter.value -= (

@@ -8,7 +8,7 @@ fan-based schemes used for small fully-connected regression networks.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -16,13 +16,19 @@ __all__ = ["Parameter", "glorot_uniform", "he_normal", "zeros_init", "INITIALIZE
 
 
 class Parameter:
-    """A trainable array with an accompanying gradient buffer."""
+    """A trainable array with a gradient buffer that exists only while
+    something accumulates into it.
+
+    ``grad`` is ``None`` until the first :meth:`accumulate`, and training
+    resets it to ``None`` when it ends, so a trained or loaded network
+    holds its weights and nothing else.
+    """
 
     __slots__ = ("value", "grad", "name")
 
     def __init__(self, value: np.ndarray, name: str = "") -> None:
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad: Optional[np.ndarray] = None
         self.name = name
 
     @property
@@ -30,9 +36,20 @@ class Parameter:
         """Shape of the underlying array."""
         return self.value.shape
 
+    def accumulate(self, gradient: np.ndarray) -> None:
+        """Add ``gradient`` into the buffer, allocating it zeroed first.
+
+        Zeros then ``+=`` (not a plain assignment) keeps the accumulated
+        bits those of a buffer that always existed.
+        """
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        self.grad += gradient
+
     def zero_grad(self) -> None:
-        """Reset the gradient accumulator."""
-        self.grad.fill(0.0)
+        """Reset the gradient accumulator (kept allocated for the next step)."""
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name or 'unnamed'}, shape={self.shape})"

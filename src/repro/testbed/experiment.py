@@ -41,7 +41,7 @@ from ..workloads.arrival import (
     PolledSource,
     SourceDriver,
 )
-from .results import ExperimentResult
+from .results import ExperimentResult, p50_p95
 from .scenario import Scenario, default_salt, scenario_fingerprint
 from .tracker import DeliveryTracker
 
@@ -236,11 +236,7 @@ class Experiment:
             if census.case_counts.get(case)
         }
         ack_latencies = self.tracker.ack_latencies
-        p50_ack, p95_ack = (
-            np.percentile(ack_latencies, (50, 95)).tolist()
-            if ack_latencies
-            else (None, None)
-        )
+        p50_ack, p95_ack = p50_p95(ack_latencies) if ack_latencies else (None, None)
         delivered = report.delivered_unique
         manifest = None
         if self.telemetry is not None:

@@ -67,7 +67,12 @@ _EDGE_COUNTERS = tuple(f"transitions.{name}" for name in _EDGE_NAMES)
 #: falls outside them, so a small run scans small arrays and a long one
 #: grows a few times, never one key at a time.
 _MIN_SLOTS = 64
-_NAN = array("d", [float("nan")])
+#: Growth appends fixed blocks, never one whole-size temporary: freeing a
+#: temporary above glibc's mmap threshold raises that threshold, and the
+#: run's other growing arrays then copy inside the heap and fragment it.
+_BLOCK = 4096
+_ZEROS = bytes(_BLOCK)
+_NANS = array("d", [float("nan")]) * _BLOCK
 
 
 def _next_code(code: int, transition: Transition) -> Optional[int]:
@@ -203,9 +208,12 @@ class DeliveryTracker(ProducerListener):
 
     def _grow(self, key: int) -> None:
         """Extend the per-key arrays past ``key``, at least doubling them."""
-        missing = max(key + 1, 2 * len(self._codes), _MIN_SLOTS) - len(self._codes)
-        self._codes.extend(bytes(missing))
-        self.ingest_times.extend(_NAN * missing)
+        codes, ingest_times = self._codes, self.ingest_times
+        size = max(key + 1, 2 * len(codes), _MIN_SLOTS)
+        while len(codes) < size:
+            step = min(size - len(codes), _BLOCK)
+            codes.extend(_ZEROS[:step])
+            ingest_times.extend(_NANS[:step])
 
     def _seen(self, key: int) -> int:
         """Mark ``key`` as seen and return its code."""
