@@ -4,7 +4,7 @@ A campaign replays every phase of a :class:`~repro.chaos.schedule.ChaosSchedule`
 as its own fully-telemetered testbed experiment, under one of two control
 policies:
 
-* ``static`` — one fixed producer configuration for every phase (the
+* ``static`` — the default producer configuration for every phase (the
   control group);
 * ``degraded`` — the :class:`~repro.kpi.control.Controller` closed loop
   with its breaker, hysteresis and min-hold guards: each phase's
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional
 
-from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
+from ..kafka.config import DEFAULT_PRODUCER_CONFIG
 from ..kpi.control import CircuitBreaker, Controller, Decision, Interval, replay
 from ..kpi.selection import SelectionContext, evaluate_configs
 from ..kpi.weighted import KpiWeights, kpi_from_estimates
@@ -236,10 +236,8 @@ def run_campaign(
     stream: StreamProfile = WEB_ACCESS_LOGS,
     policy: str = "static",
     seed: int = 0,
-    start_config: ProducerConfig = DEFAULT_PRODUCER_CONFIG,
     predictor: Optional[ReliabilityPredictor] = None,
     performance_model: Optional[ProducerPerformanceModel] = None,
-    controller: Optional[Controller] = None,
     messages_cap_per_phase: Optional[int] = None,
 ) -> CampaignReport:
     """Replay a chaos schedule under one policy and report per phase.
@@ -252,41 +250,31 @@ def run_campaign(
         Workload shape and KPI weights; the measured γ of each phase uses
         this stream's weights.
     policy:
-        ``"static"`` (fixed ``start_config``) or ``"degraded"`` (the
-        closed-loop controller with breaker, hysteresis and min-hold
-        guards).
+        ``"static"`` (the default producer configuration throughout) or
+        ``"degraded"`` (the closed-loop controller with breaker,
+        hysteresis and min-hold guards, starting from that
+        configuration).
     seed:
         Campaign seed; every phase derives its experiment seed from it via
         :func:`phase_seed`, so the whole campaign is one deterministic
-        function of ``(schedule, stream, policy, seed, start_config)``.
+        function of ``(schedule, stream, policy, seed)``.
     predictor:
         Reliability predictor for the degraded controller and for
         predicted-γ reporting.  An untrained predictor is fine — the
         fallback chain answers from memory or the conservative floor,
         and the report records which tier it had to use.
-    controller:
-        Optional pre-built controller (tests tune breaker/hysteresis);
-        built from ``predictor`` when omitted.  ``degraded`` policy only,
-        and it brings its own predictor.
     messages_cap_per_phase:
         Optional ceiling on messages per phase for quick smoke runs.
     """
     if policy not in ("static", "degraded"):
         raise ValueError('policy must be "static" or "degraded"')
-    if controller is not None and policy == "static":
-        raise ValueError('controller= only applies to policy="degraded"')
-    if (
-        controller is not None
-        and predictor is not None
-        and predictor is not controller.predictor
-    ):
-        raise ValueError("give predictor= or controller=, not both")
     model = (
         performance_model
         if performance_model is not None
         else ProducerPerformanceModel()
     )
-    if policy == "degraded" and controller is None:
+    controller: Optional[Controller] = None
+    if policy == "degraded":
         controller = Controller(
             predictor if predictor is not None else ReliabilityPredictor(),
             performance_model=model,
@@ -311,7 +299,9 @@ def run_campaign(
         )
         for index, phase in enumerate(schedule.phases)
     ]
-    records = replay(intervals, stream, Decision(start_config, "start"), controller)
+    records = replay(
+        intervals, stream, Decision(DEFAULT_PRODUCER_CONFIG, "start"), controller
+    )
     weights = KpiWeights.of(stream.kpi_weights)
     report = CampaignReport(
         schedule_name=schedule.name,

@@ -284,17 +284,34 @@ class KafkaProducer:
         arrival and only wastes the batch slot.
         """
         queue = self._queue
-        horizon = self._sim.now + lookahead_s
+        now = self._sim.now
+        horizon = now + lookahead_s
         timeout = self._message_timeout_s
         while queue and horizon >= queue[0].ingest_time + timeout:
-            record = queue.popleft()
+            self._expire(queue.popleft(), now, after_send=False)
+
+    def _expire(self, record: ProducerRecord, now: float, after_send: bool) -> None:
+        """Give up on ``record``: its delivery timeout ``T_o`` has passed."""
+        if after_send:
+            self.stats.expired_after_send += 1
+        else:
             self.stats.expired_in_queue += 1
-            self.listener.on_expired(record, after_send=False)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    EventKind.EXPIRED, self._sim.now, key=record.key, after_send=False
-                )
-            self._resolve()
+        self.listener.on_expired(record, after_send=after_send)
+        if self._tracer is not None:
+            self._tracer.emit(EventKind.EXPIRED, now, key=record.key, after_send=after_send)
+        self._resolve()
+
+    def _live(self, records: List[ProducerRecord], after_send: bool) -> List[ProducerRecord]:
+        """Expire every record past its delivery timeout; return the rest."""
+        now = self._sim.now
+        timeout = self._message_timeout_s
+        live: List[ProducerRecord] = []
+        for record in records:
+            if now >= record.ingest_time + timeout:
+                self._expire(record, now, after_send)
+            else:
+                live.append(record)
+        return live
 
     def _arm_sweep(self) -> None:
         if self._sweep_event is not None or self._closed:
@@ -376,26 +393,12 @@ class KafkaProducer:
 
     def _dispatch(self, records: List[ProducerRecord]) -> None:
         self._serializing = False
-        sim = self._sim
-        now = sim.now
-        timeout = self._message_timeout_s
-        live: List[ProducerRecord] = []
-        for record in records:
-            if now >= record.ingest_time + timeout:
-                self.stats.expired_in_queue += 1
-                self.listener.on_expired(record, after_send=False)
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        EventKind.EXPIRED, now, key=record.key, after_send=False
-                    )
-                self._resolve()
-            else:
-                live.append(record)
+        live = self._live(records, after_send=False)
         if not live:
             self._release_slot()
             return
         self._send_batch(_Batch(live))
-        sim.schedule(0.0, self._maybe_form_batch)
+        self._sim.schedule(0.0, self._maybe_form_batch)
 
     def _send_batch(self, batch: _Batch) -> None:
         waits_for_ack = self._waits_for_ack
@@ -496,7 +499,7 @@ class KafkaProducer:
         if batch is None or batch.completed or not batch.waiting or batch.timer is not None:
             return
         batch.timer = self._sim.schedule(
-            self.config.request_timeout_s, self._on_request_timeout, batch
+            self.config.request_timeout_s, self._handle_request_failure, batch
         )
 
     def _on_transport_failed(self, request: ProduceRequest, reason: str) -> None:
@@ -505,9 +508,6 @@ class KafkaProducer:
         batch = self._batches.get(request.request_id)
         if batch is not None:
             self._handle_request_failure(batch)
-
-    def _on_request_timeout(self, batch: _Batch) -> None:
-        self._handle_request_failure(batch)
 
     def _handle_request_failure(self, batch: _Batch) -> None:
         if batch.completed or not batch.waiting:
@@ -519,22 +519,8 @@ class KafkaProducer:
         now = self._sim.now
         for record in batch.records:
             self.listener.on_attempt_failed(record, batch.attempt)
-        timeout = self._message_timeout_s
-        survivors: List[ProducerRecord] = []
-        for record in batch.records:
-            if now >= record.ingest_time + timeout:
-                self.stats.expired_after_send += 1
-                self.listener.on_expired(record, after_send=True)
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        EventKind.EXPIRED, now, key=record.key, after_send=True
-                    )
-                self._resolve()
-            else:
-                survivors.append(record)
-        batch.records = survivors
-        retries_left = batch.attempt < self.config.effective_retries
-        if survivors and retries_left:
+        survivors = batch.records = self._live(batch.records, after_send=True)
+        if survivors and batch.attempt < self.config.effective_retries:
             batch.attempt += 1
             if self._tracer is not None:
                 self._tracer.emit(
@@ -553,46 +539,28 @@ class KafkaProducer:
             if self._tracer is not None:
                 self._tracer.emit(EventKind.PERCEIVED_LOST, now, key=record.key)
             self._resolve()
-        batch.completed = True
-        self._in_flight_bytes -= batch.byte_charge
-        self._release_slot()
+        self._finish(batch)
 
     def _retry_batch(self, batch: _Batch) -> None:
         if batch.completed:
             return
-        now = self._sim.now
-        timeout = self._message_timeout_s
-        survivors: List[ProducerRecord] = []
-        expired: List[ProducerRecord] = []
-        for record in batch.records:
-            if now < record.ingest_time + timeout:
-                survivors.append(record)
-            else:
-                expired.append(record)
-        for record in expired:
-            self.stats.expired_after_send += 1
-            self.listener.on_expired(record, after_send=True)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    EventKind.EXPIRED, now, key=record.key, after_send=True
-                )
-            self._resolve()
-        batch.records = survivors
-        if not survivors:
-            batch.completed = True
-            self._in_flight_bytes -= batch.byte_charge
-            self._release_slot()
-            return
-        self._send_batch(batch)
+        batch.records = self._live(batch.records, after_send=True)
+        if batch.records:
+            self._send_batch(batch)
+        else:
+            self._finish(batch)
+
+    def _finish(self, batch: _Batch) -> None:
+        """Retire ``batch``: free its socket bytes and its in-flight slot."""
+        batch.completed = True
+        self._in_flight_bytes -= batch.byte_charge
+        self._release_slot()
 
     def _producer_receive(self, response: ProduceResponse, size_bytes: int) -> None:
         """A broker response arrived (the REVERSE direction carries nothing else)."""
         batch = self._batches.pop(response.request_id, None)
         if batch is None or batch.completed:
             return
-        batch.completed = True
-        batch.waiting = False
-        self._in_flight_bytes -= batch.byte_charge
         sim = self._sim
         if batch.timer is not None:
             sim.cancel(batch.timer)
@@ -611,7 +579,7 @@ class KafkaProducer:
             if ack_rtt is not None:
                 ack_rtt.observe(rtt)
         self._resolve(len(records))
-        self._release_slot()
+        self._finish(batch)
 
     # ------------------------------------------------- at-most-once path
 
@@ -626,8 +594,7 @@ class KafkaProducer:
         # the data.
         for record in request.records:
             self.listener.on_attempt_failed(record, request.attempt)
-        self._in_flight_bytes -= request.wire_bytes
-        self._release_slot()
+        self._on_amo_settled(request, 0.0)
 
     # ---------------------------------------------------- cluster wiring
 

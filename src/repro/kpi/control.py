@@ -62,6 +62,10 @@ class NetworkStateEstimate:
         return self.samples >= 2
 
 
+#: EWMA weight of each new network-state observation.
+_SMOOTHING = 0.6
+
+
 class NetworkStateEstimator:
     """EWMA estimator of (D̂, L̂) from producer-side observations.
 
@@ -74,18 +78,13 @@ class NetworkStateEstimator:
     """
 
     def __init__(
-        self,
-        performance_model: Optional[ProducerPerformanceModel] = None,
-        smoothing: float = 0.6,
+        self, performance_model: Optional[ProducerPerformanceModel] = None
     ) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
         self._model = (
             performance_model
             if performance_model is not None
             else ProducerPerformanceModel()
         )
-        self._smoothing = smoothing
         self._delay: Optional[float] = None
         self._loss: Optional[float] = None
         self._samples = 0
@@ -106,7 +105,7 @@ class NetworkStateEstimator:
         self._delay = (
             inferred
             if self._delay is None
-            else (1 - self._smoothing) * self._delay + self._smoothing * inferred
+            else (1 - _SMOOTHING) * self._delay + _SMOOTHING * inferred
         )
         self._samples += 1
 
@@ -118,7 +117,7 @@ class NetworkStateEstimator:
         self._loss = (
             inferred
             if self._loss is None
-            else (1 - self._smoothing) * self._loss + self._smoothing * inferred
+            else (1 - _SMOOTHING) * self._loss + _SMOOTHING * inferred
         )
         self._samples += 1
 
@@ -154,7 +153,7 @@ class NetworkStateEstimator:
         self._loss = (
             inferred
             if self._loss is None
-            else (1 - self._smoothing) * self._loss + self._smoothing * inferred
+            else (1 - _SMOOTHING) * self._loss + _SMOOTHING * inferred
         )
         self._samples += 1
 
@@ -213,33 +212,32 @@ class IntervalObservation:
         return self.acknowledged / self.requests_sent
 
 
+#: An interval is silent when at most this fraction of its requests was
+#: acknowledged.
+_SILENCE_THRESHOLD = 0.1
+#: Silent intervals an open breaker waits before its half-open probe.
+_COOLDOWN_INTERVALS = 2
+
+
 class CircuitBreaker:
     """Interval-granularity circuit breaker over broker reachability.
 
-    ``closed`` is normal operation.  After ``failure_threshold``
-    consecutive silent intervals (requests sent, zero acks) the breaker
-    *opens*: the controller parks the producer on the safest configuration
-    instead of trusting predictions built from a dead link.  After
-    ``cooldown_intervals`` further silent intervals the breaker goes
-    *half-open*, letting the controller run one normal selection as a
-    probe; a healthy interval closes the breaker, another silent one
-    re-opens it.  Any healthy interval closes the breaker immediately from
-    every state.
+    ``closed`` is normal operation.  The first silent interval (requests
+    sent, at most 10 % of them acknowledged) *opens* the breaker: the
+    controller parks the producer on the safest configuration instead of
+    trusting predictions built from a dead link.  After two further silent
+    intervals the breaker goes *half-open*, letting the controller run one
+    normal selection as a probe; a healthy interval closes the breaker,
+    another silent one re-opens it.  Any healthy interval closes the
+    breaker immediately from every state.
     """
 
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, failure_threshold: int = 1, cooldown_intervals: int = 2) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if cooldown_intervals < 1:
-            raise ValueError("cooldown_intervals must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.cooldown_intervals = cooldown_intervals
+    def __init__(self) -> None:
         self.state = self.CLOSED
-        self.consecutive_failures = 0
         self.trips = 0
         self._open_intervals = 0
 
@@ -251,21 +249,14 @@ class CircuitBreaker:
     def record(self, healthy: bool) -> str:
         """Feed one interval's health observation; returns the new state."""
         if healthy:
-            self.consecutive_failures = 0
             self._open_intervals = 0
             self.state = self.CLOSED
-            return self.state
-        self.consecutive_failures += 1
-        if self.state == self.HALF_OPEN:
-            # The probe failed: straight back to parked.
-            self.state = self.OPEN
-            self._open_intervals = 0
-            self.trips += 1
         elif self.state == self.OPEN:
             self._open_intervals += 1
-            if self._open_intervals >= self.cooldown_intervals:
+            if self._open_intervals >= _COOLDOWN_INTERVALS:
                 self.state = self.HALF_OPEN
-        elif self.consecutive_failures >= self.failure_threshold:
+        else:
+            # Silent while closed, or the half-open probe failed: park.
             self.state = self.OPEN
             self._open_intervals = 0
             self.trips += 1
@@ -332,11 +323,9 @@ class Controller:
 
     * ``hysteresis`` — a restart must buy this much predicted γ;
     * ``min_hold_intervals`` — no reconfiguration sooner after the last;
-    * ``breaker`` — while open, park on ``parked_config``; and while the
-      search reads a degraded fallback tier, never switch to
+    * ``breaker`` — while open, park on :data:`PARKED_CONFIG`; and while
+      the search reads a degraded fallback tier, never switch to
       fire-and-forget, which would silence the acks the breaker watches.
-      An interval is silent when at most ``silence_threshold`` of its
-      requests were acknowledged.
     """
 
     def __init__(
@@ -349,15 +338,11 @@ class Controller:
         hysteresis: float = 0.0,
         min_hold_intervals: int = 1,
         breaker: Optional[CircuitBreaker] = None,
-        parked_config: ProducerConfig = PARKED_CONFIG,
-        silence_threshold: float = 0.1,
     ) -> None:
         if hysteresis < 0:
             raise ValueError("hysteresis must be non-negative")
         if min_hold_intervals < 1:
             raise ValueError("min_hold_intervals must be >= 1")
-        if not 0.0 <= silence_threshold < 1.0:
-            raise ValueError("silence_threshold must be in [0, 1)")
         self.predictor = predictor
         self.performance_model = (
             performance_model
@@ -370,8 +355,6 @@ class Controller:
         self.hysteresis = hysteresis
         self.min_hold_intervals = min_hold_intervals
         self.breaker = breaker
-        self.parked_config = parked_config
-        self.silence_threshold = silence_threshold
         self.estimator = NetworkStateEstimator(self.performance_model)
         self._intervals_since_change = min_hold_intervals
 
@@ -385,7 +368,7 @@ class Controller:
         """
         ratio = observation.ack_ratio
         if self.breaker is not None and ratio is not None:
-            self.breaker.record(healthy=ratio > self.silence_threshold)
+            self.breaker.record(healthy=ratio > _SILENCE_THRESHOLD)
         self.estimator.observe_transport(
             observation.segments_sent, observation.retransmissions
         )
@@ -436,7 +419,7 @@ class Controller:
         self, context: SelectionContext, current: ProducerConfig, confident: bool
     ) -> Tuple[ProducerConfig, str, Scored]:
         if self.breaker is not None and not self.breaker.allows_selection:
-            return self.parked_config, "parked", self._score(self.parked_config, context)
+            return PARKED_CONFIG, "parked", self._score(PARKED_CONFIG, context)
         if not confident:
             return current, "insufficient_signal", (None, None)
         if self._intervals_since_change < self.min_hold_intervals:

@@ -33,6 +33,9 @@ __all__ = [
     "scale_producers",
 ]
 
+#: Rounds of the coordinate search before it stops without a fixed point.
+_MAX_ROUNDS = 8
+
 #: One coordinate's axis during the search: its candidate values, the
 #: position of the entry config's value, and the candidates built and
 #: estimates fetched so far, both keyed by position.
@@ -154,7 +157,6 @@ def select_configuration(
     gamma_requirement: float = 0.8,
     start: Optional[ProducerConfig] = None,
     steps: Optional[ParameterSteps] = None,
-    max_rounds: int = 8,
 ) -> SelectionResult:
     """Stepwise coordinate search until γ meets the requirement.
 
@@ -162,7 +164,8 @@ def select_configuration(
     current value is moved one step at a time in the direction that
     improves the predicted γ, stopping at a local optimum for that
     coordinate.  The search exits as soon as the requirement is met (the
-    paper's criterion) or when a full round makes no move.
+    paper's criterion), when a full round makes no move, or after
+    ``_MAX_ROUNDS`` rounds.
 
     Estimates come in two stages, each one
     :meth:`~ReliabilityPredictor.predict_with_fallback_batch` call.  The
@@ -202,7 +205,7 @@ def select_configuration(
     # config, so a move clears them all; each move raises γ, so the walk
     # never comes back to a config whose entries were cleared.
     axes: Dict[str, _Axis] = {}
-    for _round in range(max_rounds):
+    for _round in range(_MAX_ROUNDS):
         moved = False
         for order, parameter in enumerate(parameters):
             if parameter not in axes:

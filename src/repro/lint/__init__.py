@@ -12,8 +12,9 @@ statically, before a change ever reaches the test suite:
 * no iteration over hash-ordered containers or ``PYTHONHASHSEED``-
   dependent ``hash()`` on paths that feed seeds, traces or serialized
   reports,
-* no unsorted JSON serialization, float ``==``, mutable default
-  arguments, or unpicklable closures handed to a process pool.
+* no unsorted JSON serialization, float ``==``, or unpicklable
+  closures handed to a process pool (ruff's bugbear rule B006 covers
+  mutable default arguments).
 
 Each rule in the fixed tuple ``RULES`` runs on every scanned file in
 its scope.  Inline ``# repro: allow[REPRO105]`` is the only way to

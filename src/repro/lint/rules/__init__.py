@@ -3,7 +3,7 @@
 from typing import Tuple
 
 from .base import DETERMINISTIC_PACKAGES, LintContext, Rule
-from .correctness import FloatEqualityRule, MutableDefaultRule, SpawnClosureRule
+from .correctness import FloatEqualityRule, SpawnClosureRule
 from .determinism import (
     BuiltinHashRule,
     FsOrderRule,
@@ -25,7 +25,6 @@ RULES: Tuple[Rule, ...] = (
     FsOrderRule(),
     RawGeneratorRule(),
     FloatEqualityRule(),
-    MutableDefaultRule(),
     SpawnClosureRule(),
 )
 

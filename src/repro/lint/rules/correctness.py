@@ -1,4 +1,4 @@
-"""Correctness rules: float equality, mutable defaults, pool closures."""
+"""Correctness rules: float equality and pool closures."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from .base import LintContext, Rule
 
 __all__ = [
     "FloatEqualityRule",
-    "MutableDefaultRule",
     "SpawnClosureRule",
 ]
 
@@ -69,60 +68,6 @@ class FloatEqualityRule(Rule):
                         "math.isclose or an explicit tolerance",
                     )
                     return
-
-
-class MutableDefaultRule(Rule):
-    """REPRO202: mutable default argument values.
-
-    A ``def f(x, acc=[])`` default is created once and shared by every
-    call — state leaks across experiments and across test runs.  Use
-    ``None`` plus an in-body default, or ``dataclasses.field`` with a
-    factory.
-    """
-
-    id = "REPRO202"
-    name = "mutable-default"
-    description = "mutable default argument (list/dict/set literal or call)"
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-    _MUTABLE_CALLS = {
-        "list", "dict", "set", "bytearray", "deque", "defaultdict",
-        "OrderedDict", "Counter",
-    }
-
-    def _is_mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            return name in self._MUTABLE_CALLS
-        return False
-
-    def check(
-        self,
-        node: Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda],
-        ctx: LintContext,
-    ) -> Iterator[Finding]:
-        defaults = list(node.args.defaults) + [
-            default
-            for default in node.args.kw_defaults
-            if default is not None
-        ]
-        for default in defaults:
-            if self._is_mutable(default):
-                label = getattr(node, "name", "<lambda>")
-                yield self.finding(
-                    default, ctx,
-                    f"mutable default in '{label}' is shared across "
-                    f"calls; default to None (or a dataclass field "
-                    f"factory) and build it in the body",
-                )
 
 
 class SpawnClosureRule(Rule):

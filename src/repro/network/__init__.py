@@ -23,7 +23,7 @@ from .trace import (
     TracePoint,
     generate_paper_trace,
 )
-from .transport import ReliableChannel, SendFailure, TransportConfig, TransportStats
+from .transport import ReliableChannel, SendFailure, TransportStats
 
 __all__ = [
     "FaultInjector",
@@ -52,6 +52,5 @@ __all__ = [
     "generate_paper_trace",
     "ReliableChannel",
     "SendFailure",
-    "TransportConfig",
     "TransportStats",
 ]

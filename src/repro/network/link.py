@@ -160,10 +160,11 @@ class Link:
         self.forward = LinkDirection(
             rng, shared, capacity_bps, latency, loss, max_queue_delay_s
         )
-        # The reverse direction gets its own loss-model instance when the
-        # model is stateful; sharing a Gilbert-Elliott chain across
-        # directions would couple their burst phases artificially.  The
-        # caller may overwrite ``reverse.loss`` for full control.
+        # Both directions start with the same ``latency`` and ``loss``
+        # objects, so a stateful loss model passed here is one
+        # Gilbert-Elliott chain whose burst phases both directions share.
+        # ``FaultInjector.inject`` builds one loss model per direction;
+        # assign ``reverse.loss`` to decouple them by hand.
         self.reverse = LinkDirection(
             rng, shared, capacity_bps, latency, loss, max_queue_delay_s
         )

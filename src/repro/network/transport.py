@@ -32,7 +32,8 @@ from .link import FORWARD, Link, REVERSE
 from .packet import ACK_PACKET_BYTES, DEFAULT_MTU, Packet, PacketKind, WIRE_HEADER_BYTES
 
 __all__ = [
-    "TransportConfig",
+    "SEGMENT_PAYLOAD_BYTES",
+    "MAX_RETRANSMITS",
     "TransportStats",
     "ReliableChannel",
     "SendFailure",
@@ -44,38 +45,19 @@ _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
 
 
-@dataclass
-class TransportConfig:
-    """Tunables of the TCP-like transport.
-
-    Attributes
-    ----------
-    mtu:
-        Maximum payload bytes per packet (excluding the wire header).
-    initial_rto_s:
-        Retransmission timeout before any RTT measurement exists.
-    min_rto_s / max_rto_s:
-        Clamp on the adaptive RTO.
-    rto_backoff:
-        Multiplicative RTO backoff per retransmission of a segment.
-    max_retransmits:
-        Retransmissions per segment before the whole message send fails.
-    """
-
-    mtu: int = DEFAULT_MTU
-    initial_rto_s: float = 0.3
-    min_rto_s: float = 0.2
-    max_rto_s: float = 4.0
-    rto_backoff: float = 2.0
-    max_retransmits: int = 5
-
-    def __post_init__(self) -> None:
-        if self.mtu <= WIRE_HEADER_BYTES:
-            raise ValueError("mtu must exceed the wire header size")
-        if self.max_retransmits < 0:
-            raise ValueError("max_retransmits must be non-negative")
-        if not (0 < self.min_rto_s <= self.initial_rto_s <= self.max_rto_s):
-            raise ValueError("require 0 < min_rto <= initial_rto <= max_rto")
+#: Payload bytes per packet: the MTU less the wire header.  The
+#: performance model (``performance/queueing.py``) segments requests the
+#: same way.
+SEGMENT_PAYLOAD_BYTES = DEFAULT_MTU - WIRE_HEADER_BYTES
+#: Retransmission timeout before any RTT measurement exists.
+_INITIAL_RTO_S = 0.3
+#: Clamp on the adaptive retransmission timeout.
+_MIN_RTO_S = 0.2
+_MAX_RTO_S = 4.0
+#: Multiplicative RTO backoff per retransmission of a segment (Karn).
+_RTO_BACKOFF = 2.0
+#: Retransmissions per segment before the whole message send fails.
+MAX_RETRANSMITS = 5
 
 
 @dataclass
@@ -183,7 +165,7 @@ class _DirectionEndpoint:
         "stats",
     )
 
-    def __init__(self, reverse: str, initial_rto_s: float) -> None:
+    def __init__(self, reverse: str) -> None:
         self.reverse = reverse
         self.on_data: Callable[[Packet], None]
         self.on_ack: Callable[[Packet], None]
@@ -194,7 +176,7 @@ class _DirectionEndpoint:
         self.receiver: Optional[Callable[[Any, int], None]] = None
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
-        self.rto = initial_rto_s
+        self.rto = _INITIAL_RTO_S
         self.min_rtt: Optional[float] = None
         self.stats = TransportStats()
 
@@ -214,17 +196,13 @@ class ReliableChannel:
         self,
         sim: Simulator,
         link: Link,
-        config: Optional[TransportConfig] = None,
         telemetry=None,
     ) -> None:
         self._sim = sim
         self._link = link
-        self.config = config if config is not None else TransportConfig()
-        # The clamped initial RTO; ``_on_ack`` recomputes it per RTT sample.
-        rto = min(max(self.config.initial_rto_s, self.config.min_rto_s), self.config.max_rto_s)
         self._endpoints: Dict[str, _DirectionEndpoint] = {}
         for direction, reverse in ((FORWARD, REVERSE), (REVERSE, FORWARD)):
-            endpoint = _DirectionEndpoint(reverse, rto)
+            endpoint = _DirectionEndpoint(reverse)
             endpoint.on_data = partial(self._on_data, endpoint)
             endpoint.on_ack = partial(self._on_ack, endpoint)
             self._endpoints[direction] = endpoint
@@ -293,8 +271,7 @@ class ReliableChannel:
         sim = self._sim
         now = sim.now
         message_id = next(sim.message_ids)
-        payload_per_segment = self.config.mtu - WIRE_HEADER_BYTES
-        total_segments = -(-size_bytes // payload_per_segment)
+        total_segments = -(-size_bytes // SEGMENT_PAYLOAD_BYTES)
         message = _OutstandingMessage(
             message_id, payload, size_bytes, total_segments, on_delivered, on_failed, now
         )
@@ -324,7 +301,7 @@ class ReliableChannel:
             return message_id
         remaining = size_bytes
         for index in range(total_segments):
-            seg_payload = min(payload_per_segment, remaining)
+            seg_payload = min(SEGMENT_PAYLOAD_BYTES, remaining)
             remaining -= seg_payload
             self._transmit_segment(direction, message, index, seg_payload + WIRE_HEADER_BYTES, 0)
         return message_id
@@ -368,8 +345,7 @@ class ReliableChannel:
         # Exponential backoff per retransmission (Karn).
         rto = endpoint.rto
         if attempt > 0:
-            config = self.config
-            rto = min(rto * (config.rto_backoff**attempt), config.max_rto_s * 4)
+            rto = min(rto * (_RTO_BACKOFF**attempt), _MAX_RTO_S * 4)
         message.timers[index] = self._sim.schedule(
             rto, self._on_rto, direction, message, index, wire_bytes, attempt
         )
@@ -384,7 +360,7 @@ class ReliableChannel:
     ) -> None:
         if message.failed or message.delivered or index in message.acked:
             return
-        if attempt + 1 > self.config.max_retransmits:
+        if attempt + 1 > MAX_RETRANSMITS:
             self._fail(direction, message, SendFailure.RETRIES_EXHAUSTED)
             return
         self._transmit_segment(direction, message, index, wire_bytes, attempt + 1)
@@ -467,8 +443,7 @@ class ReliableChannel:
                 rttvar = endpoint.rttvar = 0.75 * endpoint.rttvar + 0.25 * abs(srtt - sample)
                 srtt = endpoint.srtt = 0.875 * srtt + 0.125 * sample
             # Jacobson RTO: SRTT + 4·RTTVAR, clamped.
-            config = self.config
-            endpoint.rto = min(max(srtt + 4.0 * rttvar, config.min_rto_s), config.max_rto_s)
+            endpoint.rto = min(max(srtt + 4.0 * rttvar, _MIN_RTO_S), _MAX_RTO_S)
         if not complete:
             return
         message.delivered = True

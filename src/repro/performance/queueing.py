@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from typing import Dict, NamedTuple, Tuple
 
 from ..kafka.config import BrokerConfig, HardwareProfile, ProducerConfig
-from ..network.packet import ACK_PACKET_BYTES, DEFAULT_MTU, WIRE_HEADER_BYTES
+from ..network.packet import ACK_PACKET_BYTES, WIRE_HEADER_BYTES
+from ..network.transport import SEGMENT_PAYLOAD_BYTES
 
 __all__ = ["PerformanceEstimate", "ProducerPerformanceModel"]
-
-#: Application bytes one TCP segment carries.
-_SEGMENT_PAYLOAD_BYTES = DEFAULT_MTU - WIRE_HEADER_BYTES
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class ProducerPerformanceModel:
         """
         hardware = self.hardware
         application_bytes = message_bytes * batch_size + hardware.request_overhead_bytes
-        segments = max(1, -(-application_bytes // _SEGMENT_PAYLOAD_BYTES))
+        segments = max(1, -(-application_bytes // SEGMENT_PAYLOAD_BYTES))
         wire = application_bytes + segments * WIRE_HEADER_BYTES
         total = wire + segments * ACK_PACKET_BYTES
         if waits_for_ack:

@@ -308,11 +308,9 @@ class DeliveryTracker(ProducerListener):
         codes[key] = code | _ACKED
         self.ack_latencies.append(rtt_s)
 
-    def on_perceived_lost(self, record: ProducerRecord) -> None:
-        key = record.key
-        code = self._seen(key)
-        if code & _STATE_MASK == _READY:
-            self._apply(key, code, _II)
+    # Giving up on a record takes the same edge as dropping it: a message
+    # still Ready is lost (II); any other state is the cluster's to change.
+    on_perceived_lost = on_queue_drop
 
     # --------------------------------------------------- cluster's truth
 

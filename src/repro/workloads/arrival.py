@@ -89,6 +89,8 @@ class FullLoadSource(SourceDriver):
 
     Parameters beyond :class:`SourceDriver`:
 
+    hardware:
+        Used for the burst pattern and the peak rate.
     waits_for_ack:
         Whether the producer's semantics processes broker responses; an
         acks-handling producer ingests slower at full load (the
@@ -113,10 +115,10 @@ class FullLoadSource(SourceDriver):
     def _burst_length(self) -> int:
         mean_messages = self._hardware.source_burst_on_s * self._peak_rate
         spread = 0.8 + (1.2 - 0.8) * self._rng.random()
-        length = int(round(spread * max(1.0, mean_messages)))
-        return max(1, length)
+        return max(1, int(round(spread * max(1.0, mean_messages))))
 
     def _next_interval(self) -> float:
+        """The on/off burst process: time until the next record is read."""
         base = 1.0 / self._peak_rate
         self._burst_remaining -= 1
         if self._burst_remaining <= 0:
@@ -127,10 +129,10 @@ class FullLoadSource(SourceDriver):
         return base * (0.85 + (1.15 - 0.85) * self._rng.random())
 
 
-class PolledSource(SourceDriver):
+class PolledSource(FullLoadSource):
     """Polling throttle: at most one record per interval δ (λ ≤ 1/δ).
 
-    The upstream data is still produced by the bursty source process; a
+    The upstream data is still produced by the full-load burst process; a
     poll that lands while no data is pending returns empty (the producer
     sleeps another δ).  Data pending but not yet polled accumulates
     upstream, so polling *smooths* bursts at the price of added latency —
@@ -154,24 +156,17 @@ class PolledSource(SourceDriver):
         polling_interval_s: float,
         hardware: Optional[HardwareProfile] = None,
     ) -> None:
-        super().__init__(sim, producer, count, payload_bytes, rng)
         if polling_interval_s <= 0:
             raise ValueError(
                 "polling_interval_s must be positive; use FullLoadSource for δ=0"
             )
-        self._delta = polling_interval_s
-        self._hardware = hardware if hardware is not None else HardwareProfile()
         # Polling producers spend their idle time sleeping, not handling
         # acks, so the upstream peak rate is the raw I/O rate.
-        self._peak_rate = self._hardware.full_load_rate(payload_bytes, False)
+        hardware = hardware if hardware is not None else HardwareProfile()
+        super().__init__(sim, producer, count, payload_bytes, rng, hardware, False)
+        self._delta = polling_interval_s
         self._pending = 0
         self._generated = 0
-        self._burst_remaining = self._upstream_burst_length()
-
-    def _upstream_burst_length(self) -> int:
-        mean_messages = self._hardware.source_burst_on_s * self._peak_rate
-        spread = 0.8 + (1.2 - 0.8) * self._rng.random()
-        return max(1, int(round(spread * max(1.0, mean_messages))))
 
     def start(self) -> None:
         self._sim.schedule(0.0, self._generate)
@@ -183,14 +178,7 @@ class PolledSource(SourceDriver):
             return
         self._generated += 1
         self._pending += 1
-        base = 1.0 / self._peak_rate
-        self._burst_remaining -= 1
-        if self._burst_remaining <= 0:
-            self._burst_remaining = self._upstream_burst_length()
-            base += self._hardware.source_burst_off_s * (0.7 + (1.3 - 0.7) * self._rng.random())
-        else:
-            base *= 0.85 + (1.15 - 0.85) * self._rng.random()
-        self._sim.schedule(base, self._generate)
+        self._sim.schedule(self._next_interval(), self._generate)
 
     def _poll(self) -> None:
         """The producer's δ-periodic acquisition call."""

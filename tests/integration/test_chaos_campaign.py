@@ -14,8 +14,7 @@ from repro.chaos import (
     flap_burst_schedule,
     run_campaign,
 )
-from repro.kpi import PARKED_CONFIG, CircuitBreaker, Controller
-from repro.models import ReliabilityPredictor
+from repro.kpi import PARKED_CONFIG
 
 SEED = 7
 
@@ -129,29 +128,3 @@ class TestCampaignOptions:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             run_campaign(compose("one", blackout_phase()), policy="yolo")
-
-    def test_controller_rejected_under_static_policy(self):
-        controller = Controller(ReliabilityPredictor(), breaker=CircuitBreaker())
-        with pytest.raises(ValueError, match="controller"):
-            run_campaign(
-                compose("one", blackout_phase()), policy="static", controller=controller
-            )
-
-    def test_predictor_contradicting_controller_rejected(self):
-        controller = Controller(ReliabilityPredictor(), breaker=CircuitBreaker())
-        with pytest.raises(ValueError, match="not both"):
-            run_campaign(
-                compose("one", blackout_phase()),
-                policy="degraded",
-                controller=controller,
-                predictor=ReliabilityPredictor(),
-            )
-        # The controller's own predictor is not a contradiction.
-        report = run_campaign(
-            compose("one", blackout_phase()),
-            policy="degraded",
-            controller=controller,
-            predictor=controller.predictor,
-            messages_cap_per_phase=20,
-        )
-        assert len(report.phases) == 1

@@ -37,38 +37,39 @@ def make_vector(semantics=DeliverySemantics.AT_LEAST_ONCE):
 
 
 class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_intervals=0)
-
     def test_opens_after_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        assert breaker.record(healthy=False) == CircuitBreaker.CLOSED
+        # The threshold is one interval: the first silent one opens it.
+        breaker = CircuitBreaker()
+        assert breaker.allows_selection
         assert breaker.record(healthy=False) == CircuitBreaker.OPEN
         assert breaker.trips == 1
         assert not breaker.allows_selection
 
     def test_cooldown_reaches_half_open_probe(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_intervals=2)
+        breaker = CircuitBreaker()
         breaker.record(healthy=False)  # open
         assert breaker.record(healthy=False) == CircuitBreaker.OPEN
         assert breaker.record(healthy=False) == CircuitBreaker.HALF_OPEN
         assert breaker.allows_selection
 
     def test_failed_probe_reopens_counting_a_trip(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_intervals=1)
-        breaker.record(healthy=False)  # open
-        breaker.record(healthy=False)  # half-open
+        breaker = CircuitBreaker()
+        for _ in range(3):
+            breaker.record(healthy=False)  # open, open, half-open
         assert breaker.record(healthy=False) == CircuitBreaker.OPEN
         assert breaker.trips == 2
+        # The cooldown starts over: two more silent intervals to the probe.
+        assert breaker.record(healthy=False) == CircuitBreaker.OPEN
+        assert breaker.record(healthy=False) == CircuitBreaker.HALF_OPEN
 
     def test_any_healthy_interval_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1)
+        breaker = CircuitBreaker()
         breaker.record(healthy=False)
         assert breaker.record(healthy=True) == CircuitBreaker.CLOSED
-        assert breaker.consecutive_failures == 0
+        assert breaker.allows_selection
+        # Closed again: the next silent interval re-opens at once.
+        assert breaker.record(healthy=False) == CircuitBreaker.OPEN
+        assert breaker.trips == 2
 
 
 class TestIntervalObservation:
@@ -131,8 +132,6 @@ class TestDegradedModeController:
             self.controller(hysteresis=-0.1)
         with pytest.raises(ValueError):
             self.controller(min_hold_intervals=0)
-        with pytest.raises(ValueError):
-            self.controller(silence_threshold=1.0)
 
     def test_silence_parks_on_safe_config(self):
         controller = self.controller()

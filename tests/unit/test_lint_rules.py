@@ -26,7 +26,6 @@ RULE_FIXTURES = {
     "REPRO106": ("fs_order", "repro.testbed.fake", 2),
     "REPRO107": ("raw_generator", "repro.network.fake", 5),
     "REPRO201": ("float_equality", "repro.kpi.fake", 3),
-    "REPRO202": ("mutable_default", "repro.models.fake", 3),
     "REPRO203": ("spawn_closure", "repro.testbed.fake", 2),
 }
 

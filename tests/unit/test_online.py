@@ -72,10 +72,11 @@ class TestEstimator:
         assert estimator.estimate().loss_rate == pytest.approx(0.15)
 
     def test_ewma_smooths_observations(self):
-        estimator = NetworkStateEstimator(smoothing=0.5)
+        # Each observation carries weight 0.6: 0.4 * 0 + 0.6 * 0.4.
+        estimator = NetworkStateEstimator()
         estimator.observe_transport(100, 0)
         estimator.observe_transport(100, 40)
-        assert estimator.estimate().loss_rate == pytest.approx(0.2)
+        assert estimator.estimate().loss_rate == pytest.approx(0.24)
 
     def test_zero_segments_ignored(self):
         estimator = NetworkStateEstimator()
@@ -85,10 +86,6 @@ class TestEstimator:
     def test_negative_rtt_rejected(self):
         with pytest.raises(ValueError):
             NetworkStateEstimator().observe_rtt(-1.0, 200, 1)
-
-    def test_smoothing_validation(self):
-        with pytest.raises(ValueError):
-            NetworkStateEstimator(smoothing=0.0)
 
     def test_confidence_threshold(self):
         estimator = NetworkStateEstimator()

@@ -8,10 +8,12 @@ from repro.kafka import (
     KafkaCluster,
     KafkaProducer,
     ProducerConfig,
+    ProducerListener,
     ProducerRecord,
     reconcile,
 )
 from repro.network import ConstantLatency, Link, ReliableChannel
+from repro.observability.telemetry import RunTelemetry, TelemetryConfig
 from repro.simulation import RngRegistry, Simulator
 
 
@@ -186,3 +188,92 @@ class TestJitterScenario:
         assert captured
         assert captured[0].jitter_s == 0.02
         assert captured[0].delay_s == 0.05
+
+
+class TestExpirySites:
+    """Each place the producer gives up on a record past its delivery timeout.
+
+    Every give-up counts in exactly one of ``expired_in_queue`` and
+    ``expired_after_send``, reports the same ``after_send`` flag to the
+    listener and writes one ``expired`` trace record.
+    """
+
+    class Listener(ProducerListener):
+        def __init__(self):
+            self.expired = []
+
+        def on_expired(self, record, after_send):
+            self.expired.append((record.key, after_send))
+
+    def run(self, config, payloads, delay=0.001, brokers_down=False):
+        sim = Simulator()
+        cluster = KafkaCluster(sim)
+        topic = cluster.create_topic("t", partitions=1)
+        link = Link(sim, RngRegistry(9).stream("link"), latency=ConstantLatency(delay))
+        if brokers_down:
+            # Requests reach the cluster but no response ever comes back.
+            for broker_id in cluster.broker_ids:
+                cluster.set_broker_availability(broker_id, False)
+        telemetry = RunTelemetry(TelemetryConfig())
+        listener = self.Listener()
+        producer = KafkaProducer(
+            sim, cluster, ReliableChannel(sim, link), topic,
+            config=config, listener=listener, telemetry=telemetry,
+        )
+        for payload in payloads:
+            producer.offer(ProducerRecord(payload_bytes=payload))
+        producer.finish_input()
+        sim.run()
+        assert producer.done
+        traced = [
+            (r["key"], r["after_send"], r["t"])
+            for r in telemetry.tracer.records()
+            if r["kind"] == "expired"
+        ]
+        return producer.stats, listener.expired, traced
+
+    def test_queue_head(self):
+        # One request in flight at a time and a 0.6 s round trip: the
+        # second record waits behind the first past its 0.5 s timeout.
+        config = ProducerConfig(
+            max_in_flight=1, message_timeout_s=0.5, request_timeout_s=2.0
+        )
+        stats, expired, traced = self.run(config, [100, 100], delay=0.3)
+        assert (stats.expired_in_queue, stats.expired_after_send) == (1, 0)
+        assert stats.acknowledged == 1
+        assert expired == [(1, False)]
+        assert traced == [(1, False, 0.5)]
+
+    def test_dispatch(self):
+        # The lookahead prices a full batch of the 100 B head; the 50 kB
+        # record behind it makes serialisation outlast both timeouts.
+        config = ProducerConfig(batch_size=2, linger_s=0.01, message_timeout_s=0.2)
+        stats, expired, traced = self.run(config, [100, 50_000])
+        assert (stats.expired_in_queue, stats.expired_after_send) == (2, 0)
+        assert stats.requests_sent == 0
+        assert expired == [(0, False), (1, False)]
+        assert [(key, after) for key, after, _ in traced] == expired
+        assert all(t > 0.2 for _, _, t in traced)
+
+    def test_request_failure(self):
+        # The request timer fires after the record's delivery timeout.
+        config = ProducerConfig(message_timeout_s=0.3, request_timeout_s=0.5)
+        stats, expired, traced = self.run(config, [100], brokers_down=True)
+        assert (stats.expired_in_queue, stats.expired_after_send) == (0, 1)
+        assert (stats.requests_sent, stats.request_retries) == (1, 0)
+        assert expired == [(0, True)]
+        assert [(key, after) for key, after, _ in traced] == expired
+        assert traced[0][2] > 0.5
+
+    def test_retry_time(self):
+        # The request fails in time for a retry, but the backoff outlasts
+        # the delivery timeout, so the retry finds the record expired.
+        config = ProducerConfig(
+            message_timeout_s=0.3, request_timeout_s=0.1, retry_backoff_s=0.5
+        )
+        stats, expired, traced = self.run(config, [100], brokers_down=True)
+        assert (stats.expired_in_queue, stats.expired_after_send) == (0, 1)
+        assert (stats.requests_sent, stats.request_retries) == (1, 0)
+        assert expired == [(0, True)]
+        assert [(key, after) for key, after, _ in traced] == expired
+        assert traced[0][2] > 0.6

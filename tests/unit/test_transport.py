@@ -12,17 +12,17 @@ from repro.network import (
     REVERSE,
     ReliableChannel,
     SendFailure,
-    TransportConfig,
 )
+from repro.network.transport import MAX_RETRANSMITS
 from repro.simulation import Simulator
 
 
-def make_channel(loss_rate=0.0, capacity=1e6, delay=0.001, config=None, seed=5):
+def make_channel(loss_rate=0.0, capacity=1e6, delay=0.001, seed=5):
     sim = Simulator()
     rng = np.random.default_rng(seed)
     loss = BernoulliLoss(loss_rate) if loss_rate else NoLoss()
     link = Link(sim, rng, capacity_bps=capacity, latency=ConstantLatency(delay), loss=loss)
-    channel = ReliableChannel(sim, link, config)
+    channel = ReliableChannel(sim, link)
     return sim, link, channel
 
 
@@ -66,15 +66,21 @@ def test_lossy_link_recovers_via_retransmission():
 
 
 def test_retries_exhausted_reports_failure():
-    config = TransportConfig(max_retransmits=1)
-    sim, _, channel = make_channel(loss_rate=0.97, config=config, seed=11)
+    # At 90 % loss a segment often goes unacknowledged through all
+    # MAX_RETRANSMITS retransmissions; without a deadline that is the only
+    # way a send fails.
+    sim, _, channel = make_channel(loss_rate=0.9, seed=11)
     failures = []
-    channel.send(
-        FORWARD, 400, payload="doomed",
-        on_failed=lambda payload, reason: failures.append(reason),
-    )
+    for index in range(10):
+        channel.send(
+            FORWARD, 400, payload=index,
+            on_failed=lambda payload, reason: failures.append(reason),
+        )
     sim.run()
-    assert failures == [SendFailure.RETRIES_EXHAUSTED]
+    assert failures
+    assert set(failures) == {SendFailure.RETRIES_EXHAUSTED}
+    assert channel.stats(FORWARD).messages_failed == len(failures)
+    assert channel.stats(FORWARD).retransmissions >= len(failures) * MAX_RETRANSMITS
 
 
 def test_deadline_aborts_send():
@@ -145,15 +151,6 @@ def test_size_must_be_positive():
     _, _, channel = make_channel()
     with pytest.raises(ValueError):
         channel.send(FORWARD, 0)
-
-
-def test_transport_config_validation():
-    with pytest.raises(ValueError):
-        TransportConfig(mtu=10)
-    with pytest.raises(ValueError):
-        TransportConfig(min_rto_s=1.0, initial_rto_s=0.5)
-    with pytest.raises(ValueError):
-        TransportConfig(max_retransmits=-1)
 
 
 def test_unknown_direction_rejected():
