@@ -1,6 +1,6 @@
 """Command-line interface for the reproduction toolkit.
 
-Six subcommands cover the paper's workflow:
+Five subcommands cover the paper's workflow:
 
 ``repro experiment``
     Run one testbed experiment and print the measured reliability.
@@ -22,10 +22,6 @@ Six subcommands cover the paper's workflow:
 ``repro inspect``
     Load a ``--trace-file`` JSONL trace, replay it through the invariant
     checker and print a summary; exits non-zero on any violation.
-``repro lint``
-    Run the determinism & correctness static-analysis rules over the
-    source tree; exits non-zero on any unsuppressed finding, and
-    ``--out`` writes the JSON report (see DESIGN.md §9).
 
 Installed as the ``repro`` console script; also runnable via
 ``python -m repro.cli``.
@@ -48,7 +44,6 @@ from .observability import (
     trace_violations,
 )
 from .kafka import DEFAULT_PRODUCER_CONFIG, DeliverySemantics, ProducerConfig
-from .lint import cli as lint_cli
 from .kpi import DynamicConfigurationController, KpiWeights, run_traced_experiment
 from .models import ModelRegistry, TrainingSettings, train_reliability_model
 from .network import generate_paper_trace
@@ -217,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inspect.add_argument("trace_file", metavar="TRACE_FILE",
                          help="JSONL trace written by 'repro experiment --trace-file'")
-
-    lint = sub.add_parser(
-        "lint", help="run the determinism & correctness lint rules"
-    )
-    lint_cli.configure_parser(lint)
     return parser
 
 
@@ -481,7 +471,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "dynamic": _cmd_dynamic,
         "chaos": _cmd_chaos,
         "inspect": _cmd_inspect,
-        "lint": lint_cli.run,
     }
     try:
         return handlers[args.command](args)

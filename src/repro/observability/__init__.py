@@ -13,9 +13,9 @@ instead of a black box that prints one ``(P_l, P_d)`` pair:
   live :class:`RunTelemetry` an experiment builds from it, including the
   run manifest (scenario fingerprint, seed, code-version salt, wall
   time, trace/metric digests, delivery accounting).
-* :mod:`repro.observability.invariants` — conservation laws checked
-  against manifests and replayed traces; ``repro inspect`` and the test
-  suite build on :func:`verify_trace`.
+* :mod:`repro.observability.invariants` — conservation laws, which
+  every experiment checks as it finishes, and the trace replay that
+  ``repro inspect`` and traced runs build on (:func:`verify_trace`).
 
 Quick start::
 

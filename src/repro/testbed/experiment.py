@@ -228,8 +228,21 @@ class Experiment:
             ingest_times=self.tracker.ingest_times,
             timeliness_s=scenario.timeliness_s,
         )
-        report.check_conservation()
         census = self.tracker.census()
+        persisted_but_unacked = self.tracker.persisted_but_unacked()
+        counts = dict(
+            produced=report.produced,
+            delivered_unique=report.delivered_unique,
+            lost=report.lost,
+            duplicated=report.duplicated,
+            persisted_but_unacked=persisted_but_unacked,
+            case_counts=census.as_flat_counts(),
+            unresolved=census.unresolved,
+            heap=self.sim.heap_integrity(),
+        )
+        # The census and the reconciliation count every record twice, from
+        # the producer's view and from the topic; the two must agree.
+        verify_manifest(counts)
         case_fractions = {
             ExperimentResult.case_key(case): census.fraction(case)
             for case in DeliveryCase
@@ -240,7 +253,7 @@ class Experiment:
         delivered = report.delivered_unique
         manifest = None
         if self.telemetry is not None:
-            manifest = self._finish_telemetry(report, census, duration, wall_start)
+            manifest = self._finish_telemetry(counts, report, duration, wall_start)
         result = ExperimentResult(
             message_bytes=scenario.message_bytes,
             timeliness_s=scenario.timeliness_s,
@@ -255,7 +268,7 @@ class Experiment:
             p_duplicate=report.p_duplicate,
             p_stale=report.p_stale,
             case_fractions=case_fractions,
-            persisted_but_unacked=self.tracker.persisted_but_unacked(),
+            persisted_but_unacked=persisted_but_unacked,
             duplicate_copies=report.duplicate_copies,
             mean_ack_latency_s=(
                 float(np.mean(ack_latencies)) if ack_latencies else None
@@ -278,8 +291,8 @@ class Experiment:
         result.manifest = manifest
         return result
 
-    def _finish_telemetry(self, report, census, duration, wall_start) -> dict:
-        """Snapshot stats into metrics, build the manifest, check invariants."""
+    def _finish_telemetry(self, counts, report, duration, wall_start) -> dict:
+        """Snapshot stats into metrics, build the manifest, replay the trace."""
         telemetry = self.telemetry
         metrics = telemetry.metrics
         scenario = self.scenario
@@ -319,10 +332,9 @@ class Experiment:
             metrics.gauge(f"broker.{broker_id}.requests_handled").set(
                 broker.requests_handled
             )
-        case_counts = census.as_flat_counts()
-        for name, count in case_counts.items():
+        for name, count in counts["case_counts"].items():
             metrics.counter(f"census.{name}").inc(count)
-        metrics.counter("census.unresolved").inc(census.unresolved)
+        metrics.counter("census.unresolved").inc(counts["unresolved"])
         metrics.counter("reconciliation.produced").inc(report.produced)
         metrics.counter("reconciliation.delivered_unique").inc(report.delivered_unique)
         metrics.counter("reconciliation.lost").inc(report.lost)
@@ -333,27 +345,22 @@ class Experiment:
             scenario_fingerprint=scenario_fingerprint(scenario, default_salt()),
             seed=scenario.seed,
             salt=default_salt(),
-            produced=report.produced,
-            delivered_unique=report.delivered_unique,
-            lost=report.lost,
-            duplicated=report.duplicated,
             duplicate_copies=report.duplicate_copies,
-            persisted_but_unacked=self.tracker.persisted_but_unacked(),
-            case_counts=case_counts,
-            unresolved=census.unresolved,
             events_processed=self.sim.events_processed,
             sim_duration_s=duration,
-            heap=self.sim.heap_integrity(),
             wall_time_s=time.perf_counter() - wall_start,
+            **counts,
         )
-        if telemetry.config.check_invariants:
-            tracer = telemetry.tracer
-            if tracer is not None and isinstance(tracer.sink, RingBufferSink):
-                verify_trace(tracer.records(), manifest)
-            else:
-                # File sinks are verified offline via ``repro inspect``:
-                # the handle is still open for writing here.
-                verify_manifest(manifest)
+        tracer = telemetry.tracer
+        # ``run`` already checked the conservation laws.  File sinks are
+        # replayed offline via ``repro inspect``: the handle is still open
+        # for writing here.
+        if (
+            telemetry.config.check_invariants
+            and tracer is not None
+            and isinstance(tracer.sink, RingBufferSink)
+        ):
+            verify_trace(tracer.records(), manifest)
         telemetry.finalize()
         return manifest
 

@@ -2,11 +2,11 @@
 
 Python randomises ``str``/``bytes`` hashing per process unless
 ``PYTHONHASHSEED`` is pinned, so any set/dict-order leak into a
-serialized artifact shows up as run-to-run byte drift.  The lint rules
-(REPRO103/104) forbid the patterns statically; this test closes the
-loop dynamically by rendering the same capped chaos campaign in two
-subprocesses with *different* hash seeds and comparing the report
-bytes.  CI additionally pins ``PYTHONHASHSEED`` in the tier-1 and
+serialized artifact shows up as run-to-run byte drift.  This test
+renders the same capped chaos campaign in two subprocesses with
+*different* hash seeds and compares the report bytes, so an unsorted
+set iteration or ``hash()`` of a string on the campaign's path fails
+here (DESIGN.md §9).  CI additionally pins ``PYTHONHASHSEED`` in the tier-1 and
 chaos-smoke jobs so a regression cannot hide behind a lucky seed.
 """
 

@@ -25,7 +25,7 @@ def test_scaling_relieves_overload():
 
 def test_fleet_conserves_all_keys():
     result = run_experiment(BASE.with_(message_count=900), producers=3)
-    # check_conservation ran inside; produced must equal the request.
+    # The conservation laws ran inside; produced must equal the request.
     assert result.produced == 900
 
 

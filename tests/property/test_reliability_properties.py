@@ -32,7 +32,7 @@ scenario_strategy = st.builds(
 @given(scenario_strategy)
 @settings(max_examples=20, deadline=None)
 def test_reconciliation_conserves_messages(scenario):
-    result = run_experiment(scenario)  # internally runs check_conservation()
+    result = run_experiment(scenario)  # internally checks the conservation laws
     assert 0.0 <= result.p_loss <= 1.0
     assert 0.0 <= result.p_duplicate <= 1.0
     assert result.p_loss + result.p_duplicate <= 1.0 + 1e-9

@@ -83,6 +83,26 @@ class TestConservation:
         assert conservation_violations(manifest) == []
 
 
+class TestEveryRunChecked:
+    def test_untracked_append_fails_a_telemetry_off_run(self):
+        experiment = Experiment(Scenario(message_count=50, seed=3))
+        assert experiment.telemetry is None
+        tracker = experiment.tracker
+        on_append = tracker.on_append
+        skipped = []
+
+        def skip_first(record, partition, offset):
+            if skipped:
+                on_append(record, partition, offset)
+            else:
+                skipped.append(record.key)
+
+        tracker.on_append = skip_first
+        with pytest.raises(InvariantViolation):
+            experiment.run()
+        assert len(skipped) == 1
+
+
 def transition(key, edge, source, target, t=0.0):
     return {
         "kind": EventKind.TRANSITION,

@@ -83,6 +83,15 @@ class TestLossModels:
         drops = sum(model.is_lost(rng) for _ in range(20000))
         assert drops / 20000 == pytest.approx(0.19, abs=0.01)
 
+    def test_bernoulli_draws_are_the_links_inline_draws(self):
+        # The link inlines ``rng.random() < rate``; the model must match it
+        # draw for draw on the same seeded stream.
+        model = BernoulliLoss(0.3)
+        drawn, reference = np.random.default_rng(11), np.random.default_rng(11)
+        assert [model.is_lost(drawn) for _ in range(200)] == [
+            reference.random() < 0.3 for _ in range(200)
+        ]
+
     def test_gilbert_elliott_stationary_fraction(self):
         model = GilbertElliottLoss(0.1, 0.3)
         assert model.stationary_bad_fraction() == pytest.approx(0.25)

@@ -162,14 +162,26 @@ class TestSweepLifecycle:
         assert sim.pending_events == 0
 
     def test_sweep_rearms_on_new_offers(self):
-        config = ProducerConfig(message_timeout_s=0.3)
-        sim, _, _, producer = make(config, capacity=10.0)
+        # One in-flight slot, held by a large request on a slow link: the
+        # record queued behind it can only expire through the sweep.
+        config = ProducerConfig(message_timeout_s=1.0, max_in_flight=1)
+        sim, _, _, producer = make(config, capacity=2000.0)
+        producer.offer(ProducerRecord(payload_bytes=10))
+        sim.run()  # delivered, and the idle sweep suspended itself
+        assert producer.stats.acknowledged == 1
+        assert sim.pending_events == 0
+        start = sim.now
         producer.offer(ProducerRecord(payload_bytes=2000))
-        sim.run(until=2.0)
-        # Expired via sweep even though nothing else was scheduled.
-        assert producer.stats.expired_in_queue + producer.stats.expired_after_send >= 0
+        producer.offer(ProducerRecord(payload_bytes=10))
+        # The queued record times out at start + 1.0: after the first sweep
+        # tick (start + 0.625), before the second (start + 1.25).  The large
+        # request's transport deadline is start + 5.0.
+        sim.run(until=start + 2.0)
+        assert producer.stats.expired_in_queue == 1
+        assert producer.stats.expired_after_send == 0
         producer.finish_input()
-        sim.run(until=30.0)
+        sim.run()
+        assert producer.done
 
 
 class TestJitterScenario:

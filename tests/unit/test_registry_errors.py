@@ -1,9 +1,22 @@
 """Unit tests for model-registry edge cases and serialisation errors."""
 
+import numpy as np
 import pytest
 
-from repro.ann import Dense, Sequential, load_model, save_model
+from repro.ann import Dense, Sequential, StandardScaler, load_model, save_model
+from repro.kafka import DeliverySemantics
 from repro.models import ModelRegistry, ReliabilityPredictor
+from repro.models.predictor import SubModel
+
+
+def tiny_predictor():
+    scaler = StandardScaler()
+    scaler.fit(np.eye(2))
+    predictor = ReliabilityPredictor()
+    predictor.submodels[("normal", "at_least_once")] = SubModel(
+        "normal", DeliverySemantics.AT_LEAST_ONCE, Sequential([Dense(2, 1)]), scaler
+    )
+    return predictor
 
 
 class TestRegistryValidation:
@@ -25,6 +38,14 @@ class TestRegistryValidation:
 
     def test_delete_missing_model_is_noop(self, tmp_path):
         ModelRegistry(tmp_path).delete("ghost")
+
+    def test_list_models_sorted_by_name(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        names = ["zeta", "beta", "omega", "alpha", "delta", "gamma"]
+        predictor = tiny_predictor()
+        for name in names:
+            registry.save(name, predictor)
+        assert registry.list_models() == sorted(names)
 
     def test_directories_without_manifest_ignored(self, tmp_path):
         (tmp_path / "stray").mkdir()

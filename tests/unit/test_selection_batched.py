@@ -13,7 +13,7 @@ import pytest
 
 from repro.kafka import DeliverySemantics, ProducerConfig
 from repro.kpi import SelectionContext, select_configuration
-from repro.kpi.selection import evaluate_configs, ParameterSteps
+from repro.kpi.selection import _axis_values, evaluate_configs, ParameterSteps
 from repro.kpi.weighted import kpi_from_estimates
 from repro.models import (
     CONSERVATIVE_ESTIMATE,
@@ -462,3 +462,32 @@ class TestFetchPerRound:
         ]
         assert result.prediction_source == "ann"
         assert result.config_source == "ann"
+
+
+class TestAxisValues:
+    """A current value off the step grid joins the grid in order."""
+
+    @pytest.mark.parametrize(
+        "parameter, current, expected",
+        [
+            ("message_timeout_s", 1.25, [0.5, 1.0, 1.25, 1.5, 2.0, 3.0]),
+            ("message_timeout_s", 4.0, [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]),
+            ("polling_interval_s", 0.03, [0.0, 0.02, 0.03, 0.04, 0.06, 0.09]),
+            ("batch_size", 5, [1, 2, 3, 4, 5, 6, 8, 10]),
+        ],
+    )
+    def test_off_grid_number_joins_in_order(self, parameter, current, expected):
+        config = ProducerConfig(**{parameter: current})
+        values, position = _axis_values(ParameterSteps(), parameter, config)
+        assert values == expected
+        assert position == expected.index(current)
+
+    def test_off_grid_semantics_joins_in_name_order(self):
+        config = ProducerConfig(semantics=DeliverySemantics.EXACTLY_ONCE)
+        values, position = _axis_values(ParameterSteps(), "semantics", config)
+        assert values == [
+            DeliverySemantics.AT_LEAST_ONCE,
+            DeliverySemantics.AT_MOST_ONCE,
+            DeliverySemantics.EXACTLY_ONCE,
+        ]
+        assert position == 2
