@@ -15,6 +15,7 @@ import numpy as np
 
 from .layers import Dense
 from .network import Sequential
+from .tensor import aligned
 
 __all__ = ["save_model", "load_model"]
 
@@ -66,7 +67,7 @@ def load_model(directory: "str | Path") -> Sequential:
             layer_spec["activation"],
             init=layer_spec["init"],
         )
-        layer.weight.value = weights[f"layer{index}_weight"].copy()
-        layer.bias.value = weights[f"layer{index}_bias"].copy()
+        layer.weight.value = aligned(weights[f"layer{index}_weight"])
+        layer.bias.value = aligned(weights[f"layer{index}_bias"])
         layers.append(layer)
     return Sequential(layers)

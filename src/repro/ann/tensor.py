@@ -12,12 +12,38 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Parameter", "glorot_uniform", "he_normal", "zeros_init", "INITIALIZERS"]
+__all__ = ["Parameter", "aligned", "glorot_uniform", "he_normal", "zeros_init", "INITIALIZERS"]
+
+#: Byte boundary every parameter array starts on: one cache line, and the
+#: widest vector load of the BLAS kernels.
+ALIGNMENT = 64
+
+
+def aligned(values: np.ndarray) -> np.ndarray:
+    """A C-contiguous float64 copy of ``values`` starting on an
+    :data:`ALIGNMENT`-byte boundary.
+
+    numpy only promises 16 bytes, and the per-row GEMVs of
+    :meth:`~repro.ann.network.Sequential.predict_rowwise` run about a
+    quarter faster on weights that start on a cache line, so where the
+    allocator happens to put a weight matrix would otherwise move the
+    decision latency.  The copy is a view into an over-allocated byte
+    buffer, which it keeps alive.  The values are copied exactly.
+    """
+    source = np.asarray(values, dtype=np.float64)
+    buffer = np.empty(source.nbytes + ALIGNMENT, dtype=np.uint8)
+    start = -buffer.ctypes.data % ALIGNMENT
+    out = buffer[start : start + source.nbytes].view(np.float64).reshape(source.shape)
+    out[...] = source
+    return out
 
 
 class Parameter:
     """A trainable array with a gradient buffer that exists only while
     something accumulates into it.
+
+    ``value`` is a 64-byte-aligned copy (:func:`aligned`); training and
+    the optimisers write into it in place, so it stays aligned.
 
     ``grad`` is ``None`` until the first :meth:`accumulate`, and training
     resets it to ``None`` when it ends, so a trained or loaded network
@@ -27,7 +53,7 @@ class Parameter:
     __slots__ = ("value", "grad", "name")
 
     def __init__(self, value: np.ndarray, name: str = "") -> None:
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = aligned(value)
         self.grad: Optional[np.ndarray] = None
         self.name = name
 

@@ -103,14 +103,6 @@ class ReconciliationReport:
         """Fraction of source messages delivered but stale."""
         return self.stale / self.produced if self.produced else 0.0
 
-    def check_conservation(self) -> None:
-        """Every key must be delivered or lost; duplicates are delivered."""
-        if self.delivered_unique + self.lost != self.produced:
-            raise AssertionError(
-                f"conservation violated: {self.delivered_unique} delivered + "
-                f"{self.lost} lost != {self.produced} produced"
-            )
-
 
 def reconcile(
     source_keys: Collection[int],

@@ -88,36 +88,6 @@ class FeatureVector:
         """(region, semantics) — the submodel this vector routes to."""
         return (self.region, self.semantics.value)
 
-    def quantised_key(self, decimals: int = 9) -> Tuple:
-        """Hashable memo key: routing identity + quantised numeric features.
-
-        Rounding to ``decimals`` makes float keys robust against noise far
-        below any physical resolution of the testbed grids while keeping
-        every practically distinct feature value distinct.  The region and
-        semantics ride along *unrounded* so two vectors on opposite sides
-        of the Fig. 3 region predicate (e.g. ``loss_rate=0`` vs ``1e-10``)
-        can never collide on one memo slot.
-        """
-        # Inlined region predicate: this runs once per candidate per
-        # search round, so the property + function-call hop is measurable.
-        region = (
-            NORMAL
-            if self.network_delay_s < _NORMAL_MAX_DELAY_S
-            and self.loss_rate == 0.0
-            else ABNORMAL
-        )
-        return (
-            region,
-            self.semantics.value,
-            round(self.message_bytes, decimals),
-            round(self.timeliness_s, decimals),
-            round(self.network_delay_s, decimals),
-            round(self.loss_rate, decimals),
-            round(self.batch_size, decimals),
-            round(self.polling_interval_s, decimals),
-            round(self.message_timeout_s, decimals),
-        )
-
 
 class FeatureSchema:
     """Maps feature vectors to numeric arrays for one submodel.

@@ -9,6 +9,7 @@ SGD, MSE) behind a standard scaler; predictions are clipped to [0, 1].
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, cast
@@ -22,7 +23,7 @@ from ..ann.optimizers import SGD
 from ..ann.scaling import StandardScaler
 from ..kafka.semantics import DeliverySemantics
 from ..testbed.results import ExperimentResult
-from .features import FeatureSchema, FeatureVector
+from .features import FeatureSchema, FeatureVector, region_of
 
 __all__ = [
     "TrainingSettings",
@@ -89,6 +90,36 @@ TIERS = ("ann", "neighbour", "conservative")
 #: Sentinel distinguishing "index not built yet" from "built, but empty"
 #: (``None``) in the neighbour-index cache.
 _UNBUILT = object()
+
+#: The seven numeric Eq. 1 features of a vector, in field order.
+_numeric_features = operator.attrgetter(
+    "message_bytes",
+    "timeliness_s",
+    "network_delay_s",
+    "loss_rate",
+    "batch_size",
+    "polling_interval_s",
+    "message_timeout_s",
+)
+
+
+class _RoundedValues(Dict[float, float]):
+    """Each distinct feature value rounded to 9 decimals, computed once.
+
+    ``round(x, 9)`` costs about 0.4 µs, and a search reads the same few
+    dozen values (its context, the step grids) in every candidate, so a
+    hit is a plain dict lookup.  Emptied when it reaches ``capacity``.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = capacity
+
+    def __missing__(self, value: float) -> float:
+        if len(self) >= self.capacity:
+            self.clear()
+        rounded = self[value] = round(value, 9)
+        return rounded
 
 
 @dataclass(frozen=True)
@@ -181,11 +212,14 @@ class ReliabilityPredictor:
     #: Capacity of the quantised-feature prediction memo (LRU eviction).
     MEMO_CAPACITY = 4096
 
+    #: Capacity of the table of rounded feature values (emptied when full).
+    ROUNDED_CAPACITY = 4096
+
     def __init__(self) -> None:
         self.submodels: Dict[Tuple[str, str], SubModel] = {}
         self._memory: List[ExperimentResult] = []
         # Quantised-feature LRU memo over the fallback chain's answers.
-        # Keys are FeatureVector.quantised_key(); entries are the exact
+        # Keys are _memo_key(vector); entries are the exact
         # FallbackEstimate the chain produced, so a memo hit is
         # bit-identical to recomputing.  Invalidated whenever the chain's
         # inputs change: fit() (new submodels) and remember() (new rows
@@ -193,6 +227,7 @@ class ReliabilityPredictor:
         self._memo: "OrderedDict[Tuple, FallbackEstimate]" = OrderedDict()
         self._memo_hits = 0
         self._memo_misses = 0
+        self._rounded = _RoundedValues(self.ROUNDED_CAPACITY)
         # Per-semantics numpy index over remembered rows for the
         # vectorised nearest-neighbour fallback; rebuilt lazily after
         # every invalidation.
@@ -203,19 +238,45 @@ class ReliabilityPredictor:
     # ------------------------------------------------------------- caching
 
     def invalidate_caches(self) -> None:
-        """Drop the prediction memo and the neighbour index.
+        """Drop the prediction memo, the rounded values and the neighbour index.
 
         Called automatically by :meth:`fit` and :meth:`remember`; exposed
         for callers that mutate :attr:`submodels` directly (registry
         loaders, tests).
         """
         self._memo.clear()
+        self._rounded.clear()
         self._neighbour_index_cache.clear()
 
     @property
     def memo_stats(self) -> Tuple[int, int]:
         """(hits, misses) of the quantised-feature memo since creation."""
         return (self._memo_hits, self._memo_misses)
+
+    def _memo_key(self, vector: FeatureVector) -> Tuple:
+        """Hashable memo key: routing identity + quantised numeric features.
+
+        Rounding to 9 decimals makes float keys robust against noise far
+        below any physical resolution of the testbed grids while keeping
+        every practically distinct feature value distinct.  The region and
+        semantics ride along *unrounded* so two vectors on opposite sides
+        of the Fig. 3 region predicate (e.g. ``loss_rate=0`` vs ``1e-10``)
+        can never collide on one memo slot.  The first two elements are
+        the submodel key.
+        """
+        size, timeliness, delay, loss, batch, polling, timeout = _numeric_features(vector)
+        rounded = self._rounded
+        return (
+            region_of(delay, loss),
+            vector.semantics.value,
+            rounded[size],
+            rounded[timeliness],
+            rounded[delay],
+            rounded[loss],
+            rounded[batch],
+            rounded[polling],
+            rounded[timeout],
+        )
 
     def _memo_put(self, key: Tuple, value: FallbackEstimate) -> None:
         self._memo[key] = value
@@ -431,8 +492,8 @@ class ReliabilityPredictor:
         memo = self._memo
         for i, vector in enumerate(vectors):
             # The first two key elements ARE the submodel key, so one
-            # quantised_key() call covers both routing and the memo probe.
-            quantised = vector.quantised_key()
+            # _memo_key() call covers both routing and the memo probe.
+            quantised = self._memo_key(vector)
             keys.append(quantised)
             cached = memo.get(quantised)
             if cached is not None:

@@ -151,6 +151,30 @@ class TestRetryPath:
         sim.run(until=120.0)
         assert producer.stats.request_retries <= 2
 
+    def test_exhausted_retries_free_the_slot_and_socket_bytes(self):
+        # No broker ever answers, so both one-record batches run out of
+        # retries long before their delivery timeout.  With one in-flight
+        # slot the second batch is sent only once the first gives up.
+        config = ProducerConfig(
+            message_timeout_s=60.0, request_timeout_s=0.2, max_retries=1,
+            retry_backoff_s=0.01, max_in_flight=1,
+        )
+        sim, cluster, _, producer = make(config)
+        for broker_id in cluster.broker_ids:
+            cluster.set_broker_availability(broker_id, False)
+        producer.offer(ProducerRecord(payload_bytes=100))
+        producer.offer(ProducerRecord(payload_bytes=100))
+        sim.run(until=1.0)
+        stats = producer.stats
+        assert (stats.requests_sent, stats.request_retries) == (4, 2)
+        assert stats.perceived_lost == 2
+        assert stats.expired_in_queue + stats.expired_after_send == 0
+        assert producer._in_flight == 0
+        assert producer._in_flight_bytes == 0
+        producer.finish_input()
+        sim.run()
+        assert producer.done
+
 
 class TestSweepLifecycle:
     def test_idle_producer_does_not_keep_simulator_alive(self):
