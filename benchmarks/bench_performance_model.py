@@ -10,7 +10,7 @@ batch sizes.
 
 from repro.analysis import comparison_table, render_table
 from repro.kafka import DeliverySemantics, ProducerConfig
-from repro.performance import ProducerPerformanceModel, measured_utilization
+from repro.performance import ProducerPerformanceModel
 from repro.testbed import Experiment, Scenario
 
 from paper_targets import Criterion
@@ -23,6 +23,13 @@ CASES = [
     ("M=500, B=1", 500, 1),
     ("M=500, B=4", 500, 4),
 ]
+
+
+def measured_utilization(link, duration_s):
+    """φ achieved over a run: bytes sent in both directions (they share
+    the bridge capacity) over what the link could carry."""
+    sent = link.forward.stats.bytes_sent + link.reverse.stats.bytes_sent
+    return min(1.0, sent / (link.forward.capacity_bps * duration_s))
 
 
 def run_validation():

@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from .activations import Activation, get_activation
-from .tensor import INITIALIZERS, Parameter, glorot_uniform, he_normal, zeros_init
+from .tensor import INITIALIZERS, Parameter
 
 __all__ = ["Layer", "Dense"]
 
@@ -47,6 +47,9 @@ class Dense(Layer):
     init:
         Initialiser name from :data:`~repro.ann.tensor.INITIALIZERS`;
         defaults to He for ReLU and Glorot otherwise.
+    weight / bias:
+        Saved values of shape ``(in_features, out_features)`` and
+        ``(1, out_features)``; given ``weight``, nothing is drawn.
     """
 
     def __init__(
@@ -56,19 +59,30 @@ class Dense(Layer):
         activation: "str | Activation" = "relu",
         rng: Optional[np.random.Generator] = None,
         init: Optional[str] = None,
+        weight: Optional[np.ndarray] = None,
+        bias: Optional[np.ndarray] = None,
     ) -> None:
         if in_features < 1 or out_features < 1:
             raise ValueError("layer widths must be positive")
         self.in_features = in_features
         self.out_features = out_features
         self.activation = get_activation(activation)
-        rng = rng if rng is not None else np.random.default_rng()
         if init is None:
             init = "he_normal" if self.activation.name == "relu" else "glorot_uniform"
         self.init_name = init
-        initializer = INITIALIZERS[init]
-        self.weight = Parameter(initializer(in_features, out_features, rng), "W")
-        self.bias = Parameter(zeros_init(1, out_features, rng), "b")
+        if weight is None:
+            rng = rng if rng is not None else np.random.default_rng()
+            weight = INITIALIZERS[init](in_features, out_features, rng)
+        if bias is None:
+            bias = np.zeros((1, out_features))
+        for name, value, shape in (
+            ("weight", weight, (in_features, out_features)),
+            ("bias", bias, (1, out_features)),
+        ):
+            if np.shape(value) != shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, expected {shape}")
+        self.weight = Parameter(weight, "W")
+        self.bias = Parameter(bias, "b")
         self._x: Optional[np.ndarray] = None
         self._pre: Optional[np.ndarray] = None
         self._out: Optional[np.ndarray] = None

@@ -15,7 +15,6 @@ import numpy as np
 
 from .layers import Dense
 from .network import Sequential
-from .tensor import aligned
 
 __all__ = ["save_model", "load_model"]
 
@@ -51,23 +50,28 @@ def save_model(model: Sequential, directory: "str | Path") -> Path:
 
 
 def load_model(directory: "str | Path") -> Sequential:
-    """Rebuild a model saved with :func:`save_model`."""
+    """Rebuild a model saved with :func:`save_model` from its saved arrays.
+
+    Raises ``ValueError`` when a saved weight or bias does not have the
+    shape ``architecture.json`` gives its layer.
+    """
     directory = Path(directory)
     spec = json.loads((directory / "architecture.json").read_text())
     if spec.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {spec.get('format_version')}")
-    weights = np.load(directory / "weights.npz")
     layers = []
-    for index, layer_spec in enumerate(spec["layers"]):
-        if layer_spec["type"] != "dense":
-            raise ValueError(f"unknown layer type {layer_spec['type']!r}")
-        layer = Dense(
-            layer_spec["in_features"],
-            layer_spec["out_features"],
-            layer_spec["activation"],
-            init=layer_spec["init"],
-        )
-        layer.weight.value = aligned(weights[f"layer{index}_weight"])
-        layer.bias.value = aligned(weights[f"layer{index}_bias"])
-        layers.append(layer)
+    with np.load(directory / "weights.npz") as weights:
+        for index, layer_spec in enumerate(spec["layers"]):
+            if layer_spec["type"] != "dense":
+                raise ValueError(f"unknown layer type {layer_spec['type']!r}")
+            layers.append(
+                Dense(
+                    layer_spec["in_features"],
+                    layer_spec["out_features"],
+                    layer_spec["activation"],
+                    init=layer_spec["init"],
+                    weight=weights[f"layer{index}_weight"],
+                    bias=weights[f"layer{index}_bias"],
+                )
+            )
     return Sequential(layers)

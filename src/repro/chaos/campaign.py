@@ -17,25 +17,37 @@ Phases run through the one interval-replay loop,
 link, schedules the phase's fault actions, runs traced with invariant
 checks, and is never throttled by the polling rate.
 
-Each phase report records the measured degradation (``P_l``, ``P_d``,
-measured γ against the stream's KPI weights), the controller's predicted
-γ and fallback tier, the breaker state, and the time-to-recover extracted
-from the trace: the gap between the last restore/clear action and the
-first acknowledgement after it.  The campaign report is pure simulation
-output — no wall-clock times — so one seed produces byte-identical JSON
-on every run, which is the determinism contract the tests pin.
+Each phase report holds the phase's replayed
+:class:`~repro.kpi.control.IntervalRecord` — its result (``P_l``, ``P_d``,
+run manifest) and its decision (configuration, predicted γ and fallback
+tier, breaker state) — plus the measured γ against the stream's KPI
+weights and the time-to-recover extracted from the trace: the gap between
+the last restore/clear action and the first acknowledgement after it.
+The trace is dropped from the record once that gap is measured.  The
+campaign report is pure simulation output — no wall-clock times — so one
+seed produces byte-identical JSON on every run, which is the determinism
+contract the tests pin.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, List, Optional
 
 from ..kafka.config import DEFAULT_PRODUCER_CONFIG
-from ..kpi.control import CircuitBreaker, Controller, Decision, Interval, replay
+from ..kpi.control import (
+    CircuitBreaker,
+    Controller,
+    Decision,
+    Interval,
+    IntervalRecord,
+    OverallRates,
+    overall_rates,
+    replay,
+)
 from ..kpi.selection import SelectionContext, evaluate_configs
 from ..kpi.weighted import KpiWeights, kpi_from_estimates
 from ..models.predictor import ReliabilityEstimate, ReliabilityPredictor
@@ -63,58 +75,46 @@ def phase_seed(campaign_seed: int, index: int, phase_name: str) -> int:
 
 @dataclass(frozen=True)
 class PhaseReport:
-    """Measured outcome of one campaign phase."""
+    """Measured outcome of one campaign phase: its replayed record (trace
+    dropped), the measured γ and the time to recover."""
 
-    name: str
+    phase: ChaosPhase
     index: int
-    duration_s: float
-    seed: int
-    semantics: str
-    batch_size: int
-    polling_interval_s: float
-    message_timeout_s: float
-    produced: int
-    p_loss: float
-    p_duplicate: float
-    p_stale: float
+    record: IntervalRecord
     gamma_measured: float
-    gamma_predicted: Optional[float]
-    prediction_source: Optional[str]
-    breaker_state: Optional[str]
-    decision_reason: Optional[str]
     time_to_recover_s: Optional[float]
-    faults_injected: int
-    broker_crashes: int
-    trace_digest: Optional[str]
-    events_processed: int
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form (already free of wall-clock fields)."""
+        decision, result = self.record.decision, self.record.result
+        config = decision.config
+        manifest = result.manifest or {}
+        actions = [action.kind for action in self.phase.actions]
         return {
-            "name": self.name,
+            "name": self.phase.name,
             "index": self.index,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
+            "duration_s": self.phase.duration_s,
+            "seed": self.record.interval.seed,
             "config": {
-                "semantics": self.semantics,
-                "batch_size": self.batch_size,
-                "polling_interval_s": self.polling_interval_s,
-                "message_timeout_s": self.message_timeout_s,
+                "semantics": config.semantics.value,
+                "batch_size": config.batch_size,
+                "polling_interval_s": config.polling_interval_s,
+                "message_timeout_s": config.message_timeout_s,
             },
-            "produced": self.produced,
-            "p_loss": self.p_loss,
-            "p_duplicate": self.p_duplicate,
-            "p_stale": self.p_stale,
+            "produced": result.produced,
+            "p_loss": result.p_loss,
+            "p_duplicate": result.p_duplicate,
+            "p_stale": result.p_stale,
             "gamma_measured": self.gamma_measured,
-            "gamma_predicted": self.gamma_predicted,
-            "prediction_source": self.prediction_source,
-            "breaker_state": self.breaker_state,
-            "decision_reason": self.decision_reason,
+            "gamma_predicted": decision.predicted_gamma,
+            "prediction_source": decision.prediction_source,
+            "breaker_state": decision.breaker_state,
+            "decision_reason": decision.reason,
             "time_to_recover_s": self.time_to_recover_s,
-            "faults_injected": self.faults_injected,
-            "broker_crashes": self.broker_crashes,
-            "trace_digest": self.trace_digest,
-            "events_processed": self.events_processed,
+            "faults_injected": actions.count("inject_fault"),
+            "broker_crashes": actions.count("crash_broker"),
+            "trace_digest": manifest.get("trace_digest"),
+            "events_processed": manifest.get("events_processed", 0),
         }
 
 
@@ -129,22 +129,20 @@ class CampaignReport:
     phases: List[PhaseReport] = field(default_factory=list)
 
     @property
+    def rates(self) -> OverallRates:
+        """Eq. 3 across all phases, each weighted by the messages it produced."""
+        records = [phase.record for phase in self.phases]
+        return overall_rates(records, [record.result.produced for record in records])
+
+    @property
     def overall_p_loss(self) -> float:
-        """Message-weighted loss rate across all phases (Eq. 3 style)."""
-        produced = sum(phase.produced for phase in self.phases)
-        if produced == 0:
-            return 0.0
-        lost = sum(phase.p_loss * phase.produced for phase in self.phases)
-        return lost / produced
+        """Message-weighted loss rate across all phases."""
+        return self.rates.r_loss
 
     @property
     def overall_p_duplicate(self) -> float:
         """Message-weighted duplicate rate across all phases."""
-        produced = sum(phase.produced for phase in self.phases)
-        if produced == 0:
-            return 0.0
-        dup = sum(phase.p_duplicate * phase.produced for phase in self.phases)
-        return dup / produced
+        return self.rates.r_duplicate
 
     @property
     def mean_gamma(self) -> float:
@@ -156,7 +154,7 @@ class CampaignReport:
     @property
     def breaker_trips(self) -> int:
         """Phases whose configuration came from an open breaker."""
-        return sum(1 for phase in self.phases if phase.decision_reason == "parked")
+        return sum(1 for phase in self.phases if phase.record.decision.reason == "parked")
 
     def to_dict(self) -> Dict[str, object]:
         """Deterministic plain-dict form — simulation outputs only.
@@ -313,7 +311,6 @@ def run_campaign(
         decision, result = record.decision, record.result
         config = decision.config
         delay, loss = record.interval.delay_s, record.interval.loss_rate
-        predicted, source = decision.predicted_gamma, decision.prediction_source
         if controller is None and predictor is not None:
             # Phases repeating the same conditions hit the predictor's
             # quantised-feature memo instead of re-running the forward pass.
@@ -326,6 +323,9 @@ def run_campaign(
             predicted, source = evaluate_configs(
                 [config], context, predictor, model, weights
             )[0]
+            decision = replace(
+                decision, predicted_gamma=predicted, prediction_source=source
+            )
         gamma_measured = kpi_from_estimates(
             model.predict(config, stream.mean_payload_bytes, network_delay_s=delay),
             ReliabilityEstimate(
@@ -334,40 +334,14 @@ def run_campaign(
             ),
             weights,
         )
+        recover = _time_to_recover(record.trace or [], phase.last_recovery_s)
         report.phases.append(
             PhaseReport(
-                name=phase.name,
-                index=index,
-                duration_s=phase.duration_s,
-                seed=record.interval.seed,
-                semantics=config.semantics.value,
-                batch_size=config.batch_size,
-                polling_interval_s=config.polling_interval_s,
-                message_timeout_s=config.message_timeout_s,
-                produced=result.produced,
-                p_loss=result.p_loss,
-                p_duplicate=result.p_duplicate,
-                p_stale=result.p_stale,
-                gamma_measured=gamma_measured,
-                gamma_predicted=predicted,
-                prediction_source=source,
-                breaker_state=decision.breaker_state,
-                decision_reason=decision.reason,
-                time_to_recover_s=_time_to_recover(
-                    record.trace or [], phase.last_recovery_s
-                ),
-                faults_injected=sum(
-                    1 for action in phase.actions if action.kind == "inject_fault"
-                ),
-                broker_crashes=sum(
-                    1 for action in phase.actions if action.kind == "crash_broker"
-                ),
-                trace_digest=result.manifest.get("trace_digest")
-                if result.manifest
-                else None,
-                events_processed=result.manifest.get("events_processed", 0)
-                if result.manifest
-                else 0,
+                phase,
+                index,
+                replace(record, decision=decision, trace=None),
+                gamma_measured,
+                recover,
             )
         )
     return report

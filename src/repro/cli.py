@@ -33,7 +33,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .analysis import render_table
 from .chaos import flap_burst_schedule, run_campaign, staged_escalation_schedule
@@ -370,7 +370,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.registry:
         predictor = ModelRegistry(args.registry).load(args.name)
     policies = ["static", "degraded"] if args.policy == "both" else [args.policy]
-    reports = []
+    reports: List[Dict[str, Any]] = []
     rows = [["policy", "phase", "P_l", "P_d", "γ meas", "γ pred", "tier",
              "breaker", "recover"]]
     for policy in policies:
@@ -382,41 +382,42 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             predictor=predictor,
             messages_cap_per_phase=args.cap,
         )
-        reports.append(report)
-        for phase in report.phases:
+        # The table and the JSON report render the same dict.
+        reports.append(report.to_dict())
+        for phase in reports[-1]["phases"]:
             rows.append([
                 policy,
-                phase.name,
-                f"{phase.p_loss:.3f}",
-                f"{phase.p_duplicate:.3f}",
-                f"{phase.gamma_measured:.3f}",
-                "-" if phase.gamma_predicted is None
-                else f"{phase.gamma_predicted:.3f}",
-                phase.prediction_source or "-",
-                phase.breaker_state or "-",
-                "-" if phase.time_to_recover_s is None
-                else f"{phase.time_to_recover_s:.2f}s",
+                phase["name"],
+                f"{phase['p_loss']:.3f}",
+                f"{phase['p_duplicate']:.3f}",
+                f"{phase['gamma_measured']:.3f}",
+                "-" if phase["gamma_predicted"] is None
+                else f"{phase['gamma_predicted']:.3f}",
+                phase["prediction_source"] or "-",
+                phase["breaker_state"] or "-",
+                "-" if phase["time_to_recover_s"] is None
+                else f"{phase['time_to_recover_s']:.2f}s",
             ])
     print(render_table(rows, title=f"Chaos campaign: {schedule.name} (seed {args.seed})"))
-    for report in reports:
+    for summary in reports:
         print(
-            f"{report.policy}: overall P_l={report.overall_p_loss:.3f} "
-            f"P_d={report.overall_p_duplicate:.3f} "
-            f"mean γ={report.mean_gamma:.3f} "
-            f"parked phases={report.breaker_trips}"
+            f"{summary['policy']}: overall P_l={summary['overall_p_loss']:.3f} "
+            f"P_d={summary['overall_p_duplicate']:.3f} "
+            f"mean γ={summary['mean_gamma']:.3f} "
+            f"parked phases={summary['breaker_trips']}"
         )
     # Campaign phases feed controller state forward, so the replay is a
     # sequential control loop.
     print("execution: mode=serial reason=sequential_control_loop")
     if args.out:
         if len(reports) == 1:
-            document = reports[0].to_dict()
+            document = reports[0]
         else:
             document = {
                 "kind": "chaos_campaign_comparison",
                 "schedule": schedule.name,
                 "seed": args.seed,
-                "campaigns": [report.to_dict() for report in reports],
+                "campaigns": reports,
             }
         with open(args.out, "w") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)

@@ -51,7 +51,6 @@ class KafkaCluster:
             for index in range(broker_count)
         }
         self.topics: Dict[str, Topic] = {}
-        self._append_listeners: List[Callable[[ProducerRecord, Partition, int], None]] = []
         self._producer_ids = itertools.count(1)
 
     def init_producer_id(self) -> int:
@@ -96,7 +95,6 @@ class KafkaCluster:
         self, callback: Callable[[ProducerRecord, Partition, int], None]
     ) -> None:
         """Register an instrumentation callback for every append."""
-        self._append_listeners.append(callback)
         for broker in self.brokers.values():
             broker.add_append_listener(callback)
 

@@ -9,7 +9,6 @@ aggregating Eq. 3 into the Table II rates; ``OnlineDynamicController`` and
 ``run_online_experiment`` close the loop over an estimated network state.
 """
 
-from .aggregate import IntervalMeasurement, OverallRates, aggregate_rates
 from .control import (
     PARKED_CONFIG,
     CircuitBreaker,
@@ -20,6 +19,8 @@ from .control import (
     IntervalRecord,
     NetworkStateEstimate,
     NetworkStateEstimator,
+    OverallRates,
+    overall_rates,
     replay,
     required_producers,
 )
@@ -42,9 +43,8 @@ from .selection import (
 from .weighted import DEFAULT_WEIGHTS, KpiWeights, kpi_from_estimates, weighted_kpi
 
 __all__ = [
-    "IntervalMeasurement",
     "OverallRates",
-    "aggregate_rates",
+    "overall_rates",
     "ConfigPlanEntry",
     "ConfigurationPlan",
     "DynamicConfigurationController",

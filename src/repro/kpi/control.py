@@ -7,14 +7,16 @@ step for every policy, and :func:`replay` runs it over intervals laid out
 by three small builders — trace points (``run_traced_experiment``),
 reconfiguration-stepped trace samples (``run_online_experiment``) and
 chaos phases (``run_campaign``) — whose differences are data on each
-:class:`Interval`, not branches in the loop.
+:class:`Interval`, not branches in the loop.  Every report is built from
+the :class:`IntervalRecord` list the loop returns, and
+:func:`overall_rates` is Eq. 3 over it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..kafka.config import ProducerConfig
 from ..kafka.semantics import DeliverySemantics
@@ -44,6 +46,8 @@ __all__ = [
     "required_producers",
     "Interval",
     "IntervalRecord",
+    "OverallRates",
+    "overall_rates",
     "replay",
 ]
 
@@ -492,6 +496,36 @@ class IntervalRecord:
     result: ExperimentResult
     shortfall: float
     trace: Optional[List[Dict[str, Any]]] = field(default=None, repr=False)
+
+    @property
+    def p_loss(self) -> float:
+        """P_l with the polling shortfall charged as loss: ``min(1, p·(1−s)+s)``."""
+        return min(1.0, self.result.p_loss * (1.0 - self.shortfall) + self.shortfall)
+
+
+@dataclass(frozen=True)
+class OverallRates:
+    """The Table II row: R_l and R_d over a run's intervals."""
+
+    r_loss: float
+    r_duplicate: float
+    total_messages: float
+
+
+def overall_rates(
+    records: Sequence[IntervalRecord], weights: Sequence[float]
+) -> OverallRates:
+    """Eq. 3, ``R_l = Σ w·P_l / Σ w`` (and likewise R_d), over replayed intervals.
+
+    Each builder weights its intervals by the workload they carried; P_l
+    is :attr:`IntervalRecord.p_loss`.
+    """
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("no workload to aggregate")
+    r_loss = sum(w * record.p_loss for w, record in zip(weights, records))
+    r_duplicate = sum(w * record.result.p_duplicate for w, record in zip(weights, records))
+    return OverallRates(r_loss / total, r_duplicate / total, total)
 
 
 def replay(

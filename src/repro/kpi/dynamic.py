@@ -33,8 +33,15 @@ from ..models.predictor import ReliabilityPredictor
 from ..network.trace import NetworkTrace
 from ..performance.queueing import ProducerPerformanceModel
 from ..workloads.streams import StreamProfile
-from .aggregate import IntervalMeasurement, OverallRates, aggregate_rates
-from .control import Controller, Decision, Interval, IntervalRecord, replay
+from .control import (
+    Controller,
+    Decision,
+    Interval,
+    IntervalRecord,
+    OverallRates,
+    overall_rates,
+    replay,
+)
 from .selection import ParameterSteps
 from .weighted import DEFAULT_WEIGHTS, KpiWeights
 
@@ -170,41 +177,37 @@ class DynamicConfigurationController:
 
 @dataclass
 class DynamicRunReport:
-    """Outcome of replaying one policy against one stream and trace."""
+    """Outcome of replaying one policy against one stream and trace: the
+    replayed records, each weighted by the workload it carried (λ·dt)."""
 
     stream_name: str
     policy: str
-    intervals: List[IntervalMeasurement]
-    rates: OverallRates
-    mean_stale_fraction: float
-    #: The decision behind each interval's configuration.
-    decisions: List[Decision] = field(default_factory=list)
+    records: List[IntervalRecord]
+    weights: List[float]
 
     @classmethod
     def from_records(
         cls, stream: StreamProfile, policy: str, records: List[IntervalRecord]
     ) -> "DynamicRunReport":
-        """Eq. 3 over replayed intervals, the polling shortfall charged as loss."""
-        intervals = [
-            IntervalMeasurement(
-                messages=stream.arrival_rate * record.interval.duration_s,
-                p_loss=min(
-                    1.0,
-                    record.result.p_loss * (1.0 - record.shortfall) + record.shortfall,
-                ),
-                p_duplicate=record.result.p_duplicate,
-            )
-            for record in records
-        ]
-        stale = [record.result.p_stale for record in records]
-        return cls(
-            stream_name=stream.name,
-            policy=policy,
-            intervals=intervals,
-            rates=aggregate_rates(intervals),
-            mean_stale_fraction=sum(stale) / len(stale) if stale else 0.0,
-            decisions=[record.decision for record in records],
-        )
+        """Weight each replayed interval by the stream's arrival rate × duration."""
+        weights = [stream.arrival_rate * record.interval.duration_s for record in records]
+        return cls(stream.name, policy, records, weights)
+
+    @property
+    def rates(self) -> OverallRates:
+        """Eq. 3 over the intervals, the polling shortfall charged as loss."""
+        return overall_rates(self.records, self.weights)
+
+    @property
+    def mean_stale_fraction(self) -> float:
+        """Mean stale fraction across intervals."""
+        stale = [record.result.p_stale for record in self.records]
+        return sum(stale) / len(stale) if stale else 0.0
+
+    @property
+    def decisions(self) -> List[Decision]:
+        """The decision behind each interval's configuration."""
+        return [record.decision for record in self.records]
 
 
 def run_traced_experiment(
@@ -220,8 +223,8 @@ def run_traced_experiment(
     Exactly one of ``plan`` (dynamic policy) or ``static_config``
     (default policy, one producer) must be given.  Each trace interval
     runs as its own testbed experiment — the paper restarts the producer
-    on every configuration change anyway — and contributes a
-    workload-weighted interval measurement.
+    on every configuration change anyway — and contributes its record,
+    weighted by the workload it carried.
     """
     if (plan is None) == (static_config is None):
         raise ValueError("give exactly one of plan or static_config")

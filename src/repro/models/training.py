@@ -19,6 +19,7 @@ from ..testbed.collection import (
     normal_case_plan,
 )
 from ..testbed.results import ExperimentResult
+from .features import FeatureVector
 from .predictor import ReliabilityPredictor, TrainingSettings
 
 __all__ = ["TrainedModelReport", "train_reliability_model", "split_results"]
@@ -101,11 +102,7 @@ def train_reliability_model(
     evaluable = [
         row
         for row in test
-        if (
-            ("normal" if row.network_delay_s < 0.2 and row.loss_rate == 0.0 else "abnormal"),
-            row.semantics,
-        )
-        in predictor.submodels
+        if FeatureVector.from_result(row).submodel_key in predictor.submodels
     ]
     mae_report = predictor.evaluate(evaluable if evaluable else train)
     return TrainedModelReport(

@@ -1,14 +1,11 @@
 """Producer performance prediction (the authors' HPCC'19 model [6]).
 
-Provides the (φ, μ) estimates the weighted KPI needs, plus measured-side
-bandwidth accounting for validation.
+Provides the (φ, μ) estimates the weighted KPI needs.
 """
 
-from .bandwidth import measured_utilization
 from .queueing import PerformanceEstimate, ProducerPerformanceModel
 
 __all__ = [
     "PerformanceEstimate",
     "ProducerPerformanceModel",
-    "measured_utilization",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -115,25 +115,6 @@ class ExperimentResult:
     def p_duplicate_ci(self) -> tuple:
         """95 % Wilson interval on the duplicate probability."""
         return wilson_interval(round(self.p_duplicate * self.produced), self.produced)
-
-    def feature_vector(self) -> Dict[str, float]:
-        """The Eq. 1 inputs as a flat mapping (model-training format)."""
-        return {
-            "message_bytes": float(self.message_bytes),
-            "timeliness_s": float(self.timeliness_s) if self.timeliness_s else 0.0,
-            "network_delay_s": float(self.network_delay_s),
-            "loss_rate": float(self.loss_rate),
-            "semantics": self.semantics,
-            "batch_size": float(self.batch_size),
-            "polling_interval_s": float(self.polling_interval_s),
-            "message_timeout_s": float(self.message_timeout_s),
-        }
-
-    def to_dict(self) -> Dict:
-        """Flat JSON-serialisable representation."""
-        data = asdict(self)
-        data["timeliness_s"] = self.timeliness_s if self.timeliness_s is not None else ""
-        return data
 
     @classmethod
     def case_key(cls, case: DeliveryCase) -> str:

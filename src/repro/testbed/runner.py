@@ -190,10 +190,6 @@ def _run_one(job: Tuple[Scenario, Optional[TelemetryConfig]]) -> Tuple[bool, Any
     """
     scenario, telemetry = job
     try:
-        if telemetry is None:
-            # Positional-only call: keeps drop-in run_experiment stand-ins
-            # (tests, custom drivers) working without a telemetry kwarg.
-            return True, run_experiment(scenario)
         return True, run_experiment(scenario, telemetry=telemetry)
     except Exception as exc:  # noqa: BLE001 - captured per scenario by design
         return False, (repr(exc), traceback.format_exc())

@@ -101,11 +101,6 @@ class Scenario:
         if self.timeliness_s is not None and not self.timeliness_s > 0:
             raise ValueError("timeliness_s must be positive when given")
 
-    @property
-    def is_normal_network(self) -> bool:
-        """The paper's Fig. 3 normal-case predicate: D < 200 ms and L = 0."""
-        return self.network_delay_s < 0.200 and self.loss_rate == 0.0
-
     def with_(self, **changes) -> "Scenario":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)

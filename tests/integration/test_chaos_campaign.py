@@ -16,6 +16,8 @@ from repro.chaos import (
 )
 from repro.kpi import PARKED_CONFIG
 
+from .test_online_loop import AnalyticPredictor
+
 SEED = 7
 
 
@@ -30,7 +32,7 @@ def degraded_report():
 
 
 def phase_named(report, name):
-    [phase] = [p for p in report.phases if p.name == name]
+    [phase] = [p for p in report.phases if p.phase.name == name]
     return phase
 
 
@@ -54,23 +56,24 @@ class TestDeterminism:
         assert other.to_json() != static_report.to_json()
 
     def test_phase_seeds_are_distinct(self, static_report):
-        seeds = [phase.seed for phase in static_report.phases]
+        seeds = [phase.record.interval.seed for phase in static_report.phases]
         assert len(set(seeds)) == len(seeds)
 
 
 class TestReportShape:
     def test_report_covers_every_phase_in_order(self, static_report):
         schedule = flap_burst_schedule(seed=SEED)
-        assert [p.name for p in static_report.phases] == [
+        assert [p.phase.name for p in static_report.phases] == [
             p.name for p in schedule.phases
         ]
         assert [p.index for p in static_report.phases] == list(range(5))
 
     def test_phases_carry_manifest_identity(self, static_report):
         for phase in static_report.phases:
-            assert phase.trace_digest
-            assert phase.events_processed > 0
-            assert phase.produced > 0
+            data = phase.to_dict()
+            assert data["trace_digest"]
+            assert data["events_processed"] > 0
+            assert data["produced"] > 0
 
     def test_json_has_no_wall_clock_fields(self, static_report):
         payload = static_report.to_dict()
@@ -80,18 +83,43 @@ class TestReportShape:
     def test_recovery_is_measured_where_scheduled(self, static_report):
         flap = phase_named(static_report, "broker-flap")
         assert flap.time_to_recover_s is not None
-        assert 0.0 <= flap.time_to_recover_s < flap.duration_s
+        assert 0.0 <= flap.time_to_recover_s < flap.phase.duration_s
         blackout = phase_named(static_report, "blackout")
         assert blackout.time_to_recover_s is None  # never restores
 
 
+class TestReportRecords:
+    def test_decision_fields_come_from_the_record(self):
+        report = run_campaign(
+            flap_burst_schedule(seed=SEED), policy="static", seed=SEED,
+            predictor=AnalyticPredictor(), messages_cap_per_phase=20,
+        )
+        for phase in report.phases:
+            decision = phase.record.decision
+            data = phase.to_dict()
+            # The static policy's prediction is folded into its decision.
+            assert decision.predicted_gamma is not None
+            assert data["gamma_predicted"] == decision.predicted_gamma
+            assert data["prediction_source"] == decision.prediction_source
+            assert data["breaker_state"] == decision.breaker_state
+            assert data["decision_reason"] == decision.reason == "start"
+            assert data["config"]["semantics"] == decision.config.semantics.value
+            assert data["config"]["batch_size"] == decision.config.batch_size
+
+    def test_no_phase_keeps_its_trace(self, static_report, degraded_report):
+        for report in (static_report, degraded_report):
+            assert all(phase.record.trace is None for phase in report.phases)
+        # The trace was read before it was dropped.
+        assert phase_named(static_report, "broker-flap").time_to_recover_s is not None
+
+
 class TestDegradedPolicy:
     def test_blackout_trips_breaker_and_parks_the_flap_phase(self, degraded_report):
-        flap = phase_named(degraded_report, "broker-flap")
-        assert flap.decision_reason == "parked"
-        assert flap.breaker_state == "open"
-        assert flap.semantics == PARKED_CONFIG.semantics.value
-        assert flap.message_timeout_s == PARKED_CONFIG.message_timeout_s
+        decision = phase_named(degraded_report, "broker-flap").record.decision
+        assert decision.reason == "parked"
+        assert decision.breaker_state == "open"
+        assert decision.config.semantics == PARKED_CONFIG.semantics
+        assert decision.config.message_timeout_s == PARKED_CONFIG.message_timeout_s
         assert degraded_report.breaker_trips >= 1
 
     def test_parked_config_avoids_the_static_loss_spike(
@@ -101,20 +129,21 @@ class TestDegradedPolicy:
         degraded_flap = phase_named(degraded_report, "broker-flap")
         # The static default's 1.5 s message timeout expires messages during
         # the 2.4 s outage; the parked configuration rides it out.
-        assert static_flap.p_loss > 0.3
-        assert degraded_flap.p_loss < 0.05
+        assert static_flap.record.result.p_loss > 0.3
+        assert degraded_flap.record.result.p_loss < 0.05
         assert degraded_report.overall_p_loss < static_report.overall_p_loss
 
     def test_decisions_report_predicted_gamma_and_tier(self, degraded_report):
         for phase in degraded_report.phases[1:]:
-            assert phase.gamma_predicted is not None
-            assert 0.0 <= phase.gamma_predicted <= 1.0
-            assert phase.prediction_source in ("ann", "neighbour", "conservative")
-            assert phase.breaker_state in ("closed", "open", "half_open")
+            decision = phase.record.decision
+            assert decision.predicted_gamma is not None
+            assert 0.0 <= decision.predicted_gamma <= 1.0
+            assert decision.prediction_source in ("ann", "neighbour", "conservative")
+            assert decision.breaker_state in ("closed", "open", "half_open")
 
     def test_recovery_phase_closes_the_breaker(self, degraded_report):
         recovery = phase_named(degraded_report, "recovery")
-        assert recovery.breaker_state in ("closed", "half_open")
+        assert recovery.record.decision.breaker_state in ("closed", "half_open")
 
 
 class TestCampaignOptions:
@@ -123,7 +152,7 @@ class TestCampaignOptions:
             "tiny", broker_flap_phase(duration_s=6.0, downtime_s=2.4, seed=1)
         )
         report = run_campaign(schedule, seed=1, messages_cap_per_phase=20)
-        assert all(phase.produced <= 20 for phase in report.phases)
+        assert all(phase.record.result.produced <= 20 for phase in report.phases)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):

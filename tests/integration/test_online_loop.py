@@ -56,7 +56,7 @@ def test_online_loop_runs_and_aggregates(trace):
         reconfig_interval_s=30.0, messages_cap_per_interval=80, seed=5,
     )
     assert report.policy == "online"
-    assert len(report.intervals) == 4
+    assert len(report.records) == 4
     assert 0.0 <= report.rates.r_loss <= 1.0
 
 
@@ -98,7 +98,7 @@ def test_online_respects_start_config(trace):
         start=start, reconfig_interval_s=30.0,
         messages_cap_per_interval=60, seed=9,
     )
-    assert len(report.intervals) == 4
+    assert len(report.records) == 4
 
 
 def make_plan(trace):
@@ -140,7 +140,7 @@ def test_every_report_carries_one_decision_per_interval(trace):
         reconfig_interval_s=30.0, messages_cap_per_interval=30, seed=3,
     )
     for report in (planned, static, online):
-        assert len(report.decisions) == len(report.intervals) == 4
+        assert len(report.decisions) == len(report.records) == 4
         assert [(d.true_delay_s, d.true_loss_rate) for d in report.decisions] == [
             (p.delay_s, p.loss_rate) for p in trace
         ]

@@ -98,7 +98,7 @@ def test_dynamic_configuration_end_to_end(trained_report, tmp_path):
     )
     for report in (dynamic, default):
         assert 0.0 <= report.rates.r_loss <= 1.0
-        assert len(report.intervals) == 3
+        assert len(report.records) == 3
     assert dynamic.policy == "dynamic"
     assert default.policy == "default"
 

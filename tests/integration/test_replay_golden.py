@@ -6,8 +6,8 @@ SHA-256.  The inputs cover the places where the three replay flavours
 differ: a trace whose interval (10 s) differs from the reconfiguration
 interval (30 s or 20 s), a static configuration whose polling interval
 throttles the stream (non-zero polling shortfall), message caps below and
-above the floor of 10 messages, and stock chaos campaigns under both
-policies.  The predictor is the analytic stub of ``test_online_loop``, so
+above the floor of 10 messages, and both stock chaos schedules under
+both policies.  The predictor is the analytic stub of ``test_online_loop``, so
 no ANN training is involved.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.chaos import flap_burst_schedule, run_campaign
+from repro.chaos import flap_burst_schedule, run_campaign, staged_escalation_schedule
 from repro.kafka import ProducerConfig
 from repro.kpi import (
     DynamicConfigurationController,
@@ -41,6 +41,8 @@ GOLDEN = {
     "static_campaign": "95c1af7a7b1153967f08b0417b33ec459a8574dd183e8b539b4bb30359d5cc62",
     "degraded_campaign": "431ab4d44a5afd76423fab4f0a9311bbc1f3f7acbaa3830b1d19a64300bdd1b0",
     "degraded_campaign_ann": "44c5036a37f7e268b260e46d21b6caa27c546ab2f51ea9e073735c30fbd18339",
+    "static_escalation": "f5fb702e5e141bc02ba1cb4d20e4385bea9d538d8c71b409cea151ec99551290",
+    "degraded_escalation": "9f2d90267c2e75c75e1261022bf8a855641f402f7d9ffa7f0cb8c6ace539e6f4",
 }
 
 #: Trace interval 10 s; the plan and the online loop step every 30 s / 20 s.
@@ -73,8 +75,8 @@ def report_payload(report):
         "stream": report.stream_name,
         "policy": report.policy,
         "intervals": [
-            [repr(i.messages), repr(i.p_loss), repr(i.p_duplicate)]
-            for i in report.intervals
+            [repr(w), repr(r.p_loss), repr(r.result.p_duplicate)]
+            for r, w in zip(report.records, report.weights)
         ],
         "rates": [
             repr(report.rates.r_loss),
@@ -146,6 +148,12 @@ def payloads(plan):
         flap_burst_schedule(seed=7), policy="degraded", seed=7,
         predictor=AnalyticPredictor(), messages_cap_per_phase=60,
     ).to_json()
+    # The one stock schedule with a delay spike (jittered latency), uncapped.
+    for policy in ("static", "degraded"):
+        out[f"{policy}_escalation"] = run_campaign(
+            staged_escalation_schedule(seed=7), policy=policy, seed=7,
+            predictor=AnalyticPredictor(),
+        ).to_json()
     return out
 
 

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kafka import DeliverySemantics, ProducerConfig
-from repro.kpi import IntervalMeasurement, aggregate_rates
+from repro.kpi import overall_rates
 from repro.testbed import Scenario, run_experiment
+
+from ..unit.test_performance_kpi import replayed
 
 scenario_strategy = st.builds(
     Scenario,
@@ -79,21 +81,25 @@ def test_same_seed_same_result(scenario):
     assert first.p_duplicate == second.p_duplicate
 
 
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
 @given(
     st.lists(
-        st.builds(
-            IntervalMeasurement,
-            messages=st.floats(min_value=1.0, max_value=1e4),
-            p_loss=st.floats(min_value=0.0, max_value=1.0),
-            p_duplicate=st.floats(min_value=0.0, max_value=1.0),
+        st.tuples(
+            st.floats(min_value=1.0, max_value=1e4),
+            st.builds(replayed, p_loss=unit, p_duplicate=unit, shortfall=unit),
         ),
         min_size=1,
         max_size=30,
     )
 )
-def test_eq3_aggregate_bounded_by_extremes(intervals):
-    rates = aggregate_rates(intervals)
-    losses = [interval.p_loss for interval in intervals]
+def test_eq3_aggregate_bounded_by_extremes(weighted):
+    weights = [weight for weight, _ in weighted]
+    records = [record for _, record in weighted]
+    rates = overall_rates(records, weights)
+    losses = [record.p_loss for record in records]
+    assert all(record.result.p_loss - 1e-12 <= record.p_loss <= 1.0 for record in records)
     assert min(losses) - 1e-12 <= rates.r_loss <= max(losses) + 1e-12
-    duplicates = [interval.p_duplicate for interval in intervals]
+    duplicates = [record.result.p_duplicate for record in records]
     assert min(duplicates) - 1e-12 <= rates.r_duplicate <= max(duplicates) + 1e-12

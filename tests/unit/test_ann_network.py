@@ -128,18 +128,45 @@ class TestMetrics:
 
 
 class TestSerialisation:
-    def test_round_trip_preserves_predictions(self, tmp_path):
+    def test_round_trip_preserves_predictions(self, tmp_path, monkeypatch):
         net = build_mlp(3, 2, hidden=(8, 4), seed=9)
-        save_model(net, tmp_path / "model")
-        restored = load_model(tmp_path / "model")
         x = np.random.default_rng(0).normal(size=(5, 3))
-        assert np.allclose(restored.predict(x), net.predict(x))
+        save_model(net, tmp_path / "model")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the loader drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        restored = load_model(tmp_path / "model")
+        for saved, loaded in zip(net.layers, restored.layers):
+            assert loaded.weight.value.tobytes() == saved.weight.value.tobytes()
+            assert loaded.bias.value.tobytes() == saved.bias.value.tobytes()
+        assert restored.predict(x).tobytes() == net.predict(x).tobytes()
 
     def test_architecture_preserved(self, tmp_path):
         net = build_mlp(3, 1, hidden=(8,), seed=0)
         save_model(net, tmp_path / "model")
         restored = load_model(tmp_path / "model")
         assert [layer.activation.name for layer in restored.layers] == ["relu", "sigmoid"]
+
+    @pytest.mark.parametrize(
+        "name, tamper",
+        [
+            ("layer0_weight", np.transpose),
+            ("layer1_bias", lambda bias: np.zeros(5)),
+            # A (1,) bias would broadcast silently at predict time.
+            ("layer2_bias", lambda bias: bias.reshape(-1)[:1]),
+        ],
+        ids=["transposed-weight", "five-element-bias", "flat-bias"],
+    )
+    def test_tampered_weights_rejected(self, tmp_path, name, tamper):
+        directory = save_model(build_mlp(3, 2, hidden=(8, 4), seed=9), tmp_path / "m")
+        with np.load(directory / "weights.npz") as saved:
+            arrays = dict(saved)
+        arrays[name] = tamper(arrays[name])
+        np.savez(directory / "weights.npz", **arrays)
+        with pytest.raises(ValueError, match=name.split("_")[1]):
+            load_model(directory)
 
     def test_sequential_requires_layers(self):
         with pytest.raises(ValueError):

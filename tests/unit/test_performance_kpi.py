@@ -1,21 +1,35 @@
 """Unit tests for the performance model, weighted KPI and Eq. 3."""
 
-import numpy as np
 import pytest
 
 from repro.kafka import DeliverySemantics, HardwareProfile, ProducerConfig
 from repro.kpi import (
     DEFAULT_WEIGHTS,
-    IntervalMeasurement,
+    Decision,
+    Interval,
+    IntervalRecord,
     KpiWeights,
-    aggregate_rates,
+    overall_rates,
     scale_producers,
     weighted_kpi,
 )
 from repro.performance import ProducerPerformanceModel
-from repro.network import Link
-from repro.performance import measured_utilization
-from repro.simulation import Simulator
+from repro.testbed import ExperimentResult
+
+
+def replayed(p_loss, p_duplicate=0.0, shortfall=0.0):
+    """A replayed interval whose experiment measured ``p_loss``/``p_duplicate``."""
+    result = ExperimentResult(
+        message_bytes=200, timeliness_s=None, network_delay_s=0.0, loss_rate=0.0,
+        semantics="at_least_once", batch_size=1, polling_interval_s=0.0,
+        message_timeout_s=1.5, produced=100, p_loss=p_loss, p_duplicate=p_duplicate,
+    )
+    return IntervalRecord(
+        Interval(duration_s=1.0, seed=0, delay_s=0.0, loss_rate=0.0),
+        Decision(ProducerConfig(), "static"),
+        result,
+        shortfall,
+    )
 
 
 class TestPerformanceModel:
@@ -65,22 +79,6 @@ class TestPerformanceModel:
     def test_predict_validation(self):
         with pytest.raises(ValueError):
             self.model.predict(ProducerConfig(), 0)
-
-
-class TestMeasuredBandwidth:
-    def test_utilization(self):
-        sim = Simulator()
-        link = Link(sim, np.random.default_rng(0), capacity_bps=1000.0)
-        from repro.network import FORWARD, Packet, PacketKind
-
-        link.send(Packet(kind=PacketKind.DATA, size_bytes=500, message_id=0), FORWARD, lambda p: None)
-        sim.run()
-        assert measured_utilization(link, duration_s=1.0) == pytest.approx(0.5)
-
-    def test_duration_validation(self):
-        link = Link(Simulator(), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            measured_utilization(link, 0.0)
 
 
 class TestKpiWeights:
@@ -137,30 +135,24 @@ class TestWeightedKpi:
 
 class TestAggregateEq3:
     def test_weighted_average(self):
-        rates = aggregate_rates([
-            IntervalMeasurement(messages=100, p_loss=0.1, p_duplicate=0.0),
-            IntervalMeasurement(messages=300, p_loss=0.5, p_duplicate=0.04),
-        ])
-        assert rates.r_loss == pytest.approx((100 * 0.1 + 300 * 0.5) / 400)
+        # The second interval polled 3/4 of its stream; the missing quarter
+        # is charged as loss: P_l = 0.5·(1 − 0.25) + 0.25 = 0.625.
+        records = [replayed(0.1), replayed(0.5, 0.04, shortfall=0.25)]
+        assert records[1].p_loss == 0.625
+        rates = overall_rates(records, [100, 300])
+        assert rates.r_loss == pytest.approx((100 * 0.1 + 300 * 0.625) / 400)
         assert rates.r_duplicate == pytest.approx(300 * 0.04 / 400)
         assert rates.total_messages == 400
 
     def test_bounds(self):
-        rates = aggregate_rates([
-            IntervalMeasurement(messages=10, p_loss=0.2, p_duplicate=0.0),
-            IntervalMeasurement(messages=10, p_loss=0.6, p_duplicate=0.0),
-        ])
+        rates = overall_rates([replayed(0.2), replayed(0.6)], [10, 10])
         assert 0.2 <= rates.r_loss <= 0.6
 
     def test_empty_aggregation_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_rates([])
-
-    def test_measurement_validation(self):
+            overall_rates([], [])
         with pytest.raises(ValueError):
-            IntervalMeasurement(messages=-1, p_loss=0.0, p_duplicate=0.0)
-        with pytest.raises(ValueError):
-            IntervalMeasurement(messages=1, p_loss=1.5, p_duplicate=0.0)
+            overall_rates([replayed(0.5)], [0.0])
 
 
 class TestProducerScaling:

@@ -90,7 +90,7 @@ class TestRunManySerial:
         assert seen == [(0, 2, 1), (1, 2, 2)]
 
     def test_error_raise_mode(self, monkeypatch):
-        def boom(scenario):
+        def boom(scenario, telemetry=None):
             raise RuntimeError("bad scenario")
 
         monkeypatch.setattr("repro.testbed.runner.run_experiment", boom)
@@ -99,7 +99,7 @@ class TestRunManySerial:
         assert "bad scenario" in str(excinfo.value)
 
     def test_failure_message_carries_fingerprint_and_traceback(self, monkeypatch):
-        def injected(scenario):
+        def injected(scenario, telemetry=None):
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(runner_mod, "run_experiment", injected)
@@ -113,7 +113,7 @@ class TestRunManySerial:
         assert 'raise RuntimeError("injected failure")' in message
 
     def test_failure_message_truncates_long_grids(self, monkeypatch):
-        def injected(scenario):
+        def injected(scenario, telemetry=None):
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(runner_mod, "run_experiment", injected)

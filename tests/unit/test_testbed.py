@@ -4,6 +4,7 @@ import pytest
 
 from repro.kafka import DeliverySemantics, ProducerRecord
 from repro.kafka.state import DeliveryCase, MessageState
+from repro.models.features import NORMAL, FeatureVector, region_of
 from repro.testbed import (
     CollectionPlan,
     DeliveryTracker,
@@ -20,9 +21,9 @@ from repro.testbed import (
 
 class TestScenario:
     def test_normal_network_predicate(self):
-        assert Scenario(network_delay_s=0.1, loss_rate=0.0).is_normal_network
-        assert not Scenario(network_delay_s=0.3, loss_rate=0.0).is_normal_network
-        assert not Scenario(network_delay_s=0.0, loss_rate=0.01).is_normal_network
+        assert region_of(0.1, 0.0) == NORMAL
+        assert region_of(0.3, 0.0) != NORMAL
+        assert region_of(0.0, 0.01) != NORMAL
 
     def test_with_returns_modified_copy(self):
         base = Scenario()
@@ -104,9 +105,9 @@ def make_result(**overrides):
 
 class TestResults:
     def test_feature_vector_mapping(self):
-        features = make_result().feature_vector()
-        assert features["message_bytes"] == 200.0
-        assert features["semantics"] == "at_least_once"
+        features = FeatureVector.from_result(make_result())
+        assert features.message_bytes == 200.0
+        assert features.semantics == DeliverySemantics.AT_LEAST_ONCE
 
     def test_confidence_intervals(self):
         result = make_result()
@@ -227,7 +228,7 @@ class TestTracker:
 class TestCollectionPlans:
     def test_normal_plan_has_clean_network(self):
         for scenario in normal_case_plan(max_rows=20).scenarios():
-            assert scenario.is_normal_network
+            assert region_of(scenario.network_delay_s, scenario.loss_rate) == NORMAL
 
     def test_abnormal_plan_covers_faults(self):
         scenarios = abnormal_case_plan(max_rows=200).scenarios()
