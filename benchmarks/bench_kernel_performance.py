@@ -8,7 +8,6 @@ thousands of simulated messages.
 """
 
 import numpy as np
-import pytest
 
 from repro.ann import SGD, build_mlp
 from repro.kafka import KafkaCluster, KafkaProducer, ProducerConfig, ProducerRecord

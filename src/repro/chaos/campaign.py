@@ -280,7 +280,7 @@ def run_campaign(
             min_hold_intervals=2,
             breaker=CircuitBreaker(),
         )
-    telemetry = TelemetryConfig(trace=True, check_invariants=True)
+    telemetry = TelemetryConfig()
     cap = messages_cap_per_phase
     intervals = [
         Interval(

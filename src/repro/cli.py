@@ -45,7 +45,12 @@ from .observability import (
 )
 from .kafka import DEFAULT_PRODUCER_CONFIG, DeliverySemantics, ProducerConfig
 from .kpi import DynamicConfigurationController, KpiWeights, run_traced_experiment
-from .models import ModelRegistry, TrainingSettings, train_reliability_model
+from .models import (
+    ModelRegistry,
+    ReliabilityPredictor,
+    TrainingSettings,
+    train_reliability_model,
+)
 from .network import generate_paper_trace
 from .performance import ProducerPerformanceModel
 from .simulation import RngRegistry
@@ -130,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--bursty-loss", action="store_true")
     experiment.add_argument(
         "--metrics", action="store_true",
-        help="print the run's metrics registry and manifest as JSON "
+        help="print the run's metrics and manifest as JSON "
              "(suppresses the table)",
     )
     experiment.add_argument(
@@ -149,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--messages", type=_positive_int, default=2000,
                        help="messages per collection experiment")
-    train.add_argument("--normal-rows", type=int, default=60)
-    train.add_argument("--abnormal-rows", type=int, default=90)
+    train.add_argument("--normal-rows", type=_positive_int, default=60)
+    train.add_argument("--abnormal-rows", type=_positive_int, default=90)
     train.add_argument("--epochs", type=_positive_int, default=300)
     train.add_argument("--paper-topology", action="store_true",
                        help="use the paper's 200/200/200/64 hidden layers")
@@ -305,9 +310,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_model(args: argparse.Namespace) -> Optional[ReliabilityPredictor]:
+    """The ``--registry`` model named ``--name``, or None once the reason
+    it cannot be loaded is reported."""
+    try:
+        return ModelRegistry(args.registry).load(args.name)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_dynamic(args: argparse.Namespace) -> int:
     if args.registry:
-        predictor = ModelRegistry(args.registry).load(args.name)
+        predictor = _load_model(args)
+        if predictor is None:
+            return 2
     else:
         print("no --registry given; training a quick model first...")
         base = Scenario(message_count=1200)
@@ -368,7 +385,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     stream = streams[args.stream]
     predictor = None
     if args.registry:
-        predictor = ModelRegistry(args.registry).load(args.name)
+        predictor = _load_model(args)
+        if predictor is None:
+            return 2
     policies = ["static", "degraded"] if args.policy == "both" else [args.policy]
     reports: List[Dict[str, Any]] = []
     rows = [["policy", "phase", "P_l", "P_d", "γ meas", "γ pred", "tier",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from ..observability.metrics import Counter
 from ..observability.trace import EventKind
 from ..simulation.simulator import Simulator
 from .config import BrokerConfig
@@ -117,21 +116,11 @@ class Broker:
         self._append_listeners: List[Callable[[ProducerRecord, Partition, int], None]] = []
         self._tracer = None
         self._emit_append: Optional[Callable[[float, int, str, int], None]] = None
-        self._metrics = None
-        # The run's append counter, bound on the first append so that a run
-        # with none leaves no counter in its metrics.
-        self._appends: Optional[Counter] = None
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Attach run telemetry after construction (the cluster builds us)."""
-        self._tracer = tracer = telemetry.tracer
-        self._emit_append = (
-            tracer.emitter(EventKind.APPEND, "key", "broker", "offset")
-            if tracer is not None
-            else None
-        )
-        self._metrics = telemetry.metrics
-        self._appends = None
+    def attach_tracer(self, tracer) -> None:
+        """Attach the run's tracer after construction (the cluster builds us)."""
+        self._tracer = tracer
+        self._emit_append = tracer.emitter(EventKind.APPEND, "key", "broker", "offset")
 
     def add_append_listener(
         self, callback: Callable[[ProducerRecord, Partition, int], None]
@@ -207,10 +196,6 @@ class Broker:
                 emit_append(now, record.key, broker_id, offset)
             for listener in listeners:
                 listener(record, partition, offset)
-        if appended and self._metrics is not None:
-            if self._appends is None:
-                self._appends = self._metrics.counter("broker.appends")
-            self._appends.inc(appended)
         if on_done is not None:
             on_done(
                 ProduceResponse(
@@ -219,9 +204,7 @@ class Broker:
             )
 
     def _record_drop(self, request: ProduceRequest, phase: str) -> None:
-        """Telemetry for a silent drop by a crashed broker."""
-        if self._metrics is not None:
-            self._metrics.counter("broker.requests_dropped").inc()
+        """Trace a silent drop by a crashed broker."""
         if self._tracer is not None:
             self._tracer.emit(
                 EventKind.BROKER_DROP,

@@ -29,7 +29,6 @@ from typing import Deque, Dict, List, Optional
 
 from ..network.link import FORWARD, REVERSE
 from ..network.transport import ReliableChannel
-from ..observability.metrics import DEFAULT_LATENCY_BUCKETS
 from ..observability.trace import EventKind
 from ..simulation.simulator import Simulator
 from .broker import ProduceRequest, ProduceResponse
@@ -139,6 +138,8 @@ class KafkaProducer:
         Fixed machine resources (serialisation speed, protocol overheads).
     listener:
         Optional instrumentation hooks.
+    tracer:
+        Optional run tracer; when attached, the producer's events are traced.
     """
 
     def __init__(
@@ -150,7 +151,7 @@ class KafkaProducer:
         config: Optional[ProducerConfig] = None,
         hardware: Optional[HardwareProfile] = None,
         listener: Optional[ProducerListener] = None,
-        telemetry=None,
+        tracer=None,
     ) -> None:
         self._sim = sim
         self._cluster = cluster
@@ -159,19 +160,12 @@ class KafkaProducer:
         self.config = config if config is not None else ProducerConfig()
         self.hardware = hardware if hardware is not None else HardwareProfile()
         self.listener = listener if listener is not None else ProducerListener()
-        # Telemetry is optional and None by default; every emission site
+        # The tracer is optional and None by default; every emission site
         # guards on the attribute so a bare producer pays one pointer
         # comparison per event, nothing more.
-        self._tracer = telemetry.tracer if telemetry is not None else None
-        if telemetry is not None:
-            self._ack_rtt = telemetry.metrics.histogram(
-                "producer.ack_rtt_s", DEFAULT_LATENCY_BUCKETS
-            )
-        else:
-            self._ack_rtt = None
+        self._tracer = tracer
         # The per-record events go through emitters bound once (see
         # Tracer.emitter); the rare ones through the tracer's emit.
-        tracer = self._tracer
         self._emit_send = (
             tracer.emitter(EventKind.SEND, "key", "attempt")
             if tracer is not None
@@ -570,14 +564,11 @@ class KafkaProducer:
         self.stats.acknowledged += len(records)
         listener = self.listener
         emit_ack = self._emit_ack
-        ack_rtt = self._ack_rtt
         for record in records:
             rtt = now - record.ingest_time
             listener.on_acknowledged(record, rtt)
             if emit_ack is not None:
                 emit_ack(now, record.key, rtt)
-            if ack_rtt is not None:
-                ack_rtt.observe(rtt)
         self._resolve(len(records))
         self._finish(batch)
 

@@ -578,11 +578,10 @@ def replay(
             interval.install_faults(experiment)
         result = experiment.run()
         telemetry = experiment.telemetry
-        tracer = telemetry.tracer if telemetry is not None else None
         truth = replace(
             decision, true_delay_s=interval.delay_s, true_loss_rate=interval.loss_rate
         )
-        trace = tracer.records() if tracer is not None else None
+        trace = telemetry.tracer.records() if telemetry is not None else None
         records.append(IntervalRecord(interval, truth, result, shortfall, trace))
         if controller is None:
             continue

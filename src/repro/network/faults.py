@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 
 from ..observability.trace import EventKind
 from ..simulation.simulator import Simulator
-from .latency import ConstantLatency, LatencyModel
+from .latency import ConstantLatency, LatencyModel, UniformLatency
 from .link import Link
 from .loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 
@@ -115,8 +115,6 @@ class NetworkFault:
     def build_latency(self) -> LatencyModel:
         """Materialise the delay treatment as a latency model."""
         if self.jitter_s > 0:
-            from .latency import UniformLatency
-
             return UniformLatency(self.delay_s, min(self.jitter_s, self.delay_s))
         return ConstantLatency(self.delay_s)
 
@@ -158,13 +156,21 @@ class FaultInjector:
     link:
         The producer↔cluster link to manipulate; a fault treats both of
         its directions, as NetEm on the shared bridge does.
+    tracer:
+        Optional run tracer; when attached, faults, broker crashes and
+        Gilbert–Elliott state flips are traced.
+
+    Attributes
+    ----------
+    injected:
+        How many faults :meth:`inject` applied.
     """
 
     def __init__(
         self,
         sim: Simulator,
         link: Link,
-        telemetry=None,
+        tracer=None,
     ) -> None:
         self._sim = sim
         self._link = link
@@ -172,11 +178,11 @@ class FaultInjector:
         self._baseline_loss = (link.forward.loss, link.reverse.loss)
         self.active_fault: Optional[NetworkFault] = None
         self._broker_callbacks: List[Callable[[str, bool], None]] = []
-        self._tracer = telemetry.tracer if telemetry is not None else None
-        self._metrics = telemetry.metrics if telemetry is not None else None
+        self._tracer = tracer
+        self.injected = 0
 
     def _build_loss(self, fault: NetworkFault, direction: str) -> LossModel:
-        """Materialise the fault's loss model, traced when telemetry is on."""
+        """Materialise the fault's loss model, traced when a tracer is attached."""
         loss = fault.build_loss()
         if self._tracer is not None and isinstance(loss, GilbertElliottLoss):
             return _TracedLoss(loss, self._tracer, self._sim, direction)
@@ -185,8 +191,7 @@ class FaultInjector:
     def inject(self, fault: NetworkFault) -> None:
         """Apply ``fault`` immediately (replacing any active fault)."""
         self.active_fault = fault
-        if self._metrics is not None:
-            self._metrics.counter("faults.injected").inc()
+        self.injected += 1
         if self._tracer is not None:
             self._tracer.emit(
                 EventKind.FAULT,

@@ -128,9 +128,6 @@ class GilbertElliottLoss(LossModel):
         ]:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if p_good_to_bad == 0.0 and start_in_bad is False and loss_good == 0.0:
-            # Degenerate but valid: a lossless link.
-            pass
         self.p_good_to_bad = float(p_good_to_bad)
         self.p_bad_to_good = float(p_bad_to_good)
         self.loss_good = float(loss_good)

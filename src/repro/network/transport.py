@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, cast
 
-from ..observability.metrics import DEFAULT_LATENCY_BUCKETS
 from ..observability.trace import EventKind
 from ..simulation.simulator import Event, Simulator
 from .link import FORWARD, Link, REVERSE
@@ -196,7 +195,7 @@ class ReliableChannel:
         self,
         sim: Simulator,
         link: Link,
-        telemetry=None,
+        tracer=None,
     ) -> None:
         self._sim = sim
         self._link = link
@@ -206,18 +205,12 @@ class ReliableChannel:
             endpoint.on_data = partial(self._on_data, endpoint)
             endpoint.on_ack = partial(self._on_ack, endpoint)
             self._endpoints[direction] = endpoint
-        self._tracer = tracer = telemetry.tracer if telemetry is not None else None
+        self._tracer = tracer
         self._emit_retransmit = (
             tracer.emitter(EventKind.RETRANSMIT, "direction", "message_id", "segment", "attempt")
             if tracer is not None
             else None
         )
-        if telemetry is not None:
-            self._rtt_hist = telemetry.metrics.histogram(
-                "transport.rtt_s", DEFAULT_LATENCY_BUCKETS
-            )
-        else:
-            self._rtt_hist = None
 
     # ------------------------------------------------------------------ api
 
@@ -431,8 +424,6 @@ class ReliableChannel:
         # Karn's rule: only sample RTT from first-attempt segments.
         if packet.attempt == 0:
             sample = sim.now - message.start_time
-            if self._rtt_hist is not None:
-                self._rtt_hist.observe(sample)
             if endpoint.min_rtt is None or sample < endpoint.min_rtt:
                 endpoint.min_rtt = sample
             srtt = endpoint.srtt

@@ -1,4 +1,4 @@
-"""Run observability: structured traces, metrics and invariant checks.
+"""Run observability: structured traces, run manifests and invariant checks.
 
 The reliability numbers this reproduction reports are counting arguments
 over message-state transitions; this subsystem makes each run auditable
@@ -6,13 +6,13 @@ instead of a black box that prints one ``(P_l, P_d)`` pair:
 
 * :mod:`repro.observability.trace` — typed, digestable event records with
   ring-buffer and JSONL-file sinks (zero overhead when disabled).
-* :mod:`repro.observability.metrics` — per-run counters, gauges and
-  histograms with a stable JSON export.
 * :mod:`repro.observability.telemetry` — the picklable
   :class:`TelemetryConfig` that travels into worker processes and the
   live :class:`RunTelemetry` an experiment builds from it, including the
   run manifest (scenario fingerprint, seed, code-version salt, wall
-  time, trace/metric digests, delivery accounting).
+  time, trace/metric digests, delivery accounting).  The manifest's
+  metrics are counters and gauges read once, as the run finishes, from
+  the counts the components keep anyway.
 * :mod:`repro.observability.invariants` — conservation laws, which
   every experiment checks as it finishes, and the trace replay that
   ``repro inspect`` and traced runs build on (:func:`verify_trace`).
@@ -35,7 +35,6 @@ from .invariants import (
     verify_manifest,
     verify_trace,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .telemetry import MANIFEST_VERSION, RunTelemetry, TelemetryConfig
 from .trace import (
     EventKind,
@@ -55,10 +54,6 @@ __all__ = [
     "encode_record",
     "trace_digest",
     "load_trace_file",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "TelemetryConfig",
     "RunTelemetry",
     "MANIFEST_VERSION",

@@ -253,7 +253,7 @@ _MANIFEST_REQUIRED = {
     "wall_time_s": (int, float),
 }
 
-_METRIC_TYPES = {"counter", "gauge", "histogram"}
+_METRIC_TYPES = {"counter", "gauge"}
 
 
 def validate_metrics_document(doc: Any) -> List[str]:
@@ -291,6 +291,6 @@ def validate_metrics_document(doc: Any) -> List[str]:
         for name, body in metrics.items():
             if not isinstance(body, dict) or body.get("type") not in _METRIC_TYPES:
                 problems.append(f"metric {name!r} has no valid type")
-            elif "value" not in body and body.get("type") != "histogram":
+            elif "value" not in body:
                 problems.append(f"metric {name!r} has no value")
     return problems

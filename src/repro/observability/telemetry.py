@@ -1,60 +1,56 @@
-"""Per-run telemetry: configuration, live handles and the run manifest.
+"""Per-run telemetry: configuration, the tracer and the run manifest.
 
 :class:`TelemetryConfig` is the *picklable description* of what to
 capture — it travels into :func:`~repro.testbed.runner.run_many` worker
 processes unchanged.  :class:`RunTelemetry` is the *live* object one
-experiment builds from it: a metrics registry, optionally a tracer, and
-the manifest assembled when the run finishes.
+experiment builds from it: a tracer, and the manifest assembled when the
+run finishes.
 
 The manifest is the auditable identity of a run: the scenario fingerprint
 and seed that define it, the code-version salt it was measured under, the
 wall time it took, digests of its event trace and metrics, and the full
 delivery accounting (Table I case census, consumer reconciliation totals,
 kernel heap integrity) that the invariant checker replays a trace
-against.  It is attached to ``ExperimentResult.manifest`` and excluded
-from result equality, so bit-identical reruns still compare equal while
-their wall times differ.
+against.  Its metrics are a snapshot of the counts the run's components
+keep anyway, taken once as the run finishes.  It is attached to
+``ExperimentResult.manifest`` and excluded from result equality, so
+bit-identical reruns still compare equal while their wall times differ.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from .metrics import MetricsRegistry
-from .trace import JsonlFileSink, RingBufferSink, Tracer, encode_record
+from .trace import JsonlFileSink, RingBufferSink, Tracer, TraceSink, encode_record
 
 __all__ = ["TelemetryConfig", "RunTelemetry", "MANIFEST_VERSION"]
 
 #: Manifest schema version (bump on incompatible manifest changes).
 MANIFEST_VERSION = 1
 
+#: Bound on the in-memory trace buffer of a run without a trace file.
+RING_CAPACITY = 200_000
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
     """What to capture during a run (picklable; safe to ship to workers).
 
+    A run with telemetry traces every event and checks its trace against
+    the conservation laws as it finishes.
+
     Attributes
     ----------
-    trace:
-        Capture the structured event trace (metrics are always captured
-        once telemetry is on; the trace is the per-event firehose).
     trace_path:
         Write the trace as JSONL to this path instead of the in-memory
         ring buffer.  May contain ``{index}`` and ``{seed}`` placeholders,
         which :meth:`for_scenario` fills per grid slot under ``run_many``.
-    ring_capacity:
-        Bound on the in-memory buffer when no file path is given.
-    check_invariants:
-        Run the conservation-law checks at the end of the experiment and
-        raise :class:`~repro.observability.invariants.InvariantViolation`
-        on any breach.
     """
 
-    trace: bool = True
     trace_path: Optional[str] = None
-    ring_capacity: int = 200_000
-    check_invariants: bool = True
 
     def for_scenario(self, index: int, seed: int) -> "TelemetryConfig":
         """Specialise the trace path for one slot of a scenario grid."""
@@ -72,15 +68,13 @@ class RunTelemetry:
     """Live telemetry handles for exactly one experiment run."""
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
-        self.config = config if config is not None else TelemetryConfig()
-        self.metrics = MetricsRegistry()
-        self.tracer: Optional[Tracer] = None
-        if self.config.trace:
-            if self.config.trace_path is not None:
-                sink = JsonlFileSink(self.config.trace_path)
-            else:
-                sink = RingBufferSink(self.config.ring_capacity)
-            self.tracer = Tracer(sink)
+        trace_path = config.trace_path if config is not None else None
+        sink: TraceSink
+        if trace_path is not None:
+            sink = JsonlFileSink(trace_path)
+        else:
+            sink = RingBufferSink(RING_CAPACITY)
+        self.tracer = Tracer(sink)
         self.manifest: Optional[Dict[str, Any]] = None
 
     def build_manifest(
@@ -101,13 +95,17 @@ class RunTelemetry:
         sim_duration_s: float,
         heap: Dict[str, Any],
         wall_time_s: float,
+        metrics: Dict[str, Dict[str, Any]],
     ) -> Dict[str, Any]:
-        """Assemble (and remember) the manifest for this run."""
+        """Assemble (and remember) the manifest for this run.
+
+        ``metrics`` maps each metric name to ``{"type": "counter" or
+        "gauge", "value": ...}``; the manifest holds it sorted by name.
+        """
         tracer = self.tracer
-        trace_complete = False
-        if tracer is not None:
-            sink = tracer.sink
-            trace_complete = not (isinstance(sink, RingBufferSink) and sink.dropped)
+        sink = tracer.sink
+        metrics = {name: metrics[name] for name in sorted(metrics)}
+        encoded = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
         self.manifest = {
             "kind": "manifest",
             "version": MANIFEST_VERSION,
@@ -124,11 +122,13 @@ class RunTelemetry:
             "unresolved": unresolved,
             "events_processed": events_processed,
             "sim_duration_s": sim_duration_s,
-            "trace_events": tracer.count if tracer is not None else 0,
-            "trace_digest": tracer.digest() if tracer is not None else None,
-            "trace_complete": trace_complete,
-            "metrics": self.metrics.as_dict(),
-            "metrics_digest": self.metrics.digest(),
+            "trace_events": tracer.count,
+            "trace_digest": tracer.digest(),
+            "trace_complete": not (isinstance(sink, RingBufferSink) and sink.dropped),
+            "metrics": metrics,
+            "metrics_digest": hashlib.blake2b(
+                encoded.encode("utf-8"), digest_size=16
+            ).hexdigest(),
             "heap": dict(heap),
             "wall_time_s": wall_time_s,
         }
@@ -137,8 +137,6 @@ class RunTelemetry:
     def finalize(self) -> None:
         """Write the manifest line (file sinks) and release resources."""
         tracer = self.tracer
-        if tracer is None:
-            return
         if isinstance(tracer.sink, JsonlFileSink) and self.manifest is not None:
             # The manifest rides in the same file as a trailing non-event
             # line; it is excluded from the digest it embeds.

@@ -257,7 +257,7 @@ class Tracer:
         exactly what ``emit(kind, time, key=key, attempt=attempt)`` records
         (pass a key, never ``None``: ``emit`` would leave it out; and name
         neither ``kind`` nor ``t``).  The per-message emission sites bind
-        one per kind when their telemetry is attached; the rare events go
+        one per kind when a tracer is attached; the rare events go
         through ``emit``.
         """
         make = _emitter_factory(kind, names)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..kafka.cluster import KafkaCluster
 from ..kafka.consumer import reconcile
 from ..kafka.producer import KafkaProducer
-from ..kafka.state import DeliveryCase
+from ..kafka.state import DeliveryCase, Transition
 from ..network.faults import FaultInjector, NetworkFault
 from ..network.latency import ConstantLatency
 from ..network.link import Link
@@ -103,18 +103,19 @@ class Experiment:
         # uninstrumented one.  Emission never schedules events or consumes
         # RNG, so enabling it cannot perturb measured outputs either.
         self.telemetry = RunTelemetry(telemetry) if telemetry is not None else None
+        self._tracer = self.telemetry.tracer if self.telemetry is not None else None
         self.cluster = KafkaCluster(
             self.sim, scenario.broker_count, scenario.broker_config
         )
-        if self.telemetry is not None:
+        if self._tracer is not None:
             for broker in self.cluster.brokers.values():
-                broker.attach_telemetry(self.telemetry)
+                broker.attach_tracer(self._tracer)
         self.topic = self.cluster.create_topic(
             scenario.topic_name, partitions=scenario.partition_count
         )
         self.tracker = DeliveryTracker(
             retries_allowed=scenario.config.semantics.retries_allowed,
-            telemetry=self.telemetry,
+            tracer=self._tracer,
         )
         self.tracker.attach_clock(self.sim)
         tracker = self.tracker
@@ -149,7 +150,7 @@ class Experiment:
             capacity_bps=hardware.link_capacity_bps,
             latency=ConstantLatency(hardware.link_base_delay_s),
         )
-        channel = ReliableChannel(self.sim, link, telemetry=self.telemetry)
+        channel = ReliableChannel(self.sim, link, tracer=self._tracer)
         producer = KafkaProducer(
             self.sim,
             self.cluster,
@@ -158,9 +159,9 @@ class Experiment:
             config=scenario.config,
             hardware=hardware,
             listener=self.tracker,
-            telemetry=self.telemetry,
+            tracer=self._tracer,
         )
-        injector = FaultInjector(self.sim, link, telemetry=self.telemetry)
+        injector = FaultInjector(self.sim, link, tracer=self._tracer)
         count = scenario.message_count // self.producers
         if index < scenario.message_count % self.producers:
             count += 1
@@ -292,11 +293,33 @@ class Experiment:
         return result
 
     def _finish_telemetry(self, counts, report, duration, wall_start) -> dict:
-        """Snapshot stats into metrics, build the manifest, replay the trace."""
+        """Build the manifest and replay the trace against it."""
         telemetry = self.telemetry
-        metrics = telemetry.metrics
         scenario = self.scenario
+        manifest = telemetry.build_manifest(
+            scenario_fingerprint=scenario_fingerprint(scenario, default_salt()),
+            seed=scenario.seed,
+            salt=default_salt(),
+            duplicate_copies=report.duplicate_copies,
+            events_processed=self.sim.events_processed,
+            sim_duration_s=duration,
+            wall_time_s=time.perf_counter() - wall_start,
+            metrics=self._run_metrics(counts, report, duration),
+            **counts,
+        )
+        tracer = telemetry.tracer
+        # ``run`` already checked the conservation laws.  File sinks are
+        # replayed offline via ``repro inspect``: the handle is still open
+        # for writing here.
+        if isinstance(tracer.sink, RingBufferSink):
+            verify_trace(tracer.records(), manifest)
+        telemetry.finalize()
+        return manifest
+
+    def _run_metrics(self, counts, report, duration) -> Dict[str, Dict[str, Any]]:
+        """The run's own counts, as the manifest's counters and gauges."""
         members = self.members
+        counters: Dict[str, int] = {}
         for name in (
             "ingested",
             "queue_dropped",
@@ -309,8 +332,8 @@ class Experiment:
             "fire_and_forget",
             "bytes_sent",
         ):
-            metrics.counter(f"producer.{name}").inc(
-                sum(getattr(member.producer.stats, name) for member in members)
+            counters[f"producer.{name}"] = sum(
+                getattr(member.producer.stats, name) for member in members
             )
         for direction in ("forward", "reverse"):
             for name in (
@@ -322,47 +345,44 @@ class Experiment:
                 "acks_received",
                 "duplicate_segments",
             ):
-                metrics.counter(f"transport.{direction}.{name}").inc(
-                    sum(
-                        getattr(member.channel.stats(direction), name)
-                        for member in members
-                    )
+                counters[f"transport.{direction}.{name}"] = sum(
+                    getattr(member.channel.stats(direction), name)
+                    for member in members
                 )
-        for broker_id, broker in sorted(self.cluster.brokers.items()):
-            metrics.gauge(f"broker.{broker_id}.requests_handled").set(
-                broker.requests_handled
-            )
         for name, count in counts["case_counts"].items():
-            metrics.counter(f"census.{name}").inc(count)
-        metrics.counter("census.unresolved").inc(counts["unresolved"])
-        metrics.counter("reconciliation.produced").inc(report.produced)
-        metrics.counter("reconciliation.delivered_unique").inc(report.delivered_unique)
-        metrics.counter("reconciliation.lost").inc(report.lost)
-        metrics.counter("reconciliation.duplicated").inc(report.duplicated)
-        metrics.gauge("sim.events_processed").set(self.sim.events_processed)
-        metrics.gauge("sim.duration_s").set(duration)
-        manifest = telemetry.build_manifest(
-            scenario_fingerprint=scenario_fingerprint(scenario, default_salt()),
-            seed=scenario.seed,
-            salt=default_salt(),
-            duplicate_copies=report.duplicate_copies,
-            events_processed=self.sim.events_processed,
-            sim_duration_s=duration,
-            wall_time_s=time.perf_counter() - wall_start,
-            **counts,
+            counters[f"census.{name}"] = count
+        counters["census.unresolved"] = counts["unresolved"]
+        counters["reconciliation.produced"] = report.produced
+        counters["reconciliation.delivered_unique"] = report.delivered_unique
+        counters["reconciliation.lost"] = report.lost
+        counters["reconciliation.duplicated"] = report.duplicated
+        brokers = sorted(self.cluster.brokers.items())
+        # These appear only in runs where they occur.
+        occurred = {
+            f"transitions.{transition.value}": count
+            for transition, count in zip(Transition, self.tracker.edge_counts)
+        }
+        occurred["broker.appends"] = sum(
+            len(partition.log) for partition in self.topic.partitions
         )
-        tracer = telemetry.tracer
-        # ``run`` already checked the conservation laws.  File sinks are
-        # replayed offline via ``repro inspect``: the handle is still open
-        # for writing here.
-        if (
-            telemetry.config.check_invariants
-            and tracer is not None
-            and isinstance(tracer.sink, RingBufferSink)
-        ):
-            verify_trace(tracer.records(), manifest)
-        telemetry.finalize()
-        return manifest
+        occurred["broker.requests_dropped"] = sum(
+            broker.requests_dropped for _, broker in brokers
+        )
+        occurred["faults.injected"] = sum(member.injector.injected for member in members)
+        counters.update((name, count) for name, count in occurred.items() if count)
+        gauges: Dict[str, Any] = {
+            f"broker.{broker_id}.requests_handled": broker.requests_handled
+            for broker_id, broker in brokers
+        }
+        gauges["sim.events_processed"] = self.sim.events_processed
+        gauges["sim.duration_s"] = duration
+        metrics = {
+            name: {"type": "counter", "value": value} for name, value in counters.items()
+        }
+        metrics.update(
+            (name, {"type": "gauge", "value": value}) for name, value in gauges.items()
+        )
+        return metrics
 
 
 def run_experiment(

@@ -16,10 +16,12 @@ and the census counts codes (``bytearray.count``) instead of walking
 objects.  :class:`MessageStateMachine` stays the reference model the code
 table is tested against.
 
-When a :class:`~repro.observability.telemetry.RunTelemetry` is attached,
-every applied transition is emitted as a ``transition`` trace record
-(key, edge, source and target states, simulated time) and counted in the
-metrics registry — the raw material the invariant checker replays.
+Every applied transition is counted per edge
+(:attr:`DeliveryTracker.edge_counts`, which the run manifest's
+``transitions.*`` metrics read).  When a tracer is attached, each one is
+also emitted as a ``transition`` trace record (key, edge, source and
+target states, simulated time) — the raw material the invariant checker
+replays.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from ..kafka.state import (
     MessageState,
     Transition,
 )
-from ..observability.metrics import Counter
 from ..observability.trace import EventKind
 
 __all__ = ["DeliveryTracker", "CaseCensus"]
@@ -58,10 +59,9 @@ _CODES = 1 << 7
 _READY, _DELIVERED, _LOST, _DUPLICATED = range(4)
 _I, _II, _III, _IV, _V, _VI = range(6)
 _TRANSITIONS: Tuple[Transition, ...] = tuple(Transition)
-#: Trace field values per state and per edge, and each edge's counter name.
+#: Trace field values per state and per edge.
 _STATE_NAMES = tuple(state.value for state in _STATES)
 _EDGE_NAMES = tuple(transition.value for transition in _TRANSITIONS)
-_EDGE_COUNTERS = tuple(f"transitions.{name}" for name in _EDGE_NAMES)
 
 #: The per-key arrays start with this many slots and double when a key
 #: falls outside them, so a small run scans small arrays and a long one
@@ -172,9 +172,8 @@ class DeliveryTracker(ProducerListener):
         unacknowledged) does not exist: the producer neither waits for
         acknowledgements nor retries, so a transport-level hiccup after
         the broker persisted the message leaves it simply *Delivered*.
-    telemetry:
-        Optional run telemetry; when attached, transitions are traced and
-        counted.
+    tracer:
+        Optional run tracer; when attached, transitions are traced.
 
     Attributes
     ----------
@@ -183,24 +182,23 @@ class DeliveryTracker(ProducerListener):
     ack_latencies:
         Acknowledgement round-trip times in acknowledgement order (one per
         acknowledged key).
+    edge_counts:
+        How many times each Fig. 2 edge was applied, in
+        :class:`~repro.kafka.state.Transition` order (I to VI).
     """
 
-    def __init__(self, retries_allowed: bool = True, telemetry=None) -> None:
+    def __init__(self, retries_allowed: bool = True, tracer=None) -> None:
         self.retries_allowed = retries_allowed
         self._codes = bytearray()
         self.ingest_times = array("d")
         self.ack_latencies = array("d")
         self._clock: Optional[object] = None
-        tracer = telemetry.tracer if telemetry is not None else None
+        self.edge_counts: List[int] = [0] * len(_TRANSITIONS)
         self._emit_transition = (
             tracer.emitter(EventKind.TRANSITION, "key", "edge", "from", "to")
             if tracer is not None
             else None
         )
-        self._metrics = telemetry.metrics if telemetry is not None else None
-        # Each edge's counter, bound on the edge's first use: an edge that
-        # never fires leaves no counter in the run's metrics.
-        self._edge_counters: List[Optional[Counter]] = [None] * len(_TRANSITIONS)
 
     def attach_clock(self, simulator) -> None:
         """Give the tracker access to simulated time (for ingest stamps)."""
@@ -225,17 +223,12 @@ class DeliveryTracker(ProducerListener):
         return code
 
     def _apply(self, key: int, code: int, edge: int) -> None:
-        """Apply one Fig. 2 edge and record it in the telemetry stream."""
+        """Apply one Fig. 2 edge, count it and record it in the trace."""
         target = _NEXT[edge][code]
         if target is None:
             raise _illegal(code, edge)
         self._codes[key] = target
-        if self._metrics is not None:
-            counter = self._edge_counters[edge]
-            if counter is None:
-                counter = self._metrics.counter(_EDGE_COUNTERS[edge])
-                self._edge_counters[edge] = counter
-            counter.inc()
+        self.edge_counts[edge] += 1
         if self._emit_transition is not None:
             self._emit_transition(
                 self._clock.now if self._clock is not None else 0.0,

@@ -1,9 +1,10 @@
 """Broker crash/restore with requests in flight, under every semantics.
 
-Each run executes with ``TelemetryConfig(check_invariants=True)``, so the
-experiment itself raises :class:`InvariantViolation` if a crash breaks
-message conservation or the per-semantics delivery rules — every call
-below doubles as an invariant assertion.
+Each run executes with telemetry on, which checks the run's trace against
+the conservation laws as it finishes, so the experiment itself raises
+:class:`InvariantViolation` if a crash breaks message conservation or the
+per-semantics delivery rules — every call below doubles as an invariant
+assertion.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.kafka import DeliverySemantics, ProducerConfig
 from repro.testbed import Experiment, Scenario, TelemetryConfig
 
-TELEMETRY = TelemetryConfig(trace=True, check_invariants=True)
+TELEMETRY = TelemetryConfig()
 
 #: High arrival rate + batching keeps requests in flight at the crash
 #: instant (0.5 s into a ~7.5 s send window).

@@ -1,10 +1,11 @@
 """End-to-end observability: every integration-style scenario must satisfy
 the conservation laws, and file traces must survive an offline replay.
 
-Running with ``TelemetryConfig(check_invariants=True)`` (the default) makes
-the experiment itself raise :class:`InvariantViolation` on any breach, so
-each ``run_experiment`` call below *is* the assertion; the explicit checks
-on top pin the round-trip through the JSONL file format.
+Running with a ``TelemetryConfig`` checks each run's trace against the
+conservation laws as it finishes, which makes the experiment itself raise
+:class:`InvariantViolation` on any breach, so each ``run_experiment`` call
+below *is* the assertion; the explicit checks on top pin the round-trip
+through the JSONL file format.
 """
 
 import pytest

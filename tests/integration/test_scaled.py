@@ -101,17 +101,16 @@ def test_fleet_telemetry_passes_trace_invariants():
     result = experiment.run()
     manifest = result.manifest
     verify_trace(experiment.telemetry.tracer.records(), manifest)
-    counters = experiment.telemetry.metrics
-    assert counters.counter("reconciliation.produced").value == result.produced == 450
-    assert counters.counter("reconciliation.delivered_unique").value == manifest[
-        "delivered_unique"
-    ]
-    assert counters.counter("reconciliation.lost").value == manifest["lost"]
-    assert counters.counter("reconciliation.duplicated").value == manifest["duplicated"]
-    assert counters.counter("producer.ingested").value == 450
-    assert counters.counter("transport.forward.retransmissions").value == (
-        result.retransmissions
-    )
+
+    def counter(name):
+        return manifest["metrics"][name]["value"]
+
+    assert counter("reconciliation.produced") == result.produced == 450
+    assert counter("reconciliation.delivered_unique") == manifest["delivered_unique"]
+    assert counter("reconciliation.lost") == manifest["lost"]
+    assert counter("reconciliation.duplicated") == manifest["duplicated"]
+    assert counter("producer.ingested") == 450
+    assert counter("transport.forward.retransmissions") == result.retransmissions
     assert result.case_fractions and result.p95_ack_latency_s is not None
 
 

@@ -94,6 +94,8 @@ class TestMain:
         [
             ["train", "--messages", "0"],
             ["train", "--epochs", "0"],
+            ["train", "--normal-rows", "-1"],
+            ["train", "--abnormal-rows", "-1"],
             ["chaos", "--cap", "0"],
             ["chaos", "--cap", "-5"],
             ["dynamic", "--cap", "0"],
@@ -112,6 +114,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith(f"repro {argv[0]}: error: ")
+
+    @pytest.mark.parametrize("command", ["dynamic", "chaos"])
+    @pytest.mark.parametrize("manifest", [None, "{not json"])
+    def test_unloadable_registry_model_is_an_error(
+        self, capsys, tmp_path, command, manifest
+    ):
+        # No model of that name (OSError), or one whose manifest does not
+        # parse (ValueError): reported before any work starts.
+        if manifest is not None:
+            (tmp_path / "m").mkdir()
+            (tmp_path / "m" / "manifest.json").write_text(manifest)
+        code = main([command, "--registry", str(tmp_path), "--name", "m"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines()[-1].startswith("error: ")
+        assert captured.out == ""
 
     def test_train_command_small(self, capsys, tmp_path):
         code = main([

@@ -234,10 +234,15 @@ class TestMetricsDocumentSchema:
     def test_flags_missing_fields_and_bad_metrics(self):
         doc = {
             "manifest": {"seed": "not-an-int", "case_counts": {"case9": -1}},
-            "metrics": {"good": {"type": "counter", "value": 1}, "bad": {}},
+            "metrics": {
+                "good": {"type": "counter", "value": 1},
+                "bad": {},
+                "histogram": {"type": "histogram", "count": 1},
+            },
         }
         problems = validate_metrics_document(doc)
         assert any("seed" in p and "type" in p for p in problems)
         assert any("case9" in p for p in problems)
         assert any("'bad'" in p for p in problems)
+        assert any("'histogram'" in p for p in problems)
         assert not any("'good'" in p for p in problems)

@@ -1,15 +1,9 @@
-"""Unit tests for the observability primitives: metrics, traces, telemetry."""
+"""Unit tests for the observability primitives: traces and telemetry."""
 
 import json
 
 import pytest
 
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.observability.telemetry import (
     MANIFEST_VERSION,
     RunTelemetry,
@@ -25,57 +19,6 @@ from repro.observability.trace import (
     load_trace_file,
     trace_digest,
 )
-
-
-class TestMetrics:
-    def test_counter_only_goes_up(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_tracks_latest(self):
-        gauge = Gauge("g")
-        gauge.set(3.5)
-        gauge.set(-1.0)
-        assert gauge.value == -1.0
-
-    def test_histogram_buckets_and_quantiles(self):
-        hist = Histogram("h", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.count == 5
-        assert hist.min == 0.05 and hist.max == 50.0
-        assert hist.mean == pytest.approx(56.05 / 5)
-        exported = hist.as_dict()
-        # Cumulative, Prometheus-style, with a trailing +Inf bucket.
-        assert exported["buckets"] == {"0.1": 1, "1.0": 3, "10.0": 4, "+Inf": 5}
-        assert hist.quantile(0.5) == 1.0
-        assert hist.quantile(1.0) == 50.0
-        assert Histogram("empty").quantile(0.5) is None
-
-    def test_registry_get_or_create_and_type_guard(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        registry.counter("a").inc(2)
-        assert registry.value("a") == 2
-        assert registry.value("missing", default=-1) == -1
-        with pytest.raises(TypeError):
-            registry.gauge("a")
-        assert "a" in registry and len(registry) == 1
-
-    def test_registry_digest_is_content_addressed(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        # Same content, different insertion order → same digest.
-        left.counter("x").inc(1)
-        left.gauge("y").set(2.0)
-        right.gauge("y").set(2.0)
-        right.counter("x").inc(1)
-        assert left.digest() == right.digest()
-        right.counter("x").inc(1)
-        assert left.digest() != right.digest()
 
 
 class TestTracer:
@@ -198,13 +141,16 @@ class TestRunTelemetry:
             sim_duration_s=1.0,
             heap={"ok": True},
             wall_time_s=0.01,
+            metrics={
+                "sim.duration_s": {"type": "gauge", "value": 1.0},
+                "producer.ingested": {"type": "counter", "value": 2},
+            },
         )
         base.update(overrides)
         return base
 
     def test_manifest_embeds_metrics_and_trace_identity(self):
-        telemetry = RunTelemetry(TelemetryConfig(ring_capacity=16))
-        telemetry.metrics.counter("producer.ingested").inc(2)
+        telemetry = RunTelemetry(TelemetryConfig())
         telemetry.tracer.emit(EventKind.SEND, 0.0, key=1)
         manifest = telemetry.build_manifest(**self._manifest_kwargs())
         assert manifest["version"] == MANIFEST_VERSION
@@ -212,10 +158,21 @@ class TestRunTelemetry:
         assert manifest["trace_digest"] == telemetry.tracer.digest()
         assert manifest["trace_complete"] is True
         assert manifest["metrics"]["producer.ingested"]["value"] == 2
-        assert manifest["metrics_digest"] == telemetry.metrics.digest()
+        assert list(manifest["metrics"]) == ["producer.ingested", "sim.duration_s"]
+        # Content-addressed: the digest reads the values, not their order.
+        metrics = self._manifest_kwargs()["metrics"]
+        reordered = telemetry.build_manifest(
+            **self._manifest_kwargs(metrics=dict(reversed(list(metrics.items()))))
+        )
+        assert reordered["metrics_digest"] == manifest["metrics_digest"]
+        changed = telemetry.build_manifest(**self._manifest_kwargs(
+            metrics={"producer.ingested": {"type": "counter", "value": 3}}
+        ))
+        assert changed["metrics_digest"] != manifest["metrics_digest"]
 
     def test_manifest_marks_wrapped_ring_incomplete(self):
-        telemetry = RunTelemetry(TelemetryConfig(ring_capacity=1))
+        telemetry = RunTelemetry(TelemetryConfig())
+        telemetry.tracer = Tracer(RingBufferSink(1))
         telemetry.tracer.emit(EventKind.SEND, 0.0, key=1)
         telemetry.tracer.emit(EventKind.SEND, 0.1, key=2)
         manifest = telemetry.build_manifest(**self._manifest_kwargs())
@@ -234,11 +191,3 @@ class TestRunTelemetry:
         assert manifest["kind"] == "manifest"
         # The manifest line is excluded from the digest it embeds.
         assert manifest["trace_digest"] == trace_digest(events)
-
-    def test_disabled_trace_keeps_metrics_only(self):
-        telemetry = RunTelemetry(TelemetryConfig(trace=False))
-        assert telemetry.tracer is None
-        manifest = telemetry.build_manifest(**self._manifest_kwargs())
-        assert manifest["trace_events"] == 0
-        assert manifest["trace_digest"] is None
-        telemetry.finalize()  # no sink: must be a no-op

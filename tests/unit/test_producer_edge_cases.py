@@ -13,7 +13,7 @@ from repro.kafka import (
     reconcile,
 )
 from repro.network import ConstantLatency, Link, ReliableChannel
-from repro.observability.telemetry import RunTelemetry, TelemetryConfig
+from repro.observability.trace import Tracer
 from repro.simulation import RngRegistry, Simulator
 
 
@@ -250,11 +250,11 @@ class TestExpirySites:
             # Requests reach the cluster but no response ever comes back.
             for broker_id in cluster.broker_ids:
                 cluster.set_broker_availability(broker_id, False)
-        telemetry = RunTelemetry(TelemetryConfig())
+        tracer = Tracer()
         listener = self.Listener()
         producer = KafkaProducer(
             sim, cluster, ReliableChannel(sim, link), topic,
-            config=config, listener=listener, telemetry=telemetry,
+            config=config, listener=listener, tracer=tracer,
         )
         for payload in payloads:
             producer.offer(ProducerRecord(payload_bytes=payload))
@@ -263,7 +263,7 @@ class TestExpirySites:
         assert producer.done
         traced = [
             (r["key"], r["after_send"], r["t"])
-            for r in telemetry.tracer.records()
+            for r in tracer.records()
             if r["kind"] == "expired"
         ]
         return producer.stats, listener.expired, traced
