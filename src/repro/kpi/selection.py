@@ -20,9 +20,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..kafka.config import ProducerConfig
 from ..kafka.semantics import DeliverySemantics
 from ..models.features import FeatureVector
-from ..models.predictor import TIERS, FallbackEstimate, ReliabilityPredictor
-from ..performance.queueing import ProducerPerformanceModel
-from .weighted import DEFAULT_WEIGHTS, KpiWeights, kpi_from_estimates
+from ..models.predictor import (
+    TIERS,
+    FallbackEstimate,
+    ReliabilityEstimate,
+    ReliabilityPredictor,
+)
+from ..performance.queueing import PerformanceEstimate, ProducerPerformanceModel
+from .weighted import DEFAULT_WEIGHTS, KpiWeights, kpi_from_estimates, weighted_kpi
 
 __all__ = [
     "SelectionContext",
@@ -37,11 +42,21 @@ __all__ = [
 _MAX_ROUNDS = 8
 
 #: One coordinate's axis during the search: its candidate values, the
-#: position of the entry config's value, and the candidates built and
-#: estimates fetched so far, both keyed by position.
+#: position of the entry config's value, and the candidates built (each
+#: with its performance estimate) and estimates fetched so far, both
+#: keyed by position.
 _Axis = Tuple[
-    List[Any], int, Dict[int, ProducerConfig], Dict[int, FallbackEstimate]
+    List[Any],
+    int,
+    Dict[int, Tuple[ProducerConfig, PerformanceEstimate]],
+    Dict[int, FallbackEstimate],
 ]
+
+#: The estimate recorded for a pruned candidate: one the ANN tier covers
+#: whose best case (no loss, no duplicates) cannot beat the current γ.  It
+#: is never predicted and never wins a move; it counts as an ANN answer,
+#: which it would have been.
+_PRUNED = FallbackEstimate(ReliabilityEstimate(1.0, 1.0), "ann")
 
 
 @dataclass(frozen=True)
@@ -96,8 +111,9 @@ class SelectionResult:
     ``prediction_source`` is the worst fallback tier (see
     :data:`~repro.models.predictor.TIERS`) among every estimate the search
     read, so a guard can tell a decision built on the ANN from one built
-    on a degraded tier; ``config_source`` is the tier of the estimate
-    behind ``gamma`` itself.
+    on a degraded tier.  A candidate pruned without a prediction is one
+    the ANN tier covers, so it counts as ``"ann"``.  ``config_source`` is
+    the tier of the estimate behind ``gamma`` itself.
     """
 
     config: ProducerConfig
@@ -181,14 +197,25 @@ def select_configuration(
     first stage works per round: when the walk reaches a coordinate whose
     neighbours at the current config are not fetched yet, one call fetches
     the immediate neighbours of that coordinate and of every later one.  A
-    walk that never moves therefore makes two calls in all (the start
-    config and one round).  The second stage works per axis: once the walk
-    moves on a coordinate and wants more than the entry value's
+    walk that never moves therefore makes at most two calls in all (the
+    start config and one round).  The second stage works per axis: once
+    the walk moves on a coordinate and wants more than the entry value's
     neighbours, one call fetches the rest of that axis.  A move changes
     the config, so the later coordinates fetch their neighbours again.
+
+    A candidate is scored by the performance model when it is built, and
+    Eq. 2 with P_l = P_d = 0 is its best possible γ.  When the ANN tier
+    covers the candidate (:meth:`~ReliabilityPredictor.covers`) and that
+    best case cannot beat the current γ, the candidate is pruned: it is
+    never predicted, counts one step when the walk reaches it, and never
+    wins a move.  γ only rises during a walk, so the walk would have
+    rejected it anyway, and every result field is the same as without
+    pruning.  A candidate only a fallback tier answers is always fetched.
+
     ``prediction_source`` folds in the neighbours of each coordinate the
     walk reaches and every second-stage row, never the neighbours of a
-    coordinate it left before reaching.
+    coordinate it left before reaching; pruned candidates count as
+    ``"ann"``.
     """
     steps = steps if steps is not None else ParameterSteps()
     config = start if start is not None else ProducerConfig()
@@ -206,6 +233,32 @@ def select_configuration(
     result.trace.append(("start", gamma))
     if result.met_requirement:
         return result
+
+    def build(
+        base: ProducerConfig, parameter: str, position: int, axis: _Axis
+    ) -> Optional[FeatureVector]:
+        """Add ``base`` with ``parameter`` at the axis value ``position``.
+
+        Returns the candidate's vector to fetch, or ``None`` when it is
+        pruned (its marker is then recorded as its estimate).
+        """
+        values, _, candidates, estimates = axis
+        candidate = base.with_(**{parameter: values[position]})
+        performance = performance_model.predict(
+            candidate, context.message_bytes, context.network_delay_s
+        )
+        candidates[position] = (candidate, performance)
+        vector = context.feature_vector(candidate)
+        if predictor.covers(vector) and weighted_kpi(
+            performance.bandwidth_utilization,
+            performance.service_rate_norm,
+            0.0,
+            0.0,
+            weights,
+        ) <= gamma + 1e-9:
+            estimates[position] = _PRUNED
+            return None
+        return vector
 
     parameters = ("semantics", "batch_size", "polling_interval_s", "message_timeout_s")
     # First fetch stage, per parameter: its axis at the current config, the
@@ -228,19 +281,21 @@ def select_configuration(
                     if later in axes:
                         continue
                     values, index = _axis_values(steps, later, config)
-                    candidates: Dict[int, ProducerConfig] = {}
                     estimates: Dict[int, FallbackEstimate] = {}
+                    axis: _Axis = (values, index, {}, estimates)
+                    axes[later] = axis
                     for position in (index - 1, index + 1):
                         if 0 <= position < len(values):
-                            candidates[position] = config.with_(**{later: values[position]})
-                            vectors.append(context.feature_vector(candidates[position]))
-                            slots.append((estimates, position))
-                    axes[later] = (values, index, candidates, estimates)
+                            vector = build(config, later, position, axis)
+                            if vector is not None:
+                                vectors.append(vector)
+                                slots.append((estimates, position))
                 if vectors:
                     fetched = predictor.predict_with_fallback_batch(vectors)
                     for (estimates, position), tiered in zip(slots, fetched):
                         estimates[position] = tiered
-            values, index, candidates, estimates = axes[parameter]
+            axis = axes[parameter]
+            values, index, candidates, estimates = axis
             # Only the neighbours of a coordinate the walk reaches count
             # toward prediction_source, never rows fetched for a later
             # coordinate that the walk left before reaching (it met γ or
@@ -261,31 +316,34 @@ def select_configuration(
                         # Second stage: the walk moved on this axis and wants
                         # more than the entry's neighbours, so the rest of the
                         # axis comes in one call.
-                        rest = [p for p in range(len(values)) if p not in estimates]
-                        for position in rest:
-                            candidates[position] = entry.with_(
-                                **{parameter: values[position]}
+                        rest: List[int] = []
+                        vectors = []
+                        for position in range(len(values)):
+                            if position in estimates:
+                                continue
+                            vector = build(entry, parameter, position, axis)
+                            if vector is not None:
+                                rest.append(position)
+                                vectors.append(vector)
+                        if vectors:
+                            fetched = predictor.predict_with_fallback_batch(vectors)
+                            result.prediction_source = max(
+                                [result.prediction_source] + [t.source for t in fetched],
+                                key=TIERS.index,
                             )
-                        fetched = predictor.predict_with_fallback_batch(
-                            [context.feature_vector(candidates[p]) for p in rest]
-                        )
-                        result.prediction_source = max(
-                            [result.prediction_source] + [t.source for t in fetched],
-                            key=TIERS.index,
-                        )
-                        estimates.update(zip(rest, fetched))
-                    candidate = candidates[neighbour]
-                    performance = performance_model.predict(
-                        candidate, context.message_bytes, context.network_delay_s
-                    )
-                    candidate_gamma = kpi_from_estimates(
-                        performance, estimates[neighbour].estimate, weights
-                    )
+                            estimates.update(zip(rest, fetched))
                     result.steps_taken += 1
+                    tiered = estimates[neighbour]
+                    if tiered is _PRUNED:
+                        continue
+                    candidate, performance = candidates[neighbour]
+                    candidate_gamma = kpi_from_estimates(
+                        performance, tiered.estimate, weights
+                    )
                     if candidate_gamma > gamma + 1e-9:
                         config, gamma, index = candidate, candidate_gamma, neighbour
                         axes.clear()
-                        result.config_source = estimates[neighbour].source
+                        result.config_source = tiered.source
                         result.trace.append((f"{parameter}={values[neighbour]}", gamma))
                         moved = True
                         improved = True

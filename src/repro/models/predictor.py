@@ -23,7 +23,7 @@ from ..ann.optimizers import SGD
 from ..ann.scaling import StandardScaler
 from ..kafka.semantics import DeliverySemantics
 from ..testbed.results import ExperimentResult
-from .features import FeatureSchema, FeatureVector, region_of
+from .features import FeatureSchema, FeatureVector
 
 __all__ = [
     "TrainingSettings",
@@ -262,13 +262,12 @@ class ReliabilityPredictor:
         semantics ride along *unrounded* so two vectors on opposite sides
         of the Fig. 3 region predicate (e.g. ``loss_rate=0`` vs ``1e-10``)
         can never collide on one memo slot.  The first two elements are
-        the submodel key.
+        the submodel key (:attr:`FeatureVector.submodel_key`, the one
+        routing expression, which :meth:`covers` reads too).
         """
         size, timeliness, delay, loss, batch, polling, timeout = _numeric_features(vector)
         rounded = self._rounded
-        return (
-            region_of(delay, loss),
-            vector.semantics.value,
+        return vector.submodel_key + (
             rounded[size],
             rounded[timeliness],
             rounded[delay],
@@ -445,6 +444,16 @@ class ReliabilityPredictor:
         )
 
     # ---------------------------------------------------------- prediction
+
+    def covers(self, vector: FeatureVector) -> bool:
+        """Whether the ANN tier answers ``vector``: a submodel is trained
+        for its Fig. 3 region and semantics.
+
+        The same routing key :meth:`_predict` groups by, so
+        ``covers(v)`` holds exactly when
+        ``predict_with_fallback_batch([v])[0].source == "ann"``.
+        """
+        return vector.submodel_key in self.submodels
 
     def predict_with_fallback_batch(
         self, vectors: Sequence[FeatureVector]

@@ -21,6 +21,9 @@ class AnalyticPredictor:
     """Loss grows with loss rate, shrinks with batching — enough structure
     for the controller to make sensible moves without ANN training."""
 
+    def covers(self, vector):
+        return True
+
     def predict_with_fallback_batch(self, vectors):
         return [FallbackEstimate(self.estimate(vector), "ann") for vector in vectors]
 

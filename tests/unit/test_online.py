@@ -20,6 +20,9 @@ from repro.workloads import WEB_ACCESS_LOGS
 
 
 class StubPredictor:
+    def covers(self, vector):
+        return True
+
     def predict_with_fallback_batch(self, vectors):
         return [FallbackEstimate(self.estimate(vector), "ann") for vector in vectors]
 

@@ -227,6 +227,59 @@ class TestFallbackChainIdentity:
             assert estimate.p_loss == min(1.0, max(0.0, float(best.p_loss)))
 
 
+class TestCovers:
+    """``covers(v)`` is the routing of ``_predict``: true exactly when the
+    ANN tier answers ``v``."""
+
+    @staticmethod
+    def assert_matches_tier(predictor, vectors):
+        for vector in vectors:
+            predictor.invalidate_caches()
+            [fresh] = predictor.predict_with_fallback_batch([vector])
+            [memoised] = predictor.predict_with_fallback_batch([vector])
+            assert predictor.covers(vector) == (fresh.source == "ann"), vector
+            assert memoised.source == fresh.source, vector
+
+    def test_every_vector_covered_by_a_full_predictor(self, full_predictor):
+        vectors = query_grid(seed=19, count=60)
+        assert all(full_predictor.covers(vector) for vector in vectors)
+        self.assert_matches_tier(full_predictor, vectors)
+
+    def test_untrained_submodels_and_exactly_once_are_uncovered(self, partial_predictor):
+        vectors = query_grid(seed=23, count=60)
+        covered = [partial_predictor.covers(vector) for vector in vectors]
+        assert covered == [
+            vector.semantics is DeliverySemantics.AT_LEAST_ONCE for vector in vectors
+        ]
+        self.assert_matches_tier(partial_predictor, vectors)
+
+    @pytest.mark.parametrize("trained_region", ["normal", "abnormal"])
+    def test_fig3_region_boundary(self, trained_region):
+        # One region trained: the vectors either side of the Fig. 3
+        # predicate route to different submodels, so exactly one side is
+        # covered.
+        predictor = ReliabilityPredictor()
+        predictor.fit(
+            training_rows(DeliverySemantics.AT_LEAST_ONCE, trained_region, seed=2), FAST
+        )
+        base = query_grid(count=1)[0]
+        base = dataclasses.replace(base, semantics=DeliverySemantics.AT_LEAST_ONCE)
+        normal = [
+            dataclasses.replace(base, network_delay_s=0.1, loss_rate=0.0),
+            dataclasses.replace(
+                base, network_delay_s=float(np.nextafter(0.2, 0.0)), loss_rate=0.0
+            ),
+        ]
+        abnormal = [
+            dataclasses.replace(base, network_delay_s=0.1, loss_rate=1e-10),
+            dataclasses.replace(base, network_delay_s=0.2, loss_rate=0.0),
+        ]
+        expected = trained_region == "normal"
+        assert [predictor.covers(v) for v in normal] == [expected, expected]
+        assert [predictor.covers(v) for v in abnormal] == [not expected, not expected]
+        self.assert_matches_tier(predictor, normal + abnormal)
+
+
 class TestMemoInvalidation:
     def test_remember_invalidates_memo_and_neighbour_index(self):
         predictor = ReliabilityPredictor()

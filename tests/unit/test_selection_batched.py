@@ -66,6 +66,9 @@ class AnalyticPredictor:
     def __init__(self, tiers=None):
         self.tiers = tiers or {}
 
+    def covers(self, vector):
+        return self.tiers.get(vector.semantics, "ann") == "ann"
+
     def predict_with_fallback_batch(self, vectors):
         out = []
         for vector in vectors:
@@ -403,6 +406,9 @@ class ScriptedPredictor:
     def __init__(self, answer):
         self.answer = answer
         self.calls = 0
+
+    def covers(self, vector):
+        return self.answer(vector)[1] == "ann"
 
     def predict_with_fallback_batch(self, vectors):
         self.calls += 1

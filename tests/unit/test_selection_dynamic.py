@@ -44,6 +44,9 @@ class StubPredictor:
         duplicate = 0.02 / vector.batch_size if vector.semantics.waits_for_ack else 0.0
         return ReliabilityEstimate(p_loss=base, p_duplicate=min(1.0, duplicate))
 
+    def covers(self, vector):
+        return True
+
     def predict_with_fallback_batch(self, vectors):
         return [FallbackEstimate(self.estimate(vector), "ann") for vector in vectors]
 
