@@ -5,7 +5,7 @@ End-to-end reproduction of the Table II experiment at example scale:
 
 1. generate the Fig. 9 network trace (Pareto delay, Gilbert–Elliott loss),
 2. train a quick reliability predictor on testbed data,
-3. let the controller generate an offline configuration file per stream,
+3. let the controller generate an offline configuration plan per stream,
 4. replay the trace under the default and the dynamic policy, and
 5. report the Eq. 3 overall rates R_l and R_d side by side.
 

@@ -90,7 +90,6 @@ class ChaosPhase:
     name: str
     duration_s: float
     actions: Tuple[ChaosAction, ...] = ()
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -142,15 +141,9 @@ class ChaosSchedule:
 # ------------------------------------------------------------- builders
 
 
-def baseline_phase(
-    duration_s: float = 4.0, name: str = "baseline", description: str = ""
-) -> ChaosPhase:
+def baseline_phase(duration_s: float = 4.0, name: str = "baseline") -> ChaosPhase:
     """A fault-free phase (warm-up, recovery, control group)."""
-    return ChaosPhase(
-        name=name,
-        duration_s=duration_s,
-        description=description or "no faults injected",
-    )
+    return ChaosPhase(name=name, duration_s=duration_s)
 
 
 def loss_burst_phase(
@@ -181,10 +174,6 @@ def loss_burst_phase(
             ChaosAction(time_s=onset, kind="inject_fault", fault=fault),
             ChaosAction(time_s=clear, kind="clear_fault"),
         ),
-        description=(
-            f"Gilbert–Elliott burst loss {loss_rate:.0%}, "
-            f"mean burst {burst_length:g} packets"
-        ),
     )
 
 
@@ -211,7 +200,6 @@ def delay_spike_phase(
         name=name,
         duration_s=duration_s,
         actions=tuple(actions),
-        description=f"{spikes} delay spike(s) of {delay_s * 1000:.0f} ms",
     )
 
 
@@ -244,9 +232,6 @@ def broker_flap_phase(
         name=name,
         duration_s=duration_s,
         actions=tuple(actions),
-        description=(
-            f"crash {len(actions) // 2} broker(s) for {downtime_s:g}s, then restore"
-        ),
     )
 
 
@@ -265,12 +250,7 @@ def blackout_phase(
         ChaosAction(time_s=crash_at_s, kind="crash_broker", broker_id=broker_id)
         for broker_id in broker_ids
     )
-    return ChaosPhase(
-        name=name,
-        duration_s=duration_s,
-        actions=actions,
-        description="all brokers crash and stay down",
-    )
+    return ChaosPhase(name=name, duration_s=duration_s, actions=actions)
 
 
 def compose(

@@ -63,7 +63,7 @@ class ProducerListener:
     def on_attempt_failed(self, record: ProducerRecord, attempt: int) -> None:
         """A produce request carrying the record timed out or failed."""
 
-    def on_acknowledged(self, record: ProducerRecord, rtt_s: float) -> None:
+    def on_acknowledged(self, record: ProducerRecord) -> None:
         """Producer received a broker response covering the record."""
 
     def on_perceived_lost(self, record: ProducerRecord) -> None:
@@ -565,10 +565,9 @@ class KafkaProducer:
         listener = self.listener
         emit_ack = self._emit_ack
         for record in records:
-            rtt = now - record.ingest_time
-            listener.on_acknowledged(record, rtt)
+            listener.on_acknowledged(record)
             if emit_ack is not None:
-                emit_ack(now, record.key, rtt)
+                emit_ack(now, record.key, now - record.ingest_time)
         self._resolve(len(records))
         self._finish(batch)
 

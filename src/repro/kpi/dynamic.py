@@ -6,9 +6,10 @@ The paper's scheme, reproduced faithfully:
   of Pareto delay and Gilbert–Elliott loss, Fig. 9).
 * Configurations are generated **offline**: every re-configuration
   interval the controller reads the trace, runs the stepwise KPI search
-  against the *prediction model*, and appends the chosen configuration to
-  a configuration file.
-* The experiment replays the file: the producer is restarted with the
+  against the *prediction model*, and records the chosen configuration in
+  a :class:`ConfigurationPlan`.  The paper writes this plan to a
+  configuration file; here it is passed in memory and never written.
+* The experiment replays the plan: the producer is restarted with the
   planned configuration each interval (Kafka cannot re-configure a live
   producer), while the fault injector replays the trace.
 * Eq. 3 aggregates the per-interval measurements into the overall rates
@@ -22,13 +23,10 @@ and the experiment divides the workload among them.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
-from ..kafka.semantics import DeliverySemantics
 from ..models.predictor import ReliabilityPredictor
 from ..network.trace import NetworkTrace
 from ..performance.queueing import ProducerPerformanceModel
@@ -56,25 +54,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConfigPlanEntry:
-    """One line of the offline configuration file."""
+    """One interval of the offline plan: when it starts and what was decided."""
 
     time_s: float
-    config: ProducerConfig
-    producers: int
-    predicted_gamma: Optional[float]
-    #: The controller's decision record; not saved with the plan.
-    decision: Optional[Decision] = field(default=None, compare=False, repr=False)
+    decision: Decision
 
-    def planned(self) -> Decision:
-        """The decision a replay runs (bare for an entry loaded from a file)."""
-        if self.decision is not None:
-            return self.decision
-        return Decision(self.config, "planned", self.producers, self.predicted_gamma)
+    @property
+    def config(self) -> ProducerConfig:
+        """The planned producer configuration."""
+        return self.decision.config
+
+    @property
+    def producers(self) -> int:
+        """How many producer instances the plan runs."""
+        return self.decision.producers
+
+    @property
+    def predicted_gamma(self) -> Optional[float]:
+        """The γ the planner predicted for :attr:`config`."""
+        return self.decision.predicted_gamma
 
 
 @dataclass
 class ConfigurationPlan:
-    """The offline configuration file: config per re-configuration time."""
+    """The offline plan: one decision per re-configuration interval."""
 
     interval_s: float
     entries: List[ConfigPlanEntry] = field(default_factory=list)
@@ -86,47 +89,6 @@ class ConfigurationPlan:
         index = int(time_s // self.interval_s)
         index = min(max(index, 0), len(self.entries) - 1)
         return self.entries[index]
-
-    def save(self, path: "str | Path") -> None:
-        """Write the plan as JSON (the paper's dynamicConf file)."""
-        payload = {
-            "interval_s": self.interval_s,
-            "entries": [
-                {
-                    "time_s": entry.time_s,
-                    "producers": entry.producers,
-                    "predicted_gamma": entry.predicted_gamma,
-                    "config": {
-                        **asdict(entry.config),
-                        "semantics": entry.config.semantics.value,
-                    },
-                }
-                for entry in self.entries
-            ],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "ConfigurationPlan":
-        """Read a plan saved with :meth:`save`.
-
-        ``ProducerConfig`` fields missing from the file (older plans
-        stored only some of them) take their defaults.
-        """
-        payload = json.loads(Path(path).read_text())
-        plan = cls(interval_s=payload["interval_s"])
-        for entry in payload["entries"]:
-            config_data = dict(entry["config"])
-            config_data["semantics"] = DeliverySemantics.parse(config_data["semantics"])
-            plan.entries.append(
-                ConfigPlanEntry(
-                    time_s=entry["time_s"],
-                    config=ProducerConfig(**config_data),
-                    producers=entry["producers"],
-                    predicted_gamma=entry["predicted_gamma"],
-                )
-            )
-        return plan
 
 
 class DynamicConfigurationController:
@@ -167,11 +129,7 @@ class DynamicConfigurationController:
         for time_s, point in trace.sample(self.reconfig_interval_s):
             decision = self.controller.decide(stream, config, known=point)
             config = decision.config
-            plan.entries.append(
-                ConfigPlanEntry(
-                    time_s, config, decision.producers, decision.predicted_gamma, decision
-                )
-            )
+            plan.entries.append(ConfigPlanEntry(time_s, decision))
         return plan
 
 
@@ -235,7 +193,7 @@ def run_traced_experiment(
             delay_s=point.delay_s,
             loss_rate=point.loss_rate,
             max_messages=messages_cap_per_interval,
-            planned=plan.at(point.time_s).planned() if plan is not None else None,
+            planned=plan.at(point.time_s).decision if plan is not None else None,
         )
         for index, point in enumerate(trace)
     ]

@@ -470,7 +470,7 @@ class ReliabilityPredictor:
         search toward the safest settings.  A single query is a batch of
         one.
         """
-        return self._predict(vectors, fallback=True)
+        return self._predict(vectors)
 
     def predict_vectors(
         self, vectors: Sequence[FeatureVector]
@@ -478,20 +478,27 @@ class ReliabilityPredictor:
         """The ANN tier alone: raises ``KeyError`` for an uncovered vector.
 
         :meth:`evaluate` uses it to report the paper's MAE for the network
-        itself rather than for the fallback chain.
+        itself rather than for the fallback chain.  Coverage is checked
+        before anything is predicted, so every answer of the shared core
+        comes from the ANN tier.
         """
-        return [tiered.estimate for tiered in self._predict(vectors, fallback=False)]
+        vectors = list(vectors)
+        for vector in vectors:
+            if not self.covers(vector):
+                region, semantics = vector.submodel_key
+                raise KeyError(
+                    f"no submodel trained for region={region!r}, semantics={semantics!r}"
+                )
+        return [tiered.estimate for tiered in self._predict(vectors)]
 
-    def _predict(
-        self, vectors: Sequence[FeatureVector], fallback: bool
-    ) -> List[FallbackEstimate]:
+    def _predict(self, vectors: Sequence[FeatureVector]) -> List[FallbackEstimate]:
         """Shared core: quantised-feature memo, then one forward pass per
-        submodel group, then (with ``fallback``) the degraded tiers.
+        submodel group, then the degraded tiers for uncovered vectors.
 
         Every answer lands in the memo, so repeated queries (hill-climb
         search revisiting the same candidates round after round) are
-        O(1).  Without ``fallback`` only ``"ann"`` memo entries are served
-        and the first uncovered vector raises ``KeyError``.
+        O(1).  fit() and remember() invalidate the memo, so an entry still
+        answers from the tier it was stored under.
         """
         vectors = list(vectors)
         out: List[Optional[FallbackEstimate]] = [None] * len(vectors)
@@ -508,23 +515,14 @@ class ReliabilityPredictor:
             if cached is not None:
                 memo.move_to_end(quantised)
                 self._memo_hits += 1
-                if fallback or cached.source == "ann":
-                    # fit() and remember() invalidate the memo, so an entry
-                    # still answers from the tier it was stored under and
-                    # the coverage check can be skipped on a hit.
-                    out[i] = cached
-                    continue
-            else:
-                self._memo_misses += 1
+                out[i] = cached
+                continue
+            self._memo_misses += 1
             key = quantised[:2]
             if key in self.submodels:
                 pending.setdefault(key, []).append(i)
-            elif fallback:
-                uncovered.append(i)
             else:
-                raise KeyError(
-                    f"no submodel trained for region={key[0]!r}, semantics={key[1]!r}"
-                )
+                uncovered.append(i)
         for key, indices in pending.items():
             submodel = self.submodels[key]
             rows = submodel.schema.encode_many([vectors[i] for i in indices])

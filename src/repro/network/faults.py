@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..observability.trace import EventKind
 from ..simulation.simulator import Simulator
@@ -176,7 +176,6 @@ class FaultInjector:
         self._link = link
         self._baseline_latency = (link.forward.latency, link.reverse.latency)
         self._baseline_loss = (link.forward.loss, link.reverse.loss)
-        self.active_fault: Optional[NetworkFault] = None
         self._broker_callbacks: List[Callable[[str, bool], None]] = []
         self._tracer = tracer
         self.injected = 0
@@ -190,7 +189,6 @@ class FaultInjector:
 
     def inject(self, fault: NetworkFault) -> None:
         """Apply ``fault`` immediately (replacing any active fault)."""
-        self.active_fault = fault
         self.injected += 1
         if self._tracer is not None:
             self._tracer.emit(
@@ -214,7 +212,6 @@ class FaultInjector:
 
     def clear(self) -> None:
         """Restore the baseline (pre-fault) treatments."""
-        self.active_fault = None
         if self._tracer is not None:
             self._tracer.emit(EventKind.FAULT, self._sim.now, action="clear")
         self._link.forward.latency, self._link.reverse.latency = self._baseline_latency

@@ -10,6 +10,7 @@ as the "known network status" the paper assumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
@@ -50,11 +51,16 @@ class NetworkTrace:
         return self.points[index]
 
     def sample(self, step_s: float) -> Iterator[Tuple[float, TracePoint]]:
-        """``(time, conditions)`` every ``step_s`` seconds over the trace."""
-        time_s = 0.0
-        while time_s < self.duration_s:
+        """``(time, conditions)`` every ``step_s`` seconds over the trace.
+
+        Sample ``i`` is taken at ``i * step_s``, never at a running sum,
+        whose rounding error would add a sample at the very end (a 1-s
+        trace sampled every 0.1 s has 10 samples, not 11).
+        """
+        count = math.ceil(self.duration_s / step_s - 1e-9)
+        for index in range(count):
+            time_s = index * float(step_s)
             yield time_s, self.at(time_s)
-            time_s += step_s
 
     def __iter__(self) -> Iterator[TracePoint]:
         return iter(self.points)

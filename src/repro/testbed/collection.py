@@ -20,7 +20,7 @@ the paper's "minimise the time spent on collecting training data".
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -30,7 +30,7 @@ from ..kafka.semantics import DeliverySemantics
 from .results import ExperimentResult
 from .runner import run_many
 from .scenario import Scenario
-from .sweep import apply_axis
+from .sweep import grid_points
 
 __all__ = ["CollectionPlan", "normal_case_plan", "abnormal_case_plan", "collect_training_data"]
 
@@ -60,19 +60,15 @@ class CollectionPlan:
 
     def scenarios(self, rng: Optional[np.random.Generator] = None) -> List[Scenario]:
         """Materialise the grid (subsampled when ``max_rows`` is set)."""
-        names = list(self.axes)
-        grid = list(itertools.product(*(self.axes[name] for name in names)))
-        if self.max_rows is not None and len(grid) > self.max_rows:
+        size = math.prod(len(values) for values in self.axes.values())
+        rows = None
+        if self.max_rows is not None and size > self.max_rows:
             rng = rng if rng is not None else np.random.default_rng(self.base.seed)
-            index = rng.choice(len(grid), size=self.max_rows, replace=False)
-            grid = [grid[i] for i in sorted(index)]
-        out: List[Scenario] = []
-        for row, values in enumerate(grid):
-            scenario = self.base
-            for name, value in zip(names, values):
-                scenario = apply_axis(scenario, name, value)
-            out.append(scenario.with_(seed=self.base.seed + 17 * row))
-        return out
+            rows = sorted(rng.choice(size, size=self.max_rows, replace=False))
+        return [
+            scenario.with_(seed=self.base.seed + 17 * row)
+            for row, scenario in enumerate(grid_points(self.base, self.axes, rows))
+        ]
 
 
 def normal_case_plan(

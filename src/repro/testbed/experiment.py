@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from ..kafka.cluster import KafkaCluster
 from ..kafka.consumer import reconcile
 from ..kafka.producer import KafkaProducer
@@ -41,7 +39,7 @@ from ..workloads.arrival import (
     PolledSource,
     SourceDriver,
 )
-from .results import ExperimentResult, p50_p95
+from .results import ExperimentResult
 from .scenario import Scenario, default_salt, scenario_fingerprint
 from .tracker import DeliveryTracker
 
@@ -249,8 +247,6 @@ class Experiment:
             for case in DeliveryCase
             if census.case_counts.get(case)
         }
-        ack_latencies = self.tracker.ack_latencies
-        p50_ack, p95_ack = p50_p95(ack_latencies) if ack_latencies else (None, None)
         delivered = report.delivered_unique
         manifest = None
         if self.telemetry is not None:
@@ -271,11 +267,6 @@ class Experiment:
             case_fractions=case_fractions,
             persisted_but_unacked=persisted_but_unacked,
             duplicate_copies=report.duplicate_copies,
-            mean_ack_latency_s=(
-                float(np.mean(ack_latencies)) if ack_latencies else None
-            ),
-            p50_ack_latency_s=p50_ack,
-            p95_ack_latency_s=p95_ack,
             throughput_msgs_per_s=(
                 delivered / duration if duration > 0 else None
             ),

@@ -6,16 +6,13 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional
 
 from ..kafka.state import DeliveryCase
 
 __all__ = [
     "ExperimentResult",
     "wilson_interval",
-    "p50_p95",
     "save_results_csv",
     "load_results_csv",
 ]
@@ -38,31 +35,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
         / denom
     )
     return (max(0.0, centre - half), min(1.0, centre + half))
-
-
-def p50_p95(values: Sequence[float]) -> Tuple[float, float]:
-    """``np.percentile(values, (50, 95))`` for finite ``values``, bit for bit.
-
-    One ``np.sort``, then numpy's "linear" order statistic per quantile:
-    virtual index ``(n - 1) * q`` and its ``_lerp``, which interpolates
-    from the upper neighbour when the weight is at least 0.5.  It exists
-    because ``np.percentile`` partitions through ``np.unique``, whose first
-    call imports ``numpy.ma`` (about 1 MB) into every experiment process.
-    """
-    ordered = np.sort(np.asarray(values, dtype=np.float64))
-    last = len(ordered) - 1
-    out = []
-    for quantile in (0.5, 0.95):
-        virtual = last * quantile
-        # Past the last index numpy takes the last value twice; its weight
-        # is then measured from index -1, as numpy measures it.
-        below = -1 if virtual >= last else math.floor(virtual)
-        above = -1 if virtual >= last else below + 1
-        weight = virtual - below
-        lo, hi = float(ordered[below]), float(ordered[above])
-        span = hi - lo
-        out.append(hi - span * (1 - weight) if weight >= 0.5 else lo + span * weight)
-    return out[0], out[1]
 
 
 @dataclass
@@ -93,9 +65,6 @@ class ExperimentResult:
     case_fractions: Dict[str, float] = field(default_factory=dict)
     persisted_but_unacked: int = 0
     duplicate_copies: int = 0
-    mean_ack_latency_s: Optional[float] = None
-    p50_ack_latency_s: Optional[float] = None
-    p95_ack_latency_s: Optional[float] = None
     throughput_msgs_per_s: Optional[float] = None
     simulated_duration_s: float = 0.0
     retransmissions: int = 0

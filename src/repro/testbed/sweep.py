@@ -58,6 +58,27 @@ def derive_seed(base_seed: int, point: int, replication: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def grid_points(
+    base: Scenario,
+    axes: Dict[str, Sequence],
+    rows: Optional[Sequence[int]] = None,
+) -> List[Scenario]:
+    """``base`` at each point of the cartesian product of ``axes``, in grid
+    order (the last axis varies fastest), or only at the grid indices
+    ``rows``.  Every scenario keeps ``base``'s seed."""
+    names = list(axes)
+    grid = list(itertools.product(*(axes[name] for name in names)))
+    if rows is not None:
+        grid = [grid[row] for row in rows]
+    out: List[Scenario] = []
+    for values in grid:
+        scenario = base
+        for name, value in zip(names, values):
+            scenario = apply_axis(scenario, name, value)
+        out.append(scenario)
+    return out
+
+
 def grid_scenarios(
     base: Scenario,
     axes: Dict[str, Sequence],
@@ -67,14 +88,8 @@ def grid_scenarios(
     replications adjacent), with per-cell seeds from :func:`derive_seed`."""
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    names = list(axes)
     scenarios: List[Scenario] = []
-    for point, values in enumerate(
-        itertools.product(*(axes[name] for name in names))
-    ):
-        scenario = base
-        for name, value in zip(names, values):
-            scenario = apply_axis(scenario, name, value)
+    for point, scenario in enumerate(grid_points(base, axes)):
         for replication in range(replications):
             scenarios.append(
                 scenario.with_(seed=derive_seed(base.seed, point, replication))

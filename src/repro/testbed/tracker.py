@@ -179,9 +179,6 @@ class DeliveryTracker(ProducerListener):
     ----------
     ingest_times:
         Producer-ingest time per record key; NaN for a key never ingested.
-    ack_latencies:
-        Acknowledgement round-trip times in acknowledgement order (one per
-        acknowledged key).
     edge_counts:
         How many times each Fig. 2 edge was applied, in
         :class:`~repro.kafka.state.Transition` order (I to VI).
@@ -191,7 +188,6 @@ class DeliveryTracker(ProducerListener):
         self.retries_allowed = retries_allowed
         self._codes = bytearray()
         self.ingest_times = array("d")
-        self.ack_latencies = array("d")
         self._clock: Optional[object] = None
         self.edge_counts: List[int] = [0] * len(_TRANSITIONS)
         self._emit_transition = (
@@ -290,7 +286,7 @@ class DeliveryTracker(ProducerListener):
             self._apply(key, code, _V)
         # DUPLICATED is terminal; later failures change nothing.
 
-    def on_acknowledged(self, record: ProducerRecord, rtt_s: float) -> None:
+    def on_acknowledged(self, record: ProducerRecord) -> None:
         key = record.key
         codes = self._codes
         if key >= len(codes):
@@ -299,7 +295,6 @@ class DeliveryTracker(ProducerListener):
         if code & _ACKED:
             raise RuntimeError(f"message {key} acknowledged twice")
         codes[key] = code | _ACKED
-        self.ack_latencies.append(rtt_s)
 
     # Giving up on a record takes the same edge as dropping it: a message
     # still Ready is lost (II); any other state is the cluster's to change.

@@ -77,13 +77,12 @@ def test_duplicated_keys_match_case5_census():
     assert case5 == round(result.p_duplicate * result.produced)
 
 
-def test_throughput_and_latency_reported():
+def test_throughput_reported():
     result = run_experiment(
         Scenario(message_count=200, arrival_rate=8.0, seed=5)
     )
     assert result.throughput_msgs_per_s is not None
     assert result.throughput_msgs_per_s > 0
-    assert result.mean_ack_latency_s is not None
     assert result.simulated_duration_s > 0
 
 

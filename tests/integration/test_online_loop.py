@@ -4,7 +4,6 @@ import pytest
 
 from repro.kafka import DEFAULT_PRODUCER_CONFIG, ProducerConfig
 from repro.kpi import (
-    ConfigurationPlan,
     DynamicConfigurationController,
     KpiWeights,
     OnlineDynamicController,
@@ -110,21 +109,6 @@ def make_plan(trace):
         weights=KpiWeights.of(WEB_ACCESS_LOGS.kpi_weights),
         gamma_requirement=0.97, reconfig_interval_s=60.0,
     ).generate_plan(trace, WEB_ACCESS_LOGS)
-
-
-def test_loaded_plan_replays_like_the_original(trace, tmp_path):
-    plan = make_plan(trace)
-    plan.save(tmp_path / "plan.json")
-    loaded = ConfigurationPlan.load(tmp_path / "plan.json")
-    original, replayed = (
-        run_traced_experiment(
-            trace, WEB_ACCESS_LOGS, plan=p, messages_cap_per_interval=30, seed=3
-        )
-        for p in (plan, loaded)
-    )
-    assert replayed.rates == original.rates
-    assert {d.reason for d in replayed.decisions} == {"planned"}
-    assert [d.config for d in replayed.decisions] == [d.config for d in original.decisions]
 
 
 def test_every_report_carries_one_decision_per_interval(trace):

@@ -69,7 +69,7 @@ def test_registry_missing_model_raises(tmp_path):
         ModelRegistry(tmp_path).load("ghost")
 
 
-def test_dynamic_configuration_end_to_end(trained_report, tmp_path):
+def test_dynamic_configuration_end_to_end(trained_report):
     trace = NetworkTrace(interval_s=10, points=[
         TracePoint(0.0, 0.03, 0.0),
         TracePoint(10.0, 0.08, 0.15),
@@ -84,8 +84,6 @@ def test_dynamic_configuration_end_to_end(trained_report, tmp_path):
     )
     plan = controller.generate_plan(trace, WEB_ACCESS_LOGS)
     assert len(plan.entries) == 3
-    path = tmp_path / "plan.json"
-    plan.save(path)
 
     dynamic = run_traced_experiment(
         trace, WEB_ACCESS_LOGS, plan=plan, messages_cap_per_interval=60

@@ -69,16 +69,16 @@ class TestFaultInjector:
         injector.inject(NetworkFault(delay_s=0.5))
         injector.clear()
         assert link.forward.latency is baseline_latency
-        assert injector.active_fault is None
 
     def test_scheduled_injection_fires(self, wiring):
         sim, link, injector = wiring
+        baseline_latency = link.forward.latency
         injector.inject_at(5.0, NetworkFault(delay_s=0.3))
         injector.clear_at(10.0)
         sim.run(until=6.0)
         assert link.forward.latency.mean() == pytest.approx(0.3)
         sim.run(until=11.0)
-        assert injector.active_fault is None
+        assert link.forward.latency is baseline_latency
 
     def test_broker_callbacks(self, wiring):
         sim, _, injector = wiring
@@ -106,6 +106,20 @@ class TestTrace:
         assert trace.at(-5).delay_s == 0.01
         assert trace.at(15).loss_rate == 0.1
         assert trace.at(1e9).loss_rate == 0.1
+
+    @pytest.mark.parametrize(
+        "duration_s, interval_s, step_s, count",
+        [(300, 10, 0.1, 3000), (1, 0.1, 0.1, 10), (0.7, 0.1, 0.1, 7),
+         (600, 60, 60, 10), (100, 10, 30, 4)],
+    )
+    def test_sample_count_and_times(self, duration_s, interval_s, step_s, count):
+        steps = int(round(duration_s / interval_s))
+        trace = NetworkTrace(interval_s=interval_s, points=[
+            TracePoint(i * interval_s, 0.01, 0.0) for i in range(steps)
+        ])
+        times = [time_s for time_s, _ in trace.sample(step_s)]
+        assert len(times) == count
+        assert times == [i * float(step_s) for i in range(count)]
 
     def test_empty_trace_at_raises(self):
         with pytest.raises(ValueError):

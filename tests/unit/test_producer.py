@@ -25,7 +25,7 @@ class RecordingListener(ProducerListener):
     def on_expired(self, record, after_send):
         self.events.append(("expired", record.key, after_send))
 
-    def on_acknowledged(self, record, rtt_s):
+    def on_acknowledged(self, record):
         self.events.append(("acked", record.key))
 
     def on_send_attempt(self, record, attempt):

@@ -4,14 +4,12 @@ These use a stub predictor so the selection logic is tested in isolation
 from ANN training.
 """
 
-import json
-
 import pytest
 
 from repro.kafka import DeliverySemantics, ProducerConfig
 from repro.kpi import (
-    PARKED_CONFIG,
     ConfigurationPlan,
+    Decision,
     DynamicConfigurationController,
     KpiWeights,
     OnlineDynamicController,
@@ -160,16 +158,17 @@ class TestConfigurationPlan:
     def make_plan(self):
         plan = ConfigurationPlan(interval_s=60.0)
         plan.entries.append(
-            ConfigPlanEntry(0.0, ProducerConfig(batch_size=2), 1, 0.9)
+            ConfigPlanEntry(0.0, Decision(ProducerConfig(batch_size=2), "planned", 1, 0.9))
         )
         plan.entries.append(
             ConfigPlanEntry(
                 60.0,
-                ProducerConfig(
-                    batch_size=6, semantics=DeliverySemantics.AT_MOST_ONCE
+                Decision(
+                    ProducerConfig(batch_size=6, semantics=DeliverySemantics.AT_MOST_ONCE),
+                    "planned",
+                    2,
+                    0.8,
                 ),
-                2,
-                0.8,
             )
         )
         return plan
@@ -179,68 +178,11 @@ class TestConfigurationPlan:
         assert plan.at(10.0).config.batch_size == 2
         assert plan.at(61.0).config.batch_size == 6
         assert plan.at(1e9).producers == 2
+        assert plan.at(1e9).predicted_gamma == 0.8
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
             ConfigurationPlan(interval_s=60.0).at(0.0)
-
-    def test_save_load_round_trip(self, tmp_path):
-        plan = self.make_plan()
-        path = tmp_path / "dynamic_conf.json"
-        plan.save(path)
-        loaded = ConfigurationPlan.load(path)
-        assert loaded.interval_s == 60.0
-        assert loaded.at(70.0).config.semantics is DeliverySemantics.AT_MOST_ONCE
-        assert loaded.at(70.0).config.batch_size == 6
-        # A plan searched from a non-default start keeps every field of
-        # every entry's configuration, not only the searched ones.
-        trace = NetworkTrace(interval_s=60, points=[
-            TracePoint(0.0, 0.02, 0.0), TracePoint(60.0, 0.05, 0.25)
-        ])
-        controller = DynamicConfigurationController(
-            StubPredictor(), weights=KpiWeights(0.1, 0.1, 0.7, 0.1),
-            gamma_requirement=0.93,
-        )
-        plan = controller.generate_plan(trace, WEB_ACCESS_LOGS, start=PARKED_CONFIG)
-        plan.entries.append(
-            ConfigPlanEntry(
-                120.0,
-                PARKED_CONFIG.with_(max_in_flight=2, linger_s=0.05, queue_capacity=64),
-                1,
-                0.5,
-            )
-        )
-        plan.save(path)
-        loaded = ConfigurationPlan.load(path)
-        assert [e.config for e in loaded.entries] == [e.config for e in plan.entries]
-        assert loaded.entries == plan.entries
-        assert plan.entries[0].config.retry_backoff_s == PARKED_CONFIG.retry_backoff_s
-
-    def test_load_accepts_plans_without_newer_fields(self, tmp_path):
-        path = tmp_path / "old_conf.json"
-        path.write_text(json.dumps({
-            "interval_s": 60.0,
-            "entries": [{
-                "time_s": 0.0,
-                "producers": 1,
-                "predicted_gamma": 0.9,
-                "config": {
-                    "semantics": "at_most_once",
-                    "batch_size": 4,
-                    "polling_interval_s": 0.02,
-                    "message_timeout_s": 1.5,
-                    "request_timeout_s": 2.5,
-                    "max_retries": 10,
-                },
-            }],
-        }))
-        [entry] = ConfigurationPlan.load(path).entries
-        assert entry.config == ProducerConfig(
-            semantics=DeliverySemantics.AT_MOST_ONCE,
-            batch_size=4,
-            polling_interval_s=0.02,
-            message_timeout_s=1.5,
-        )
 
 
 class TestController:
