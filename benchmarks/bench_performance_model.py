@@ -10,6 +10,7 @@ batch sizes.
 
 from repro.analysis import comparison_table, render_table
 from repro.kafka import DeliverySemantics, ProducerConfig
+from repro.kafka.config import LINK_CAPACITY_BPS
 from repro.performance import ProducerPerformanceModel
 from repro.testbed import Experiment, Scenario
 
@@ -65,9 +66,7 @@ def run_validation():
         wire_per_message = model.round_trip_bytes(
             size, batch, True
         ) / batch
-        predicted_phi = min(
-            1.0, offered * wire_per_message / model.hardware.link_capacity_bps
-        )
+        predicted_phi = min(1.0, offered * wire_per_message / LINK_CAPACITY_BPS)
         rows.append(
             {
                 "label": label,

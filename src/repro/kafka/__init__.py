@@ -8,12 +8,7 @@ reconciliation, and the Fig. 2 / Table I message state machine.
 
 from .broker import Broker, ProduceRequest, ProduceResponse
 from .cluster import KafkaCluster
-from .config import (
-    BrokerConfig,
-    DEFAULT_PRODUCER_CONFIG,
-    HardwareProfile,
-    ProducerConfig,
-)
+from .config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
 from .consumer import KafkaConsumer, ReconciliationReport, reconcile
 from .log import LogEntry, PartitionLog
 from .message import ProducerRecord
@@ -34,9 +29,7 @@ __all__ = [
     "ProduceRequest",
     "ProduceResponse",
     "KafkaCluster",
-    "BrokerConfig",
     "DEFAULT_PRODUCER_CONFIG",
-    "HardwareProfile",
     "ProducerConfig",
     "KafkaConsumer",
     "ReconciliationReport",

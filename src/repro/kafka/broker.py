@@ -15,7 +15,11 @@ from typing import Callable, List, Optional
 
 from ..observability.trace import EventKind
 from ..simulation.simulator import Simulator
-from .config import BrokerConfig
+from .config import (
+    ACKS_ALL_EXTRA_S,
+    APPEND_BYTES_PER_S,
+    BROKER_PROCESSING_TIME_S,
+)
 from .message import ProducerRecord
 from .partition import Partition
 
@@ -101,14 +105,11 @@ class Broker:
         Shared simulator.
     broker_id:
         Stable identifier, e.g. ``"broker-0"``.
-    config:
-        Timing and replication parameters.
     """
 
-    def __init__(self, sim: Simulator, broker_id: str, config: Optional[BrokerConfig] = None) -> None:
+    def __init__(self, sim: Simulator, broker_id: str) -> None:
         self._sim = sim
         self.broker_id = broker_id
-        self.config = config if config is not None else BrokerConfig()
         self.available = True
         self._busy_until = 0.0
         self.requests_handled = 0
@@ -130,16 +131,15 @@ class Broker:
 
     def service_time(self, request: ProduceRequest) -> float:
         """Processing + append latency for ``request``."""
-        config = self.config
         # A plain loop, not a generator ``sum``: this runs once per
         # request (DESIGN.md §10).
         payload_bytes = 0
         for record in request.records:
             payload_bytes += record.payload_bytes
-        time = config.processing_time_s
-        time += payload_bytes / config.append_bytes_per_s
-        if request.require_acks and config.replication_factor > 1:
-            time += config.acks_all_extra_s
+        time = BROKER_PROCESSING_TIME_S
+        time += payload_bytes / APPEND_BYTES_PER_S
+        if request.require_acks:
+            time += ACKS_ALL_EXTRA_S
         return time
 
     def handle_produce(

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..simulation.simulator import Simulator
 from .broker import Broker, ProduceRequest, ProduceResponse
-from .config import BrokerConfig
+from .config import REPLICATION_FACTOR
 from .message import ProducerRecord
 from .partition import Partition
 from .topic import Topic
@@ -32,22 +32,14 @@ class KafkaCluster:
         Shared simulator.
     broker_count:
         Number of broker nodes (the paper uses three).
-    broker_config:
-        Shared broker tuning.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        broker_count: int = 3,
-        broker_config: Optional[BrokerConfig] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, broker_count: int = 3) -> None:
         if broker_count < 1:
             raise ValueError("broker_count must be >= 1")
         self._sim = sim
-        self.broker_config = broker_config if broker_config is not None else BrokerConfig()
         self.brokers: Dict[str, Broker] = {
-            f"broker-{index}": Broker(sim, f"broker-{index}", self.broker_config)
+            f"broker-{index}": Broker(sim, f"broker-{index}")
             for index in range(broker_count)
         }
         self.topics: Dict[str, Topic] = {}
@@ -69,7 +61,7 @@ class KafkaCluster:
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
         broker_ids = self.broker_ids
-        replication = min(self.broker_config.replication_factor, len(broker_ids))
+        replication = min(REPLICATION_FACTOR, len(broker_ids))
         partition_objects = []
         for index in range(partitions):
             leader = broker_ids[index % len(broker_ids)]

@@ -3,11 +3,13 @@
 :class:`ProducerConfig` carries exactly the tunables the paper selects as
 prediction features (Section III-D) plus the secondary knobs (retries,
 backoff, in-flight window) the paper holds at Kafka-like defaults.
-:class:`HardwareProfile` pins the fixed machine resources the paper assumes
-("we study how to obtain the best configuration in a scenario with a given
-machine of fixed resources"); all reliability phenomena are driven by the
-*ratios* between these constants, so they are expressed in a scaled-down
-unit system that keeps discrete-event counts tractable (see DESIGN.md §2).
+The module constants below pin the one machine the paper assumes ("we
+study how to obtain the best configuration in a scenario with a given
+machine of fixed resources"): broker timing, host and link.  All
+reliability phenomena are driven by the *ratios* between these constants,
+so they are expressed in a scaled-down unit system that keeps
+discrete-event counts tractable (see DESIGN.md §2); rescaling the machine
+means editing this one module.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ from typing import Optional
 
 from .semantics import DeliverySemantics
 
-__all__ = ["ProducerConfig", "BrokerConfig", "HardwareProfile", "DEFAULT_PRODUCER_CONFIG"]
+__all__ = [
+    "ProducerConfig",
+    "DEFAULT_PRODUCER_CONFIG",
+    "serialization_time_s",
+    "full_load_rate",
+]
 
 
 @dataclass(frozen=True)
@@ -124,129 +131,80 @@ DEFAULT_PRODUCER_CONFIG = ProducerConfig(
 )
 
 
-@dataclass(frozen=True)
-class BrokerConfig:
-    """Broker-side tunables.
+# ---------------------------------------------------------------- the machine
+#
+# One fixed machine, as the paper assumes.  The unit system is scaled so
+# that full-load message rates sit in the tens-to-hundreds per second,
+# keeping event counts manageable; every figure of the paper depends on
+# ratios (arrival/service, offered load/capacity), not on absolute rates.
+# The simulator, the feature schema, the performance model and the
+# network-state estimator all read these constants, so a prediction is
+# always for the machine that was simulated.
 
-    Attributes
-    ----------
-    processing_time_s:
-        Fixed request handling latency (validation, indexing).
-    append_bytes_per_s:
-        Log append throughput; adds size-proportional latency.
-    replication_factor:
-        Copies per partition across the cluster.
-    acks_all_extra_s:
-        Extra latency per request when the producer requires
-        acknowledgement from all in-sync replicas.
-    """
+#: Broker: fixed request handling latency (validation, indexing).
+BROKER_PROCESSING_TIME_S = 0.002
+#: Broker: log append throughput; adds size-proportional latency.
+APPEND_BYTES_PER_S = 50e6
+#: Broker: copies per partition across the cluster (capped at the broker
+#: count).
+REPLICATION_FACTOR = 3
+#: Broker: extra latency per request when the producer requires
+#: acknowledgement from all in-sync replicas.
+ACKS_ALL_EXTRA_S = 0.004
 
-    processing_time_s: float = 0.002
-    append_bytes_per_s: float = 50e6
-    replication_factor: int = 3
-    acks_all_extra_s: float = 0.004
+#: Peak source read bandwidth; at full load (δ=0) the producer ingests
+#: messages at ``IO_BYTES_PER_S / M`` during source bursts.
+IO_BYTES_PER_S = 40_000.0
+#: Full-load ingest slowdown when the producer also processes broker
+#: responses (at-least-once); the paper's overloaded acks=0 producer reads
+#: faster than its acks=1 twin because it spends no cycles on response
+#: handling.
+ACK_OVERHEAD_FACTOR = 0.6
+#: Fixed per-message processing cost (key assignment, callbacks).
+SERIALIZATION_BASE_S = 0.012
+#: Byte-proportional serialisation throughput.
+SERIALIZATION_BYTES_PER_S = 120_000.0
+#: Fixed per-request assembly cost, amortised over a batch.
+BATCH_OVERHEAD_S = 0.004
+#: Protocol framing bytes added to every produce request (topic and
+#: partition metadata, record-batch headers) — the fixed cost that batching
+#: amortises.
+REQUEST_OVERHEAD_BYTES = 200
+#: Size of a produce response message.
+RESPONSE_BYTES = 150
+#: TCP flow-control analogue for the fire-and-forget producer: how many
+#: produce requests may sit unacknowledged in the socket before further
+#: sends wait in the accumulator.
+SOCKET_WINDOW_REQUESTS = 12
+#: Byte-based in-flight cap (the socket send buffer / bandwidth-delay
+#: window).  Applies to both semantics on top of the request-count window;
+#: it is what keeps a handful of large requests from flooding the link
+#: queue.
+SOCKET_BUFFER_BYTES = 3_000
+#: Link serialisation capacity in bytes/second (per direction).
+LINK_CAPACITY_BPS = 7_500.0
+#: One-way propagation delay with no fault injected.
+LINK_BASE_DELAY_S = 0.0005
+#: The fully-loaded source alternates between reading at peak I/O rate for
+#: about ``SOURCE_BURST_ON_S`` and pausing for about ``SOURCE_BURST_OFF_S``
+#: (page cache misses, upstream batching); this burstiness is what makes the
+#: message-timeout knee of paper Fig. 5 possible.
+SOURCE_BURST_ON_S = 0.12
+SOURCE_BURST_OFF_S = 1.88
 
-    def __post_init__(self) -> None:
-        if self.processing_time_s < 0:
-            raise ValueError("processing_time_s must be >= 0")
-        if self.append_bytes_per_s <= 0:
-            raise ValueError("append_bytes_per_s must be positive")
-        if self.replication_factor < 1:
-            raise ValueError("replication_factor must be >= 1")
-        if self.acks_all_extra_s < 0:
-            raise ValueError("acks_all_extra_s must be >= 0")
+
+def serialization_time_s(total_bytes: int, messages: int = 1) -> float:
+    """CPU time to serialise ``messages`` totalling ``total_bytes``."""
+    return (
+        SERIALIZATION_BASE_S * messages
+        + total_bytes / SERIALIZATION_BYTES_PER_S
+        + BATCH_OVERHEAD_S
+    )
 
 
-@dataclass(frozen=True)
-class HardwareProfile:
-    """Fixed machine resources of the producer host and its network.
-
-    The unit system is scaled so that full-load message rates sit in the
-    tens-to-hundreds per second, keeping event counts manageable; every
-    figure of the paper depends on ratios (arrival/service, offered
-    load/capacity), not on absolute rates.
-
-    Attributes
-    ----------
-    io_bytes_per_s:
-        Peak source read bandwidth; at full load (δ=0) the producer ingests
-        messages at ``io_bytes_per_s / M`` during source bursts.
-    ack_overhead_factor:
-        Full-load ingest slowdown when the producer also processes broker
-        responses (at-least-once); the paper's overloaded acks=0 producer
-        reads faster than its acks=1 twin because it spends no cycles on
-        response handling.
-    serialization_base_s:
-        Fixed per-message processing cost (key assignment, callbacks).
-    serialization_bytes_per_s:
-        Byte-proportional serialisation throughput.
-    batch_overhead_s:
-        Fixed per-request assembly cost, amortised over a batch.
-    request_overhead_bytes:
-        Protocol framing bytes added to every produce request (topic and
-        partition metadata, record-batch headers) — the fixed cost that
-        batching amortises.
-    response_bytes:
-        Size of a produce response message.
-    socket_window_requests:
-        TCP flow-control analogue for the fire-and-forget producer: how
-        many produce requests may sit unacknowledged in the socket before
-        further sends wait in the accumulator.
-    socket_buffer_bytes:
-        Byte-based in-flight cap (the socket send buffer / bandwidth-delay
-        window).  Applies to both semantics on top of the request-count
-        window; it is what keeps a handful of large requests from flooding
-        the link queue.
-    link_capacity_bps:
-        Link serialisation capacity in bytes/second (per direction).
-    link_base_delay_s:
-        One-way propagation delay with no fault injected.
-    source_burst_on_s / source_burst_off_s:
-        The fully-loaded source alternates between reading at peak I/O rate
-        and pausing (page cache misses, upstream batching); this burstiness
-        is what makes the message-timeout knee of paper Fig. 5 possible.
-    """
-
-    io_bytes_per_s: float = 40_000.0
-    ack_overhead_factor: float = 0.6
-    serialization_base_s: float = 0.012
-    serialization_bytes_per_s: float = 120_000.0
-    batch_overhead_s: float = 0.004
-    request_overhead_bytes: int = 200
-    response_bytes: int = 150
-    socket_window_requests: int = 12
-    socket_buffer_bytes: int = 3_000
-    link_capacity_bps: float = 7_500.0
-    link_base_delay_s: float = 0.0005
-    source_burst_on_s: float = 0.12
-    source_burst_off_s: float = 1.88
-
-    def __post_init__(self) -> None:
-        positive = [
-            ("io_bytes_per_s", self.io_bytes_per_s),
-            ("serialization_bytes_per_s", self.serialization_bytes_per_s),
-            ("link_capacity_bps", self.link_capacity_bps),
-            ("source_burst_on_s", self.source_burst_on_s),
-        ]
-        for name, value in positive:
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.ack_overhead_factor <= 1:
-            raise ValueError("ack_overhead_factor must be in (0, 1]")
-        if self.source_burst_off_s < 0:
-            raise ValueError("source_burst_off_s must be >= 0")
-
-    def serialization_time_s(self, total_bytes: int, messages: int = 1) -> float:
-        """CPU time to serialise ``messages`` totalling ``total_bytes``."""
-        return (
-            self.serialization_base_s * messages
-            + total_bytes / self.serialization_bytes_per_s
-            + self.batch_overhead_s
-        )
-
-    def full_load_rate(self, message_bytes: int, waits_for_ack: bool) -> float:
-        """Peak ingest rate (messages/s) at δ=0 during a source burst."""
-        rate = self.io_bytes_per_s / message_bytes
-        if waits_for_ack:
-            rate *= self.ack_overhead_factor
-        return rate
+def full_load_rate(message_bytes: int, waits_for_ack: bool) -> float:
+    """Peak ingest rate (messages/s) at δ=0 during a source burst."""
+    rate = IO_BYTES_PER_S / message_bytes
+    if waits_for_ack:
+        rate *= ACK_OVERHEAD_FACTOR
+    return rate

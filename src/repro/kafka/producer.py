@@ -33,7 +33,14 @@ from ..observability.trace import EventKind
 from ..simulation.simulator import Simulator
 from .broker import ProduceRequest, ProduceResponse
 from .cluster import KafkaCluster
-from .config import HardwareProfile, ProducerConfig
+from .config import (
+    REQUEST_OVERHEAD_BYTES,
+    RESPONSE_BYTES,
+    SOCKET_BUFFER_BYTES,
+    SOCKET_WINDOW_REQUESTS,
+    ProducerConfig,
+    serialization_time_s,
+)
 from .message import ProducerRecord
 from .partition import Partition
 from .topic import Topic
@@ -134,8 +141,6 @@ class KafkaProducer:
         Destination topic object.
     config:
         The paper's configuration features.
-    hardware:
-        Fixed machine resources (serialisation speed, protocol overheads).
     listener:
         Optional instrumentation hooks.
     tracer:
@@ -149,7 +154,6 @@ class KafkaProducer:
         channel: ReliableChannel,
         topic: Topic,
         config: Optional[ProducerConfig] = None,
-        hardware: Optional[HardwareProfile] = None,
         listener: Optional[ProducerListener] = None,
         tracer=None,
     ) -> None:
@@ -158,7 +162,6 @@ class KafkaProducer:
         self._channel = channel
         self._topic = topic
         self.config = config if config is not None else ProducerConfig()
-        self.hardware = hardware if hardware is not None else HardwareProfile()
         self.listener = listener if listener is not None else ProducerListener()
         # The tracer is optional and None by default; every emission site
         # guards on the attribute so a bare producer pays one pointer
@@ -202,10 +205,8 @@ class KafkaProducer:
         self._window = (
             self.config.max_in_flight
             if self._waits_for_ack
-            else self.hardware.socket_window_requests
+            else SOCKET_WINDOW_REQUESTS
         )
-        if self._window < 1:
-            raise ValueError("the in-flight window must be >= 1")
         self._in_flight = 0
         self._in_flight_bytes = 0
         channel.set_receiver(FORWARD, self._cluster_receive)
@@ -332,7 +333,7 @@ class KafkaProducer:
             batch_bytes = batch_size * head.payload_bytes
             memo_bytes, lookahead = self._full_batch
             if memo_bytes != batch_bytes:
-                lookahead = self.hardware.serialization_time_s(batch_bytes, batch_size)
+                lookahead = serialization_time_s(batch_bytes, batch_size)
                 self._full_batch = (batch_bytes, lookahead)
             if sim.now + lookahead >= head.ingest_time + self._message_timeout_s:
                 self._expire_from_queue_head(lookahead)
@@ -342,10 +343,7 @@ class KafkaProducer:
             return
         if self._in_flight >= self._window:
             return  # back-pressure: wait for an in-flight/socket slot
-        if (
-            self._in_flight_bytes >= self.hardware.socket_buffer_bytes
-            and self._in_flight > 0
-        ):
+        if self._in_flight_bytes >= SOCKET_BUFFER_BYTES and self._in_flight > 0:
             return  # socket send buffer full; a completion will re-trigger
         count = len(queue)
         if count < batch_size:
@@ -371,7 +369,7 @@ class KafkaProducer:
             total_bytes += record.payload_bytes
         memo_bytes, ser_time = self._full_batch
         if count != batch_size or total_bytes != memo_bytes:
-            ser_time = self.hardware.serialization_time_s(total_bytes, count)
+            ser_time = serialization_time_s(total_bytes, count)
         sim.schedule(ser_time, self._dispatch, records)
 
     def _on_linger(self) -> None:
@@ -413,7 +411,7 @@ class KafkaProducer:
                 base_sequence = batch.base_sequence
         attempt = batch.attempt
         stats = self.stats
-        wire_bytes = self.hardware.request_overhead_bytes
+        wire_bytes = REQUEST_OVERHEAD_BYTES
         for record in records:
             wire_bytes += record.payload_bytes
         # Request ids number the producer's requests in send order.  A
@@ -597,7 +595,7 @@ class KafkaProducer:
     def _send_response(self, response: ProduceResponse) -> None:
         self._channel.send(
             REVERSE,
-            self.hardware.response_bytes,
+            RESPONSE_BYTES,
             response,
             self._sim.now + 2.0 * self.config.request_timeout_s,
         )

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..kafka.config import ProducerConfig
+from ..kafka.config import LINK_BASE_DELAY_S, LINK_CAPACITY_BPS, ProducerConfig
 from ..kafka.semantics import DeliverySemantics
 from ..models.predictor import ReliabilityPredictor
 from ..observability.telemetry import TelemetryConfig
@@ -75,7 +75,7 @@ class NetworkStateEstimator:
 
     Delay: response round-trip times divide roughly into transmission +
     2·(base + D); subtracting the known transmission/broker components
-    (the producer knows its own configuration and the hardware profile)
+    (the producer knows its own configuration and the machine constants)
     leaves 2·D̂.  Loss: the fraction of transport sends that needed
     retransmissions estimates per-packet loss via
     ``retx/(segments)`` ≈ L̂ (each lost packet costs one retransmission).
@@ -99,12 +99,8 @@ class NetworkStateEstimator:
         """Feed one transport-level SRTT observation (segment → ack)."""
         if rtt_s < 0:
             raise ValueError("rtt must be non-negative")
-        hardware = self._model.hardware
         wire = self._model.request_wire_bytes(message_bytes, batch_size)
-        base = (
-            (wire + 66) / hardware.link_capacity_bps
-            + 2.0 * hardware.link_base_delay_s
-        )
+        base = (wire + 66) / LINK_CAPACITY_BPS + 2.0 * LINK_BASE_DELAY_S
         inferred = max(0.0, (rtt_s - base) / 2.0)
         self._delay = (
             inferred

@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from ..kafka.config import DEFAULT_PRODUCER_CONFIG, ProducerConfig
 from ..models.predictor import ReliabilityPredictor
-from ..network.trace import NetworkTrace
+from ..network.trace import NetworkTrace, interval_index
 from ..performance.queueing import ProducerPerformanceModel
 from ..workloads.streams import StreamProfile
 from .control import (
@@ -86,7 +86,7 @@ class ConfigurationPlan:
         """Entry in effect at ``time_s``."""
         if not self.entries:
             raise ValueError("empty plan")
-        index = int(time_s // self.interval_s)
+        index = interval_index(time_s, self.interval_s)
         index = min(max(index, 0), len(self.entries) - 1)
         return self.entries[index]
 

@@ -18,7 +18,27 @@ from ..simulation.random import Rng
 from .latency import ParetoLatency
 from .loss import GilbertElliottLoss
 
-__all__ = ["TracePoint", "NetworkTrace", "GilbertElliottRateProcess", "generate_paper_trace"]
+__all__ = [
+    "TracePoint",
+    "NetworkTrace",
+    "GilbertElliottRateProcess",
+    "generate_paper_trace",
+    "interval_index",
+]
+
+
+def interval_index(time_s: float, interval_s: float) -> int:
+    """Index of the interval of length ``interval_s`` that holds ``time_s``.
+
+    A time on a boundary opens the next interval, however its float was
+    computed: ``i * interval_s`` maps to ``i``, and so does a sample time
+    ``j * step_s`` equal to it in exact arithmetic (``3 * 0.1`` and
+    ``1 * 0.3`` both map to interval 3 of a 0.1-s trace).  Floor division
+    alone does not: ``0.5 // 0.1`` is 4.0, because 0.1 is stored a little
+    above one tenth.  The slack is the one :meth:`NetworkTrace.sample`
+    counts with; integer intervals and times map as by floor division.
+    """
+    return math.floor(time_s / interval_s + 1e-9)
 
 
 @dataclass
@@ -46,7 +66,7 @@ class NetworkTrace:
         """Return the conditions in effect at ``time_s`` (clamped to ends)."""
         if not self.points:
             raise ValueError("empty trace")
-        index = int(time_s // self.interval_s)
+        index = interval_index(time_s, self.interval_s)
         index = min(max(index, 0), len(self.points) - 1)
         return self.points[index]
 

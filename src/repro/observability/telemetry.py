@@ -24,15 +24,12 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from .trace import JsonlFileSink, RingBufferSink, Tracer, TraceSink, encode_record
+from .trace import JsonlFileSink, RingBufferSink, Tracer, encode_record
 
 __all__ = ["TelemetryConfig", "RunTelemetry", "MANIFEST_VERSION"]
 
 #: Manifest schema version (bump on incompatible manifest changes).
 MANIFEST_VERSION = 1
-
-#: Bound on the in-memory trace buffer of a run without a trace file.
-RING_CAPACITY = 200_000
 
 
 @dataclass(frozen=True)
@@ -69,12 +66,8 @@ class RunTelemetry:
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         trace_path = config.trace_path if config is not None else None
-        sink: TraceSink
-        if trace_path is not None:
-            sink = JsonlFileSink(trace_path)
-        else:
-            sink = RingBufferSink(RING_CAPACITY)
-        self.tracer = Tracer(sink)
+        # Without a trace file the tracer keeps its default ring buffer.
+        self.tracer = Tracer(JsonlFileSink(trace_path) if trace_path is not None else None)
         self.manifest: Optional[Dict[str, Any]] = None
 
     def build_manifest(

@@ -175,6 +175,10 @@ class TraceSink:
         """Flush and release resources (no-op by default)."""
 
 
+#: Bound on the in-memory trace buffer of a run without a trace file.
+RING_CAPACITY = 200_000
+
+
 class RingBufferSink(TraceSink):
     """Keeps the most recent ``capacity`` records in memory.
 
@@ -184,7 +188,7 @@ class RingBufferSink(TraceSink):
     :class:`JsonlFileSink` when runs exceed the capacity.
     """
 
-    def __init__(self, capacity: int = 100_000) -> None:
+    def __init__(self, capacity: int = RING_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity

@@ -6,8 +6,8 @@ conditions: the mean service rate μ of the producer and the utilisation φ
 of the network bandwidth.  Reference [6] models the producer as a
 queueing station whose service time is the sum of a serialisation stage
 and a network/acknowledgement stage; we re-derive that structure against
-our hardware profile so that predicted and simulated performance come
-from the same constants.
+the machine constants of :mod:`repro.kafka.config`, so predicted and
+simulated performance come from the same constants.
 
 All formulas assume the normal-network regime (the paper evaluates φ and
 μ "under normal circumstances, i.e. good network connection").
@@ -18,7 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Tuple
 
-from ..kafka.config import BrokerConfig, HardwareProfile, ProducerConfig
+from ..kafka.config import (
+    ACKS_ALL_EXTRA_S,
+    APPEND_BYTES_PER_S,
+    BROKER_PROCESSING_TIME_S,
+    LINK_BASE_DELAY_S,
+    LINK_CAPACITY_BPS,
+    REQUEST_OVERHEAD_BYTES,
+    RESPONSE_BYTES,
+    SOCKET_BUFFER_BYTES,
+    SOCKET_WINDOW_REQUESTS,
+    SOURCE_BURST_OFF_S,
+    SOURCE_BURST_ON_S,
+    ProducerConfig,
+    full_load_rate,
+    serialization_time_s,
+)
 from ..network.packet import ACK_PACKET_BYTES, WIRE_HEADER_BYTES
 from ..network.transport import SEGMENT_PAYLOAD_BYTES
 
@@ -34,7 +49,7 @@ class PerformanceEstimate:
     service_rate:
         μ — messages per second the producer can sustain.
     service_rate_norm:
-        μ scaled into [0, 1] against the hardware's serialisation ceiling
+        μ scaled into [0, 1] against the machine's serialisation ceiling
         (the fastest any configuration could go); this is the μ term used
         in the weighted KPI, which needs commensurable [0, 1] summands.
     bandwidth_utilization:
@@ -54,25 +69,14 @@ class PerformanceEstimate:
 class ProducerPerformanceModel:
     """Queueing-based predictor of (φ, μ) per configuration.
 
-    Parameters
-    ----------
-    hardware:
-        The fixed machine/network resources (same object the testbed uses,
-        so predictions and simulations share constants).
-    broker:
-        Broker timing, part of the request round trip.
+    It reads the same machine constants (host, link and broker timing) as
+    the testbed, so predictions and simulations describe one machine.
     """
 
     #: Capacity of each per-instance memo.
     PREDICT_CACHE_CAPACITY = 4096
 
-    def __init__(
-        self,
-        hardware: HardwareProfile = HardwareProfile(),
-        broker: BrokerConfig = BrokerConfig(),
-    ) -> None:
-        self.hardware = hardware
-        self.broker = broker
+    def __init__(self) -> None:
         # The model is pure, so memoising is safe for the model's lifetime.
         # An estimate depends on the configuration only through the fields
         # predict() keys on, and the delay-independent terms only on
@@ -93,13 +97,12 @@ class ProducerPerformanceModel:
         application response (when acks are required) rides one further
         segment with its own acknowledgement.
         """
-        hardware = self.hardware
-        application_bytes = message_bytes * batch_size + hardware.request_overhead_bytes
+        application_bytes = message_bytes * batch_size + REQUEST_OVERHEAD_BYTES
         segments = max(1, -(-application_bytes // SEGMENT_PAYLOAD_BYTES))
         wire = application_bytes + segments * WIRE_HEADER_BYTES
         total = wire + segments * ACK_PACKET_BYTES
         if waits_for_ack:
-            total += hardware.response_bytes + WIRE_HEADER_BYTES + ACK_PACKET_BYTES
+            total += RESPONSE_BYTES + WIRE_HEADER_BYTES + ACK_PACKET_BYTES
         return wire, total
 
     def request_wire_bytes(self, message_bytes: int, batch_size: int) -> int:
@@ -118,28 +121,22 @@ class ProducerPerformanceModel:
         terms = self._terms_cache.get(key)
         if terms is not None:
             return terms
-        hardware = self.hardware
-        broker = self.broker
         wire, round_trip_bytes = self._request_bytes(message_bytes, batch, waits)
-        batch_serialization_s = hardware.serialization_time_s(
-            message_bytes * batch, batch
+        batch_serialization_s = serialization_time_s(message_bytes * batch, batch)
+        window = max_in_flight if waits else SOCKET_WINDOW_REQUESTS
+        window = min(window, max(1, int(SOCKET_BUFFER_BYTES // wire) or 1))
+        broker_s = BROKER_PROCESSING_TIME_S + (
+            message_bytes * batch / APPEND_BYTES_PER_S
         )
-        window = max_in_flight if waits else hardware.socket_window_requests
-        window = min(
-            window, max(1, int(hardware.socket_buffer_bytes // wire) or 1)
-        )
-        broker_s = broker.processing_time_s + (
-            message_bytes * batch / broker.append_bytes_per_s
-        )
-        if waits and broker.replication_factor > 1:
-            broker_s += broker.acks_all_extra_s
+        if waits:
+            broker_s += ACKS_ALL_EXTRA_S
         terms = _RequestTerms(
             cpu_rate=1.0 / (batch_serialization_s / batch),
-            link_rate=hardware.link_capacity_bps * batch / round_trip_bytes,
+            link_rate=LINK_CAPACITY_BPS * batch / round_trip_bytes,
             window=window,
             batch_serialization_s=batch_serialization_s,
             round_trip_bytes=round_trip_bytes,
-            transmission_s=round_trip_bytes / hardware.link_capacity_bps,
+            transmission_s=round_trip_bytes / LINK_CAPACITY_BPS,
             broker_s=broker_s,
         )
         if len(self._terms_cache) >= self.PREDICT_CACHE_CAPACITY:
@@ -165,7 +162,7 @@ class ProducerPerformanceModel:
         terms = self._terms(
             message_bytes, batch, config.semantics.waits_for_ack, config.max_in_flight
         )
-        propagation = 2.0 * (self.hardware.link_base_delay_s + network_delay_s)
+        propagation = 2.0 * (LINK_BASE_DELAY_S + network_delay_s)
         round_trip = terms.transmission_s + propagation + terms.broker_s
         if terms.window == 1:
             # A single-request window cannot overlap serialisation with the
@@ -192,12 +189,8 @@ class ProducerPerformanceModel:
         """λ: the mean offered rate under the paper's source disciplines."""
         if config.polling_interval_s > 0:
             return 1.0 / config.polling_interval_s
-        peak = self.hardware.full_load_rate(
-            message_bytes, config.semantics.waits_for_ack
-        )
-        on = self.hardware.source_burst_on_s
-        off = self.hardware.source_burst_off_s
-        return peak * on / (on + off)
+        peak = full_load_rate(message_bytes, config.semantics.waits_for_ack)
+        return peak * SOURCE_BURST_ON_S / (SOURCE_BURST_ON_S + SOURCE_BURST_OFF_S)
 
     def predict(
         self,
@@ -237,10 +230,10 @@ class ProducerPerformanceModel:
         lam = self.arrival_rate(config, message_bytes)
         throughput = min(lam, mu)
         wire_per_message = terms.round_trip_bytes / config.batch_size
-        phi = min(1.0, throughput * wire_per_message / self.hardware.link_capacity_bps)
+        phi = min(1.0, throughput * wire_per_message / LINK_CAPACITY_BPS)
         # Normalise μ by the serialisation ceiling at B=1 — the fastest the
         # machine could ever serve this message size.
-        ceiling = 1.0 / self.hardware.serialization_time_s(message_bytes, 1)
+        ceiling = 1.0 / serialization_time_s(message_bytes, 1)
         mu_norm = min(1.0, mu / ceiling)
         # M/D/1 waiting time approximation for the latency estimate.
         rho = min(0.999, lam / mu) if mu > 0 else 0.999

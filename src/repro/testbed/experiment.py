@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..kafka.cluster import KafkaCluster
+from ..kafka.config import LINK_BASE_DELAY_S, LINK_CAPACITY_BPS
 from ..kafka.consumer import reconcile
 from ..kafka.producer import KafkaProducer
 from ..kafka.state import DeliveryCase, Transition
@@ -102,15 +103,11 @@ class Experiment:
         # RNG, so enabling it cannot perturb measured outputs either.
         self.telemetry = RunTelemetry(telemetry) if telemetry is not None else None
         self._tracer = self.telemetry.tracer if self.telemetry is not None else None
-        self.cluster = KafkaCluster(
-            self.sim, scenario.broker_count, scenario.broker_config
-        )
+        self.cluster = KafkaCluster(self.sim)
         if self._tracer is not None:
             for broker in self.cluster.brokers.values():
                 broker.attach_tracer(self._tracer)
-        self.topic = self.cluster.create_topic(
-            scenario.topic_name, partitions=scenario.partition_count
-        )
+        self.topic = self.cluster.create_topic("events", partitions=3)
         self.tracker = DeliveryTracker(
             retries_allowed=scenario.config.semantics.retries_allowed,
             tracer=self._tracer,
@@ -138,15 +135,14 @@ class Experiment:
 
     def _build_member(self, index: int) -> Member:
         scenario = self.scenario
-        hardware = scenario.hardware
         # A lone producer's streams keep their historical names, so its
         # runs stay identical to every result recorded before fleets.
         suffix = "" if self.producers == 1 else f"-{index}"
         link = Link(
             self.sim,
             self.rng.stream(f"link{suffix}"),
-            capacity_bps=hardware.link_capacity_bps,
-            latency=ConstantLatency(hardware.link_base_delay_s),
+            capacity_bps=LINK_CAPACITY_BPS,
+            latency=ConstantLatency(LINK_BASE_DELAY_S),
         )
         channel = ReliableChannel(self.sim, link, tracer=self._tracer)
         producer = KafkaProducer(
@@ -155,7 +151,6 @@ class Experiment:
             channel,
             self.topic,
             config=scenario.config,
-            hardware=hardware,
             listener=self.tracker,
             tracer=self._tracer,
         )
@@ -181,16 +176,8 @@ class Experiment:
                 rate=scenario.arrival_rate / self.producers, **common
             )
         if config.polling_interval_s > 0:
-            return PolledSource(
-                polling_interval_s=config.polling_interval_s,
-                hardware=scenario.hardware,
-                **common,
-            )
-        return FullLoadSource(
-            hardware=scenario.hardware,
-            waits_for_ack=config.semantics.waits_for_ack,
-            **common,
-        )
+            return PolledSource(polling_interval_s=config.polling_interval_s, **common)
+        return FullLoadSource(waits_for_ack=config.semantics.waits_for_ack, **common)
 
     def run(self) -> ExperimentResult:
         """Execute the experiment and return its measured result."""

@@ -3,7 +3,9 @@
 A :class:`Scenario` fixes the paper's Eq. 1 inputs — message size ``M``,
 timeliness ``S``, network delay ``D``, packet loss rate ``L`` and the
 producer configuration ``Confs`` — plus the bookkeeping the testbed needs
-(message count, seed, cluster shape).
+(message count, seed).  The machine, broker timing and cluster shape are
+fixed (:mod:`repro.kafka.config`; three brokers, one three-partition
+topic), so they are not part of a scenario.
 
 A run's identity is :func:`scenario_fingerprint`: a SHA-256 over a
 canonical JSON encoding of the scenario plus a code-version salt
@@ -21,7 +23,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from ..kafka.config import BrokerConfig, HardwareProfile, ProducerConfig
+from ..kafka.config import ProducerConfig
 
 __all__ = ["Scenario", "scenario_fingerprint", "default_salt"]
 
@@ -60,10 +62,6 @@ class Scenario:
     arrival_rate:
         Optional explicit source rate (messages/s).  ``None`` selects the
         paper's discipline: full load when δ=0, polled at 1/δ otherwise.
-    broker_count / partition_count:
-        Cluster shape (paper: three brokers).
-    hardware / broker_config:
-        Fixed resources; defaults are the calibrated "paper profile".
     """
 
     message_bytes: int = 200
@@ -76,11 +74,6 @@ class Scenario:
     seed: int = 1
     bursty_loss: bool = False
     arrival_rate: Optional[float] = None
-    broker_count: int = 3
-    partition_count: int = 3
-    hardware: HardwareProfile = field(default_factory=HardwareProfile)
-    broker_config: BrokerConfig = field(default_factory=BrokerConfig)
-    topic_name: str = "events"
 
     def __post_init__(self) -> None:
         # Float checks are written ``not x >= 0`` so that NaN fails them.
@@ -94,8 +87,6 @@ class Scenario:
             raise ValueError("loss_rate must be in [0, 1)")
         if self.message_count < 1:
             raise ValueError("message_count must be >= 1")
-        if self.broker_count < 1 or self.partition_count < 1:
-            raise ValueError("cluster shape must be positive")
         if self.arrival_rate is not None and not self.arrival_rate > 0:
             raise ValueError("arrival_rate must be positive when given")
         if self.timeliness_s is not None and not self.timeliness_s > 0:
@@ -135,10 +126,10 @@ def _canonical(value: Any) -> Any:
 def scenario_fingerprint(scenario: Scenario, salt: str) -> str:
     """Stable hex digest identifying ``(scenario, salt)``.
 
-    Covers every Scenario field — producer configuration, hardware
-    profile, broker configuration, seed, message count — so two scenarios
-    collide only if they define bit-identical experiments under the same
-    code version.
+    Covers every Scenario field — the network fault, producer
+    configuration, seed, message count — so two scenarios collide only if
+    they define bit-identical experiments under the same code version (the
+    machine is fixed by the code, which the salt names).
     """
     payload = {"salt": salt, "scenario": _canonical(scenario)}
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))

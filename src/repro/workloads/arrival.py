@@ -21,9 +21,7 @@ identity for every ``(lo, hi)`` used here) at a fraction of the call cost.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..kafka.config import HardwareProfile
+from ..kafka.config import SOURCE_BURST_OFF_S, SOURCE_BURST_ON_S, full_load_rate
 from ..kafka.message import ProducerRecord
 from ..kafka.producer import KafkaProducer
 from ..simulation.random import Rng
@@ -89,12 +87,10 @@ class FullLoadSource(SourceDriver):
 
     Parameters beyond :class:`SourceDriver`:
 
-    hardware:
-        Used for the burst pattern and the peak rate.
     waits_for_ack:
         Whether the producer's semantics processes broker responses; an
-        acks-handling producer ingests slower at full load (the
-        ``ack_overhead_factor`` of the hardware profile).
+        acks-handling producer ingests slower at full load
+        (``ACK_OVERHEAD_FACTOR``).
     """
 
     def __init__(
@@ -104,16 +100,14 @@ class FullLoadSource(SourceDriver):
         count: int,
         payload_bytes: int,
         rng: Rng,
-        hardware: HardwareProfile,
         waits_for_ack: bool,
     ) -> None:
         super().__init__(sim, producer, count, payload_bytes, rng)
-        self._hardware = hardware
-        self._peak_rate = hardware.full_load_rate(payload_bytes, waits_for_ack)
+        self._peak_rate = full_load_rate(payload_bytes, waits_for_ack)
         self._burst_remaining = self._burst_length()
 
     def _burst_length(self) -> int:
-        mean_messages = self._hardware.source_burst_on_s * self._peak_rate
+        mean_messages = SOURCE_BURST_ON_S * self._peak_rate
         spread = 0.8 + (1.2 - 0.8) * self._rng.random()
         return max(1, int(round(spread * max(1.0, mean_messages))))
 
@@ -123,7 +117,7 @@ class FullLoadSource(SourceDriver):
         self._burst_remaining -= 1
         if self._burst_remaining <= 0:
             self._burst_remaining = self._burst_length()
-            off = self._hardware.source_burst_off_s * (0.7 + (1.3 - 0.7) * self._rng.random())
+            off = SOURCE_BURST_OFF_S * (0.7 + (1.3 - 0.7) * self._rng.random())
             return base + off
         # Small jitter keeps packet-level effects from phase-locking.
         return base * (0.85 + (1.15 - 0.85) * self._rng.random())
@@ -142,8 +136,6 @@ class PolledSource(FullLoadSource):
 
     polling_interval_s:
         δ; must be positive (δ = 0 is :class:`FullLoadSource`).
-    hardware:
-        Used for the upstream burst pattern and peak rate.
     """
 
     def __init__(
@@ -154,7 +146,6 @@ class PolledSource(FullLoadSource):
         payload_bytes: int,
         rng: Rng,
         polling_interval_s: float,
-        hardware: Optional[HardwareProfile] = None,
     ) -> None:
         if polling_interval_s <= 0:
             raise ValueError(
@@ -162,8 +153,7 @@ class PolledSource(FullLoadSource):
             )
         # Polling producers spend their idle time sleeping, not handling
         # acks, so the upstream peak rate is the raw I/O rate.
-        hardware = hardware if hardware is not None else HardwareProfile()
-        super().__init__(sim, producer, count, payload_bytes, rng, hardware, False)
+        super().__init__(sim, producer, count, payload_bytes, rng, False)
         self._delta = polling_interval_s
         self._pending = 0
         self._generated = 0

@@ -37,7 +37,7 @@ class StreamProfile:
     arrival_rate:
         Mean source arrival rate in messages/second used in the dynamic
         configuration experiment (λ(t) baseline).  Expressed in the
-        repository's scaled unit system (see ``HardwareProfile``): the
+        repository's scaled unit system (see ``repro.kafka.config``): the
         rates keep the paper's ordering (game > web logs > social) and
         sit near the scaled link's capacity so that configuration quality
         decides how much of each stream survives.

@@ -11,8 +11,6 @@ def run_with_crash(crash_at, restore_at=None, semantics=DeliverySemantics.AT_LEA
         seed=12,
         arrival_rate=20.0,
         config=ProducerConfig(semantics=semantics, message_timeout_s=2.0),
-        broker_count=3,
-        partition_count=3,
     )
     experiment = Experiment(scenario)
     experiment.injector.crash_broker_at(crash_at, "broker-0")

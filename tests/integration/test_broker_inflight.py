@@ -28,8 +28,6 @@ def inflight_scenario(semantics, seed=12):
             message_timeout_s=2.0,
             request_timeout_s=0.8,
         ),
-        broker_count=3,
-        partition_count=3,
     )
 
 

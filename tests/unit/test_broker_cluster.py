@@ -4,11 +4,15 @@ import pytest
 
 from repro.kafka import (
     Broker,
-    BrokerConfig,
     KafkaCluster,
     Partition,
     ProduceRequest,
     ProducerRecord,
+)
+from repro.kafka.config import (
+    ACKS_ALL_EXTRA_S,
+    APPEND_BYTES_PER_S,
+    BROKER_PROCESSING_TIME_S,
 )
 from repro.simulation import Simulator
 
@@ -45,31 +49,28 @@ class TestBroker:
         assert responses[0].appended == 1
 
     def test_service_time_includes_processing_and_append(self, sim, partition):
-        config = BrokerConfig(processing_time_s=0.01, append_bytes_per_s=1e4,
-                              replication_factor=1)
-        broker = Broker(sim, "broker-0", config)
-        request = make_request(partition)
-        assert broker.service_time(request) == pytest.approx(0.01 + 100 / 1e4)
+        broker = Broker(sim, "broker-0")
+        request = make_request(partition, acks=False)
+        assert broker.service_time(request) == (
+            BROKER_PROCESSING_TIME_S + 100 / APPEND_BYTES_PER_S
+        )
 
     def test_acks_all_extra_latency(self, sim, partition):
-        config = BrokerConfig(replication_factor=3, acks_all_extra_s=0.02)
-        broker = Broker(sim, "broker-0", config)
+        broker = Broker(sim, "broker-0")
         with_acks = broker.service_time(make_request(partition, acks=True))
         without = broker.service_time(make_request(partition, acks=False))
-        assert with_acks - without == pytest.approx(0.02)
+        assert with_acks - without == pytest.approx(ACKS_ALL_EXTRA_S)
 
     def test_requests_queue_fifo(self, sim, partition):
-        config = BrokerConfig(processing_time_s=0.1, replication_factor=1)
-        broker = Broker(sim, "broker-0", config)
+        broker = Broker(sim, "broker-0")
+        service = broker.service_time(make_request(partition))
         finish_times = []
         for _ in range(3):
             broker.handle_produce(
                 make_request(partition), lambda r: finish_times.append(sim.now)
             )
         sim.run()
-        assert len(finish_times) == 3
-        assert finish_times == sorted(finish_times)
-        assert finish_times[-1] >= 0.3
+        assert finish_times == pytest.approx([service, 2 * service, 3 * service])
 
     def test_crashed_broker_drops_requests(self, sim, partition):
         broker = Broker(sim, "broker-0")
@@ -82,12 +83,14 @@ class TestBroker:
         assert len(partition.log) == 0
 
     def test_crash_during_processing_drops(self, sim, partition):
-        broker = Broker(sim, "broker-0", BrokerConfig(processing_time_s=1.0))
+        broker = Broker(sim, "broker-0")
+        request = make_request(partition)
         responses = []
-        broker.handle_produce(make_request(partition), responses.append)
-        sim.schedule(0.5, broker.crash)
+        broker.handle_produce(request, responses.append)
+        sim.schedule(broker.service_time(request) / 2, broker.crash)
         sim.run()
         assert responses == []
+        assert broker.requests_dropped == 1
 
     def test_append_listener_fires_per_record(self, sim, partition):
         broker = Broker(sim, "broker-0")

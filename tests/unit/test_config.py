@@ -1,16 +1,11 @@
-"""Unit tests for producer/broker configuration and the hardware profile."""
+"""Unit tests for the producer configuration and the machine constants."""
 
 import math
 
 import pytest
 
-from repro.kafka import (
-    BrokerConfig,
-    DEFAULT_PRODUCER_CONFIG,
-    DeliverySemantics,
-    HardwareProfile,
-    ProducerConfig,
-)
+from repro.kafka import DEFAULT_PRODUCER_CONFIG, DeliverySemantics, ProducerConfig
+from repro.kafka.config import full_load_rate, serialization_time_s
 
 
 class TestProducerConfig:
@@ -86,41 +81,17 @@ class TestDeliverySemantics:
         assert not DeliverySemantics.AT_MOST_ONCE.retries_allowed
 
 
-class TestHardwareProfile:
+class TestMachine:
     def test_serialization_time_scales_with_bytes(self):
-        hardware = HardwareProfile()
-        small = hardware.serialization_time_s(100, 1)
-        large = hardware.serialization_time_s(10000, 1)
-        assert large > small
+        assert serialization_time_s(10000, 1) > serialization_time_s(100, 1)
 
     def test_batch_overhead_amortised(self):
-        hardware = HardwareProfile()
-        per_message_single = hardware.serialization_time_s(200, 1)
-        per_message_batched = hardware.serialization_time_s(2000, 10) / 10
+        per_message_single = serialization_time_s(200, 1)
+        per_message_batched = serialization_time_s(2000, 10) / 10
         assert per_message_batched < per_message_single
 
     def test_full_load_rate_inverse_in_size(self):
-        hardware = HardwareProfile()
-        assert hardware.full_load_rate(100, False) > hardware.full_load_rate(400, False)
+        assert full_load_rate(100, False) > full_load_rate(400, False)
 
     def test_ack_overhead_slows_full_load(self):
-        hardware = HardwareProfile()
-        assert hardware.full_load_rate(200, True) < hardware.full_load_rate(200, False)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HardwareProfile(io_bytes_per_s=0)
-        with pytest.raises(ValueError):
-            HardwareProfile(ack_overhead_factor=0.0)
-        with pytest.raises(ValueError):
-            HardwareProfile(source_burst_off_s=-1.0)
-
-
-class TestBrokerConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BrokerConfig(processing_time_s=-1)
-        with pytest.raises(ValueError):
-            BrokerConfig(append_bytes_per_s=0)
-        with pytest.raises(ValueError):
-            BrokerConfig(replication_factor=0)
+        assert full_load_rate(200, True) < full_load_rate(200, False)

@@ -1,5 +1,8 @@
 """Unit tests for fault injection and network traces."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -110,16 +113,23 @@ class TestTrace:
     @pytest.mark.parametrize(
         "duration_s, interval_s, step_s, count",
         [(300, 10, 0.1, 3000), (1, 0.1, 0.1, 10), (0.7, 0.1, 0.1, 7),
-         (600, 60, 60, 10), (100, 10, 30, 4)],
+         (600, 60, 60, 10), (100, 10, 30, 4),
+         (3, 0.1, 0.1, 30), (9, 0.3, 0.3, 30), (3, 0.1, 0.3, 10)],
     )
     def test_sample_count_and_times(self, duration_s, interval_s, step_s, count):
         steps = int(round(duration_s / interval_s))
         trace = NetworkTrace(interval_s=interval_s, points=[
             TracePoint(i * interval_s, 0.01, 0.0) for i in range(steps)
         ])
-        times = [time_s for time_s, _ in trace.sample(step_s)]
+        samples = list(trace.sample(step_s))
+        times = [time_s for time_s, _ in samples]
         assert len(times) == count
         assert times == [i * float(step_s) for i in range(count)]
+        # Sample i lies in point floor(i * step / interval), in exact
+        # arithmetic: ``0.5 // 0.1`` alone would pick point 4 for 0.5 s.
+        ratio = Fraction(str(step_s)) / Fraction(str(interval_s))
+        expected = [trace.points[math.floor(i * ratio)] for i in range(count)]
+        assert [point for _, point in samples] == expected
 
     def test_empty_trace_at_raises(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ fire-and-forget guards by ``test_degraded``; its hysteresis guard here.
 import pytest
 
 from repro.kafka import ProducerConfig
+from repro.kafka.config import LINK_BASE_DELAY_S, LINK_CAPACITY_BPS
 from repro.kpi import (
     IntervalObservation,
     KpiWeights,
@@ -36,7 +37,7 @@ def feed(controller, delay_s, loss_rate, message_bytes=200, batch_size=1):
     ``(delay_s, loss_rate)``: two samples, so the estimate is confident."""
     model = controller.performance_model
     wire = model.request_wire_bytes(message_bytes, batch_size)
-    base = (wire + 66) / model.hardware.link_capacity_bps + 2 * model.hardware.link_base_delay_s
+    base = (wire + 66) / LINK_CAPACITY_BPS + 2 * LINK_BASE_DELAY_S
     controller.observe(
         IntervalObservation(
             segments_sent=1000,
@@ -60,7 +61,7 @@ class TestEstimator:
         model = ProducerPerformanceModel()
         estimator = NetworkStateEstimator(model)
         wire = model.request_wire_bytes(200, 1)
-        base = (wire + 66) / model.hardware.link_capacity_bps + 2 * model.hardware.link_base_delay_s
+        base = (wire + 66) / LINK_CAPACITY_BPS + 2 * LINK_BASE_DELAY_S
         estimator.observe_rtt(base + 0.2, 200, 1)
         assert estimator.estimate().delay_s == pytest.approx(0.1, rel=0.01)
 

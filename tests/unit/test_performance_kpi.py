@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.kafka import DeliverySemantics, HardwareProfile, ProducerConfig
+from repro.kafka import DeliverySemantics, ProducerConfig
+from repro.kafka.config import full_load_rate
 from repro.kpi import (
     DEFAULT_WEIGHTS,
     Decision,
@@ -59,10 +60,9 @@ class TestPerformanceModel:
         assert self.model.arrival_rate(config, 200) == pytest.approx(20.0)
 
     def test_arrival_rate_full_load_uses_duty_cycle(self):
-        hardware = HardwareProfile()
         config = ProducerConfig(semantics=DeliverySemantics.AT_MOST_ONCE)
         rate = self.model.arrival_rate(config, 200)
-        peak = hardware.full_load_rate(200, False)
+        peak = full_load_rate(200, False)
         assert rate < peak
 
     def test_predict_outputs_in_unit_interval(self):

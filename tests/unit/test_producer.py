@@ -35,7 +35,7 @@ class RecordingListener(ProducerListener):
         self.events.append(("lost", record.key))
 
 
-def make_producer(config=None, hardware=None, listener=None, capacity=1e6):
+def make_producer(config=None, listener=None, capacity=1e6):
     sim = Simulator()
     rng = RngRegistry(9)
     cluster = KafkaCluster(sim)
@@ -45,7 +45,7 @@ def make_producer(config=None, hardware=None, listener=None, capacity=1e6):
     channel = ReliableChannel(sim, link)
     producer = KafkaProducer(
         sim, cluster, channel, topic,
-        config=config, hardware=hardware, listener=listener,
+        config=config, listener=listener,
     )
     return sim, cluster, topic, producer
 

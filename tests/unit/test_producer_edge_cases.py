@@ -4,7 +4,6 @@ import pytest
 
 from repro.kafka import (
     DeliverySemantics,
-    HardwareProfile,
     KafkaCluster,
     KafkaProducer,
     ProducerConfig,
@@ -12,12 +11,13 @@ from repro.kafka import (
     ProducerRecord,
     reconcile,
 )
+from repro.kafka.config import SOCKET_BUFFER_BYTES, SOCKET_WINDOW_REQUESTS
 from repro.network import ConstantLatency, Link, ReliableChannel
 from repro.observability.trace import Tracer
 from repro.simulation import RngRegistry, Simulator
 
 
-def make(config=None, hardware=None, capacity=1e6, delay=0.001, seed=9):
+def make(config=None, capacity=1e6, delay=0.001, seed=9):
     sim = Simulator()
     rng = RngRegistry(seed)
     cluster = KafkaCluster(sim)
@@ -25,21 +25,19 @@ def make(config=None, hardware=None, capacity=1e6, delay=0.001, seed=9):
     link = Link(sim, rng.stream("link"), capacity_bps=capacity,
                 latency=ConstantLatency(delay))
     channel = ReliableChannel(sim, link)
-    producer = KafkaProducer(sim, cluster, channel, topic,
-                             config=config, hardware=hardware)
+    producer = KafkaProducer(sim, cluster, channel, topic, config=config)
     return sim, cluster, topic, producer
 
 
 class TestInFlightByteWindow:
     def test_large_requests_limited_by_socket_buffer(self):
         """With 3 KB of socket buffer, two 1.2 KB requests saturate it."""
-        hardware = HardwareProfile(socket_buffer_bytes=3000)
         config = ProducerConfig(message_timeout_s=30.0, max_in_flight=15)
-        sim, _, _, producer = make(config, hardware, capacity=2000.0)
+        sim, _, _, producer = make(config, capacity=2000.0)
         for _ in range(6):
             producer.offer(ProducerRecord(payload_bytes=1000))
         sim.run(until=0.5)
-        assert producer._in_flight_bytes <= hardware.socket_buffer_bytes + 1300
+        assert producer._in_flight_bytes <= SOCKET_BUFFER_BYTES + 1300
         producer.finish_input()
         sim.run()
         assert producer.stats.acknowledged == 6
@@ -86,19 +84,15 @@ class TestInFlightRequestWindow:
         config = ProducerConfig(
             semantics=DeliverySemantics.AT_MOST_ONCE, message_timeout_s=60.0
         )
-        hardware = HardwareProfile(socket_window_requests=4)
-        sim, _, _, producer = make(config, hardware, capacity=2000.0, delay=0.05)
-        assert self.peak_in_flight(sim, producer, 40) == 4
+        # 12 requests of 50 + 200 B fill the 3,000-B socket buffer exactly,
+        # so the buffer stops nothing before the 12th request.
+        sim, _, _, producer = make(config, capacity=2000.0, delay=0.05)
+        assert self.peak_in_flight(sim, producer, 40) == SOCKET_WINDOW_REQUESTS
 
     def test_unmatched_release_raises(self):
         _, _, _, producer = make()
         with pytest.raises(RuntimeError, match="without matching acquire"):
             producer._release_slot()
-
-    def test_window_must_be_positive(self):
-        config = ProducerConfig(semantics=DeliverySemantics.AT_MOST_ONCE)
-        with pytest.raises(ValueError, match="window"):
-            make(config, HardwareProfile(socket_window_requests=0))
 
 
 class TestExpiryLookahead:

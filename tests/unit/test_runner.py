@@ -54,7 +54,7 @@ class TestFingerprint:
             base.with_(seed=2),
             base.with_(message_bytes=300),
             base.with_(config=base.config.with_(batch_size=4)),
-            base.with_(hardware=base.hardware.__class__(io_bytes_per_s=50_000.0)),
+            base.with_(loss_rate=0.1),
         ]
         keys = {scenario_fingerprint(s, "s") for s in [base, *variants]}
         assert len(keys) == len(variants) + 1
@@ -69,7 +69,7 @@ class TestFingerprint:
         # change to either breaks the link to runs recorded earlier.
         assert default_salt() == "1.0.0+e1"
         assert scenario_fingerprint(Scenario(), default_salt()) == (
-            "62430d6a7826da8f8b43510c5036d65e59ef340263269d10ee65c38876562bf3"
+            "8a824fa43973bc88dce8d143d75535c09127cf830775c24cf6d508b405450457"
         )
 
 

@@ -18,7 +18,23 @@ import pytest
 
 from repro.ann.activations import Sigmoid
 from repro.ann.network import PAPER_HIDDEN_LAYERS, build_mlp
-from repro.kafka import BrokerConfig, DeliverySemantics, HardwareProfile, ProducerConfig
+from repro.kafka import DeliverySemantics, ProducerConfig
+from repro.kafka.config import (
+    ACKS_ALL_EXTRA_S,
+    APPEND_BYTES_PER_S,
+    BROKER_PROCESSING_TIME_S,
+    LINK_BASE_DELAY_S,
+    LINK_CAPACITY_BPS,
+    REPLICATION_FACTOR,
+    REQUEST_OVERHEAD_BYTES,
+    RESPONSE_BYTES,
+    SOCKET_BUFFER_BYTES,
+    SOCKET_WINDOW_REQUESTS,
+    SOURCE_BURST_OFF_S,
+    SOURCE_BURST_ON_S,
+    full_load_rate,
+    serialization_time_s,
+)
 from repro.kpi.selection import ParameterSteps
 from repro.network.packet import ACK_PACKET_BYTES, DEFAULT_MTU, WIRE_HEADER_BYTES
 from repro.performance import ProducerPerformanceModel
@@ -130,20 +146,15 @@ class TestWithParity:
 
 
 class ReferenceModel:
-    """The original piece-by-piece performance model, kept verbatim."""
-
-    def __init__(self, hardware=HardwareProfile(), broker=BrokerConfig()):
-        self.hardware = hardware
-        self.broker = broker
+    """The original piece-by-piece performance model, kept verbatim but for
+    reading the machine constants."""
 
     def serialization_time_per_message(self, message_bytes, batch_size):
         batch_bytes = message_bytes * batch_size
-        return self.hardware.serialization_time_s(batch_bytes, batch_size) / batch_size
+        return serialization_time_s(batch_bytes, batch_size) / batch_size
 
     def request_segments(self, message_bytes, batch_size):
-        application_bytes = (
-            message_bytes * batch_size + self.hardware.request_overhead_bytes
-        )
+        application_bytes = message_bytes * batch_size + REQUEST_OVERHEAD_BYTES
         per_segment = DEFAULT_MTU - WIRE_HEADER_BYTES
         return max(1, -(-application_bytes // per_segment))
 
@@ -151,7 +162,7 @@ class ReferenceModel:
         segments = self.request_segments(message_bytes, batch_size)
         return (
             message_bytes * batch_size
-            + self.hardware.request_overhead_bytes
+            + REQUEST_OVERHEAD_BYTES
             + segments * WIRE_HEADER_BYTES
         )
 
@@ -160,22 +171,20 @@ class ReferenceModel:
         total = self.request_wire_bytes(message_bytes, batch_size)
         total += segments * ACK_PACKET_BYTES
         if waits_for_ack:
-            total += (
-                self.hardware.response_bytes + WIRE_HEADER_BYTES + ACK_PACKET_BYTES
-            )
+            total += RESPONSE_BYTES + WIRE_HEADER_BYTES + ACK_PACKET_BYTES
         return total
 
     def request_round_trip_s(
         self, message_bytes, batch_size, waits_for_ack, network_delay_s=0.0
     ):
         wire = self.round_trip_bytes(message_bytes, batch_size, waits_for_ack)
-        transmission = wire / self.hardware.link_capacity_bps
-        propagation = 2.0 * (self.hardware.link_base_delay_s + network_delay_s)
-        broker = self.broker.processing_time_s + (
-            message_bytes * batch_size / self.broker.append_bytes_per_s
+        transmission = wire / LINK_CAPACITY_BPS
+        propagation = 2.0 * (LINK_BASE_DELAY_S + network_delay_s)
+        broker = BROKER_PROCESSING_TIME_S + (
+            message_bytes * batch_size / APPEND_BYTES_PER_S
         )
-        if waits_for_ack and self.broker.replication_factor > 1:
-            broker += self.broker.acks_all_extra_s
+        if waits_for_ack and REPLICATION_FACTOR > 1:
+            broker += ACKS_ALL_EXTRA_S
         return transmission + propagation + broker
 
     def service_rate(self, config, message_bytes, network_delay_s=0.0):
@@ -185,29 +194,25 @@ class ReferenceModel:
         round_trip = self.request_round_trip_s(
             message_bytes, batch, waits, network_delay_s
         )
-        window = (
-            config.max_in_flight if waits else self.hardware.socket_window_requests
-        )
+        window = config.max_in_flight if waits else SOCKET_WINDOW_REQUESTS
         window = min(
             window,
             max(
                 1,
                 int(
-                    self.hardware.socket_buffer_bytes
+                    SOCKET_BUFFER_BYTES
                     // self.request_wire_bytes(message_bytes, batch)
                 )
                 or 1,
             ),
         )
         if window == 1:
-            cycle = round_trip + self.hardware.serialization_time_s(
-                message_bytes * batch, batch
-            )
+            cycle = round_trip + serialization_time_s(message_bytes * batch, batch)
             window_rate = batch / cycle
         else:
             window_rate = window * batch / round_trip
         link_rate = (
-            self.hardware.link_capacity_bps
+            LINK_CAPACITY_BPS
             * batch
             / self.round_trip_bytes(message_bytes, batch, waits)
         )
@@ -216,11 +221,9 @@ class ReferenceModel:
     def arrival_rate(self, config, message_bytes):
         if config.polling_interval_s > 0:
             return 1.0 / config.polling_interval_s
-        peak = self.hardware.full_load_rate(
-            message_bytes, config.semantics.waits_for_ack
-        )
-        on = self.hardware.source_burst_on_s
-        off = self.hardware.source_burst_off_s
+        peak = full_load_rate(message_bytes, config.semantics.waits_for_ack)
+        on = SOURCE_BURST_ON_S
+        off = SOURCE_BURST_OFF_S
         return peak * on / (on + off)
 
     def predict(self, config, message_bytes, network_delay_s=0.0):
@@ -230,7 +233,7 @@ class ReferenceModel:
         wire_per_message = self.round_trip_bytes(
             message_bytes, config.batch_size, config.semantics.waits_for_ack
         ) / config.batch_size
-        phi = min(1.0, throughput * wire_per_message / self.hardware.link_capacity_bps)
+        phi = min(1.0, throughput * wire_per_message / LINK_CAPACITY_BPS)
         ceiling = 1.0 / self.serialization_time_per_message(message_bytes, 1)
         mu_norm = min(1.0, mu / ceiling)
         rho = min(0.999, lam / mu) if mu > 0 else 0.999
@@ -277,24 +280,21 @@ def as_tuple(estimate):
 
 
 class TestPerformanceModelParity:
-    @pytest.mark.parametrize(
-        "model_args",
-        [
-            {},
-            # A window of one and no replication exercise the other branches.
-            {
-                "hardware": HardwareProfile(socket_buffer_bytes=100),
-                "broker": BrokerConfig(replication_factor=1),
-            },
-        ],
-        ids=["default", "single-window"],
-    )
-    def test_predict_is_bitwise_the_reference_chain(self, model_args):
-        model = ProducerPerformanceModel(**model_args)
-        reference = ReferenceModel(**model_args)
+    def test_predict_is_bitwise_the_reference_chain(self):
+        model = ProducerPerformanceModel()
+        reference = ReferenceModel()
         checked = 0
+        windows = set()
         for config in search_grid():
             for message_bytes in MESSAGE_BYTES:
+                windows.add(
+                    model._terms(
+                        message_bytes,
+                        config.batch_size,
+                        config.semantics.waits_for_ack,
+                        config.max_in_flight,
+                    ).window
+                )
                 for delay in DELAYS:
                     expected = reference.predict(config, message_bytes, delay)
                     # First call computes, second is served by the memo.
@@ -305,6 +305,10 @@ class TestPerformanceModelParity:
                         )
                     checked += 1
         assert checked == 3 * 7 * 5 * 5 * len(MESSAGE_BYTES) * len(DELAYS)
+        # The grid reaches both of ``_service``'s window branches: a request
+        # larger than the socket buffer (e.g. M=800, B=10) gets a window of 1.
+        assert 1 in windows and max(windows) > 1
+        assert model._terms(800, 10, True, 5).window == 1
 
     def test_memo_is_shared_only_by_equal_estimates(self):
         # One model serves configs that differ in every field: entries the

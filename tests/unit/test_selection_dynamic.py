@@ -180,6 +180,15 @@ class TestConfigurationPlan:
         assert plan.at(1e9).producers == 2
         assert plan.at(1e9).predicted_gamma == 0.8
 
+    @pytest.mark.parametrize("interval_s", [0.1, 0.3])
+    def test_each_interval_start_maps_to_its_entry(self, interval_s):
+        plan = ConfigurationPlan(interval_s=interval_s)
+        for i in range(30):
+            config = ProducerConfig(max_in_flight=i + 1)
+            plan.entries.append(ConfigPlanEntry(i * interval_s, Decision(config, "planned")))
+        picked = [plan.at(i * interval_s).config.max_in_flight for i in range(30)]
+        assert picked == [i + 1 for i in range(30)]
+
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
             ConfigurationPlan(interval_s=60.0).at(0.0)

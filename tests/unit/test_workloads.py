@@ -16,7 +16,6 @@ from repro.workloads import (
     StreamProfile,
     WEB_ACCESS_LOGS,
 )
-from repro.kafka.config import HardwareProfile
 
 
 def make_producer():
@@ -56,23 +55,20 @@ class TestConstantRateSource:
 
 class TestFullLoadSource:
     def test_peak_rate_depends_on_message_size(self):
-        hardware = HardwareProfile()
         sim, producer, rng = make_producer()
-        small = FullLoadSource(sim, producer, 10, 100, rng, hardware, False)
-        large = FullLoadSource(sim, producer, 10, 1000, rng, hardware, False)
+        small = FullLoadSource(sim, producer, 10, 100, rng, False)
+        large = FullLoadSource(sim, producer, 10, 1000, rng, False)
         assert small._peak_rate > large._peak_rate
 
     def test_ack_handling_slows_ingest(self):
-        hardware = HardwareProfile()
         sim, producer, rng = make_producer()
-        amo = FullLoadSource(sim, producer, 10, 200, rng, hardware, False)
-        alo = FullLoadSource(sim, producer, 10, 200, rng, hardware, True)
+        amo = FullLoadSource(sim, producer, 10, 200, rng, False)
+        alo = FullLoadSource(sim, producer, 10, 200, rng, True)
         assert alo._peak_rate < amo._peak_rate
 
     def test_bursts_create_gaps(self):
-        hardware = HardwareProfile(source_burst_on_s=0.05, source_burst_off_s=1.0)
         sim, producer, rng = make_producer()
-        source = FullLoadSource(sim, producer, 100, 200, rng, hardware, False)
+        source = FullLoadSource(sim, producer, 100, 200, rng, False)
         arrivals = []
         original = producer.offer
         producer.offer = lambda record: (arrivals.append(sim.now), original(record))[1]
@@ -94,15 +90,16 @@ class TestPolledSource:
         assert producer.stats.ingested == 20
 
     def test_empty_polls_when_upstream_starved(self):
-        hardware = HardwareProfile(io_bytes_per_s=100.0)  # ~1 msg/s upstream
+        # Bursts of about 48 records (0.12 s at 400 msg/s), then pauses of
+        # 1.3-2.4 s: 200 records need at least three pauses.
+        count, delta = 200, 0.01
         sim, producer, rng = make_producer()
-        source = PolledSource(
-            sim, producer, 5, 100, rng, polling_interval_s=0.01, hardware=hardware
-        )
+        source = PolledSource(sim, producer, count, 100, rng, polling_interval_s=delta)
         source.start()
         sim.run()
         # Arrival limited by the upstream rate, not the poll rate.
-        assert sim.now > 1.0
+        assert source.emitted == count
+        assert sim.now > 1.5 * count * delta
 
     def test_zero_delta_rejected(self):
         sim, producer, rng = make_producer()
