@@ -36,7 +36,10 @@ class StandardScaler:
         """Apply the learned scaling."""
         if self.mean_ is None:
             raise RuntimeError("scaler is not fitted")
-        return (np.asarray(x, dtype=np.float64) - self.mean_) / self.scale_
+        # Divided in place: the difference is a new array either way.
+        scaled = np.asarray(x, dtype=np.float64) - self.mean_
+        scaled /= self.scale_
+        return scaled
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Fit then transform in one call."""

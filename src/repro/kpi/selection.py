@@ -27,7 +27,7 @@ from ..models.predictor import (
     ReliabilityPredictor,
 )
 from ..performance.queueing import PerformanceEstimate, ProducerPerformanceModel
-from .weighted import DEFAULT_WEIGHTS, KpiWeights, kpi_from_estimates, weighted_kpi
+from .weighted import DEFAULT_WEIGHTS, KpiWeights, kpi_from_estimates
 
 __all__ = [
     "SelectionContext",
@@ -42,13 +42,13 @@ __all__ = [
 _MAX_ROUNDS = 8
 
 #: One coordinate's axis during the search: its candidate values, the
-#: position of the entry config's value, and the candidates built (each
-#: with its performance estimate) and estimates fetched so far, both
+#: position of the entry config's value, and the performance estimates of
+#: the candidates scored and the reliability estimates fetched so far, both
 #: keyed by position.
 _Axis = Tuple[
     List[Any],
     int,
-    Dict[int, Tuple[ProducerConfig, PerformanceEstimate]],
+    Dict[int, PerformanceEstimate],
     Dict[int, FallbackEstimate],
 ]
 
@@ -102,6 +102,22 @@ class ParameterSteps:
     batch_size: Sequence[int] = (1, 2, 3, 4, 6, 8, 10)
     polling_interval_s: Sequence[float] = (0.0, 0.02, 0.04, 0.06, 0.09)
     message_timeout_s: Sequence[float] = (0.5, 1.0, 1.5, 2.0, 3.0)
+
+    def __post_init__(self) -> None:
+        # The search scores a candidate from its fields and builds its
+        # ProducerConfig only when the walk moves to it, so every value is
+        # checked here, once, by the checks a config runs.
+        base = ProducerConfig()
+        for parameter in _PARAMETERS:
+            for value in getattr(self, parameter):
+                base.with_(**{parameter: value})
+
+
+#: The tunable parameters, in the order the search walks them.
+_PARAMETERS = ("semantics", "batch_size", "polling_interval_s", "message_timeout_s")
+
+#: The steps used when a search is given none (checked once, not per call).
+_DEFAULT_STEPS = ParameterSteps()
 
 
 @dataclass
@@ -203,21 +219,28 @@ def select_configuration(
     neighbours, one call fetches the rest of that axis.  A move changes
     the config, so the later coordinates fetch their neighbours again.
 
-    A candidate is scored by the performance model when it is built, and
-    Eq. 2 with P_l = P_d = 0 is its best possible γ.  When the ANN tier
-    covers the candidate (:meth:`~ReliabilityPredictor.covers`) and that
-    best case cannot beat the current γ, the candidate is pruned: it is
-    never predicted, counts one step when the walk reaches it, and never
-    wins a move.  γ only rises during a walk, so the walk would have
+    A candidate is the current config with one parameter changed, and it
+    is scored from those fields
+    (:meth:`~ProducerPerformanceModel.predict_fields`) when its axis is
+    built: its :class:`ProducerConfig` is built only if the walk moves to
+    it, and its feature vector only if it is fetched.  Eq. 2 with
+    P_l = P_d = 0 is its best possible γ.  When the ANN tier covers the
+    candidate (:meth:`~ReliabilityPredictor.covers`, asked once per
+    semantics: within one context coverage depends on nothing else) and
+    that best case cannot beat the current γ, the candidate is pruned: it
+    is never predicted, counts one step when the walk reaches it, and
+    never wins a move.  γ only rises during a walk, so the walk would have
     rejected it anyway, and every result field is the same as without
     pruning.  A candidate only a fallback tier answers is always fetched.
+    Nothing is kept between calls but the predictor's and the model's own
+    memos, which answer as a cold call would.
 
     ``prediction_source`` folds in the neighbours of each coordinate the
     walk reaches and every second-stage row, never the neighbours of a
     coordinate it left before reaching; pruned candidates count as
     ``"ann"``.
     """
-    steps = steps if steps is not None else ParameterSteps()
+    steps = steps if steps is not None else _DEFAULT_STEPS
     config = start if start is not None else ProducerConfig()
     gamma, source = evaluate_configs(
         [config], context, predictor, performance_model, weights
@@ -234,42 +257,67 @@ def select_configuration(
     if result.met_requirement:
         return result
 
-    def build(
-        base: ProducerConfig, parameter: str, position: int, axis: _Axis
-    ) -> Optional[FeatureVector]:
-        """Add ``base`` with ``parameter`` at the axis value ``position``.
+    message_bytes, delay = context.message_bytes, context.network_delay_s
+    predict_fields = performance_model.predict_fields
+    bandwidth_weight, service_weight, loss_weight, duplicate_weight = weights.as_tuple()
+    # Whether the ANN tier covers a semantics here: coverage depends on a
+    # vector only through its submodel key, (region, semantics), and the
+    # context fixes the region.
+    covered: Dict[DeliverySemantics, bool] = {}
+    # The current config's fields and its feature vector's: a candidate is
+    # one of them changed, and only a config the walk moves to is built.
+    fields = config.__dict__
+    features = context.feature_vector(config).__dict__
+
+    def build(parameter: str, position: int, axis: _Axis) -> Optional[FeatureVector]:
+        """Score the current config with ``parameter`` at the axis value
+        ``position``.
 
         Returns the candidate's vector to fetch, or ``None`` when it is
         pruned (its marker is then recorded as its estimate).
         """
-        values, _, candidates, estimates = axis
-        candidate = base.with_(**{parameter: values[position]})
-        performance = performance_model.predict(
-            candidate, context.message_bytes, context.network_delay_s
+        values, _, performances, estimates = axis
+        value = values[position]
+        point = dict(fields)
+        point[parameter] = value
+        semantics = DeliverySemantics.parse(point["semantics"])
+        feature = semantics if parameter == "semantics" else float(value)
+        performance = performances[position] = predict_fields(
+            message_bytes,
+            delay,
+            semantics.waits_for_ack,
+            point["batch_size"],
+            point["max_in_flight"],
+            point["polling_interval_s"],
         )
-        candidates[position] = (candidate, performance)
-        vector = context.feature_vector(candidate)
-        if predictor.covers(vector) and weighted_kpi(
-            performance.bandwidth_utilization,
-            performance.service_rate_norm,
-            0.0,
-            0.0,
-            weights,
-        ) <= gamma + 1e-9:
-            estimates[position] = _PRUNED
-            return None
-        return vector
+        # weighted_kpi(φ, μ, 0, 0, weights) to the bit: ω·(1.0 − 0.0) is
+        # ω exactly, and the sum runs left to right as there.
+        best = (
+            bandwidth_weight * performance.bandwidth_utilization
+            + service_weight * performance.service_rate_norm
+            + loss_weight
+            + duplicate_weight
+        )
+        if best <= gamma + 1e-9:
+            covers = covered.get(semantics)
+            if covers is None:
+                covers = covered[semantics] = predictor.covers(
+                    _changed(features, parameter, feature)
+                )
+            if covers:
+                estimates[position] = _PRUNED
+                return None
+        return _changed(features, parameter, feature)
 
-    parameters = ("semantics", "batch_size", "polling_interval_s", "message_timeout_s")
     # First fetch stage, per parameter: its axis at the current config, the
-    # candidates built so far (the current config with that one field
+    # candidates scored so far (the current config with that one field
     # changed) and their estimates.  Every entry describes the current
     # config, so a move clears them all; each move raises γ, so the walk
     # never comes back to a config whose entries were cleared.
     axes: Dict[str, _Axis] = {}
     for _round in range(_MAX_ROUNDS):
         moved = False
-        for order, parameter in enumerate(parameters):
+        for order, parameter in enumerate(_PARAMETERS):
             if parameter not in axes:
                 # One grouped call fetches the immediate neighbours of this
                 # coordinate and of every later one: a walk that does not
@@ -277,7 +325,7 @@ def select_configuration(
                 # rather than one per coordinate.
                 slots: List[Tuple[Dict[int, FallbackEstimate], int]] = []
                 vectors: List[FeatureVector] = []
-                for later in parameters[order:]:
+                for later in _PARAMETERS[order:]:
                     if later in axes:
                         continue
                     values, index = _axis_values(steps, later, config)
@@ -286,7 +334,7 @@ def select_configuration(
                     axes[later] = axis
                     for position in (index - 1, index + 1):
                         if 0 <= position < len(values):
-                            vector = build(config, later, position, axis)
+                            vector = build(later, position, axis)
                             if vector is not None:
                                 vectors.append(vector)
                                 slots.append((estimates, position))
@@ -295,7 +343,7 @@ def select_configuration(
                     for (estimates, position), tiered in zip(slots, fetched):
                         estimates[position] = tiered
             axis = axes[parameter]
-            values, index, candidates, estimates = axis
+            values, index, performances, estimates = axis
             # Only the neighbours of a coordinate the walk reaches count
             # toward prediction_source, never rows fetched for a later
             # coordinate that the walk left before reaching (it met γ or
@@ -304,7 +352,6 @@ def select_configuration(
                 [result.prediction_source] + [t.source for t in estimates.values()],
                 key=TIERS.index,
             )
-            entry = config
             improved = True
             while improved:
                 improved = False
@@ -315,13 +362,15 @@ def select_configuration(
                     if neighbour not in estimates:
                         # Second stage: the walk moved on this axis and wants
                         # more than the entry's neighbours, so the rest of the
-                        # axis comes in one call.
+                        # axis comes in one call.  The current config differs
+                        # from the entry one only in this parameter, which
+                        # each candidate replaces.
                         rest: List[int] = []
                         vectors = []
                         for position in range(len(values)):
                             if position in estimates:
                                 continue
-                            vector = build(entry, parameter, position, axis)
+                            vector = build(parameter, position, axis)
                             if vector is not None:
                                 rest.append(position)
                                 vectors.append(vector)
@@ -336,12 +385,14 @@ def select_configuration(
                     tiered = estimates[neighbour]
                     if tiered is _PRUNED:
                         continue
-                    candidate, performance = candidates[neighbour]
                     candidate_gamma = kpi_from_estimates(
-                        performance, tiered.estimate, weights
+                        performances[neighbour], tiered.estimate, weights
                     )
                     if candidate_gamma > gamma + 1e-9:
-                        config, gamma, index = candidate, candidate_gamma, neighbour
+                        config = config.with_(**{parameter: values[neighbour]})
+                        fields = config.__dict__
+                        features = context.feature_vector(config).__dict__
+                        gamma, index = candidate_gamma, neighbour
                         axes.clear()
                         result.config_source = tiered.source
                         result.trace.append((f"{parameter}={values[neighbour]}", gamma))
@@ -357,6 +408,15 @@ def select_configuration(
     result.config, result.gamma = config, gamma
     result.met_requirement = gamma >= gamma_requirement
     return result
+
+
+def _changed(features: Dict[str, Any], parameter: str, feature: Any) -> FeatureVector:
+    """The feature vector with fields ``features`` but ``parameter`` set to
+    ``feature`` (built as :meth:`SelectionContext.feature_vector` builds)."""
+    vector = object.__new__(FeatureVector)
+    vector.__dict__.update(features)
+    vector.__dict__[parameter] = feature
+    return vector
 
 
 def scale_producers(

@@ -242,7 +242,12 @@ class ReliabilityPredictor:
 
         Called automatically by :meth:`fit` and :meth:`remember`; exposed
         for callers that mutate :attr:`submodels` directly (registry
-        loaders, tests).
+        loaders, tests).  Each submodel's ``FeatureSchema`` keeps its
+        load-ratio memo (and its performance model's memos) warm: they
+        are pure memos, not cleared here.  The load ratio is a pure
+        function of the vector's fields through the fixed machine's
+        performance model, and no fit, memory or submodel change alters
+        it, so a warm entry is the value a cold one would compute.
         """
         self._memo.clear()
         self._rounded.clear()
@@ -276,12 +281,6 @@ class ReliabilityPredictor:
             rounded[polling],
             rounded[timeout],
         )
-
-    def _memo_put(self, key: Tuple, value: FallbackEstimate) -> None:
-        self._memo[key] = value
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.MEMO_CAPACITY:
-            self._memo.popitem(last=False)
 
     # ------------------------------------------------------------ training
 
@@ -506,6 +505,7 @@ class ReliabilityPredictor:
         pending: Dict[Tuple[str, str], List[int]] = {}
         uncovered: List[int] = []
         memo = self._memo
+        submodels = self.submodels
         for i, vector in enumerate(vectors):
             # The first two key elements ARE the submodel key, so one
             # _memo_key() call covers both routing and the memo probe.
@@ -519,26 +519,30 @@ class ReliabilityPredictor:
                 continue
             self._memo_misses += 1
             key = quantised[:2]
-            if key in self.submodels:
+            if key in submodels:
                 pending.setdefault(key, []).append(i)
             else:
                 uncovered.append(i)
+        # Each answer goes to the memo's recent end (a key repeated within
+        # the call moves there again); the memo is trimmed to capacity
+        # once, after the last put, which evicts the same oldest entries.
         for key, indices in pending.items():
-            submodel = self.submodels[key]
+            submodel = submodels[key]
             rows = submodel.schema.encode_many([vectors[i] for i in indices])
             estimates = submodel.estimates_from_outputs(submodel.predict_rows(rows))
             for i, estimate in zip(indices, estimates):
-                result = FallbackEstimate(estimate, "ann")
-                out[i] = result
-                self._memo_put(keys[i], result)
+                out[i] = memo[keys[i]] = FallbackEstimate(estimate, "ann")
+                memo.move_to_end(keys[i])
         for i in uncovered:
             neighbour = self._nearest_neighbour(vectors[i])
             if neighbour is not None:
                 result = FallbackEstimate(neighbour, "neighbour")
             else:
                 result = FallbackEstimate(CONSERVATIVE_ESTIMATE, "conservative")
-            out[i] = result
-            self._memo_put(keys[i], result)
+            out[i] = memo[keys[i]] = result
+            memo.move_to_end(keys[i])
+        while len(memo) > self.MEMO_CAPACITY:
+            memo.popitem(last=False)
         return cast(List[FallbackEstimate], out)
 
     # ---------------------------------------------------------- evaluation

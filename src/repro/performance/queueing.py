@@ -79,12 +79,16 @@ class ProducerPerformanceModel:
     def __init__(self) -> None:
         # The model is pure, so memoising is safe for the model's lifetime.
         # An estimate depends on the configuration only through the fields
-        # predict() keys on, and the delay-independent terms only on
-        # (M, B, acks, in-flight window).  Config searches revisit the same
-        # candidates every round and the same (M, B) at every decision —
-        # this turns those re-evaluations into dict hits.
+        # predict() keys on; the delay-independent terms of μ only on
+        # (M, B, acks, in-flight window), and the rest of an estimate's
+        # delay-independent parts on those and the polling interval δ.
+        # Config searches revisit the same candidates every round and the
+        # same (M, B, δ) at every decision — this turns those
+        # re-evaluations into dict hits, and a new network delay into a
+        # few lines of arithmetic.
         self._predict_cache: Dict[Tuple, PerformanceEstimate] = {}
         self._terms_cache: Dict[Tuple, _RequestTerms] = {}
+        self._fixed_cache: Dict[Tuple, _FixedTerms] = {}
 
     # ------------------------------------------------------------ pieces
 
@@ -144,24 +148,45 @@ class ProducerPerformanceModel:
         self._terms_cache[key] = terms
         return terms
 
+    def _fixed(
+        self,
+        message_bytes: int,
+        batch: int,
+        waits: bool,
+        max_in_flight: int,
+        polling_interval_s: float,
+    ) -> "_FixedTerms":
+        """Every delay-independent part of an estimate, computed once per key."""
+        key = (message_bytes, batch, waits, max_in_flight, polling_interval_s)
+        fixed = self._fixed_cache.get(key)
+        if fixed is not None:
+            return fixed
+        terms = self._terms(message_bytes, batch, waits, max_in_flight)
+        fixed = _FixedTerms(
+            terms=terms,
+            arrival_rate=self._arrival_rate(message_bytes, waits, polling_interval_s),
+            wire_per_message=terms.round_trip_bytes / batch,
+            # Normalise μ by the serialisation ceiling at B=1 — the
+            # fastest the machine could ever serve this message size.
+            ceiling=1.0 / serialization_time_s(message_bytes, 1),
+        )
+        if len(self._fixed_cache) >= self.PREDICT_CACHE_CAPACITY:
+            self._fixed_cache.clear()
+        self._fixed_cache[key] = fixed
+        return fixed
+
     # ----------------------------------------------------------- headline
 
+    @staticmethod
     def _service(
-        self,
-        config: ProducerConfig,
-        message_bytes: int,
-        network_delay_s: float,
-    ) -> Tuple[float, "_RequestTerms", float]:
-        """(μ, its request terms, the request round trip in seconds).
+        terms: "_RequestTerms", batch: int, network_delay_s: float
+    ) -> Tuple[float, float]:
+        """(μ, the request round trip in seconds).
 
         The producer pipeline is limited by the slowest of three stages:
         serialisation (CPU), the in-flight window over the request round
         trip (on an idle link), and the link's byte capacity.
         """
-        batch = config.batch_size
-        terms = self._terms(
-            message_bytes, batch, config.semantics.waits_for_ack, config.max_in_flight
-        )
         propagation = 2.0 * (LINK_BASE_DELAY_S + network_delay_s)
         round_trip = terms.transmission_s + propagation + terms.broker_s
         if terms.window == 1:
@@ -170,7 +195,7 @@ class ProducerPerformanceModel:
             window_rate = batch / (round_trip + terms.batch_serialization_s)
         else:
             window_rate = terms.window * batch / round_trip
-        return min(terms.cpu_rate, window_rate, terms.link_rate), terms, round_trip
+        return min(terms.cpu_rate, window_rate, terms.link_rate), round_trip
 
     def service_rate(
         self,
@@ -183,14 +208,26 @@ class ProducerPerformanceModel:
         The slowest of serialisation, the in-flight window over the
         request round trip, and the link's byte capacity.
         """
-        return self._service(config, message_bytes, network_delay_s)[0]
+        batch = config.batch_size
+        terms = self._terms(
+            message_bytes, batch, config.semantics.waits_for_ack, config.max_in_flight
+        )
+        return self._service(terms, batch, network_delay_s)[0]
+
+    @staticmethod
+    def _arrival_rate(
+        message_bytes: int, waits: bool, polling_interval_s: float
+    ) -> float:
+        if polling_interval_s > 0:
+            return 1.0 / polling_interval_s
+        peak = full_load_rate(message_bytes, waits)
+        return peak * SOURCE_BURST_ON_S / (SOURCE_BURST_ON_S + SOURCE_BURST_OFF_S)
 
     def arrival_rate(self, config: ProducerConfig, message_bytes: int) -> float:
         """λ: the mean offered rate under the paper's source disciplines."""
-        if config.polling_interval_s > 0:
-            return 1.0 / config.polling_interval_s
-        peak = full_load_rate(message_bytes, config.semantics.waits_for_ack)
-        return peak * SOURCE_BURST_ON_S / (SOURCE_BURST_ON_S + SOURCE_BURST_OFF_S)
+        return self._arrival_rate(
+            message_bytes, config.semantics.waits_for_ack, config.polling_interval_s
+        )
 
     def predict(
         self,
@@ -199,11 +236,9 @@ class ProducerPerformanceModel:
         network_delay_s: float = 0.0,
     ) -> PerformanceEstimate:
         """Predict (φ, μ, latency) for one configuration (memoised)."""
-        if message_bytes < 1:
-            raise ValueError("message_bytes must be >= 1")
         # Every config field the estimate reads, and nothing else: the
         # timeout and retry knobs do not change (φ, μ, latency).
-        key = (
+        return self.predict_fields(
             message_bytes,
             network_delay_s,
             config.semantics.waits_for_ack,
@@ -211,41 +246,63 @@ class ProducerPerformanceModel:
             config.max_in_flight,
             config.polling_interval_s,
         )
+
+    def predict_fields(
+        self,
+        message_bytes: int,
+        network_delay_s: float,
+        waits_for_ack: bool,
+        batch_size: int,
+        max_in_flight: int,
+        polling_interval_s: float,
+    ) -> PerformanceEstimate:
+        """:meth:`predict` from the config fields it reads (memoised).
+
+        The configuration search scores a candidate from its fields, so it
+        never has to build the candidate's :class:`ProducerConfig`.
+        """
+        key = (
+            message_bytes,
+            network_delay_s,
+            waits_for_ack,
+            batch_size,
+            max_in_flight,
+            polling_interval_s,
+        )
         cached = self._predict_cache.get(key)
         if cached is not None:
             return cached
-        estimate = self._predict_uncached(config, message_bytes, network_delay_s)
-        if len(self._predict_cache) >= self.PREDICT_CACHE_CAPACITY:
-            self._predict_cache.clear()
-        self._predict_cache[key] = estimate
-        return estimate
-
-    def _predict_uncached(
-        self,
-        config: ProducerConfig,
-        message_bytes: int,
-        network_delay_s: float,
-    ) -> PerformanceEstimate:
-        mu, terms, round_trip = self._service(config, message_bytes, network_delay_s)
-        lam = self.arrival_rate(config, message_bytes)
+        # Checked on a miss only: an invalid size never enters the memo.
+        if message_bytes < 1:
+            raise ValueError("message_bytes must be >= 1")
+        fixed = self._fixed(
+            message_bytes, batch_size, waits_for_ack, max_in_flight, polling_interval_s
+        )
+        # Only what depends on the delay is computed here, in the order of
+        # the piece-by-piece formulas, so every bit is theirs.
+        mu, round_trip = self._service(fixed.terms, batch_size, network_delay_s)
+        lam = fixed.arrival_rate
         throughput = min(lam, mu)
-        wire_per_message = terms.round_trip_bytes / config.batch_size
-        phi = min(1.0, throughput * wire_per_message / LINK_CAPACITY_BPS)
-        # Normalise μ by the serialisation ceiling at B=1 — the fastest the
-        # machine could ever serve this message size.
-        ceiling = 1.0 / serialization_time_s(message_bytes, 1)
-        mu_norm = min(1.0, mu / ceiling)
+        phi = min(1.0, throughput * fixed.wire_per_message / LINK_CAPACITY_BPS)
+        mu_norm = min(1.0, mu / fixed.ceiling)
         # M/D/1 waiting time approximation for the latency estimate.
         rho = min(0.999, lam / mu) if mu > 0 else 0.999
         service_s = 1.0 / mu
         wait_s = (rho * service_s) / (2.0 * (1.0 - rho))
         latency = service_s + wait_s + round_trip
-        return PerformanceEstimate(
+        # Equal to PerformanceEstimate(...), without the frozen
+        # dataclass's per-field object.__setattr__ calls.
+        estimate = object.__new__(PerformanceEstimate)
+        estimate.__dict__.update(
             service_rate=mu,
             service_rate_norm=mu_norm,
             bandwidth_utilization=phi,
             mean_latency_s=latency,
         )
+        if len(self._predict_cache) >= self.PREDICT_CACHE_CAPACITY:
+            self._predict_cache.clear()
+        self._predict_cache[key] = estimate
+        return estimate
 
 
 class _RequestTerms(NamedTuple):
@@ -258,3 +315,12 @@ class _RequestTerms(NamedTuple):
     round_trip_bytes: int
     transmission_s: float
     broker_s: float
+
+
+class _FixedTerms(NamedTuple):
+    """The delay-independent parts of one estimate (see ``_fixed``)."""
+
+    terms: _RequestTerms
+    arrival_rate: float
+    wire_per_message: float
+    ceiling: float
